@@ -4,8 +4,8 @@ power-law Navier-Stokes-Voigt flow on the 2D torus."""
 __version__ = "0.1.0"
 
 from .errors import ConfigurationError, DivergenceError, ValidationError
-from .fields import NormReport, SpectralField, SymTensorField
-from .galerkin import DivFreeBasis, GalerkinState, MassOperator, StoppingMonitor, Trajectory
+from .fields import SpectralField, SymTensorField
+from .galerkin import DivFreeBasis, GalerkinState, StoppingMonitor, Trajectory
 from .noise import NoiseModel, WienerIncrement
 from .rheology import RheologyParams
 
@@ -14,9 +14,7 @@ __all__ = [
     "DivergenceError",
     "DivFreeBasis",
     "GalerkinState",
-    "MassOperator",
     "NoiseModel",
-    "NormReport",
     "RheologyParams",
     "SpectralField",
     "StoppingMonitor",

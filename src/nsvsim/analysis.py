@@ -15,13 +15,7 @@ import numpy as np
 from . import fields
 from .errors import DivergenceError, ValidationError
 from .fields import SpectralField, quad_weight, to_grid
-from .galerkin import (
-    DivFreeBasis,
-    Trajectory,
-    assemble_drift_terms,
-    noise_projection,
-    run,
-)
+from .galerkin import DivFreeBasis, Trajectory, assemble_drift_terms, forcing_at, run
 from .noise import NoiseModel
 
 
@@ -60,31 +54,17 @@ class EnergyLedger:
 
 
 def ledger_from_trajectory(traj: Trajectory) -> EnergyLedger:
-    """Recompute every ledger row from the stored coefficients and increments."""
-    basis, params, model = traj.basis, traj.params, traj.noise
-    mass = basis.mass_multipliers(params.kappa)
-    scales = model.mode_scales()
-    s_steps = traj.n_steps
-
+    """Ledger rows as array reductions: the state terms at t_i come from the
+    kernel record of ``traj``, the noise increment eta_i from its increments."""
+    params, model, dt = traj.params, traj.noise, traj.dt
     energy = traj.energies()
     d_energy = np.diff(energy)
-    dissipation = np.zeros(s_steps)
-    damping = np.zeros(s_steps)
-    work = np.zeros(s_steps)
-    ito_trace = np.zeros(s_steps)
-    martingale = np.zeros(s_steps)
-
-    for i in range(s_steps):
-        c = traj.coeffs[i]
-        terms = assemble_drift_terms(basis, basis.scatter(c), traj.forcing_at(i), params)
-        dissipation[i] = 2.0 * params.nu * terms.dissipation_p * traj.dt
-        damping[i] = 2.0 * params.alpha * terms.damping_q * traj.dt
-        work[i] = 2.0 * float(np.dot(traj.forcing_at(i), c)) * traj.dt
-        if model.active:
-            s = noise_projection(basis, terms.u_grid, model)
-            eta = float(np.dot(scales, traj.increments[i]))
-            ito_trace[i] = float(np.sum(scales**2)) * float(np.sum(s * s / mass)) * traj.dt
-            martingale[i] = 2.0 * float(np.dot(c, s)) * eta
+    dissipation = 2.0 * params.nu * traj.dissipation_p[:-1] * dt
+    damping = 2.0 * params.alpha * traj.damping_q[:-1] * dt
+    forcing = forcing_at(traj.forcing, np.arange(traj.n_steps))
+    work = 2.0 * np.sum(forcing * traj.coeffs[:-1], axis=1) * dt
+    ito_trace = model.trace_const * traj.noise_mass_sq[:-1] * dt
+    martingale = 2.0 * traj.c_dot_s[:-1] * (traj.increments @ model.mode_scales())
 
     residual = d_energy + dissipation + damping - work - ito_trace - martingale
     return EnergyLedger(
@@ -153,18 +133,11 @@ class MomentReport:
 
 def _path_functionals(traj: Trajectory) -> tuple[float, float, float]:
     """(sup_t E, int ||grad u||_p^p dt, int ||u||_q^q dt) for one path."""
-    p, q = traj.params.p, traj.params.q
-    w = quad_weight(traj.basis.grid_size)
-    sup_e = float(np.max(traj.energies()))
-    grad_p = 0.0
-    lq_q = 0.0
-    for i in range(traj.n_steps):
-        f = traj.field_at(i)
-        jac = fields.gradient(f)
-        grad_p += float(np.sum(np.sqrt(np.sum(jac**2, axis=(0, 1))) ** p) * w) * traj.dt
-        g = to_grid(f)
-        lq_q += float(np.sum(np.sqrt(np.sum(g**2, axis=0)) ** q) * w) * traj.dt
-    return sup_e, grad_p, lq_q
+    return (
+        float(np.max(traj.energies())),
+        float(np.sum(traj.grad_p[:-1] * traj.dt)),
+        float(np.sum(traj.damping_q[:-1] * traj.dt)),
+    )
 
 
 def explicit_moment_bound(
@@ -184,7 +157,7 @@ def explicit_moment_bound(
     pathwise inequality is raised to the power gamma/2 with Doob's maximal
     constant, which is valid but loose.
     """
-    s4 = float(np.sum(model.mode_scales() ** 2)) if model.active else 0.0
+    s4 = model.trace_const
     a = energy0 + forcing_l2_sq_integral + s4 * T
     growth = np.exp((1.0 + s4) * T)
     if gamma == 2.0:
@@ -262,7 +235,9 @@ def weak_form_residual(traj: Trajectory, test_modes: list[SpectralField]) -> flo
 
     Every term (mass pairing, convection, stress, damping, forcing, noise) is
     accumulated with the same left-endpoint rule as the stepper, so a
-    scheme-generated trajectory satisfies the identity to roundoff.
+    scheme-generated trajectory satisfies the identity to roundoff.  The drift
+    is recomputed from ``traj.coeffs`` rather than read from the kernel
+    record: this is the independent check that catches a corrupted state.
     """
     basis = traj.basis
     mass = basis.mass_multipliers(traj.params.kappa)
@@ -289,12 +264,12 @@ def weak_form_residual(traj: Trajectory, test_modes: list[SpectralField]) -> flo
     drift = np.zeros((s_steps, basis.n))
     noise_part = np.zeros((s_steps, basis.n))
     for i in range(s_steps):
-        c = traj.coeffs[i]
-        terms = assemble_drift_terms(basis, basis.scatter(c), traj.forcing_at(i), traj.params)
+        terms = assemble_drift_terms(
+            basis, traj.field_at(i), forcing_at(traj.forcing, i), traj.params, traj.noise,
+            convection=traj.convection,
+        )
         drift[i] = terms.b * traj.dt
-        if traj.noise.active:
-            s = noise_projection(basis, terms.u_grid, traj.noise)
-            noise_part[i] = s * float(np.dot(scales, traj.increments[i]))
+        noise_part[i] = terms.s * float(np.dot(scales, traj.increments[i]))
 
     worst = 0.0
     for d in test_coeffs:
@@ -353,12 +328,7 @@ def alpha_sweep(make_state, T: float, alphas, increments: np.ndarray | None = No
     prev = None
     for alpha in alphas:
         traj = run(make_state(alpha), T, increments=increments)
-        w = quad_weight(basis.grid_size)
-        damping = 0.0
-        for i in range(traj.n_steps):
-            g = to_grid(traj.field_at(i))
-            speed = np.sqrt(np.sum(g**2, axis=0))
-            damping += float(np.sum(speed ** traj.params.q) * w) * traj.dt
+        damping = float(np.sum(traj.damping_q[:-1] * traj.dt))
         rows.append(
             AlphaSweepRow(
                 alpha=alpha,

@@ -66,7 +66,6 @@ class SpectralField:
 
     coeffs: np.ndarray
     grid_size: int
-    divfree: bool = False
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
@@ -80,19 +79,14 @@ class SpectralField:
     def k_max(self) -> int:
         return (self.coeffs.shape[1] - 1) // 2
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.coeffs.copy(), self.grid_size, self.divfree)
-
     def mean_flow(self) -> np.ndarray:
         """The k=0 coefficient (spatial mean of each component)."""
         k = self.k_max
         return self.coeffs[:, k, k].real.copy()
 
 
-def zero_field(k_max: int, grid_size: int, divfree: bool = True) -> SpectralField:
-    return SpectralField(
-        np.zeros((2, 2 * k_max + 1, 2 * k_max + 1), dtype=complex), grid_size, divfree
-    )
+def zero_field(k_max: int, grid_size: int) -> SpectralField:
+    return SpectralField(np.zeros((2, 2 * k_max + 1, 2 * k_max + 1), dtype=complex), grid_size)
 
 
 def hermitian_error(f: SpectralField) -> float:
@@ -120,7 +114,7 @@ def to_grid(f: SpectralField) -> np.ndarray:
     return np.fft.ifft2(big, axes=(1, 2)).real * n * n
 
 
-def from_grid(v: np.ndarray, k_max: int, divfree: bool = False) -> SpectralField:
+def from_grid(v: np.ndarray, k_max: int) -> SpectralField:
     """Project grid samples onto the retained coefficient table."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 3 or v.shape[0] != 2 or v.shape[1] != v.shape[2]:
@@ -129,7 +123,7 @@ def from_grid(v: np.ndarray, k_max: int, divfree: bool = False) -> SpectralField
     _check_grid(n, k_max)
     big = np.fft.fft2(v, axes=(1, 2)) / (n * n)
     idx = np.arange(-k_max, k_max + 1) % n
-    return SpectralField(big[:, idx[:, None], idx[None, :]].copy(), n, divfree)
+    return SpectralField(big[:, idx[:, None], idx[None, :]].copy(), n)
 
 
 def scalar_to_grid(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
@@ -163,26 +157,9 @@ def gradient(f: SpectralField) -> np.ndarray:
     return out
 
 
-def dealias_mask(k_max: int, grid_size: int) -> np.ndarray:
-    """2/3-rule mask on the centered coefficient table: keep |k_i| <= N/3."""
-    cut = grid_size // 3
-    k = np.arange(-k_max, k_max + 1)
-    keep = np.abs(k) <= cut
-    return keep[:, None] & keep[None, :]
-
-
-def dealias(f: SpectralField) -> SpectralField:
-    out = f.copy()
-    out.coeffs *= dealias_mask(f.k_max, f.grid_size)[None, :, :]
-    return out
-
-
 @dataclass
 class SymTensorField:
-    """Symmetric 2x2 tensor field on the grid, stored as its 3 independent entries.
-
-    Constructing from a full Jacobian checks the T12 == T21 redundancy exactly.
-    """
+    """Symmetric 2x2 tensor field on the grid, stored as its 3 independent entries."""
 
     xx: np.ndarray
     xy: np.ndarray
@@ -196,12 +173,6 @@ class SymTensorField:
         if not (self.xx.shape == self.xy.shape == self.yy.shape):
             raise ValidationError("tensor components must share a shape")
         self.grid_size = self.xx.shape[0]
-
-    @classmethod
-    def from_components(cls, xx, xy, yx, yy) -> "SymTensorField":
-        if not np.array_equal(np.asarray(xy), np.asarray(yx)):
-            raise ValidationError("tensor is not symmetric: T12 != T21")
-        return cls(xx, xy, yy)
 
     def modulus(self) -> np.ndarray:
         """Pointwise Frobenius modulus |T| = sqrt(T11^2 + 2 T12^2 + T22^2)."""
@@ -230,7 +201,6 @@ def leray_project(v: np.ndarray, k_max: int) -> SpectralField:
     dots = (kx * f.coeffs[0] + ky * f.coeffs[1]) / k2s
     f.coeffs[0] -= kx * dots
     f.coeffs[1] -= ky * dots
-    f.divfree = True
     return f
 
 
@@ -239,58 +209,10 @@ def quad_weight(grid_size: int) -> float:
     return (TWO_PI / grid_size) ** 2
 
 
-def grid_lp_norm(values: np.ndarray, p: float, grid_size: int) -> float:
-    """L^p norm by grid quadrature of a pointwise-modulus array."""
-    w = quad_weight(grid_size)
-    return float((np.sum(values**p) * w) ** (1.0 / p))
-
-
-@dataclass(frozen=True)
-class NormReport:
-    """Norm bundle of a velocity field: L2 data by Parseval, L^p data by quadrature."""
-
-    l2: float
-    grad_l2: float
-    lp: float
-    grad_lp: float
-    lq: float
-    w1p: float
-
-    def __post_init__(self):
-        for name in ("l2", "grad_l2", "lp", "grad_lp", "lq", "w1p"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"norm {name} is negative")
-
-
-def l2_norm(f: SpectralField) -> float:
-    return float(np.sqrt(AREA * np.sum(np.abs(f.coeffs) ** 2)))
-
-
 def grad_l2_norm(f: SpectralField) -> float:
     kx, ky = wavenumbers(f.k_max)
     k2 = kx * kx + ky * ky
     return float(np.sqrt(AREA * np.sum(k2[None, :, :] * np.abs(f.coeffs) ** 2)))
-
-
-def norms(u: SpectralField, p: float, q: float) -> NormReport:
-    """L2/gradient/L^p/L^q norms of a velocity field."""
-    if not (1.0 < p < np.inf and 1.0 < q < np.inf):
-        raise ValidationError(f"exponents must lie in (1, inf), got p={p}, q={q}")
-    g = to_grid(u)
-    jac = gradient(u)
-    speed = np.sqrt(np.sum(g**2, axis=0))
-    jac_mod = np.sqrt(np.sum(jac**2, axis=(0, 1)))
-    lp = grid_lp_norm(speed, p, u.grid_size)
-    grad_lp = grid_lp_norm(jac_mod, p, u.grid_size)
-    lq = grid_lp_norm(speed, q, u.grid_size)
-    return NormReport(
-        l2=l2_norm(u),
-        grad_l2=grad_l2_norm(u),
-        lp=lp,
-        grad_lp=grad_lp,
-        lq=lq,
-        w1p=float((lp**p + grad_lp**p) ** (1.0 / p)),
-    )
 
 
 def save_field(path, f: SpectralField) -> None:
@@ -321,6 +243,4 @@ def load_field(path) -> SpectralField:
     coeffs = np.zeros((2, 2 * k + 1, 2 * k + 1), dtype=complex)
     for i, (kx, ky) in enumerate(table):
         coeffs[:, kx + k, ky + k] = raw[i, :, 0] + 1j * raw[i, :, 1]
-    f = SpectralField(coeffs, int(n))
-    f.divfree = divergence_error(f) < 1e-12
-    return f
+    return SpectralField(coeffs, int(n))

@@ -7,6 +7,19 @@ are evaluated pseudo-spectrally on the dealiased grid and projected back onto
 the first ``n`` modes; the grid is required to satisfy ``N > 3 K`` so that
 quadratic products are alias-free in the retained band, which is what makes
 the discrete energy identities of the audits exact.
+
+:func:`assemble_drift_terms` is the one per-state kernel.  Its pointwise stage
+(:class:`PointwiseTerms`) forms u on the grid, the Jacobian, D(u), the stress,
+u x u, the damping term and the noise shape once; the kernel projects them to
+the drift ``b`` and the noise projection ``s`` and integrates the quadrature
+scalars ||D u||_p^p, ||grad u||_p^p and ||u||_q^q.  :func:`run` evaluates it
+once per stored state and keeps the state-only outputs on the
+:class:`Trajectory`, which every audit reads.  Two passes recompute from the
+stored coefficients on purpose: ``analysis.weak_form_residual`` is the
+independent check that catches a corrupted state, and the pressure
+decomposition takes its grid fields from the pointwise stage at
+``traj.coeffs`` under ``traj.params``, so that it describes whatever
+trajectory and parameters it is handed.
 """
 
 from __future__ import annotations
@@ -18,7 +31,7 @@ import numpy as np
 
 from . import fields
 from .errors import ConfigurationError, DivergenceError, ValidationError
-from .fields import SpectralField, from_grid, mode_table, quad_weight, to_grid
+from .fields import SpectralField, SymTensorField, from_grid, mode_table, quad_weight, to_grid
 from .noise import NoiseModel, sample_increment
 from .rheology import RheologyParams, power_law_stress, stabilizer
 
@@ -110,7 +123,7 @@ class DivFreeBasis:
             vm = c * self._w_minus * self.pol[:, comp]
             np.add.at(coeffs[comp], (self._rows_p, self._cols_p), vp)
             np.add.at(coeffs[comp], (self._rows_m, self._cols_m), vm)
-        return SpectralField(coeffs, self.grid_size, divfree=True)
+        return SpectralField(coeffs, self.grid_size)
 
     def gather(self, f: SpectralField) -> np.ndarray:
         """L2 pairings (f, psi_j); the orthogonal projection onto the span."""
@@ -139,23 +152,6 @@ class DivFreeBasis:
         return l2 + kappa * g2
 
 
-@dataclass(frozen=True)
-class MassOperator:
-    """Diagonal realization of I - kappa*Laplacian on the basis: m(k) = 1 + kappa |k|^2."""
-
-    multipliers: np.ndarray
-
-    @classmethod
-    def build(cls, basis: DivFreeBasis, kappa: float) -> "MassOperator":
-        return cls(basis.mass_multipliers(kappa))
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.multipliers * x
-
-    def solve(self, x: np.ndarray) -> np.ndarray:
-        return x / self.multipliers
-
-
 @dataclass
 class StoppingMonitor:
     """First time ||grad u(t)||_2 reaches the threshold."""
@@ -169,26 +165,64 @@ class StoppingMonitor:
         return self.tripped_at is not None
 
 
-def _spectral_div_tensor(txx, txy, tyy, k_max: int, grid_size: int) -> SpectralField:
+def _spectral_div_tensor(t: SymTensorField, k_max: int, grid_size: int) -> SpectralField:
     """Divergence of a symmetric grid tensor, truncated to |k_i| <= k_max."""
-    cxx = fields.scalar_from_grid(txx, k_max)
-    cxy = fields.scalar_from_grid(txy, k_max)
-    cyy = fields.scalar_from_grid(tyy, k_max)
+    cxx = fields.scalar_from_grid(t.xx, k_max)
+    cxy = fields.scalar_from_grid(t.xy, k_max)
+    cyy = fields.scalar_from_grid(t.yy, k_max)
     kx, ky = fields.wavenumbers(k_max)
     v0 = 1j * (kx * cxx + ky * cxy)
     v1 = 1j * (kx * cxy + ky * cyy)
     return SpectralField(np.stack([v0, v1]), grid_size)
 
 
+def forcing_at(forcing: np.ndarray, step):
+    """Forcing coefficients at a step index, or at an array of them.  A static
+    (n,) forcing applies at every step; a per-step (steps, n) one holds its
+    last row past the end."""
+    return forcing if forcing.ndim == 1 else forcing[np.minimum(step, forcing.shape[0] - 1)]
+
+
+@dataclass
+class PointwiseTerms:
+    """Grid fields of one state: the pointwise stage of the drift kernel,
+    also read by the pressure sources.  Terms that are switched off are None."""
+
+    u: np.ndarray                   # (2, N, N) velocity samples
+    jac: np.ndarray                 # (2, 2, N, N) Jacobian J[i, j] = d_i u_j
+    d: SymTensorField               # D(u) = (J + J^T) / 2
+    stress: SymTensorField          # A = |D|^(p-2) D, without the factor nu
+    conv: SymTensorField | None     # u x u; None with convection off
+    damping: np.ndarray | None      # alpha |u|^(q-2) u; None when alpha = 0
+    noise_shape: np.ndarray | None  # shape(u); None when the noise is off
+
+    @classmethod
+    def at(cls, u: SpectralField, params: RheologyParams, noise: NoiseModel,
+           convection: bool) -> "PointwiseTerms":
+        u_grid = to_grid(u)
+        jac = fields.gradient(u)
+        d = SymTensorField(jac[0, 0], 0.5 * (jac[1, 0] + jac[0, 1]), jac[1, 1])
+        u0, u1 = u_grid
+        return cls(
+            u=u_grid,
+            jac=jac,
+            d=d,
+            stress=power_law_stress(d, params),
+            conv=SymTensorField(u0 * u0, u0 * u1, u1 * u1) if convection else None,
+            damping=stabilizer(u_grid, params) if params.alpha > 0 else None,
+            noise_shape=noise.shape(u_grid) if noise.active else None,
+        )
+
+
 @dataclass
 class DriftTerms:
-    """Drift coefficient vector plus the grid-quadrature functionals that the
-    energy ledger reuses (evaluated at the same state, same quadrature)."""
+    """Output of the drift kernel at one state."""
 
-    b: np.ndarray
-    dissipation_p: float  # ||D(u)||_p^p by grid quadrature
-    damping_q: float      # ||u||_q^q by grid quadrature
-    u_grid: np.ndarray
+    b: np.ndarray          # drift coefficients
+    s: np.ndarray          # noise projection (shape(u), psi_j); zero with the noise off
+    dissipation_p: float   # ||D(u)||_p^p by grid quadrature
+    grad_p: float          # ||grad u||_p^p by grid quadrature
+    damping_q: float       # ||u||_q^q by grid quadrature
 
 
 def assemble_drift_terms(
@@ -196,57 +230,30 @@ def assemble_drift_terms(
     u: SpectralField,
     f_coeffs: np.ndarray,
     params: RheologyParams,
+    noise: NoiseModel,
     convection: bool = True,
 ) -> DriftTerms:
+    """The drift kernel: Galerkin drift b_j = (f,psi_j) + (u x u : grad psi_j)
+    - nu (A(u) : D(psi_j)) - alpha (a(u), psi_j), the noise projection
+    s_j = (shape(u), psi_j), so that phi_k(u) projects to scale_k * s, and the
+    quadrature scalars of the energy functionals, all from one pointwise stage."""
+    pw = PointwiseTerms.at(u, params, noise, convection)
     n_grid = basis.grid_size
     w = quad_weight(n_grid)
-    u_grid = to_grid(u)
     b = np.asarray(f_coeffs, dtype=float).copy()
-
-    if convection:
-        div_t = _spectral_div_tensor(
-            u_grid[0] * u_grid[0], u_grid[0] * u_grid[1], u_grid[1] * u_grid[1],
-            basis.k_max, n_grid,
-        )
-        b -= basis.gather(div_t)
-
-    d = fields.sym_gradient(u)
-    a_tensor = power_law_stress(d, params)
-    div_a = _spectral_div_tensor(a_tensor.xx, a_tensor.xy, a_tensor.yy, basis.k_max, n_grid)
-    b += params.nu * basis.gather(div_a)
-    dissipation_p = float(np.sum(d.modulus() ** params.p) * w)
-
-    speed = np.sqrt(np.sum(u_grid**2, axis=0))
-    damping_q = float(np.sum(speed**params.q) * w)
-    if params.alpha > 0:
-        b -= basis.gather_grid(stabilizer(u_grid, params))
-
-    return DriftTerms(b=b, dissipation_p=dissipation_p, damping_q=damping_q, u_grid=u_grid)
-
-
-def assemble_drift(
-    basis: DivFreeBasis,
-    u: SpectralField,
-    f: SpectralField | np.ndarray | None,
-    params: RheologyParams,
-    convection: bool = True,
-) -> np.ndarray:
-    """Galerkin drift vector b_j = (f,psi_j) + (u x u : grad psi_j)
-    - nu (A(u) : D(psi_j)) - alpha (a(u), psi_j)."""
-    if f is None:
-        f_coeffs = np.zeros(basis.n)
-    elif isinstance(f, SpectralField):
-        f_coeffs = basis.gather(f)
-    else:
-        f_coeffs = np.asarray(f, dtype=float)
-    return assemble_drift_terms(basis, u, f_coeffs, params, convection).b
-
-
-def noise_projection(basis: DivFreeBasis, u_grid: np.ndarray, model: NoiseModel) -> np.ndarray:
-    """Coefficients s_j = (shape(u), psi_j); phi_k(u) projects to scale_k * s."""
-    if not model.active:
-        return np.zeros(basis.n)
-    return basis.gather_grid(model.shape(u_grid))
+    if pw.conv is not None:
+        b -= basis.gather(_spectral_div_tensor(pw.conv, basis.k_max, n_grid))
+    b += params.nu * basis.gather(_spectral_div_tensor(pw.stress, basis.k_max, n_grid))
+    if pw.damping is not None:
+        b -= basis.gather_grid(pw.damping)
+    s = basis.gather_grid(pw.noise_shape) if pw.noise_shape is not None else np.zeros(basis.n)
+    return DriftTerms(
+        b=b,
+        s=s,
+        dissipation_p=float(np.sum(pw.d.modulus() ** params.p) * w),
+        grad_p=float(np.sum(np.sqrt(np.sum(pw.jac**2, axis=(0, 1))) ** params.p) * w),
+        damping_q=float(np.sum(np.sqrt(np.sum(pw.u**2, axis=0)) ** params.q) * w),
+    )
 
 
 @dataclass
@@ -275,10 +282,6 @@ class GalerkinState:
     def field(self) -> SpectralField:
         return self.basis.scatter(self.c)
 
-    def forcing_at(self, step: int) -> np.ndarray:
-        f = self.forcing
-        return f if f.ndim == 1 else f[min(step, f.shape[0] - 1)]
-
     def grad_norm(self) -> float:
         return float(np.sqrt(self.basis.field_norms_sq(self.c)[1]))
 
@@ -286,30 +289,39 @@ class GalerkinState:
         return self.basis.energy(self.c, self.params.kappa)
 
 
-def step(state: GalerkinState) -> GalerkinState:
-    """One semi-implicit Euler-Maruyama step: exact diagonal mass solve,
-    explicit drift, explicit noise increment drawn from the seed lineage."""
-    if state.noise.active:
-        inc = sample_increment(
-            state.master_seed, state.path, state.step_index, state.dt, state.noise.n_w
-        )
-        return _step_with_increment(state, inc.db)
-    return _step_with_increment(state, np.zeros(state.noise.n_w))
-
-
 @dataclass
 class Trajectory:
-    """A realized path: coefficients at every step plus the raw noise draws,
-    enough to reproduce every ledger entry exactly."""
+    """A realized path plus the drift kernel's record at each of its states.
 
-    times: np.ndarray        # (S+1,)
-    coeffs: np.ndarray       # (S+1, n)
-    increments: np.ndarray   # (S, n_w)
+    ``coeffs`` (S+1 states) and ``increments`` (S steps of raw Gaussian draws)
+    reproduce the path.  For every stored state i, the final one included,
+    ``run`` keeps the kernel's state-only outputs: the quadrature scalars
+    ``dissipation_p``, ``grad_p`` and ``damping_q``, and with s the noise
+    projection and M the mass multipliers, ``noise_mass_sq = s.(s/M)`` and
+    ``c_dot_s = c.s``.  The ledger, the trajectory CSV, the moment functionals
+    and the damping sweep are array reductions over this record; the terms
+    that involve the increments (eta, the martingale) are formed from
+    ``increments``, so the record stays valid under
+    ``replace(traj, increments=...)``.  Replacing ``coeffs`` or ``params``
+    leaves it stale: ``analysis.weak_form_residual`` and the pressure
+    decomposition recompute from ``coeffs`` and ``params`` on purpose, since
+    they are the independent checks of a stored path.
+    """
+
+    times: np.ndarray          # (S+1,)
+    coeffs: np.ndarray         # (S+1, n)
+    increments: np.ndarray     # (S, n_w)
+    dissipation_p: np.ndarray  # (S+1,) ||D(u_i)||_p^p
+    grad_p: np.ndarray         # (S+1,) ||grad u_i||_p^p
+    damping_q: np.ndarray      # (S+1,) ||u_i||_q^q
+    noise_mass_sq: np.ndarray  # (S+1,) s_i . (s_i / M)
+    c_dot_s: np.ndarray        # (S+1,) c_i . s_i
     basis: DivFreeBasis
     params: RheologyParams
     noise: NoiseModel
     dt: float
     forcing: np.ndarray
+    convection: bool
     tripped_at: float | None = None
 
     @property
@@ -318,10 +330,6 @@ class Trajectory:
 
     def field_at(self, i: int) -> SpectralField:
         return self.basis.scatter(self.coeffs[i])
-
-    def forcing_at(self, step: int) -> np.ndarray:
-        f = self.forcing
-        return f if f.ndim == 1 else f[min(step, f.shape[0] - 1)]
 
     def energies(self) -> np.ndarray:
         kappa = self.params.kappa
@@ -337,7 +345,9 @@ def run(
     monitor: StoppingMonitor | None = None,
     increments: np.ndarray | None = None,
 ) -> Trajectory:
-    """Advance to min(T, trip time).  Deterministic given the seed lineage;
+    """Advance to min(T, trip time) by semi-implicit Euler-Maruyama: exact
+    diagonal mass solve, explicit drift, explicit noise increment.  The drift
+    kernel runs once per stored state.  Deterministic given the seed lineage;
     pass ``increments`` to drive several runs with matched noise."""
     if T < 0:
         raise ValidationError(f"T={T} must be nonnegative")
@@ -348,102 +358,90 @@ def run(
     if increments is not None and increments.shape[0] < n_steps:
         raise ValidationError("supplied increment array shorter than the run")
 
-    state = state0
-    times = [state.t]
-    coeffs = [state.c.copy()]
-    incs = []
-    tripped_at = None
+    basis, params, noise = state0.basis, state0.params, state0.noise
+    mass = basis.mass_multipliers(params.kappa)
+    scales = noise.mode_scales()
 
     speed0 = float(np.max(np.sqrt(np.sum(to_grid(state0.field()) ** 2, axis=0))))
-    cfl = dt * speed0 * state0.basis.k_max
+    cfl = dt * speed0 * basis.k_max
     if cfl > 0.5:
         warnings.warn(
             f"dt*max|u|*k_max = {cfl:.3g} > 0.5: explicit convection may be unstable",
             stacklevel=2,
         )
 
-    for i in range(n_steps):
-        if monitor is not None and monitor.check(state.grad_norm(), state.t):
-            tripped_at = monitor.tripped_at
+    state = state0
+    times = [state.t]
+    coeffs = [state.c.copy()]
+    incs = []
+    record = []
+    while True:
+        terms = assemble_drift_terms(
+            basis, state.field(), forcing_at(state.forcing, state.step_index), params, noise,
+            convection=state.convection,
+        )
+        record.append((
+            terms.dissipation_p, terms.grad_p, terms.damping_q,
+            float(np.sum(terms.s * terms.s / mass)), float(np.dot(state.c, terms.s)),
+        ))
+        i = len(incs)
+        if (monitor is not None and monitor.check(state.grad_norm(), state.t)) or i == n_steps:
             break
         if increments is not None:
-            db = np.asarray(increments[i, : state.noise.n_w], dtype=float)
-        elif state.noise.active:
-            db = sample_increment(
-                state.master_seed, state.path, state.step_index, dt, state.noise.n_w
-            ).db
+            db = np.asarray(increments[i, : noise.n_w], dtype=float)
+        elif noise.active:
+            db = sample_increment(state.master_seed, state.path, state.step_index, dt, noise.n_w).db
         else:
-            db = np.zeros(state.noise.n_w)
-        state = _step_with_increment(state, db)
+            db = np.zeros(noise.n_w)
+        rhs = terms.b * dt
+        if noise.active:
+            rhs = rhs + terms.s * float(np.dot(scales, db))
+        c_new = state.c + rhs / mass
+        if not np.all(np.isfinite(c_new)):
+            raise DivergenceError(state.step_index)
+        state = replace(state, t=state.t + dt, c=c_new, step_index=state.step_index + 1)
         incs.append(db.copy())
         times.append(state.t)
         coeffs.append(state.c.copy())
-    else:
-        if monitor is not None and monitor.check(state.grad_norm(), state.t):
-            tripped_at = monitor.tripped_at
 
-    n_w = state0.noise.n_w
+    dissipation_p, grad_p, damping_q, noise_mass_sq, c_dot_s = np.asarray(record).T.copy()
     return Trajectory(
         times=np.asarray(times),
         coeffs=np.asarray(coeffs),
-        increments=np.asarray(incs).reshape(len(incs), n_w),
-        basis=state0.basis,
-        params=state0.params,
-        noise=state0.noise,
+        increments=np.asarray(incs).reshape(len(incs), noise.n_w),
+        dissipation_p=dissipation_p,
+        grad_p=grad_p,
+        damping_q=damping_q,
+        noise_mass_sq=noise_mass_sq,
+        c_dot_s=c_dot_s,
+        basis=basis,
+        params=params,
+        noise=noise,
         dt=dt,
         forcing=state0.forcing,
-        tripped_at=tripped_at,
+        convection=state0.convection,
+        tripped_at=None if monitor is None else monitor.tripped_at,
     )
-
-
-def _step_with_increment(state: GalerkinState, db: np.ndarray) -> GalerkinState:
-    """Deterministic step given the raw Gaussian increments of this step."""
-    basis = state.basis
-    mass = basis.mass_multipliers(state.params.kappa)
-    terms = assemble_drift_terms(
-        basis, state.field(), state.forcing_at(state.step_index), state.params,
-        convection=state.convection,
-    )
-    rhs = terms.b * state.dt
-    if state.noise.active:
-        eta = float(np.dot(state.noise.mode_scales(), db))
-        rhs = rhs + noise_projection(basis, terms.u_grid, state.noise) * eta
-    c_new = state.c + rhs / mass
-    if not np.all(np.isfinite(c_new)):
-        raise DivergenceError(state.step_index)
-    return replace(state, t=state.t + state.dt, c=c_new, step_index=state.step_index + 1)
 
 
 def trajectory_csv(path, traj: Trajectory) -> None:
     """Per-state CSV: t, l2, grad_l2, lp_gradp, lq_q, energy, dissipation_acc,
-    noise_trace_acc, tripped.  Floats carry 17 significant digits."""
+    noise_trace_acc, tripped, read from the kernel record and the ledger.
+    Floats carry 17 significant digits."""
     from .analysis import ledger_from_trajectory  # local import to keep layering one-way
 
     ledger = ledger_from_trajectory(traj)
-    p, q = traj.params.p, traj.params.q
-    w = quad_weight(traj.basis.grid_size)
-    rows = []
-    diss_acc = 0.0
-    trace_acc = 0.0
-    for i in range(len(traj.times)):
-        f = traj.field_at(i)
-        jac = fields.gradient(f)
-        jac_mod = np.sqrt(np.sum(jac**2, axis=(0, 1)))
-        g = to_grid(f)
-        speed = np.sqrt(np.sum(g**2, axis=0))
-        l2, g2 = traj.basis.field_norms_sq(traj.coeffs[i])
-        tripped = int(traj.tripped_at is not None and traj.times[i] >= traj.tripped_at)
-        rows.append(
-            (
-                traj.times[i], np.sqrt(l2), np.sqrt(g2),
-                float(np.sum(jac_mod**p) * w), float(np.sum(speed**q) * w),
-                l2 + traj.params.kappa * g2, diss_acc, trace_acc, tripped,
-            )
-        )
-        if i < traj.n_steps:
-            diss_acc += ledger.dissipation[i]
-            trace_acc += ledger.ito_trace[i]
+    c = traj.coeffs
+    l2 = np.sum(c * c, axis=1)
+    g2 = np.sum(traj.basis.k2 * c * c, axis=1)
+    columns = (
+        traj.times, np.sqrt(l2), np.sqrt(g2), traj.grad_p, traj.damping_q,
+        l2 + traj.params.kappa * g2,
+        np.concatenate([[0.0], np.cumsum(ledger.dissipation)]),
+        np.concatenate([[0.0], np.cumsum(ledger.ito_trace)]),
+    )
     with open(path, "w", newline="") as fh:
         fh.write("t,l2,grad_l2,lp_gradp,lq_q,energy,dissipation_acc,noise_trace_acc,tripped\n")
-        for r in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in r) + "\n")
+        for i, t in enumerate(traj.times):
+            tripped = int(traj.tripped_at is not None and t >= traj.tripped_at)
+            fh.write(",".join(f"{col[i]:.17g}" for col in columns) + f",{tripped}\n")

@@ -54,6 +54,13 @@ class NoiseModel:
         """C with sup_k k^2 |phi_k(xi)|^2 <= C (1 + |xi|^2)."""
         return 0.0 if not self.active else self.amplitude**2
 
+    @property
+    def trace_const(self) -> float:
+        """S = sum_k scale_k^2, the Ito trace constant: sum_k ||phi_k(u)||^2 =
+        S ||shape(u)||^2 <= S ||u||^2 for both families, since |shape(u)| <= |u|
+        pointwise."""
+        return 0.0 if not self.active else float(np.sum(self.mode_scales() ** 2))
+
     def mode_scale(self, k: int) -> float:
         """The 1/k^2 envelope factor of mode k."""
         if not 1 <= k <= self.n_w:
@@ -75,16 +82,6 @@ class NoiseModel:
             speed = np.sqrt(np.sum(u**2, axis=0))
             return u / (1.0 + speed)[None, ...]
         return np.zeros_like(u)
-
-
-def phi_apply(u: np.ndarray, model: NoiseModel, k: int) -> np.ndarray:
-    """phi_k applied pointwise to grid samples (or to a bare R^2 vector)."""
-    u = np.asarray(u, dtype=float)
-    squeeze = u.ndim == 1
-    if squeeze:
-        u = u[:, None, None]
-    out = model.mode_scale(k) * model.shape(u)
-    return out[:, 0, 0] if squeeze else out
 
 
 @dataclass(frozen=True)
@@ -159,14 +156,3 @@ def sample_increment(master_seed: int, path: int, step: int, dt: float, n_w: int
     db = rng.standard_normal(n_w) * np.sqrt(dt)
     return WienerIncrement(db=db, dt=dt, lineage=(int(master_seed), int(path), int(step)))
 
-
-def ito_trace_bound(model: NoiseModel, l2_norm_sq: float) -> float:
-    """Upper envelope for sum_k ||phi_k(u)||_2^2, namely (sum_k scale_k^2) ||u||_2^2.
-
-    Valid for both families since ||shape(u)||_2 <= ||u||_2 pointwise; used by
-    the coercivity validator and the moment-bound formula.
-    """
-    if not model.active:
-        return 0.0
-    s4 = float(np.sum(model.mode_scales() ** 2))
-    return s4 * l2_norm_sq

@@ -17,9 +17,8 @@ import numpy as np
 
 from . import fields
 from .errors import ValidationError
-from .fields import SymTensorField, quad_weight, scalar_from_grid, scalar_to_grid, to_grid
-from .galerkin import Trajectory
-from .rheology import power_law_stress, stabilizer
+from .fields import SymTensorField, quad_weight, scalar_from_grid, scalar_to_grid
+from .galerkin import PointwiseTerms, Trajectory, forcing_at
 
 
 def _inv_laplace_divdiv(cxx, cxy, cyy, k_max: int) -> np.ndarray:
@@ -78,36 +77,36 @@ def _slice_ingredients(traj: Trajectory, i: int, k_max: int):
     Returns (stress tensor tables scaled by nu, convection tensor tables,
     vector table of f - alpha a(u), noise shape-field tables).  ``pi1`` lifts
     the first, ``pi2`` lifts the rest; convection enters the flux with the
-    opposite sign of the stress.
+    opposite sign of the stress.  The grid fields come from the drift
+    kernel's pointwise stage, evaluated at ``traj.coeffs[i]`` under
+    ``traj.params`` rather than read from the kernel record, so the
+    decomposition follows whatever parameters the trajectory carries.
     """
     params = traj.params
-    f = traj.field_at(i)
-    u = to_grid(f)
-    d = fields.sym_gradient(f)
-    a = power_law_stress(d, params)
+    pw = PointwiseTerms.at(traj.field_at(i), params, traj.noise, traj.convection)
+    block = (2 * k_max + 1, 2 * k_max + 1)
     stress = tuple(
-        params.nu * scalar_from_grid(comp, k_max) for comp in (a.xx, a.xy, a.yy)
+        params.nu * scalar_from_grid(comp, k_max)
+        for comp in (pw.stress.xx, pw.stress.xy, pw.stress.yy)
     )
-    conv = tuple(
-        scalar_from_grid(comp, k_max)
-        for comp in (u[0] * u[0], u[0] * u[1], u[1] * u[1])
-    )
-    vec = np.zeros((2, 2 * k_max + 1, 2 * k_max + 1), dtype=complex)
-    fc = traj.forcing_at(i)
+    if pw.conv is not None:
+        conv = tuple(
+            scalar_from_grid(comp, k_max) for comp in (pw.conv.xx, pw.conv.xy, pw.conv.yy)
+        )
+    else:
+        conv = tuple(np.zeros(block, dtype=complex) for _ in range(3))
+    vec = np.zeros((2,) + block, dtype=complex)
+    fc = forcing_at(traj.forcing, i)
     if np.any(fc):
         f_spec = traj.basis.scatter(fc)
         off = f_spec.k_max
         sl = slice(k_max - off, k_max + off + 1)
         vec[:, sl, sl] += f_spec.coeffs
-    if params.alpha > 0:
-        ag = stabilizer(u, params)
-        vec[0] -= scalar_from_grid(ag[0], k_max)
-        vec[1] -= scalar_from_grid(ag[1], k_max)
-    if traj.noise.active:
-        sh = traj.noise.shape(u)
-        noise_tab = np.stack(
-            [scalar_from_grid(sh[0], k_max), scalar_from_grid(sh[1], k_max)]
-        )
+    if pw.damping is not None:
+        vec[0] -= scalar_from_grid(pw.damping[0], k_max)
+        vec[1] -= scalar_from_grid(pw.damping[1], k_max)
+    if pw.noise_shape is not None:
+        noise_tab = np.stack([scalar_from_grid(comp, k_max) for comp in pw.noise_shape])
     else:
         noise_tab = np.zeros_like(vec)
     return stress, conv, vec, noise_tab
@@ -213,46 +212,6 @@ def momentum_gradient_residual(traj: Trajectory, parts: PressureParts) -> float:
             if traj.noise.active:
                 vec += float(np.dot(scales, traj.increments[i])) * noise_tab
     return worst
-
-
-def flux_tensor_grid(traj: Trajectory, i: int) -> np.ndarray:
-    """Full (generally nonsymmetric) flux tensor H at slice i, shape (2, 2, N, N):
-    nu A - u x u + grad invlap (f - alpha a)."""
-    n = traj.basis.grid_size
-    k_max = n // 3
-    stress, conv, vec, _ = _slice_ingredients(traj, i, k_max)
-    kx, ky = fields.wavenumbers(k_max)
-    k2 = np.where(kx * kx + ky * ky > 0, kx * kx + ky * ky, 1.0)
-    lift = -1j * vec / k2  # grad invlap: T_ij = -i k_i v_j / |k|^2
-    lift[:, k_max, k_max] = 0.0
-    out = np.empty((2, 2, n, n))
-    out[0, 0] = scalar_to_grid(stress[0] - conv[0] + kx * lift[0], n)
-    out[0, 1] = scalar_to_grid(stress[1] - conv[1] + kx * lift[1], n)
-    out[1, 0] = scalar_to_grid(stress[1] - conv[1] + ky * lift[0], n)
-    out[1, 1] = scalar_to_grid(stress[2] - conv[2] + ky * lift[1], n)
-    return out
-
-
-def stability_shadow(trajs: list[Trajectory], r: float) -> tuple[float, float, float]:
-    """(mean int ||pi_H||_r^r dt, mean int ||H||_r^r dt, fitted ratio) over paths."""
-    num, den = [], []
-    for traj in trajs:
-        parts = decompose_pressure(traj)
-        n = traj.basis.grid_size
-        w = quad_weight(n)
-        pnum = 0.0
-        pden = 0.0
-        for i in range(traj.n_steps):
-            pi_h_rate = parts.pi1[i] + parts.pi2[i]
-            pnum += float(np.sum(np.abs(pi_h_rate) ** r) * w) * traj.dt
-            h = flux_tensor_grid(traj, i)
-            mod = np.sqrt(np.sum(h**2, axis=(0, 1)))
-            pden += float(np.sum(mod**r) * w) * traj.dt
-        num.append(pnum)
-        den.append(pden)
-    mean_num = float(np.mean(num))
-    mean_den = float(np.mean(den))
-    return mean_num, mean_den, mean_num / mean_den
 
 
 def pressure_csv(path, parts: PressureParts, p: float, q: float) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .galerkin import DivFreeBasis, assemble_drift_terms, noise_projection
+from .galerkin import DivFreeBasis, assemble_drift_terms
 from .noise import NoiseModel
 from .rheology import RheologyParams
 
@@ -38,14 +38,6 @@ def _random_ball(rng: np.ndarray, n: int, radius: float) -> np.ndarray:
     return v
 
 
-def _noise_frobenius_sq(basis: DivFreeBasis, u_grid, model: NoiseModel) -> float:
-    """||G||_F^2 = sum_k scale_k^2 ||P shape(u)||_2^2 for the separable family."""
-    if not model.active:
-        return 0.0
-    s = noise_projection(basis, u_grid, model)
-    return float(np.sum(model.mode_scales() ** 2) * np.sum(s * s))
-
-
 def check_weak_monotonicity(
     basis: DivFreeBasis,
     params: RheologyParams,
@@ -66,8 +58,8 @@ def check_weak_monotonicity(
         raise ValidationError("radius must be positive")
     rng = np.random.default_rng(seed)
     k_eff = float(np.sqrt(np.max(basis.k2))) if np.any(basis.k2 > 0) else 0.0
-    s4 = float(np.sum(model.mode_scales() ** 2)) if model.active else 0.0
-    envelope = (2.0 * radius * np.sqrt(basis.n) * _UNIF_AMP * k_eff if convection else 0.0) + s4
+    convective = 2.0 * radius * np.sqrt(basis.n) * _UNIF_AMP * k_eff if convection else 0.0
+    envelope = convective + model.trace_const
 
     zero_f = np.zeros(basis.n)
     worst = np.inf
@@ -79,13 +71,10 @@ def check_weak_monotonicity(
         norm_sq = float(np.sum(dw * dw))
         if norm_sq == 0.0:
             continue
-        tu = assemble_drift_terms(basis, basis.scatter(cu), zero_f, params, convection)
-        tv = assemble_drift_terms(basis, basis.scatter(cv), zero_f, params, convection)
-        lhs = float(np.dot(tu.b - tv.b, dw))
-        if model.active:
-            su = noise_projection(basis, tu.u_grid, model)
-            sv = noise_projection(basis, tv.u_grid, model)
-            lhs += float(np.sum(model.mode_scales() ** 2) * np.sum((su - sv) ** 2))
+        tu = assemble_drift_terms(basis, basis.scatter(cu), zero_f, params, model, convection)
+        tv = assemble_drift_terms(basis, basis.scatter(cv), zero_f, params, model, convection)
+        # ||G(u) - G(v)||_F^2 = S ||P shape(u) - P shape(v)||_2^2 for the separable family
+        lhs = float(np.dot(tu.b - tv.b, dw)) + model.trace_const * float(np.sum((tu.s - tv.s) ** 2))
         worst = min(worst, (envelope * norm_sq - lhs) / max(norm_sq, 1e-300))
         fitted = max(fitted, lhs / norm_sq)
     return SolvabilityReport(
@@ -115,16 +104,16 @@ def check_coercivity(
     rng = np.random.default_rng(seed)
     f_coeffs = np.asarray(f_coeffs, dtype=float)
     f_norm = float(np.linalg.norm(f_coeffs))
-    s4 = float(np.sum(model.mode_scales() ** 2)) if model.active else 0.0
-    envelope = 0.5 + s4
+    envelope = 0.5 + model.trace_const
 
     worst = np.inf
     fitted = 0.0
     for _ in range(samples):
         scale = 10.0 ** rng.uniform(-2, 1.5)
         cu = rng.standard_normal(basis.n) * scale
-        terms = assemble_drift_terms(basis, basis.scatter(cu), f_coeffs, params)
-        lhs = float(np.dot(terms.b, cu)) + _noise_frobenius_sq(basis, terms.u_grid, model)
+        terms = assemble_drift_terms(basis, basis.scatter(cu), f_coeffs, params, model)
+        # ||G(u)||_F^2 = S ||P shape(u)||_2^2 for the separable family
+        lhs = float(np.dot(terms.b, cu)) + model.trace_const * float(np.sum(terms.s * terms.s))
         rhs_norm = (1.0 + f_norm) * (1.0 + float(np.sum(cu * cu)))
         worst = min(worst, (envelope * rhs_norm - lhs) / rhs_norm)
         fitted = max(fitted, lhs / rhs_norm)

@@ -18,6 +18,11 @@ def random_divfree(k_max: int, grid_size: int, seed: int = 0) -> fields.Spectral
     return fields.leray_project(rng.standard_normal((2, grid_size, grid_size)), k_max)
 
 
+def l2_norm(f: fields.SpectralField) -> float:
+    """||u||_2 by Parseval on the coefficient table."""
+    return float(np.sqrt(fields.AREA * np.sum(np.abs(f.coeffs) ** 2)))
+
+
 def torus_grid(n: int):
     x = np.arange(n) * 2.0 * np.pi / n
     return np.meshgrid(x, x, indexing="ij")

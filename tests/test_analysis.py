@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nsvsim import analysis, fields
+from nsvsim import analysis, cli, fields
 from nsvsim.errors import ValidationError
-from nsvsim.galerkin import DivFreeBasis, GalerkinState, run
+from nsvsim.galerkin import DivFreeBasis, GalerkinState, assemble_drift_terms, run
 from nsvsim.noise import NoiseModel
 from nsvsim.rheology import RheologyParams
 
@@ -34,6 +34,24 @@ class TestEnergyAudit:
         ledger, summary = analysis.energy_audit(traj)
         assert summary["bookkeeping_error"] == 0.0
         assert len(ledger.residual) == traj.n_steps
+
+    def test_ledger_reads_the_kernel_record(self, small_basis):
+        # state columns equal, bitwise, the kernel recomputed at each stored state
+        params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
+        model = NoiseModel("linear", 0.5, 6)
+        traj = run(make_state(small_basis, smooth_coeffs(small_basis), params, model), 0.02)
+        ledger = analysis.ledger_from_trajectory(traj)
+        mass = small_basis.mass_multipliers(params.kappa)
+        eta = traj.increments @ model.mode_scales()
+        for i in range(traj.n_steps):
+            c = traj.coeffs[i]
+            t = assemble_drift_terms(
+                small_basis, small_basis.scatter(c), traj.forcing, params, model)
+            assert ledger.dissipation[i] == 2.0 * params.nu * t.dissipation_p * traj.dt
+            assert ledger.damping[i] == 2.0 * params.alpha * t.damping_q * traj.dt
+            assert ledger.ito_trace[i] == (
+                model.trace_const * float(np.sum(t.s * t.s / mass)) * traj.dt)
+            assert ledger.martingale[i] == 2.0 * float(np.dot(c, t.s)) * eta[i]
 
     def test_euler_voigt_shear_conserves(self, small_basis):
         _, yy = torus_grid(small_basis.grid_size)
@@ -83,6 +101,18 @@ class TestWeakForm:
         modes = analysis.basis_test_modes(small_basis, range(0, small_basis.n, 5))
         assert analysis.weak_form_residual(traj, modes) < 1e-9
 
+    def test_convection_off_satisfies_own_identity(self):
+        # criterion-10 configuration with convection off: the residual must not
+        # re-add the convective term the stepper left out
+        cfg = cli.parse_config(None, [
+            "nu=0.5", "p=2.5", "q=4", "alpha=0.1", "noise.family=linear",
+            "noise.amplitude=0.5", "noise.modes=6", "ic.kind=random",
+            "steps=100", "dt=0.0025", "T=0.25", "convection=false",
+        ])
+        traj = run(cli.make_state(cfg, cfg.basis()), cfg.T)
+        modes = analysis.basis_test_modes(traj.basis, range(traj.basis.n))
+        assert analysis.weak_form_residual(traj, modes) <= 1e-9
+
     def test_zero_trajectory_zero_residual(self, small_basis):
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
         traj = run(make_state(small_basis, np.zeros(small_basis.n), params), 0.02)
@@ -102,7 +132,7 @@ class TestWeakForm:
 
     def test_non_solenoidal_mode_rejected(self, small_basis):
         traj = self._traj(small_basis, noise=False)
-        bad = fields.zero_field(2, small_basis.grid_size, divfree=False)
+        bad = fields.zero_field(2, small_basis.grid_size)
         bad.coeffs[0, 3, 2] = 1.0  # k = (1, 0) with x-polarization: k . u != 0
         bad.coeffs[0, 1, 2] = 1.0
         with pytest.raises(ValidationError, match="divergence-free"):

@@ -127,7 +127,7 @@ class TestExperiments:
         ])
         cli.run_experiment(cfg, str(tmp_path))
         snap = fields.load_field(tmp_path / "fields" / "final_path0.bin")
-        assert snap.divfree
+        assert fields.divergence_error(snap) < 1e-12
 
     def test_forcing_file(self, tmp_path):
         cfg = cli.parse_config(None, ["ic.kind=shear", "steps=10", "dt=0.005", "T=0.05"])

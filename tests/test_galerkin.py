@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -8,17 +9,15 @@ from nsvsim.errors import ConfigurationError, DivergenceError, ValidationError
 from nsvsim.galerkin import (
     DivFreeBasis,
     GalerkinState,
-    MassOperator,
     StoppingMonitor,
-    assemble_drift,
+    assemble_drift_terms,
     run,
-    step,
     trajectory_csv,
 )
 from nsvsim.noise import NoiseModel
 from nsvsim.rheology import RheologyParams
 
-from conftest import torus_grid
+from conftest import l2_norm, torus_grid
 
 OFF = NoiseModel("off", 0.0, 0)
 
@@ -32,6 +31,11 @@ def smooth_random_coeffs(basis: DivFreeBasis, seed: int = 7, kappa: float = 0.5)
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(basis.n) * (1.0 + basis.k2) ** -1.0
     return c / np.sqrt(basis.energy(c, kappa))
+
+
+def drift(basis: DivFreeBasis, c: np.ndarray, params: RheologyParams) -> np.ndarray:
+    """Kernel drift at coefficients c with zero forcing and the noise off."""
+    return assemble_drift_terms(basis, basis.scatter(c), np.zeros(basis.n), params, OFF).b
 
 
 def make_state(basis, c, params, noise=OFF, dt=1e-3, **kw) -> GalerkinState:
@@ -52,7 +56,7 @@ class TestBasis:
         c = rng.standard_normal(small_basis.n)
         f = small_basis.scatter(c)
         l2, g2 = small_basis.field_norms_sq(c)
-        assert l2 == pytest.approx(fields.l2_norm(f) ** 2, rel=1e-12)
+        assert l2 == pytest.approx(l2_norm(f) ** 2, rel=1e-12)
         assert g2 == pytest.approx(fields.grad_l2_norm(f) ** 2, rel=1e-12)
 
     def test_projection_idempotent_and_contractive(self, small_basis, rng):
@@ -61,7 +65,7 @@ class TestBasis:
         c = small_basis.gather(big)
         proj = small_basis.scatter(c)
         assert np.max(np.abs(small_basis.gather(proj) - c)) < 1e-12
-        assert fields.l2_norm(proj) <= fields.l2_norm(big) * (1 + 1e-12)
+        assert l2_norm(proj) <= l2_norm(big) * (1 + 1e-12)
         assert fields.grad_l2_norm(proj) <= fields.grad_l2_norm(big) * (1 + 1e-12)
 
     def test_mode_count_limited_by_grid(self):
@@ -77,24 +81,40 @@ class TestBasis:
 
 class TestMassOperator:
     def test_apply_solve_identity(self, small_basis, rng):
-        mass = MassOperator.build(small_basis, kappa=0.7)
+        # the Voigt mass operator is diagonal on the basis: m(k) = 1 + kappa |k|^2
+        mass = small_basis.mass_multipliers(kappa=0.7)
         x = rng.standard_normal(small_basis.n)
-        assert np.max(np.abs(mass.solve(mass.apply(x)) - x)) < 1e-14
-        assert np.all(mass.multipliers >= 1.0)
+        assert np.max(np.abs(mass * x / mass - x)) < 1e-14
+        assert np.all(mass >= 1.0)
+        assert np.array_equal(mass, 1.0 + 0.7 * small_basis.k2)
 
 
 class TestDrift:
     def test_zero_state(self, small_basis):
-        params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
-        b = assemble_drift(small_basis, small_basis.scatter(np.zeros(small_basis.n)), None, params)
-        assert np.all(b == 0.0)
+        params = RheologyParams(p=2.0, q=4.0, nu=1.0, kappa=0.5, alpha=0.1)
+        model = NoiseModel("linear", 0.5, 4)
+        zero = np.zeros(small_basis.n)
+        terms = assemble_drift_terms(small_basis, small_basis.scatter(zero), zero, params, model)
+        assert np.all(terms.b == 0.0) and np.all(terms.s == 0.0)
+        assert terms.dissipation_p == terms.grad_p == terms.damping_q == 0.0
 
     def test_shear_is_convection_free(self, small_basis):
         # u = (sin y, 0): u . grad u = 0, so with nu = alpha = 0 the drift vanishes
         params = RheologyParams(p=2.0, q=3.0, nu=0.0, kappa=0.5)
-        c = shear_coeffs(small_basis)
-        b = assemble_drift(small_basis, small_basis.scatter(c), None, params)
+        b = drift(small_basis, shear_coeffs(small_basis), params)
         assert np.max(np.abs(b)) < 1e-12
+
+    def test_quadrature_scalars_at_p_q_two(self, small_basis):
+        # at p = q = 2 the quadratures equal the Parseval norms, and Korn's
+        # identity ||D u||_2^2 = ||grad u||_2^2 / 2 holds for solenoidal u
+        params = RheologyParams(p=2.0, q=2.0, nu=0.5, kappa=0.5)
+        c = smooth_random_coeffs(small_basis)
+        terms = assemble_drift_terms(
+            small_basis, small_basis.scatter(c), np.zeros(small_basis.n), params, OFF)
+        l2, g2 = small_basis.field_norms_sq(c)
+        assert terms.damping_q == pytest.approx(l2, rel=1e-12)
+        assert terms.grad_p == pytest.approx(g2, rel=1e-12)
+        assert terms.dissipation_p == pytest.approx(0.5 * g2, rel=1e-12)
 
     def test_dense_quadrature_oracle(self, small_basis):
         # three active modes; every pairing recomputed by trapezoid quadrature
@@ -102,8 +122,7 @@ class TestDrift:
         params = RheologyParams(p=2.0, q=3.0, nu=0.8, kappa=0.5, alpha=0.0)
         c = np.zeros(small_basis.n)
         c[2], c[5], c[9] = 0.8, -0.5, 0.3
-        u_field = small_basis.scatter(c)
-        b = assemble_drift(small_basis, u_field, None, params)
+        b = drift(small_basis, c, params)
 
         n_fine = 128
         xx, yy = torus_grid(n_fine)
@@ -256,7 +275,7 @@ class TestRun:
         # forcing equal to the dissipative drift freezes the single-mode state
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
         c = shear_coeffs(small_basis)
-        f = -assemble_drift(small_basis, small_basis.scatter(c), None, params)
+        f = -drift(small_basis, c, params)
         st = GalerkinState(
             t=0.0, c=c, basis=small_basis, params=params, noise=OFF, dt=1e-3, forcing=f)
         traj = run(st, 0.05)
@@ -274,3 +293,30 @@ def test_trajectory_csv_layout(tmp_path, small_basis):
     first = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert float(first["l2"]) == pytest.approx(np.sqrt(2.0) * np.pi, rel=1e-12)
     assert first["tripped"] == "0"
+
+
+@pytest.mark.parametrize("experiment", ["simulate", "energy-audit"])
+def test_one_kernel_evaluation_per_stored_state(experiment, tmp_path, monkeypatch):
+    # run, the ledger and the trajectory CSV share one drift evaluation per
+    # stored state: steps + 1 per path, the final state included
+    from nsvsim import cli, galerkin
+
+    original = galerkin.assemble_drift_terms
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("nsvsim") and getattr(mod, "assemble_drift_terms", None) is original:
+            monkeypatch.setattr(mod, "assemble_drift_terms", counted)
+    monkeypatch.delenv("NSV_THREADS", raising=False)
+    steps, paths = 12, 2
+    cfg = cli.parse_config(None, [
+        f"experiment={experiment}", f"paths={paths}", f"steps={steps}", "dt=0.0025",
+        f"T={steps * 0.0025!r}", "ic.kind=random", "noise.family=linear",
+        "noise.amplitude=0.5", "noise.modes=6",
+    ])
+    cli.run_experiment(cfg, str(tmp_path))
+    assert len(calls) == paths * (steps + 1)

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from nsvsim.errors import ValidationError
-from nsvsim.noise import (
-    BASEL,
-    NoiseModel,
-    ito_trace_bound,
-    phi_apply,
-    sample_increment,
-    verify_noise_conditions,
-)
+from nsvsim.noise import BASEL, NoiseModel, sample_increment, verify_noise_conditions
 
 
 class TestModel:
@@ -30,27 +23,29 @@ class TestModel:
 
 
 class TestPhiApply:
+    """phi_k(u) = scale_k * shape(u), as the stepper applies it."""
+
     def test_off_zero(self):
         m = NoiseModel("off", 0.0, 3)
         u = np.ones((2, 4, 4))
-        assert np.all(phi_apply(u, m, 1) == 0.0)
+        assert np.all(m.mode_scale(1) * m.shape(u) == 0.0)
 
     def test_linear_scalar_oracle(self):
         # c = 1, k = 2, u = (3, 0): phi = (3/4, 0)
         m = NoiseModel("linear", 1.0, 4)
-        out = phi_apply(np.array([3.0, 0.0]), m, 2)
+        out = m.mode_scale(2) * m.shape(np.array([3.0, 0.0]))
         assert out[0] == pytest.approx(0.75)
         assert out[1] == 0.0
 
     def test_saturating_bounded(self):
         m = NoiseModel("saturating", 1.0, 4)
-        big = phi_apply(np.array([1e9, 0.0]), m, 1)
+        big = m.mode_scale(1) * m.shape(np.array([1e9, 0.0]))
         assert np.linalg.norm(big) <= 1.0 + 1e-9
 
     def test_mode_out_of_range(self):
         m = NoiseModel("linear", 1.0, 4)
         with pytest.raises(ValidationError):
-            phi_apply(np.zeros(2), m, 5)
+            m.mode_scale(5)
 
 
 class TestConditions:
@@ -113,5 +108,12 @@ class TestIncrements:
 def test_ito_trace_envelope():
     m = NoiseModel("linear", 0.5, 8)
     s4 = sum((0.5 / k**2) ** 2 for k in range(1, 9))
-    assert ito_trace_bound(m, 3.0) == pytest.approx(3.0 * s4)
-    assert ito_trace_bound(NoiseModel("off", 0.0, 0), 3.0) == 0.0
+    assert m.trace_const == pytest.approx(s4)
+    assert NoiseModel("off", 0.0, 0).trace_const == 0.0
+    assert NoiseModel("linear", 0.0, 8).trace_const == 0.0
+    # sum_k ||phi_k(u)||^2 <= S ||u||^2 pointwise, for both families
+    u = np.random.default_rng(3).standard_normal((2, 8, 8))
+    for fam in ("linear", "saturating"):
+        mf = NoiseModel(fam, 0.5, 8)
+        lhs = sum(np.sum((mf.mode_scale(k) * mf.shape(u)) ** 2) for k in range(1, 9))
+        assert lhs <= mf.trace_const * np.sum(u**2) * (1 + 1e-12)
