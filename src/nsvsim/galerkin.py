@@ -375,6 +375,8 @@ def run(
     coeffs = [state.c.copy()]
     incs = []
     record = []
+    # One kernel evaluation per stored state: it drives the step out of a
+    # state and gives that state's record row, the final state's included.
     while True:
         terms = assemble_drift_terms(
             basis, state.field(), forcing_at(state.forcing, state.step_index), params, noise,
