@@ -130,6 +130,14 @@ class TestNorms:
         assert np.sum(fields.to_grid(f) ** 2) * w == pytest.approx(2.0 * np.pi**2, rel=1e-12)
         assert np.sum(fields.gradient(f) ** 2) * w == pytest.approx(2.0 * np.pi**2, rel=1e-12)
 
+    def test_zero_field(self):
+        f = fields.zero_field(3, 16)
+        w = fields.quad_weight(16)
+        speed = np.sqrt(np.sum(fields.to_grid(f) ** 2, axis=0))
+        lp = (np.sum(speed**2.5) * w) ** (1.0 / 2.5)
+        lq = (np.sum(speed**3.0) * w) ** (1.0 / 3.0)
+        assert l2_norm(f) == fields.grad_l2_norm(f) == lp == lq == 0.0
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31))
     def test_korn_identity(self, seed):
