@@ -235,11 +235,20 @@ def load_field(path) -> SpectralField:
         magic = fh.read(4)
         if magic != SNAPSHOT_MAGIC:
             raise ValidationError(f"bad snapshot magic {magic!r}")
-        version, n, k = struct.unpack("<III", fh.read(12))
+        header = fh.read(12)
+        if len(header) != 12:
+            raise ValidationError(f"snapshot header truncated: {len(header)} of 12 bytes")
+        version, n, k = struct.unpack("<III", header)
         if version != SNAPSHOT_VERSION:
             raise ValidationError(f"unsupported snapshot version {version}")
-        table = mode_table(k)
-        raw = np.frombuffer(fh.read(len(table) * 32), dtype="<f8").reshape(len(table), 2, 2)
+        payload = fh.read()
+    n_modes = (2 * k + 1) ** 2  # len(mode_table(k)), known before building the table
+    if len(payload) != n_modes * 32:
+        raise ValidationError(
+            f"snapshot payload is {len(payload)} bytes, K={k} needs {n_modes * 32}"
+        )
+    table = mode_table(k)
+    raw = np.frombuffer(payload, dtype="<f8").reshape(n_modes, 2, 2)
     coeffs = np.zeros((2, 2 * k + 1, 2 * k + 1), dtype=complex)
     for i, (kx, ky) in enumerate(table):
         coeffs[:, kx + k, ky + k] = raw[i, :, 0] + 1j * raw[i, :, 1]

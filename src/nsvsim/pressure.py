@@ -11,6 +11,7 @@ right inverse of the divergence that the torus cannot.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,86 +287,124 @@ def midpoints(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) / n
 
 
-def bogovskii_solve_batch(xis: np.ndarray, resolution: int, ray_nodes: int = 12) -> np.ndarray:
+RAY_NODES = 12  # Gauss-Legendre nodes on each ray segment
+
+
+def _grid_image(i: np.ndarray, j: np.ndarray, n: int, sym) -> np.ndarray:
+    """Flat midpoint-grid index of R(i, j) for the square symmetry
+    ``sym = (swap, flip_x, flip_y)``: swap the axes, then reflect x -> 1 - x
+    and y -> 1 - y on the midpoint grid as flagged."""
+    swap, flip_x, flip_y = sym
+    a, b = (j, i) if swap else (i, j)
+    if flip_x:
+        a = n - 1 - a
+    if flip_y:
+        b = n - 1 - b
+    return a * n + b
+
+
+def bogovskii_solve_batch(xis: np.ndarray, resolution: int) -> np.ndarray:
     """Solve div w = xi for a batch of sources sharing one kernel evaluation.
 
     Evaluates the explicit integral w(x) = int xi(y) (x - y) g(x, y) dy with
     g(x, y) = int_1^inf bump(y + s (x - y)) s ds by midpoint quadrature in y
     and Gauss quadrature along the ray segment beyond x that meets the bump's
-    support.  That segment is empty unless the ray points toward the ball and
-    the line actually crosses it, so pairs are compacted twice before the only
-    transcendental work.  Input shape (L, n, n), output (L, 2, n, n).
+    support.  That segment is empty unless the line through y and x crosses
+    the ball beyond x, so one dense pass finds the segment ends for every
+    pair and compacts once, to the pairs with a nonempty segment, before the
+    only transcendental work.
+
+    The bump is radial about BUMP_CENTER, the centre of the unit square, so
+    for each of the square's 8 symmetries R (swap x and y, reflect x -> 1 - x,
+    y -> 1 - y), which map the midpoint grid onto itself and have linear part
+    L_R, g(Rx, Ry) = g(x, y) and hence w[xi](Rx) = L_R w[xi o R](x).  The ray
+    integral is therefore evaluated only for targets x in one fundamental
+    domain (i <= j in the lower-left quadrant, about n^2/8 rows), applied to
+    the 8 permuted copies xi o R of every source, and each result is rotated
+    by L_R into the targets R x.  Targets on the diagonals (and, for odd n, on
+    the midlines) are written once per symmetry that fixes them, with values
+    equal up to roundoff.  This relies on BUMP_CENTER being the square's
+    centre.  Input shape (L, n, n), output (L, 2, n, n).
     """
     n = resolution
     xis = np.asarray(xis, dtype=float).reshape(-1, n * n)
-    m = midpoints(n)
-    xx, yy = np.meshgrid(m, m, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=1)   # (n^2, 2)
+    n_src = xis.shape[0]
     n_pts = n * n
+    gi, gj = np.divmod(np.arange(n_pts), n)            # flat index = i * n + j
+    m = midpoints(n)
+    pts = np.stack([m[gi], m[gj]], axis=1)             # (n^2, 2)
     src_w = 1.0 / n_pts
-    gauss_s, gauss_w = np.polynomial.legendre.leggauss(ray_nodes)
+    gauss_s, gauss_w = np.polynomial.legendre.leggauss(RAY_NODES)
 
     d0 = pts[:, 0] - BUMP_CENTER[0]
     d1 = pts[:, 1] - BUMP_CENTER[1]
     cc = d0 * d0 + d1 * d1 - BUMP_RADIUS**2            # (m,) > 0 off the ball
 
-    w_out = np.zeros((xis.shape[0], 2, n_pts))
-    chunk = max(1, (1 << 23) // n_pts)
-    for start in range(0, n_pts, chunk):
-        x = pts[start : start + chunk]                 # (c, 2)
-        e0 = x[:, 0:1] - pts[None, :, 0]               # (c, m)
-        e1 = x[:, 1:2] - pts[None, :, 1]
-        b = e0 * d0[None, :]
-        b += e1 * d1[None, :]                          # e . d = -(e . (center - y))
-        # First compaction: the far-side segment needs e pointing at the ball
-        # (b < 0) unless y itself sits inside it (cc < 0).
-        cand = np.flatnonzero((b < 0.0) | (cc[None, :] < 0.0))
-        g = np.zeros(e0.shape)
-        if cand.size:
-            ev0 = e0.ravel()[cand]
-            ev1 = e1.ravel()[cand]
-            bv = 2.0 * b.ravel()[cand]
-            av = ev0 * ev0 + ev1 * ev1
-            cv = cc[cand % n_pts]
-            disc = bv * bv - 4.0 * av * cv
-            ok = (disc > 0.0) & (av > 1e-28)
-            sq = np.sqrt(disc, where=ok, out=np.zeros_like(disc))
-            inv2a = np.divide(0.5, av, where=ok, out=np.zeros_like(av))
-            s_hi = (sq - bv) * inv2a
-            s_lo = np.maximum((-sq - bv) * inv2a, 1.0)
-            ok &= s_hi > s_lo
-            # Second compaction: only rays whose clipped segment is nonempty.
-            sub = np.flatnonzero(ok)
-            if sub.size:
-                flat = cand[sub]
-                ev0, ev1 = ev0[sub], ev1[sub]
-                src = flat % n_pts
-                y0 = pts[src, 0]
-                y1 = pts[src, 1]
-                half = 0.5 * (s_hi[sub] - s_lo[sub])
-                mid = s_lo[sub] + half
-                acc = np.zeros(sub.size)
-                for node, wt in zip(gauss_s, gauss_w):
-                    s = mid + half * node
-                    z0 = y0 + s * ev0 - BUMP_CENTER[0]
-                    z1 = y1 + s * ev1 - BUMP_CENTER[1]
-                    r2 = (z0 * z0 + z1 * z1) / BUMP_RADIUS**2
-                    np.clip(r2, None, 1.0 - 1e-14, out=r2)
-                    r2 -= 1.0
-                    np.reciprocal(r2, out=r2)
-                    np.exp(r2, out=r2)
-                    acc += (wt * s) * r2
-                g.ravel()[flat] = _BUMP_CONST * acc * half
-        np.multiply(e0, g, out=e0)
-        np.multiply(e1, g, out=e1)
-        w_out[:, 0, start : start + chunk] = (xis @ e0.T) * src_w
-        w_out[:, 1, start : start + chunk] = (xis @ e1.T) * src_w
+    syms = list(itertools.product((False, True), repeat=3))
+    # Row r * L + l holds xi_l o R_r.
+    xs_sym = np.concatenate([xis[:, _grid_image(gi, gj, n, sym)] for sym in syms])
+    fi, fj = np.triu_indices((n + 1) // 2)             # fundamental domain
+    w_out = np.zeros((n_src, 2, n_pts))
+    chunk = max(1, (1 << 22) // n_pts)                 # 32 MB per (c, n^2) pair array
+    for start in range(0, fi.size, chunk):
+        ti, tj = fi[start : start + chunk], fj[start : start + chunk]
+        c = ti.size
+        x = pts[ti * n + tj]                           # (c, 2)
+        e = np.empty((2, c, n_pts))
+        np.subtract(x[:, 0:1], pts[None, :, 0], out=e[0])
+        np.subtract(x[:, 1:2], pts[None, :, 1], out=e[1])
+        bv = e[0] * d0[None, :]
+        bv += e[1] * d1[None, :]                       # e . d = -(e . (center - y))
+        bv *= 2.0
+        av = e[0] * e[0] + e[1] * e[1]
+        disc = bv * bv - 4.0 * av * cc[None, :]
+        ok = (disc > 0.0) & (av > 1e-28)
+        sq = np.sqrt(disc, where=ok, out=np.zeros_like(disc))
+        inv2a = np.divide(0.5, av, where=ok, out=np.zeros_like(av))
+        s_hi = (sq - bv) * inv2a
+        s_lo = np.maximum((-sq - bv) * inv2a, 1.0)
+        ok &= s_hi > s_lo
+        # The only compaction: rays whose clipped segment [max(s_lo, 1), s_hi]
+        # is nonempty.  It implies e points at the ball (b < 0) or y lies in it.
+        flat = np.flatnonzero(ok)
+        g = np.zeros((c, n_pts))
+        if flat.size:
+            ev0 = e[0].ravel()[flat]
+            ev1 = e[1].ravel()[flat]
+            src = flat % n_pts
+            y0 = pts[src, 0]
+            y1 = pts[src, 1]
+            lo = s_lo.ravel()[flat]
+            half = 0.5 * (s_hi.ravel()[flat] - lo)
+            mid = lo + half
+            acc = np.zeros(flat.size)
+            for node, wt in zip(gauss_s, gauss_w):
+                s = mid + half * node
+                z0 = y0 + s * ev0 - BUMP_CENTER[0]
+                z1 = y1 + s * ev1 - BUMP_CENTER[1]
+                r2 = (z0 * z0 + z1 * z1) / BUMP_RADIUS**2
+                np.clip(r2, None, 1.0 - 1e-14, out=r2)
+                r2 -= 1.0
+                np.reciprocal(r2, out=r2)
+                np.exp(r2, out=r2)
+                acc += (wt * s) * r2
+            g.ravel()[flat] = _BUMP_CONST * acc * half
+        e *= g[None]
+        v = (xs_sym @ e.reshape(2 * c, n_pts).T) * src_w   # (8L, 2c)
+        for r, (swap, flip_x, flip_y) in enumerate(syms):
+            rows = v[r * n_src : (r + 1) * n_src]
+            v0, v1 = rows[:, :c], rows[:, c:]
+            if swap:
+                v0, v1 = v1, v0
+            tgt = _grid_image(ti, tj, n, (swap, flip_x, flip_y))
+            w_out[:, 0, tgt] = -v0 if flip_x else v0
+            w_out[:, 1, tgt] = -v1 if flip_y else v1
     return w_out.reshape(-1, 2, n, n)
 
 
-def bogovskii_solve(prob: BogovskiiProblem, ray_nodes: int = 16) -> np.ndarray:
+def bogovskii_solve(prob: BogovskiiProblem) -> np.ndarray:
     """Right inverse of the divergence with zero boundary trace, shape (2, n, n)."""
-    return bogovskii_solve_batch(prob.xi[None], prob.resolution, ray_nodes)[0]
+    return bogovskii_solve_batch(prob.xi[None], prob.resolution)[0]
 
 
 def divergence_residual(prob: BogovskiiProblem, w: np.ndarray) -> float:

@@ -65,6 +65,26 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="boolean"):
             cli.parse_config(None, ["pin_mean=maybe"])
 
+    @pytest.mark.parametrize("pair", [
+        "nu=nan", "kappa=inf", "alpha=nan", "ic.energy=nan", "noise.amplitude=inf",
+    ])
+    def test_non_finite_float_rejected(self, pair):
+        key = pair.split("=")[0]
+        with pytest.raises(ConfigurationError, match=f"^{key}: must be finite"):
+            cli.parse_config(None, [pair])
+
+    @pytest.mark.parametrize("pair", ["n_modes=abc", "seed=1.5", "dt=fast"])
+    def test_unparsable_number_rejected(self, pair):
+        key = pair.split("=")[0]
+        with pytest.raises(ConfigurationError, match=f"^{key}: expected"):
+            cli.parse_config(None, [pair])
+
+    @pytest.mark.parametrize("pair", ["n_modes=abc", "nu=nan"])
+    def test_bad_value_exits_2(self, pair, tmp_path, capsys):
+        rc = cli.main(["simulate", "--override", pair, "--out", str(tmp_path)])
+        assert rc == 2
+        assert pair.split("=")[0] in capsys.readouterr().err
+
 
 class TestInitialConditions:
     def test_presets(self):
@@ -141,6 +161,18 @@ class TestExperiments:
         ])
         state = cli.make_state(cfg2, cfg2.basis())
         assert np.max(np.abs(state.forcing)) > 0.0
+
+    def test_bogovskii_ratio_criterion_fails_above_bound(self, tmp_path, monkeypatch):
+        def zeros(xis, n):
+            return np.zeros((len(xis), 2, n, n))
+
+        monkeypatch.setattr(cli.pressure, "bogovskii_solve_batch", zeros)
+        monkeypatch.setattr(cli.pressure, "gradient_ratio", lambda prob, w: 11.0)
+        cfg = cli.parse_config(None, ["experiment=bogovskii"])
+        report = cli.run_experiment(cfg, str(tmp_path))
+        crit = next(c for c in report.criteria if c.name.startswith("gradient/source ratio"))
+        assert not crit.passed
+        assert "11.0000 < 10.0" in crit.details
 
 
 class TestReproducibility:

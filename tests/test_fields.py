@@ -193,3 +193,12 @@ class TestSnapshots:
         path.write_bytes(b"XXXX" + b"\0" * 32)
         with pytest.raises(ValidationError):
             fields.load_field(path)
+
+    @pytest.mark.parametrize("cut", [10, 16 + 25 * 32 - 5, 16 + 24 * 32])
+    def test_truncated_file_rejected(self, tmp_path, cut):
+        # cut inside the 16-byte header, mid-value in the payload, on a mode boundary
+        path = tmp_path / "field.bin"
+        fields.save_field(path, fields.zero_field(2, 16))
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValidationError, match="truncated|payload"):
+            fields.load_field(path)

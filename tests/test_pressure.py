@@ -118,6 +118,62 @@ class TestDecompose:
         assert len(lines) == traj.n_steps + 2
 
 
+def _direct_bogovskii(xis, n):
+    """Unsymmetrised evaluation of the Bogovskii integral: the ray integral is
+    evaluated for every (target, source) pair, with the kernel's 12-node rule
+    and formulas, after compacting first to rays aimed at the ball (b < 0) or
+    starting inside it (cc < 0) and then to nonempty segments."""
+    xis = np.asarray(xis, dtype=float).reshape(-1, n * n)
+    m = pressure.midpoints(n)
+    xx, yy = np.meshgrid(m, m, indexing="ij")
+    pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
+    n_pts = n * n
+    center, radius = pressure.BUMP_CENTER, pressure.BUMP_RADIUS
+    gauss_s, gauss_w = np.polynomial.legendre.leggauss(12)
+    d0 = pts[:, 0] - center[0]
+    d1 = pts[:, 1] - center[1]
+    cc = d0 * d0 + d1 * d1 - radius**2
+    e0 = pts[:, 0:1] - pts[None, :, 0]
+    e1 = pts[:, 1:2] - pts[None, :, 1]
+    b = e0 * d0[None, :] + e1 * d1[None, :]
+    cand = np.flatnonzero((b < 0.0) | (cc[None, :] < 0.0))
+    g = np.zeros(e0.shape)
+    ev0 = e0.ravel()[cand]
+    ev1 = e1.ravel()[cand]
+    bv = 2.0 * b.ravel()[cand]
+    av = ev0 * ev0 + ev1 * ev1
+    cv = cc[cand % n_pts]
+    disc = bv * bv - 4.0 * av * cv
+    ok = (disc > 0.0) & (av > 1e-28)
+    sq = np.sqrt(disc, where=ok, out=np.zeros_like(disc))
+    inv2a = np.divide(0.5, av, where=ok, out=np.zeros_like(av))
+    s_hi = (sq - bv) * inv2a
+    s_lo = np.maximum((-sq - bv) * inv2a, 1.0)
+    sub = np.flatnonzero(ok & (s_hi > s_lo))
+    flat = cand[sub]
+    src = flat % n_pts
+    half = 0.5 * (s_hi[sub] - s_lo[sub])
+    mid = s_lo[sub] + half
+    acc = np.zeros(sub.size)
+    for node, wt in zip(gauss_s, gauss_w):
+        s = mid + half * node
+        z0 = pts[src, 0] + s * ev0[sub] - center[0]
+        z1 = pts[src, 1] + s * ev1[sub] - center[1]
+        r2 = np.minimum((z0 * z0 + z1 * z1) / radius**2, 1.0 - 1e-14)
+        acc += (wt * s) * np.exp(1.0 / (r2 - 1.0))
+    g.ravel()[flat] = pressure._BUMP_CONST * acc * half
+    w = np.stack([xis @ (e0 * g).T, xis @ (e1 * g).T], axis=1) / n_pts
+    return w.reshape(-1, 2, n, n)
+
+
+def _square_symmetry(n, swap, flip_x, flip_y):
+    """Index arrays of R(i, j) over an (n, n) grid for one of the square's
+    8 symmetries: swap the axes, then reflect each as flagged."""
+    i, j = np.indices((n, n))
+    r0, r1 = (j, i) if swap else (i, j)
+    return (n - 1 - r0 if flip_x else r0), (n - 1 - r1 if flip_y else r1)
+
+
 class TestBogovskii:
     def _random_xi(self, n, seed):
         m = pressure.midpoints(n)
@@ -161,6 +217,33 @@ class TestBogovskii:
         resids = np.asarray(resids)
         assert np.all(resids[1:] < resids[:-1])
         assert max(ratios) < 10.0
+
+    @pytest.mark.parametrize("n", [12, 13, 16])
+    def test_matches_direct_evaluation(self, n):
+        xis = np.array([self._random_xi(n, s) for s in range(3)])
+        ref = _direct_bogovskii(xis, n)
+        w = pressure.bogovskii_solve_batch(xis, n)
+        np.testing.assert_allclose(w, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("n", [12, 13])
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("flip_x", [False, True])
+    @pytest.mark.parametrize("flip_y", [False, True])
+    def test_square_symmetry_equivariance(self, n, swap, flip_x, flip_y):
+        # w[xi](R x) = L_R w[xi o R](x), with L_R the linear part of R
+        xi = self._random_xi(n, 1)
+        r0, r1 = _square_symmetry(n, swap, flip_x, flip_y)
+        w = pressure.bogovskii_solve_batch(xi[None], n)[0]
+        w_r = pressure.bogovskii_solve_batch(xi[r0, r1][None], n)[0]
+        lw0, lw1 = (w_r[1], w_r[0]) if swap else (w_r[0], w_r[1])
+        lw = np.stack([-lw0 if flip_x else lw0, -lw1 if flip_y else lw1])
+        np.testing.assert_allclose(w[:, r0, r1], lw, rtol=1e-12, atol=1e-12 * np.max(np.abs(w)))
+
+    def test_single_solve_equals_batch(self):
+        n = 32
+        prob = pressure.BogovskiiProblem(self._random_xi(n, 2), n)
+        w = pressure.bogovskii_solve(prob)
+        assert np.array_equal(w, pressure.bogovskii_solve_batch(prob.xi[None], n)[0])
 
     def test_boundary_trace_zero(self):
         n = 32
