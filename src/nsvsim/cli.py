@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__, analysis, fields, pressure, solvability
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, DivergenceError, ValidationError
 from .galerkin import (
     DivFreeBasis,
     GalerkinState,
@@ -79,6 +79,8 @@ class SimConfig:
     def validate(self) -> None:
         # RheologyParams carries the constitutive invariants and their messages.
         RheologyParams(p=self.p, q=self.q, nu=self.nu, kappa=self.kappa, alpha=self.alpha)
+        if not 0 <= self.steps <= 2**53:
+            raise ConfigurationError(f"steps={self.steps} must lie in [0, 2**53]")
         if self.gamma < 2.0:
             raise ConfigurationError(f"gamma={self.gamma} must be >= 2 in 2D")
         if abs(self.steps * self.dt - self.T) > 1e-12 * max(1.0, abs(self.T)):
@@ -97,7 +99,9 @@ class SimConfig:
             raise ConfigurationError("paths must be >= 1")
         if self.seed < 0 or self.seed >= 2**64:
             raise ConfigurationError("seed must fit in u64")
-        NoiseModel(self.noise_family, self.noise_amplitude, self.noise_modes)
+        if self.noise_model().active and self.experiment == "energy-audit" and self.paths < 2:
+            raise ConfigurationError(
+                "paths must be >= 2 for energy-audit with active noise: one path has no standard error")
 
     def rheology(self) -> RheologyParams:
         return RheologyParams(p=self.p, q=self.q, nu=self.nu, kappa=self.kappa, alpha=self.alpha)
@@ -370,7 +374,7 @@ def _experiment_energy_audit(cfg: SimConfig, out_dir: str):
         )
         cum = np.stack([np.cumsum(led.residual) for led in ledgers])
         mean = cum.mean(axis=0)
-        se = cum.std(axis=0, ddof=1) / np.sqrt(cfg.paths) if cfg.paths > 1 else np.full_like(mean, np.inf)
+        se = cum.std(axis=0, ddof=1) / np.sqrt(cfg.paths)
         z = np.abs(mean) / np.maximum(se, 1e-300)
         criteria.append(Criterion(
             "mean ledger residual within 3 SE of 0 at every output time",
@@ -519,8 +523,9 @@ def _experiment_pressure(cfg: SimConfig, out_dir: str):
     parts = pressure.decompose_pressure(traj)
     recon = parts.max_residual()
     mom = pressure.momentum_gradient_residual(traj, parts)
-    doubled = pressure.decompose_pressure(replace(traj, increments=2.0 * traj.increments))
-    doubling_exact = bool(np.array_equal(doubled.pi_phi, 2.0 * parts.pi_phi))
+    doubled = pressure.stochastic_pressure(
+        replace(traj, increments=2.0 * traj.increments), parts.noise_shape)
+    doubling_exact = bool(np.array_equal(doubled, 2.0 * parts.pi_phi))
     pi_h_max = float(np.max(np.abs(parts.pi_h)))
 
     csv_path = os.path.join(out_dir, "pressure.csv")
@@ -644,7 +649,11 @@ def run_experiment(cfg: SimConfig, out_dir: str) -> RunReport:
     cfg.validate()
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
-    criteria, metrics, artifacts = _DISPATCH[cfg.experiment](cfg, out_dir)
+    try:
+        criteria, metrics, artifacts = _DISPATCH[cfg.experiment](cfg, out_dir)
+    except DivergenceError as exc:
+        criteria = [Criterion("states stay finite", False, str(exc))]
+        metrics, artifacts = {"divergence_step": exc.step}, []
     wall = time.perf_counter() - t0
     report = RunReport(
         config=config_echo(cfg),

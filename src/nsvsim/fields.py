@@ -185,6 +185,12 @@ class SymTensorField:
     def scaled(self, w: np.ndarray) -> "SymTensorField":
         return SymTensorField(w * self.xx, w * self.xy, w * self.yy)
 
+    def divergence(self, k_max: int) -> np.ndarray:
+        """Centered coefficient table (2, 2K+1, 2K+1) of div T, truncated to |k_i| <= k_max."""
+        cxx, cxy, cyy = (scalar_from_grid(c, k_max) for c in (self.xx, self.xy, self.yy))
+        kx, ky = wavenumbers(k_max)
+        return np.stack([1j * (kx * cxx + ky * cxy), 1j * (kx * cxy + ky * cyy)])
+
 
 def sym_gradient(u: SpectralField) -> SymTensorField:
     """Symmetric part of the velocity gradient, D(u) = (grad u + grad u^T) / 2."""

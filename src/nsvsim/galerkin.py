@@ -165,17 +165,6 @@ class StoppingMonitor:
         return self.tripped_at is not None
 
 
-def _spectral_div_tensor(t: SymTensorField, k_max: int, grid_size: int) -> SpectralField:
-    """Divergence of a symmetric grid tensor, truncated to |k_i| <= k_max."""
-    cxx = fields.scalar_from_grid(t.xx, k_max)
-    cxy = fields.scalar_from_grid(t.xy, k_max)
-    cyy = fields.scalar_from_grid(t.yy, k_max)
-    kx, ky = fields.wavenumbers(k_max)
-    v0 = 1j * (kx * cxx + ky * cxy)
-    v1 = 1j * (kx * cxy + ky * cyy)
-    return SpectralField(np.stack([v0, v1]), grid_size)
-
-
 def forcing_at(forcing: np.ndarray, step):
     """Forcing coefficients at a step index, or at an array of them.  A static
     (n,) forcing applies at every step; a per-step (steps, n) one holds its
@@ -242,8 +231,8 @@ def assemble_drift_terms(
     w = quad_weight(n_grid)
     b = np.asarray(f_coeffs, dtype=float).copy()
     if pw.conv is not None:
-        b -= basis.gather(_spectral_div_tensor(pw.conv, basis.k_max, n_grid))
-    b += params.nu * basis.gather(_spectral_div_tensor(pw.stress, basis.k_max, n_grid))
+        b -= basis.gather(SpectralField(pw.conv.divergence(basis.k_max), n_grid))
+    b += params.nu * basis.gather(SpectralField(pw.stress.divergence(basis.k_max), n_grid))
     if pw.damping is not None:
         b -= basis.gather_grid(pw.damping)
     s = basis.gather_grid(pw.noise_shape) if pw.noise_shape is not None else np.zeros(basis.n)

@@ -1,12 +1,16 @@
 """Pressure recovery and decomposition on the torus, plus a Bogovskii-type
 divergence solver on the unit square.
 
-On the torus every lift is an explicit Fourier multiplier: the drift pressure
-solves ``laplace(pi) = div div H`` slice by slice, the stochastic part is the
-inverse-Laplacian divergence of the accumulated noise, and the harmonic part
-is identically zero once means are removed, which the decomposition asserts
-rather than assumes.  The square-domain solver exercises the bounded-domain
-right inverse of the divergence that the torus cannot.
+On the torus every lift is one Fourier multiplier: the mean-zero solution of
+``laplace(pi) = div v`` for a vector coefficient table v.  The drift pressure
+lifts, slice by slice, the flux divergence div(nu A - u x u) + f - alpha a(u);
+the stochastic part lifts the accumulated noise; the harmonic part is
+identically zero once means are removed, which the decomposition asserts
+rather than assumes.  :func:`decompose_pressure` evaluates each slice's
+sources once and keeps the state-only tables on :class:`PressureParts`, which
+the momentum check and a rerun of the stochastic part under other increments
+read.  The square-domain solver exercises the bounded-domain right inverse of
+the divergence that the torus cannot.
 """
 
 from __future__ import annotations
@@ -22,42 +26,33 @@ from .fields import SymTensorField, quad_weight, scalar_from_grid, scalar_to_gri
 from .galerkin import PointwiseTerms, Trajectory, forcing_at
 
 
-def _inv_laplace_divdiv(cxx, cxy, cyy, k_max: int) -> np.ndarray:
-    """Coefficients of the mean-zero solution of laplace(pi) = div div T
-    for a symmetric tensor with centered coefficient tables."""
-    kx, ky = fields.wavenumbers(k_max)
+def _lift(v: np.ndarray, grid_size: int) -> np.ndarray:
+    """Mean-zero grid solution of laplace(pi) = div v, for a centered vector
+    coefficient table v of shape (2, 2K+1, 2K+1)."""
+    kx, ky = fields.wavenumbers((v.shape[-1] - 1) // 2)
     k2 = kx * kx + ky * ky
-    quad = kx * kx * cxx + 2.0 * kx * ky * cxy + ky * ky * cyy
-    out = np.where(k2 > 0, quad / np.where(k2 > 0, k2, 1.0), 0.0)
-    return out
+    div = 1j * (kx * v[0] + ky * v[1])
+    return scalar_to_grid(np.where(k2 > 0, -div / np.where(k2 > 0, k2, 1.0), 0.0), grid_size)
 
 
 def recover_pressure(H: SymTensorField) -> np.ndarray:
     """Mean-zero grid pressure with laplace(pi) = div div H."""
     n = H.grid_size
-    k_max = (n - 2) // 2
-    cxx = scalar_from_grid(H.xx, k_max)
-    cxy = scalar_from_grid(H.xy, k_max)
-    cyy = scalar_from_grid(H.yy, k_max)
-    return scalar_to_grid(_inv_laplace_divdiv(cxx, cxy, cyy, k_max), n)
-
-
-def _inv_laplace_div(cv: np.ndarray, k_max: int) -> np.ndarray:
-    """Coefficients of the mean-zero solution of laplace(pi) = div v."""
-    kx, ky = fields.wavenumbers(k_max)
-    k2 = kx * kx + ky * ky
-    div = 1j * (kx * cv[0] + ky * cv[1])
-    return np.where(k2 > 0, -div / np.where(k2 > 0, k2, 1.0), 0.0)
+    return _lift(H.divergence((n - 2) // 2), n)
 
 
 @dataclass
 class PressureParts:
-    """Slice-by-slice decomposition of the recovered pressure.
+    """Slice-by-slice decomposition of the recovered pressure, with the
+    state-only source tables it was built from.
 
     ``pi1``/``pi2`` are the stress and convective drift-pressure rates, their
     time integral plus the stochastic part ``pi_phi`` recombines to the total;
     ``pi_h`` is the leftover harmonic part, identically zero on the torus.
-    Every slice is mean-zero.
+    Every slice is mean-zero.  ``drift_div`` and ``noise_shape`` hold, per
+    slice, the centered coefficient tables of the drift flux divergence
+    div(nu A - u x u) + f - alpha a(u) and of shape(u); they do not involve
+    the increments, so they stay valid under ``replace(traj, increments=...)``.
     """
 
     times: np.ndarray
@@ -67,106 +62,100 @@ class PressureParts:
     pi_h: np.ndarray       # (S+1, N, N) harmonic remainder
     pi_total: np.ndarray   # (S+1, N, N) independently accumulated pressure
     recombination_residual: np.ndarray  # (S+1,) L2 defect per slice
+    drift_div: np.ndarray    # (S+1, 2, 2K+1, 2K+1) drift flux divergence
+    noise_shape: np.ndarray  # (S+1, 2, 2K+1, 2K+1) shape(u); zero with the noise off
 
     def max_residual(self) -> float:
         return float(np.max(self.recombination_residual))
 
 
-def _slice_ingredients(traj: Trajectory, i: int, k_max: int):
+def _slice_sources(traj: Trajectory, i: int, k_max: int):
     """Coefficient tables of the slice-i pressure sources.
 
-    Returns (stress tensor tables scaled by nu, convection tensor tables,
-    vector table of f - alpha a(u), noise shape-field tables).  ``pi1`` lifts
-    the first, ``pi2`` lifts the rest; convection enters the flux with the
-    opposite sign of the stress.  The grid fields come from the drift
-    kernel's pointwise stage, evaluated at ``traj.coeffs[i]`` under
-    ``traj.params`` rather than read from the kernel record, so the
-    decomposition follows whatever parameters the trajectory carries.
+    Returns (div(nu A), -div(u x u) + f - alpha a(u), shape(u) or None with
+    the noise off); ``pi1`` lifts the first, ``pi2`` the second.  The grid
+    fields come from the drift kernel's pointwise stage, evaluated at
+    ``traj.coeffs[i]`` under ``traj.params`` rather than read from the kernel
+    record, so the decomposition follows whatever parameters the trajectory
+    carries.
     """
     params = traj.params
     pw = PointwiseTerms.at(traj.field_at(i), params, traj.noise, traj.convection)
-    block = (2 * k_max + 1, 2 * k_max + 1)
-    stress = tuple(
-        params.nu * scalar_from_grid(comp, k_max)
-        for comp in (pw.stress.xx, pw.stress.xy, pw.stress.yy)
-    )
-    if pw.conv is not None:
-        conv = tuple(
-            scalar_from_grid(comp, k_max) for comp in (pw.conv.xx, pw.conv.xy, pw.conv.yy)
-        )
-    else:
-        conv = tuple(np.zeros(block, dtype=complex) for _ in range(3))
-    vec = np.zeros((2,) + block, dtype=complex)
+    stress = params.nu * pw.stress.divergence(k_max)
+    rest = -pw.conv.divergence(k_max) if pw.conv is not None else np.zeros_like(stress)
     fc = forcing_at(traj.forcing, i)
     if np.any(fc):
         f_spec = traj.basis.scatter(fc)
         off = f_spec.k_max
         sl = slice(k_max - off, k_max + off + 1)
-        vec[:, sl, sl] += f_spec.coeffs
+        rest[:, sl, sl] += f_spec.coeffs
     if pw.damping is not None:
-        vec[0] -= scalar_from_grid(pw.damping[0], k_max)
-        vec[1] -= scalar_from_grid(pw.damping[1], k_max)
-    if pw.noise_shape is not None:
-        noise_tab = np.stack([scalar_from_grid(comp, k_max) for comp in pw.noise_shape])
-    else:
-        noise_tab = np.zeros_like(vec)
-    return stress, conv, vec, noise_tab
+        rest -= np.stack([scalar_from_grid(comp, k_max) for comp in pw.damping])
+    if pw.noise_shape is None:
+        return stress, rest, None
+    return stress, rest, np.stack([scalar_from_grid(comp, k_max) for comp in pw.noise_shape])
+
+
+def _etas(traj: Trajectory) -> np.ndarray:
+    """Per-step scalar noise increments sum_k scale_k dW_k; zero with the noise off."""
+    return traj.increments @ traj.noise.mode_scales()
+
+
+def stochastic_pressure(traj: Trajectory, noise_shape: np.ndarray) -> np.ndarray:
+    """The stochastic part pi_phi, slice by slice: the lift of the noise
+    accumulated from the recorded shape(u) tables and ``traj.increments``."""
+    n = traj.basis.grid_size
+    out = np.zeros((traj.n_steps + 1, n, n))
+    acc = np.zeros_like(noise_shape[0])
+    for i, eta in enumerate(_etas(traj)):
+        acc += eta * noise_shape[i]
+        out[i + 1] = _lift(acc, n)
+    return out
 
 
 def decompose_pressure(traj: Trajectory) -> PressureParts:
     """Split the trajectory's pressure into stress, convective, stochastic and
     harmonic parts and verify the recombination slice by slice.
 
-    Two independent routes are compared: the per-slice parts are lifted first
-    and then time-integrated, while the total pressure integrates the raw
-    sources first and lifts once per slice.  Their agreement (linearity of the
-    lifts) is the recombination residual.
+    Each slice's sources are evaluated once.  Two independent routes are then
+    compared: the per-slice parts are lifted first and then time-integrated,
+    while the total pressure integrates the raw sources first and lifts once
+    per slice.  Their agreement (linearity of the lift) is the recombination
+    residual.
     """
-    basis = traj.basis
-    n = basis.grid_size
+    n = traj.basis.grid_size
     k_max = n // 3
     s_steps = traj.n_steps
-    scales = traj.noise.mode_scales()
-    w = quad_weight(n)
-
     shape = (s_steps + 1, n, n)
+    tables = (s_steps + 1, 2, 2 * k_max + 1, 2 * k_max + 1)
     pi1 = np.zeros(shape)
     pi2 = np.zeros(shape)
-    pi_phi = np.zeros(shape)
-    pi_h = np.zeros(shape)
     pi_total = np.zeros(shape)
-    residual = np.zeros(s_steps + 1)
+    drift_div = np.zeros(tables, dtype=complex)
+    noise_shape = np.zeros(tables, dtype=complex)
+    etas = _etas(traj)
 
-    block = (2 * k_max + 1, 2 * k_max + 1)
-    tens_acc = [np.zeros(block, dtype=complex) for _ in range(3)]  # nu A - u x u, integrated
-    vec_acc = np.zeros((2,) + block, dtype=complex)                # f - alpha a, integrated
-    noise_acc = np.zeros((2,) + block, dtype=complex)              # accumulated noise field
-    drift_int = np.zeros((n, n))                                   # int (pi1 + pi2) ds
-
+    acc = np.zeros(tables[1:], dtype=complex)  # integrated drift and noise sources
     for i in range(s_steps + 1):
-        stress, conv, vec, noise_tab = _slice_ingredients(traj, i, k_max)
-        c1 = _inv_laplace_divdiv(*stress, k_max)
-        c2 = -_inv_laplace_divdiv(*conv, k_max) + _inv_laplace_div(vec, k_max)
-        pi1[i] = scalar_to_grid(c1, n)
-        pi2[i] = scalar_to_grid(c2, n)
-        pi_phi[i] = scalar_to_grid(_inv_laplace_div(noise_acc, k_max), n)
-
-        total_c = _inv_laplace_divdiv(
-            tens_acc[0], tens_acc[1], tens_acc[2], k_max
-        ) + _inv_laplace_div(vec_acc + noise_acc, k_max)
-        pi_total[i] = scalar_to_grid(total_c, n)
-        recombined = pi_phi[i] + drift_int
-        pi_h[i] = pi_total[i] - recombined
-        residual[i] = float(np.sqrt(np.sum(pi_h[i] ** 2) * w))
-
+        stress, rest, noise = _slice_sources(traj, i, k_max)
+        pi1[i] = _lift(stress, n)
+        pi2[i] = _lift(rest, n)
+        pi_total[i] = _lift(acc, n)
+        drift_div[i] = stress + rest
+        if noise is not None:
+            noise_shape[i] = noise
         if i < s_steps:
-            for comp in range(3):
-                tens_acc[comp] += (stress[comp] - conv[comp]) * traj.dt
-            vec_acc += vec * traj.dt
-            if traj.noise.active:
-                eta = float(np.dot(scales, traj.increments[i]))
-                noise_acc += eta * noise_tab
-            drift_int = drift_int + (pi1[i] + pi2[i]) * traj.dt
+            acc += drift_div[i] * traj.dt + etas[i] * noise_shape[i]
+
+    pi_phi = stochastic_pressure(traj, noise_shape)
+    pi_h = np.zeros(shape)
+    residual = np.zeros(s_steps + 1)
+    w = quad_weight(n)
+    drift_int = np.zeros((n, n))  # int (pi1 + pi2) ds
+    for i in range(s_steps + 1):
+        pi_h[i] = pi_total[i] - (pi_phi[i] + drift_int)
+        residual[i] = float(np.sqrt(np.sum(pi_h[i] ** 2) * w))
+        drift_int = drift_int + (pi1[i] + pi2[i]) * traj.dt
 
     return PressureParts(
         times=traj.times,
@@ -176,42 +165,37 @@ def decompose_pressure(traj: Trajectory) -> PressureParts:
         pi_h=pi_h,
         pi_total=pi_total,
         recombination_residual=residual,
+        drift_div=drift_div,
+        noise_shape=noise_shape,
     )
 
 
 def momentum_gradient_residual(traj: Trajectory, parts: PressureParts) -> float:
     """Defect of the tested momentum identity against gradient test modes.
 
-    For every retained wavevector and every slice, compares the accumulated
-    flux divergence against the Laplacian of the recovered total pressure
-    (the mass and solenoidal terms drop out against gradient modes).  The
-    accumulation here is recomputed from the trajectory, independently of the
-    bookkeeping inside :func:`decompose_pressure`.
+    For every retained wavevector and every slice, compares the divergence of
+    the accumulated sources against the Laplacian of the recovered total
+    pressure (the mass and solenoidal terms drop out against gradient modes).
+    The sources are the per-slice tables recorded on ``parts``; their time
+    integral is accumulated here from ``traj.dt`` and ``traj.increments``,
+    independently of the bookkeeping inside :func:`decompose_pressure`, so a
+    corrupted ``pi_total`` slice shows.
     """
-    n = traj.basis.grid_size
-    k_max = n // 3
+    k_max = (parts.drift_div.shape[-1] - 1) // 2
     kx, ky = fields.wavenumbers(k_max)
     k2 = kx * kx + ky * ky
-    scales = traj.noise.mode_scales()
+    etas = _etas(traj)
 
-    tens = [np.zeros((2 * k_max + 1, 2 * k_max + 1), dtype=complex) for _ in range(3)]
-    vec = np.zeros((2, 2 * k_max + 1, 2 * k_max + 1), dtype=complex)
+    acc = np.zeros_like(parts.drift_div[0])
     worst = 0.0
     for i in range(traj.n_steps + 1):
-        # div F + v at the accumulated level; identity: |k|^2 pi_hat = -i k . F_hat
-        fx = 1j * (kx * tens[0] + ky * tens[1]) + vec[0]
-        fy = 1j * (kx * tens[1] + ky * tens[2]) + vec[1]
+        # identity: |k|^2 pi_hat = -i k . F_hat for the accumulated sources F
         pi_hat = scalar_from_grid(parts.pi_total[i], k_max)
-        defect = 1j * (kx * fx + ky * fy) + k2 * pi_hat
-        scale = max(float(np.max(np.abs(np.stack([fx, fy])))), 1e-300)
+        defect = 1j * (kx * acc[0] + ky * acc[1]) + k2 * pi_hat
+        scale = max(float(np.max(np.abs(acc))), 1e-300)
         worst = max(worst, float(np.max(np.abs(defect))) / scale)
         if i < traj.n_steps:
-            stress, conv, v, noise_tab = _slice_ingredients(traj, i, k_max)
-            for comp in range(3):
-                tens[comp] += (stress[comp] - conv[comp]) * traj.dt
-            vec += v * traj.dt
-            if traj.noise.active:
-                vec += float(np.dot(scales, traj.increments[i])) * noise_tab
+            acc += parts.drift_div[i] * traj.dt + etas[i] * parts.noise_shape[i]
     return worst
 
 
@@ -273,14 +257,18 @@ class BogovskiiProblem:
 
     def __post_init__(self):
         self.xi = np.asarray(self.xi, dtype=float)
-        n = self.resolution
-        if self.xi.shape != (n, n):
-            raise ValidationError(f"xi must be sampled on the {n}x{n} midpoint grid")
-        h2 = 1.0 / (n * n)
-        mean = abs(float(np.sum(self.xi) * h2))
-        l1 = float(np.sum(np.abs(self.xi)) * h2)
-        if mean > 1e-10 * max(l1, 1e-300):
-            raise ValidationError(f"xi must have zero mean: |mean| = {mean:.3g}")
+        _check_sources(self.xi[None], self.resolution)
+
+
+def _check_sources(xis: np.ndarray, n: int) -> None:
+    """Sources must be (L, n, n) midpoint samples, each with zero mean."""
+    if xis.ndim != 3 or xis.shape[1:] != (n, n):
+        raise ValidationError(f"xi must be sampled on the {n}x{n} midpoint grid, as ({n}, {n}) per source")
+    h2 = 1.0 / (n * n)
+    mean = np.abs(np.sum(xis, axis=(1, 2)) * h2)
+    l1 = np.sum(np.abs(xis), axis=(1, 2)) * h2
+    if np.any(mean > 1e-10 * np.maximum(l1, 1e-300)):
+        raise ValidationError(f"xi must have zero mean: |mean| = {float(np.max(mean)):.3g}")
 
 
 def midpoints(n: int) -> np.ndarray:
@@ -324,10 +312,13 @@ def bogovskii_solve_batch(xis: np.ndarray, resolution: int) -> np.ndarray:
     by L_R into the targets R x.  Targets on the diagonals (and, for odd n, on
     the midlines) are written once per symmetry that fixes them, with values
     equal up to roundoff.  This relies on BUMP_CENTER being the square's
-    centre.  Input shape (L, n, n), output (L, 2, n, n).
+    centre.  Input shape (L, n, n), each source with zero mean (else
+    ValidationError), output (L, 2, n, n).
     """
     n = resolution
-    xis = np.asarray(xis, dtype=float).reshape(-1, n * n)
+    xis = np.asarray(xis, dtype=float)
+    _check_sources(xis, n)
+    xis = xis.reshape(-1, n * n)
     n_src = xis.shape[0]
     n_pts = n * n
     gi, gj = np.divmod(np.arange(n_pts), n)            # flat index = i * n + j

@@ -3,9 +3,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nsvsim import cli, fields
-from nsvsim.errors import ConfigurationError
+from nsvsim.errors import ConfigurationError, ValidationError
 
 
 class TestParseConfig:
@@ -84,6 +86,29 @@ class TestParseConfig:
         rc = cli.main(["simulate", "--override", pair, "--out", str(tmp_path)])
         assert rc == 2
         assert pair.split("=")[0] in capsys.readouterr().err
+
+
+    def test_huge_steps_rejected(self):
+        with pytest.raises(ConfigurationError, match="^steps="):
+            cli.parse_config(None, ["steps=1" + "0" * 400])
+
+    @pytest.mark.parametrize("key", sorted(cli._KEY_MAP))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=st.one_of(
+        st.text(max_size=12),
+        st.integers().map(str),
+        st.integers(min_value=10**300, max_value=10**600).map(str),
+        st.floats().map(repr),
+        st.sampled_from(["", "-1", "0", "1e400", "-0.0", "true", "off", "linear", "zero"]),
+    ))
+    def test_parse_fuzz(self, key, value):
+        # parses or names its fault; nothing is run, since a valid huge
+        # noise.modes or paths would allocate or loop at run time
+        try:
+            cli.parse_config(None, [f"{key}={value}"])
+        except (ConfigurationError, ValidationError):
+            pass
 
 
 class TestInitialConditions:
@@ -173,6 +198,34 @@ class TestExperiments:
         crit = next(c for c in report.criteria if c.name.startswith("gradient/source ratio"))
         assert not crit.passed
         assert "11.0000 < 10.0" in crit.details
+
+
+    NOISY_AUDIT = [
+        "--override", "noise.family=linear", "--override", "noise.amplitude=0.5",
+        "--override", "steps=20", "--override", "dt=0.0025", "--override", "T=0.05",
+    ]
+
+    def test_energy_audit_one_noisy_path_rejected(self, tmp_path, capsys):
+        # one path has no standard error, so the 3-SE criterion would pass vacuously
+        rc = cli.main(["energy-audit", "--paths", "1", "--out", str(tmp_path), *self.NOISY_AUDIT])
+        assert rc == 2
+        assert "paths" in capsys.readouterr().err
+        assert cli.parse_config(None, ["experiment=energy-audit", "paths=1"]).paths == 1
+
+    def test_divergence_reports_failed_criterion(self, tmp_path, capsys):
+        with pytest.warns(UserWarning, match="unstable"), np.errstate(all="ignore"):
+            rc = cli.main([
+                "simulate", "--out", str(tmp_path), "--override", "ic.kind=random",
+                "--override", "ic.energy=1e8", "--override", "dt=0.025",
+                "--override", "steps=20", "--override", "T=0.5",
+            ])
+        assert rc == 1
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["passed"] is False
+        [crit] = payload["criteria"]
+        assert not crit["passed"] and "step 8" in crit["details"]
+        assert payload["metrics"]["divergence_step"] == 8
+        assert "[FAIL]" in capsys.readouterr().out
 
 
 class TestReproducibility:

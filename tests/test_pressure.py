@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nsvsim import fields, pressure
+from nsvsim import cli, fields, galerkin, pressure
 from nsvsim.errors import ValidationError
 from nsvsim.galerkin import GalerkinState, run
 from nsvsim.noise import NoiseModel
@@ -95,6 +95,18 @@ class TestDecompose:
         parts = pressure.decompose_pressure(traj)
         assert pressure.momentum_gradient_residual(traj, parts) < 1e-7
 
+    def test_momentum_identity_catches_perturbed_slice(self, small_basis):
+        traj = noisy_trajectory(small_basis)
+        parts = pressure.decompose_pressure(traj)
+        xx, yy = torus_grid(small_basis.grid_size)
+        parts.pi_total[traj.n_steps // 2] += 1e-3 * np.cos(xx + 2 * yy)
+        assert pressure.momentum_gradient_residual(traj, parts) > 1e-7
+
+    def test_stochastic_part_reruns_from_recorded_tables(self, small_basis):
+        traj = noisy_trajectory(small_basis)
+        parts = pressure.decompose_pressure(traj)
+        assert np.array_equal(pressure.stochastic_pressure(traj, parts.noise_shape), parts.pi_phi)
+
     def test_convection_off_leaves_no_drift_pressure(self, small_basis):
         # nu = alpha = 0, noise off, f = 0: with convection off nothing drives pi2
         rng = np.random.default_rng(7)
@@ -116,6 +128,28 @@ class TestDecompose:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,pi_l2,pi1_pprime,pi2_q0,pi_phi_l2,recombination_residual"
         assert len(lines) == traj.n_steps + 2
+
+
+def test_pressure_experiment_evaluates_each_state_once(tmp_path, monkeypatch):
+    # S + 1 pointwise stages in run and S + 1 in the decomposition; the
+    # momentum check and the doubling criterion read the recorded tables
+    original = galerkin.PointwiseTerms.at.__func__
+    calls = []
+
+    def counted(cls, *args, **kwargs):
+        calls.append(1)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(galerkin.PointwiseTerms, "at", classmethod(counted))
+    steps = 12
+    cfg = cli.parse_config(None, [
+        "experiment=pressure", "grid_n=16", "n_modes=16", f"steps={steps}", "dt=0.0025",
+        f"T={steps * 0.0025!r}", "p=2.5", "q=4", "alpha=0.1", "ic.kind=random",
+        "noise.family=linear", "noise.amplitude=0.5", "noise.modes=6",
+    ])
+    report = cli.run_experiment(cfg, str(tmp_path))
+    assert report.passed
+    assert len(calls) == 2 * (steps + 1)
 
 
 def _direct_bogovskii(xis, n):
@@ -192,6 +226,14 @@ class TestBogovskii:
     def test_nonzero_mean_rejected(self):
         with pytest.raises(ValidationError):
             pressure.BogovskiiProblem(np.ones((16, 16)), 16)
+
+    def test_batch_rejects_nonzero_mean(self):
+        with pytest.raises(ValidationError, match="zero mean"):
+            pressure.bogovskii_solve_batch(np.ones((1, 16, 16)), 16)
+
+    def test_batch_rejects_wrong_shape(self):
+        with pytest.raises(ValidationError, match="16x16"):
+            pressure.bogovskii_solve_batch(np.zeros((1, 15, 15)), 16)
 
     def test_bump_properties(self):
         pts = np.array([[0.5, 0.5], [0.5, 0.76], [0.0, 0.0]])
