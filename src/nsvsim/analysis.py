@@ -249,7 +249,7 @@ def weak_form_residual(traj: Trajectory, test_modes: list[SpectralField]) -> flo
             raise ValidationError("test mode is not divergence-free")
         if phi.k_max < basis.k_max:
             raise ValidationError("test mode truncation smaller than the span")
-        d = basis.gather(phi)
+        d = basis.gather(phi.coeffs)
         back = basis.scatter(d)
         embedded = np.zeros_like(phi.coeffs)
         off = phi.k_max - back.k_max
@@ -355,8 +355,7 @@ def calibrate_ladyzhenskaya(
     for _ in range(samples):
         c = rng.standard_normal(basis.n) * (1.0 + basis.k2) ** -rng.uniform(0.0, 1.5)
         c[basis.k2 == 0] = 0.0
-        f = basis.scatter(c)
-        g = to_grid(f)
+        g = to_grid(basis.scatter(c).coeffs, basis.grid_size)
         speed = np.sqrt(np.sum(g**2, axis=0))
         l4sq = float(np.sum(speed**4) * wq) ** 0.5
         l2, g2 = basis.field_norms_sq(c)

@@ -228,13 +228,13 @@ def forcing_coefficients(cfg: SimConfig, basis: DivFreeBasis) -> np.ndarray:
     if cfg.forcing_kind == "zero":
         return np.zeros(basis.n)
     if cfg.forcing_kind == "file":
-        return basis.gather(fields.load_field(cfg.forcing_path))
+        return basis.gather(fields.load_field(cfg.forcing_path).coeffs)
     paths = sorted(glob.glob(cfg.forcing_path))
     if len(paths) < cfg.steps:
         raise ConfigurationError(
             f"forcing sequence has {len(paths)} snapshots, need {cfg.steps}"
         )
-    return np.stack([basis.gather(fields.load_field(p)) for p in paths[: cfg.steps]])
+    return np.stack([basis.gather(fields.load_field(p).coeffs) for p in paths[: cfg.steps]])
 
 
 def make_state(cfg: SimConfig, basis: DivFreeBasis, path: int = 0) -> GalerkinState:
@@ -253,11 +253,15 @@ def make_state(cfg: SimConfig, basis: DivFreeBasis, path: int = 0) -> GalerkinSt
 
 
 def thread_count() -> int:
+    """Worker threads for the path loops, from ``NSV_THREADS`` (default 1)."""
     raw = os.environ.get("NSV_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigurationError(f"NSV_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def run_paths(fn, M: int) -> list:
@@ -432,6 +436,12 @@ def _experiment_moments(cfg: SimConfig, out_dir: str):
     within(base, double_n, "mode doubling")
     if alpha_leg is not None:
         within(base, alpha_leg, "alpha halving")
+    legs = [("base", base), ("mode doubling", double_n), ("alpha halving", alpha_leg)]
+    legs = [(tag, leg) for tag, leg in legs if leg is not None]
+    if any(leg.excluded_paths for _, leg in legs):
+        criteria.append(Criterion(
+            "no divergent path excluded", False,
+            ", ".join(f"{tag}: {leg.excluded_paths} of {leg.paths}" for tag, leg in legs)))
     if base.bound is not None:
         criteria.append(Criterion(
             "sup-energy moment within explicit bound", bool(base.passed),
@@ -523,10 +533,11 @@ def _experiment_pressure(cfg: SimConfig, out_dir: str):
     parts = pressure.decompose_pressure(traj)
     recon = parts.max_residual()
     mom = pressure.momentum_gradient_residual(traj, parts)
+    pi_h_max = float(np.max(np.abs(parts.pi_h)))
+    # pi_h first and the doubled part slice by slice: no second (S+1, N, N) array beside `doubled`
     doubled = pressure.stochastic_pressure(
         replace(traj, increments=2.0 * traj.increments), parts.noise_shape)
-    doubling_exact = bool(np.array_equal(doubled, 2.0 * parts.pi_phi))
-    pi_h_max = float(np.max(np.abs(parts.pi_h)))
+    doubling_exact = all(np.array_equal(d, 2.0 * p) for d, p in zip(doubled, parts.pi_phi))
 
     csv_path = os.path.join(out_dir, "pressure.csv")
     pressure.pressure_csv(csv_path, parts, cfg.p, cfg.q)
@@ -647,6 +658,7 @@ _DISPATCH = {
 
 def run_experiment(cfg: SimConfig, out_dir: str) -> RunReport:
     cfg.validate()
+    thread_count()  # a bad NSV_THREADS fails before any work
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     try:

@@ -5,6 +5,12 @@ truncated table of Fourier coefficients indexed by wavevectors ``k`` with
 ``|k_x|, |k_y| <= k_max``.  Differential operators act in coefficient space;
 nonlinear products are formed on the grid and truncated by the 2/3 rule.
 
+One transform pair, :func:`to_grid`/:func:`from_grid`, maps centered tables
+(..., 2K+1, 2K+1) to grid samples (..., N, N) and back over any leading axes,
+so a stack of rows takes one call.  Both are real FFTs, which keep only the
+ky >= 0 half: :func:`to_grid` assumes Hermitian tables (every real field's
+table is one) and :func:`from_grid` fills the ky < 0 half by conjugation.
+
 Conventions: ``u(x) = sum_k uhat(k) exp(i k.x)``, grid points ``x_j = 2 pi j / N``,
 L2 inner product ``(u, v) = 4 pi^2 sum_k uhat(k) . conj(vhat(k))``.
 """
@@ -105,56 +111,53 @@ def divergence_error(f: SpectralField) -> float:
     return float(np.max(np.abs(dots)) / scale)
 
 
-def to_grid(f: SpectralField) -> np.ndarray:
-    """Sample the field on its N x N grid.  Inverse of :func:`from_grid`."""
-    n, k = f.grid_size, f.k_max
-    big = np.zeros((2, n, n), dtype=complex)
-    idx = np.arange(-k, k + 1) % n
-    big[:, idx[:, None], idx[None, :]] = f.coeffs
-    return np.fft.ifft2(big, axes=(1, 2)).real * n * n
-
-
-def from_grid(v: np.ndarray, k_max: int) -> SpectralField:
-    """Project grid samples onto the retained coefficient table."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 3 or v.shape[0] != 2 or v.shape[1] != v.shape[2]:
-        raise ValidationError(f"expected grid field of shape (2, N, N), got {v.shape}")
-    n = v.shape[1]
-    _check_grid(n, k_max)
-    big = np.fft.fft2(v, axes=(1, 2)) / (n * n)
-    idx = np.arange(-k_max, k_max + 1) % n
-    return SpectralField(big[:, idx[:, None], idx[None, :]].copy(), n)
-
-
-def scalar_to_grid(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
-    """Grid samples of a scalar field given its centered coefficient table."""
-    k = (coeffs.shape[0] - 1) // 2
-    big = np.zeros((grid_size, grid_size), dtype=complex)
+def to_grid(table: np.ndarray, grid_size: int) -> np.ndarray:
+    """Grid samples (..., N, N) of real fields from their centered coefficient
+    tables (..., 2K+1, 2K+1), by one real inverse FFT over any leading axes.
+    Only the ky >= 0 half is read: the tables must be Hermitian,
+    ``table[-k] == conj(table[k])``, as every table of a real field is."""
+    k = (table.shape[-1] - 1) // 2
+    _check_grid(grid_size, k)
+    half = np.zeros(table.shape[:-2] + (grid_size, grid_size // 2 + 1), dtype=complex)
     idx = np.arange(-k, k + 1) % grid_size
-    big[idx[:, None], idx[None, :]] = coeffs
-    return np.fft.ifft2(big).real * grid_size * grid_size
+    half[..., idx, : k + 1] = table[..., k:]
+    return np.fft.irfft2(half, s=(grid_size, grid_size), norm="forward")
 
 
-def scalar_from_grid(v: np.ndarray, k_max: int) -> np.ndarray:
-    """Centered coefficient table of a scalar grid field."""
-    n = v.shape[0]
-    big = np.fft.fft2(v) / (n * n)
+def from_grid(v: np.ndarray, k_max: int) -> np.ndarray:
+    """Centered coefficient tables (..., 2K+1, 2K+1), K = ``k_max``, of real
+    grid fields (..., N, N), over any leading axes, by one real FFT; the
+    ky < 0 half is filled by conjugation."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim < 2 or v.shape[-1] != v.shape[-2]:
+        raise ValidationError(f"expected grid fields of shape (..., N, N), got {v.shape}")
+    n = v.shape[-1]
+    _check_grid(n, k_max)
+    half = np.fft.rfft2(v, norm="forward")
     idx = np.arange(-k_max, k_max + 1) % n
-    return big[idx[:, None], idx[None, :]].copy()
+    table = np.empty(v.shape[:-2] + (2 * k_max + 1, 2 * k_max + 1), dtype=complex)
+    table[..., k_max:] = half[..., idx, : k_max + 1]
+    table[..., :k_max] = np.conj(table[..., ::-1, :k_max:-1])
+    return table
+
+
+def gradient_table(coeffs: np.ndarray) -> np.ndarray:
+    """Gradient tables ``out[i] = i k_i coeffs``, shape (2, ...), of tables (..., 2K+1, 2K+1)."""
+    kx, ky = wavenumbers((coeffs.shape[-1] - 1) // 2)
+    return np.stack([1j * kx * coeffs, 1j * ky * coeffs])
 
 
 def gradient(f: SpectralField) -> np.ndarray:
     """Jacobian on the grid: J[i, j] = d_i u_j, shape (2, 2, N, N)."""
-    kx, ky = wavenumbers(f.k_max)
-    out = np.empty((2, 2, f.grid_size, f.grid_size))
-    for j in range(2):
-        gx = SpectralField(
-            np.stack([1j * kx * f.coeffs[j], 1j * ky * f.coeffs[j]]), f.grid_size
-        )
-        g = to_grid(gx)
-        out[0, j] = g[0]
-        out[1, j] = g[1]
-    return out
+    return to_grid(gradient_table(f.coeffs), f.grid_size)
+
+
+def tensor_divergence(t: np.ndarray) -> np.ndarray:
+    """Coefficient table (..., 2, 2K+1, 2K+1) of div T for the tables
+    (..., 3, 2K+1, 2K+1) of a symmetric tensor's xx, xy and yy entries."""
+    kx, ky = wavenumbers((t.shape[-1] - 1) // 2)
+    xx, xy, yy = t[..., 0, :, :], t[..., 1, :, :], t[..., 2, :, :]
+    return np.stack([1j * (kx * xx + ky * xy), 1j * (kx * xy + ky * yy)], axis=-3)
 
 
 @dataclass
@@ -187,9 +190,7 @@ class SymTensorField:
 
     def divergence(self, k_max: int) -> np.ndarray:
         """Centered coefficient table (2, 2K+1, 2K+1) of div T, truncated to |k_i| <= k_max."""
-        cxx, cxy, cyy = (scalar_from_grid(c, k_max) for c in (self.xx, self.xy, self.yy))
-        kx, ky = wavenumbers(k_max)
-        return np.stack([1j * (kx * cxx + ky * cxy), 1j * (kx * cxy + ky * cyy)])
+        return tensor_divergence(from_grid(np.stack([self.xx, self.xy, self.yy]), k_max))
 
 
 def sym_gradient(u: SpectralField) -> SymTensorField:
@@ -200,14 +201,11 @@ def sym_gradient(u: SpectralField) -> SymTensorField:
 
 def leray_project(v: np.ndarray, k_max: int) -> SpectralField:
     """Project grid samples onto divergence-free fields (Fourier multiplier I - kk^T/|k|^2)."""
-    f = from_grid(v, k_max)
+    c = from_grid(v, k_max)
     kx, ky = wavenumbers(k_max)
     k2 = kx * kx + ky * ky
-    k2s = np.where(k2 == 0, 1.0, k2)
-    dots = (kx * f.coeffs[0] + ky * f.coeffs[1]) / k2s
-    f.coeffs[0] -= kx * dots
-    f.coeffs[1] -= ky * dots
-    return f
+    dots = (kx * c[0] + ky * c[1]) / np.where(k2 == 0, 1.0, k2)
+    return SpectralField(np.stack([c[0] - kx * dots, c[1] - ky * dots]), np.shape(v)[-1])
 
 
 def quad_weight(grid_size: int) -> float:

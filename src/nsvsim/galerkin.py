@@ -9,17 +9,18 @@ quadratic products are alias-free in the retained band, which is what makes
 the discrete energy identities of the audits exact.
 
 :func:`assemble_drift_terms` is the one per-state kernel.  Its pointwise stage
-(:class:`PointwiseTerms`) forms u on the grid, the Jacobian, D(u), the stress,
-u x u, the damping term and the noise shape once; the kernel projects them to
-the drift ``b`` and the noise projection ``s`` and integrates the quadrature
-scalars ||D u||_p^p, ||grad u||_p^p and ||u||_q^q.  :func:`run` evaluates it
-once per stored state and keeps the state-only outputs on the
+(:class:`PointwiseTerms`) forms u and its Jacobian on the grid by one inverse
+transform, then D(u), the stress, u x u, the damping term and the noise shape;
+one forward transform takes every source back to a table.  The kernel projects
+those to the drift ``b`` and the noise projection ``s`` and integrates the
+quadrature scalars ||D u||_p^p, ||grad u||_p^p and ||u||_q^q.  :func:`run`
+evaluates it once per stored state and keeps the state-only outputs on the
 :class:`Trajectory`, which every audit reads.  Two passes recompute from the
 stored coefficients on purpose: ``analysis.weak_form_residual`` is the
 independent check that catches a corrupted state, and the pressure
-decomposition takes its grid fields from the pointwise stage at
-``traj.coeffs`` under ``traj.params``, so that it describes whatever
-trajectory and parameters it is handed.
+decomposition takes its tables from the pointwise stage at ``traj.coeffs``
+under ``traj.params``, so that it describes whatever trajectory and
+parameters it is handed.
 """
 
 from __future__ import annotations
@@ -118,19 +119,16 @@ class DivFreeBasis:
         c = np.asarray(c, dtype=float)
         k = self.k_max
         coeffs = np.zeros((2, 2 * k + 1, 2 * k + 1), dtype=complex)
-        for comp in range(2):
-            vp = c * self._w_plus * self.pol[:, comp]
-            vm = c * self._w_minus * self.pol[:, comp]
-            np.add.at(coeffs[comp], (self._rows_p, self._cols_p), vp)
-            np.add.at(coeffs[comp], (self._rows_m, self._cols_m), vm)
+        np.add.at(coeffs, (slice(None), self._rows_p, self._cols_p), c * self._w_plus * self.pol.T)
+        np.add.at(coeffs, (slice(None), self._rows_m, self._cols_m), c * self._w_minus * self.pol.T)
         return SpectralField(coeffs, self.grid_size)
 
-    def gather(self, f: SpectralField) -> np.ndarray:
-        """L2 pairings (f, psi_j); the orthogonal projection onto the span."""
-        off = f.k_max - self.k_max
+    def gather(self, coeffs: np.ndarray) -> np.ndarray:
+        """L2 pairings (f, psi_j) for the table ``coeffs`` of f; the orthogonal projection."""
+        off = (coeffs.shape[-1] - 1) // 2 - self.k_max
         if off < 0:
             raise ValidationError("field truncation too small for this basis")
-        vals = f.coeffs[:, self._rows_p + off, self._cols_p + off]
+        vals = coeffs[:, self._rows_p + off, self._cols_p + off]
         z = self.pol[:, 0] * vals[0] + self.pol[:, 1] * vals[1]
         amp = 2.0 * np.sqrt(2.0) * np.pi
         return np.where(
@@ -188,8 +186,8 @@ class PointwiseTerms:
     @classmethod
     def at(cls, u: SpectralField, params: RheologyParams, noise: NoiseModel,
            convection: bool) -> "PointwiseTerms":
-        u_grid = to_grid(u)
-        jac = fields.gradient(u)
+        rows = to_grid(np.concatenate([u.coeffs[None], fields.gradient_table(u.coeffs)]), u.grid_size)
+        u_grid, jac = rows[0], rows[1:]
         d = SymTensorField(jac[0, 0], 0.5 * (jac[1, 0] + jac[0, 1]), jac[1, 1])
         u0, u1 = u_grid
         return cls(
@@ -201,6 +199,18 @@ class PointwiseTerms:
             damping=stabilizer(u_grid, params) if params.alpha > 0 else None,
             noise_shape=noise.shape(u_grid) if noise.active else None,
         )
+
+    def source_tables(self, k_max: int) -> tuple:
+        """Tables of (div A, div(u x u), alpha |u|^(q-2) u, shape(u)) to |k_i| <= k_max,
+        by one forward transform of the rows present; a term that is off gives None."""
+        tensors = [t for t in (self.stress, self.conv) if t is not None]
+        vectors = [v for v in (self.damping, self.noise_shape) if v is not None]
+        rows = [c for t in tensors for c in (t.xx, t.xy, t.yy)] + [c for v in vectors for c in v]
+        tables = from_grid(np.stack(rows), k_max)
+        divs = iter(fields.tensor_divergence(tables[: 3 * len(tensors)].reshape(-1, 3, *tables.shape[1:])))
+        vecs = iter(tables[3 * len(tensors) :].reshape(-1, 2, *tables.shape[1:]))
+        kinds = ((self.stress, divs), (self.conv, divs), (self.damping, vecs), (self.noise_shape, vecs))
+        return tuple(None if term is None else next(it) for term, it in kinds)
 
 
 @dataclass
@@ -227,15 +237,15 @@ def assemble_drift_terms(
     s_j = (shape(u), psi_j), so that phi_k(u) projects to scale_k * s, and the
     quadrature scalars of the energy functionals, all from one pointwise stage."""
     pw = PointwiseTerms.at(u, params, noise, convection)
-    n_grid = basis.grid_size
-    w = quad_weight(n_grid)
+    stress_div, conv_div, damping, noise_shape = pw.source_tables(basis.k_max)
+    w = quad_weight(basis.grid_size)
     b = np.asarray(f_coeffs, dtype=float).copy()
-    if pw.conv is not None:
-        b -= basis.gather(SpectralField(pw.conv.divergence(basis.k_max), n_grid))
-    b += params.nu * basis.gather(SpectralField(pw.stress.divergence(basis.k_max), n_grid))
-    if pw.damping is not None:
-        b -= basis.gather_grid(pw.damping)
-    s = basis.gather_grid(pw.noise_shape) if pw.noise_shape is not None else np.zeros(basis.n)
+    if conv_div is not None:
+        b -= basis.gather(conv_div)
+    b += params.nu * basis.gather(stress_div)
+    if damping is not None:
+        b -= basis.gather(damping)
+    s = basis.gather(noise_shape) if noise_shape is not None else np.zeros(basis.n)
     return DriftTerms(
         b=b,
         s=s,
@@ -351,7 +361,7 @@ def run(
     mass = basis.mass_multipliers(params.kappa)
     scales = noise.mode_scales()
 
-    speed0 = float(np.max(np.sqrt(np.sum(to_grid(state0.field()) ** 2, axis=0))))
+    speed0 = float(np.max(np.sqrt(np.sum(to_grid(state0.field().coeffs, basis.grid_size) ** 2, axis=0))))
     cfl = dt * speed0 * basis.k_max
     if cfl > 0.5:
         warnings.warn(

@@ -22,17 +22,17 @@ import numpy as np
 
 from . import fields
 from .errors import ValidationError
-from .fields import SymTensorField, quad_weight, scalar_from_grid, scalar_to_grid
+from .fields import SymTensorField, from_grid, quad_weight, to_grid
 from .galerkin import PointwiseTerms, Trajectory, forcing_at
 
 
 def _lift(v: np.ndarray, grid_size: int) -> np.ndarray:
-    """Mean-zero grid solution of laplace(pi) = div v, for a centered vector
-    coefficient table v of shape (2, 2K+1, 2K+1)."""
+    """Mean-zero grid solutions (..., N, N) of laplace(pi) = div v, for
+    centered vector coefficient tables v of shape (..., 2, 2K+1, 2K+1)."""
     kx, ky = fields.wavenumbers((v.shape[-1] - 1) // 2)
     k2 = kx * kx + ky * ky
-    div = 1j * (kx * v[0] + ky * v[1])
-    return scalar_to_grid(np.where(k2 > 0, -div / np.where(k2 > 0, k2, 1.0), 0.0), grid_size)
+    div = 1j * (kx * v[..., 0, :, :] + ky * v[..., 1, :, :])
+    return to_grid(np.where(k2 > 0, -div / np.where(k2 > 0, k2, 1.0), 0.0), grid_size)
 
 
 def recover_pressure(H: SymTensorField) -> np.ndarray:
@@ -73,27 +73,26 @@ def _slice_sources(traj: Trajectory, i: int, k_max: int):
     """Coefficient tables of the slice-i pressure sources.
 
     Returns (div(nu A), -div(u x u) + f - alpha a(u), shape(u) or None with
-    the noise off); ``pi1`` lifts the first, ``pi2`` the second.  The grid
-    fields come from the drift kernel's pointwise stage, evaluated at
-    ``traj.coeffs[i]`` under ``traj.params`` rather than read from the kernel
-    record, so the decomposition follows whatever parameters the trajectory
-    carries.
+    the noise off); ``pi1`` lifts the first, ``pi2`` the second.  The tables
+    come from the drift kernel's own pointwise stage and forward transform
+    (:meth:`PointwiseTerms.source_tables`), evaluated at ``traj.coeffs[i]``
+    under ``traj.params`` rather than read from the kernel record, so the
+    decomposition follows whatever parameters the trajectory carries.
     """
     params = traj.params
     pw = PointwiseTerms.at(traj.field_at(i), params, traj.noise, traj.convection)
-    stress = params.nu * pw.stress.divergence(k_max)
-    rest = -pw.conv.divergence(k_max) if pw.conv is not None else np.zeros_like(stress)
+    stress_div, conv_div, damping, noise = pw.source_tables(k_max)
+    stress = params.nu * stress_div
+    rest = -conv_div if conv_div is not None else np.zeros_like(stress)
     fc = forcing_at(traj.forcing, i)
     if np.any(fc):
         f_spec = traj.basis.scatter(fc)
         off = f_spec.k_max
         sl = slice(k_max - off, k_max + off + 1)
         rest[:, sl, sl] += f_spec.coeffs
-    if pw.damping is not None:
-        rest -= np.stack([scalar_from_grid(comp, k_max) for comp in pw.damping])
-    if pw.noise_shape is None:
-        return stress, rest, None
-    return stress, rest, np.stack([scalar_from_grid(comp, k_max) for comp in pw.noise_shape])
+    if damping is not None:
+        rest -= damping
+    return stress, rest, noise
 
 
 def _etas(traj: Trajectory) -> np.ndarray:
@@ -138,9 +137,7 @@ def decompose_pressure(traj: Trajectory) -> PressureParts:
     acc = np.zeros(tables[1:], dtype=complex)  # integrated drift and noise sources
     for i in range(s_steps + 1):
         stress, rest, noise = _slice_sources(traj, i, k_max)
-        pi1[i] = _lift(stress, n)
-        pi2[i] = _lift(rest, n)
-        pi_total[i] = _lift(acc, n)
+        pi1[i], pi2[i], pi_total[i] = _lift(np.stack([stress, rest, acc]), n)
         drift_div[i] = stress + rest
         if noise is not None:
             noise_shape[i] = noise
@@ -190,7 +187,7 @@ def momentum_gradient_residual(traj: Trajectory, parts: PressureParts) -> float:
     worst = 0.0
     for i in range(traj.n_steps + 1):
         # identity: |k|^2 pi_hat = -i k . F_hat for the accumulated sources F
-        pi_hat = scalar_from_grid(parts.pi_total[i], k_max)
+        pi_hat = from_grid(parts.pi_total[i], k_max)
         defect = 1j * (kx * acc[0] + ky * acc[1]) + k2 * pi_hat
         scale = max(float(np.max(np.abs(acc))), 1e-300)
         worst = max(worst, float(np.max(np.abs(defect))) / scale)

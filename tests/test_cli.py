@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nsvsim import cli, fields
-from nsvsim.errors import ConfigurationError, ValidationError
+from nsvsim.errors import ConfigurationError, DivergenceError, ValidationError
 
 
 class TestParseConfig:
@@ -226,6 +226,62 @@ class TestExperiments:
         assert not crit["passed"] and "step 8" in crit["details"]
         assert payload["metrics"]["divergence_step"] == 8
         assert "[FAIL]" in capsys.readouterr().out
+
+
+    def test_moments_excluded_path_fails(self, tmp_path, capsys, monkeypatch):
+        original = cli.run
+
+        def diverge_path_one(state, T, **kwargs):
+            if state.path == 1:
+                raise DivergenceError(3)
+            return original(state, T, **kwargs)
+
+        monkeypatch.setattr(cli, "run", diverge_path_one)
+        rc = cli.main([
+            "moments", "--paths", "4", "--out", str(tmp_path),
+            *(f"--override={kv}" for kv in (
+                "p=2", "q=4", "alpha=0.125", "grid_n=16", "n_modes=16", "steps=20",
+                "dt=0.0025", "T=0.05", "noise.family=linear", "noise.amplitude=0.5",
+                "noise.modes=6", "ic.kind=random")),
+        ])
+        assert rc == 1
+        payload = json.loads((tmp_path / "report.json").read_text())
+        crit = next(c for c in payload["criteria"] if c["name"] == "no divergent path excluded")
+        assert not crit["passed"]
+        assert crit["details"] == "base: 1 of 4, mode doubling: 1 of 4, alpha halving: 1 of 4"
+        assert "[FAIL] no divergent path excluded" in capsys.readouterr().out
+
+    def test_pressure_stochastic_part_needs_a_nonlinear_shape(self, tmp_path):
+        # shape(u) = u is divergence-free, so the linear family's stochastic
+        # pressure is roundoff; the saturating family's is not
+        pi_phi = {}
+        for family in ("linear", "saturating"):
+            cfg = cli.parse_config(None, [
+                "experiment=pressure", "p=2.5", "q=4", "alpha=0.1", "grid_n=16", "n_modes=16",
+                "steps=20", "dt=0.0025", "T=0.05", "seed=2024", f"noise.family={family}",
+                "noise.amplitude=0.5", "noise.modes=6", "ic.kind=random",
+            ])
+            out = tmp_path / family
+            report = cli.run_experiment(cfg, str(out))
+            assert report.passed
+            doubling = next(c for c in report.criteria if c.name.startswith("stochastic part doubles"))
+            assert doubling.passed
+            lines = (out / "pressure.csv").read_text().strip().splitlines()
+            col = lines[0].split(",").index("pi_phi_l2")
+            pi_phi[family] = max(float(line.split(",")[col]) for line in lines[1:])
+        assert pi_phi["linear"] < 1e-14
+        assert pi_phi["saturating"] > 1e-6
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
+    def test_bad_thread_count_exits_2(self, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("NSV_THREADS", value)
+        with pytest.raises(ConfigurationError, match="NSV_THREADS"):
+            cli.thread_count()
+        rc = cli.main(["simulate", "--out", str(tmp_path / "out"), "--override", "steps=10",
+                       "--override", "dt=0.005", "--override", "T=0.05"])
+        assert rc == 2
+        assert "NSV_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestReproducibility:

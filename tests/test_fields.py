@@ -12,30 +12,43 @@ from conftest import l2_norm, random_divfree, random_hermitian_coeffs, torus_gri
 class TestTransforms:
     def test_zero_field_round_trip(self):
         f = fields.zero_field(4, 16)
-        g = fields.to_grid(f)
+        g = fields.to_grid(f.coeffs, f.grid_size)
         assert np.all(g == 0.0)
-        assert np.all(fields.from_grid(g, 4).coeffs == 0.0)
+        assert np.all(fields.from_grid(g, 4) == 0.0)
 
     def test_single_mode_is_transform_eigenfunction(self):
         # u = (sin y, 0) samples to sin(y_j) and comes back as the same mode
         f = fields.zero_field(2, 16)
         f.coeffs[0, 2, 3] = -0.5j
         f.coeffs[0, 2, 1] = 0.5j
-        g = fields.to_grid(f)
+        g = fields.to_grid(f.coeffs, f.grid_size)
         _, yy = torus_grid(16)
         assert np.allclose(g[0], np.sin(yy), atol=1e-14)
         assert np.allclose(g[1], 0.0, atol=1e-14)
         back = fields.from_grid(g, 2)
-        assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-14
+        assert np.max(np.abs(back - f.coeffs)) < 1e-14
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31), k_max=st.integers(1, 7))
     def test_round_trip_random_hermitian(self, seed, k_max):
         c = random_hermitian_coeffs(k_max, seed)
         f = fields.SpectralField(c, 32)
-        back = fields.from_grid(fields.to_grid(f), k_max)
+        back = fields.from_grid(fields.to_grid(f.coeffs, f.grid_size), k_max)
         scale = np.max(np.abs(c))
-        assert np.max(np.abs(back.coeffs - c)) < 1e-12 * max(scale, 1.0)
+        assert np.max(np.abs(back - c)) < 1e-12 * max(scale, 1.0)
+
+    def test_stacked_transforms_equal_per_row_calls_bitwise(self):
+        tables = np.stack([random_hermitian_coeffs(5, seed) for seed in range(3)])  # (3, 2, 11, 11)
+        grids = fields.to_grid(tables, 32)
+        back = fields.from_grid(grids, 5)
+        assert grids.shape == (3, 2, 32, 32) and back.shape == tables.shape
+        for idx in np.ndindex(tables.shape[:2]):
+            assert np.array_equal(grids[idx], fields.to_grid(tables[idx], 32))
+            assert np.array_equal(back[idx], fields.from_grid(grids[idx], 5))
+
+    def test_non_square_grid_rejected(self):
+        with pytest.raises(ValidationError):
+            fields.from_grid(np.zeros((2, 16, 8)), 2)
 
     def test_grid_too_small_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -79,7 +92,7 @@ class TestSymGradient:
         n = 128
         xx, yy = torus_grid(n)
         g = np.stack([-np.sin(yy), np.sin(xx)])
-        f = fields.from_grid(g, 4)
+        f = fields.SpectralField(fields.from_grid(g, 4), n)
         d = fields.sym_gradient(f)
         assert np.allclose(d.xy, 0.5 * (np.cos(xx) - np.cos(yy)), atol=1e-13)
         fd = self._fd_sym_gradient(g)
@@ -98,7 +111,7 @@ class TestLeray:
 
     def test_idempotent_on_solenoidal(self, rng):
         f = random_divfree(6, 32, seed=3)
-        again = fields.leray_project(fields.to_grid(f), 6)
+        again = fields.leray_project(fields.to_grid(f.coeffs, f.grid_size), 6)
         assert np.max(np.abs(again.coeffs - f.coeffs)) < 1e-12 * np.max(np.abs(f.coeffs))
 
     def test_projection_identity_mode_by_mode(self, rng):
@@ -106,7 +119,7 @@ class TestLeray:
         p = fields.leray_project(v, 9)
         assert fields.divergence_error(p) < 1e-12
         # remainder v - P v is curl-free: curl of the difference vanishes
-        diff = fields.from_grid(v, 9).coeffs - p.coeffs
+        diff = fields.from_grid(v, 9) - p.coeffs
         kx, ky = fields.wavenumbers(9)
         curl = kx * diff[1] - ky * diff[0]
         assert np.max(np.abs(curl)) < 1e-12 * max(np.max(np.abs(diff)), 1.0)
@@ -114,7 +127,7 @@ class TestLeray:
     def test_double_projection(self, rng):
         v = rng.standard_normal((2, 32, 32))
         p1 = fields.leray_project(v, 9)
-        p2 = fields.leray_project(fields.to_grid(p1), 9)
+        p2 = fields.leray_project(fields.to_grid(p1.coeffs, p1.grid_size), 9)
         assert np.max(np.abs(p2.coeffs - p1.coeffs)) < 1e-14 * max(np.max(np.abs(p1.coeffs)), 1.0)
 
 
@@ -127,13 +140,13 @@ class TestNorms:
         assert fields.grad_l2_norm(f) ** 2 == pytest.approx(2.0 * np.pi**2, rel=1e-13)
         # quadrature route agrees with the Parseval route at p = 2
         w = fields.quad_weight(32)
-        assert np.sum(fields.to_grid(f) ** 2) * w == pytest.approx(2.0 * np.pi**2, rel=1e-12)
+        assert np.sum(fields.to_grid(f.coeffs, f.grid_size) ** 2) * w == pytest.approx(2.0 * np.pi**2, rel=1e-12)
         assert np.sum(fields.gradient(f) ** 2) * w == pytest.approx(2.0 * np.pi**2, rel=1e-12)
 
     def test_zero_field(self):
         f = fields.zero_field(3, 16)
         w = fields.quad_weight(16)
-        speed = np.sqrt(np.sum(fields.to_grid(f) ** 2, axis=0))
+        speed = np.sqrt(np.sum(fields.to_grid(f.coeffs, f.grid_size) ** 2, axis=0))
         lp = (np.sum(speed**2.5) * w) ** (1.0 / 2.5)
         lq = (np.sum(speed**3.0) * w) ** (1.0 / 3.0)
         assert l2_norm(f) == fields.grad_l2_norm(f) == lp == lq == 0.0
@@ -158,7 +171,7 @@ class TestNorms:
         # int (u x u) : grad u dx = 0 for solenoidal u
         for seed in range(10):
             u = random_divfree(9, 64, seed)
-            g = fields.to_grid(u)
+            g = fields.to_grid(u.coeffs, u.grid_size)
             jac = fields.gradient(u)
             integrand = (
                 g[0] * g[0] * jac[0, 0] + g[0] * g[1] * jac[0, 1]

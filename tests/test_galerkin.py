@@ -50,7 +50,7 @@ class TestBasis:
         c = rng.standard_normal(small_basis.n)
         f = small_basis.scatter(c)
         assert fields.divergence_error(f) < 1e-12
-        assert np.max(np.abs(small_basis.gather(f) - c)) < 1e-12
+        assert np.max(np.abs(small_basis.gather(f.coeffs) - c)) < 1e-12
 
     def test_coefficient_norms_match_field_norms(self, small_basis, rng):
         c = rng.standard_normal(small_basis.n)
@@ -62,9 +62,9 @@ class TestBasis:
     def test_projection_idempotent_and_contractive(self, small_basis, rng):
         # a field with more modes than the span: projecting shrinks both norms
         big = fields.leray_project(rng.standard_normal((2, 32, 32)), 9)
-        c = small_basis.gather(big)
+        c = small_basis.gather(big.coeffs)
         proj = small_basis.scatter(c)
-        assert np.max(np.abs(small_basis.gather(proj) - c)) < 1e-12
+        assert np.max(np.abs(small_basis.gather(proj.coeffs) - c)) < 1e-12
         assert l2_norm(proj) <= l2_norm(big) * (1 + 1e-12)
         assert fields.grad_l2_norm(proj) <= fields.grad_l2_norm(big) * (1 + 1e-12)
 
@@ -175,6 +175,26 @@ class TestDrift:
             diss = params.nu * np.sum(d11 * dpsi11 + 2 * d12 * dpsi12 + d22 * dpsi22) * w
             expected = conv - diss
             assert b[j] == pytest.approx(expected, abs=1e-10)
+
+
+    def test_two_real_transforms_per_evaluation(self, small_basis, monkeypatch):
+        # one inverse transform of (u, grad u) and one forward transform of
+        # every source row, with convection, damping and noise all on
+        calls = []
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+                     "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
+            def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
+        c = smooth_random_coeffs(small_basis)
+        terms = assemble_drift_terms(
+            small_basis, small_basis.scatter(c), np.zeros(small_basis.n), params,
+            NoiseModel("saturating", 0.5, 4), convection=True)
+        assert calls == ["irfft2", "rfft2"]
+        assert np.any(terms.s != 0.0)  # the noise projection was formed
 
 
 class TestStep:
