@@ -4,7 +4,7 @@ power-law Navier-Stokes-Voigt flow on the 2D torus."""
 __version__ = "0.1.0"
 
 from .errors import ConfigurationError, DivergenceError, ValidationError
-from .fields import SpectralField, SymTensorField
+from .fields import SpectralField
 from .galerkin import DivFreeBasis, GalerkinState, StoppingMonitor, Trajectory
 from .noise import NoiseModel, WienerIncrement
 from .rheology import RheologyParams
@@ -18,7 +18,6 @@ __all__ = [
     "RheologyParams",
     "SpectralField",
     "StoppingMonitor",
-    "SymTensorField",
     "Trajectory",
     "ValidationError",
     "WienerIncrement",

@@ -1,9 +1,13 @@
 """Spectral vector/tensor field algebra on the 2D periodic torus [0, 2pi)^2.
 
-Velocity fields live either as grid samples (shape ``(2, N, N)``) or as a
-truncated table of Fourier coefficients indexed by wavevectors ``k`` with
-``|k_x|, |k_y| <= k_max``.  Differential operators act in coefficient space;
-nonlinear products are formed on the grid and truncated by the 2/3 rule.
+Velocity fields live either as grid samples or as a truncated table of
+Fourier coefficients indexed by wavevectors ``k`` with ``|k_x|, |k_y| <= k_max``.
+Differential operators act in coefficient space; nonlinear products are formed
+on the grid and truncated by the 2/3 rule.  One layout serves every pointwise
+operator, over any leading axes: vectors ``(..., 2, N, N)``, symmetric tensors
+``(..., 3, N, N)`` of their xx, xy, yy entries, Jacobians ``(..., 2, 2, N, N)``,
+with ``2K+1, 2K+1`` for ``N, N`` in coefficient tables.  Operators reduce over
+the component axis -3 or the trailing axes, never over axis 0.
 
 One transform pair, :func:`to_grid`/:func:`from_grid`, maps centered tables
 (..., 2K+1, 2K+1) to grid samples (..., N, N) and back over any leading axes,
@@ -18,7 +22,7 @@ L2 inner product ``(u, v) = 4 pi^2 sum_k uhat(k) . conj(vhat(k))``.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,9 +146,10 @@ def from_grid(v: np.ndarray, k_max: int) -> np.ndarray:
 
 
 def gradient_table(coeffs: np.ndarray) -> np.ndarray:
-    """Gradient tables ``out[i] = i k_i coeffs``, shape (2, ...), of tables (..., 2K+1, 2K+1)."""
+    """Jacobian tables (..., 2, 2, 2K+1, 2K+1), ``out[..., i, j] = i k_i coeffs[..., j]``,
+    of vector tables (..., 2, 2K+1, 2K+1)."""
     kx, ky = wavenumbers((coeffs.shape[-1] - 1) // 2)
-    return np.stack([1j * kx * coeffs, 1j * ky * coeffs])
+    return np.stack([1j * kx * coeffs, 1j * ky * coeffs], axis=-4)
 
 
 def gradient(f: SpectralField) -> np.ndarray:
@@ -160,43 +165,24 @@ def tensor_divergence(t: np.ndarray) -> np.ndarray:
     return np.stack([1j * (kx * xx + ky * xy), 1j * (kx * xy + ky * yy)], axis=-3)
 
 
-@dataclass
-class SymTensorField:
-    """Symmetric 2x2 tensor field on the grid, stored as its 3 independent entries."""
-
-    xx: np.ndarray
-    xy: np.ndarray
-    yy: np.ndarray
-    grid_size: int = field(default=0)
-
-    def __post_init__(self):
-        self.xx = np.asarray(self.xx, dtype=float)
-        self.xy = np.asarray(self.xy, dtype=float)
-        self.yy = np.asarray(self.yy, dtype=float)
-        if not (self.xx.shape == self.xy.shape == self.yy.shape):
-            raise ValidationError("tensor components must share a shape")
-        self.grid_size = self.xx.shape[0]
-
-    def modulus(self) -> np.ndarray:
-        """Pointwise Frobenius modulus |T| = sqrt(T11^2 + 2 T12^2 + T22^2)."""
-        return np.sqrt(self.xx**2 + 2.0 * self.xy**2 + self.yy**2)
-
-    def contract(self, other: "SymTensorField") -> np.ndarray:
-        """Pointwise double contraction T:S."""
-        return self.xx * other.xx + 2.0 * self.xy * other.xy + self.yy * other.yy
-
-    def scaled(self, w: np.ndarray) -> "SymTensorField":
-        return SymTensorField(w * self.xx, w * self.xy, w * self.yy)
-
-    def divergence(self, k_max: int) -> np.ndarray:
-        """Centered coefficient table (2, 2K+1, 2K+1) of div T, truncated to |k_i| <= k_max."""
-        return tensor_divergence(from_grid(np.stack([self.xx, self.xy, self.yy]), k_max))
+def sym_gradient(jac: np.ndarray) -> np.ndarray:
+    """Symmetric part D = (J + J^T) / 2 of Jacobians J[..., i, j] = d_i u_j of
+    shape (..., 2, 2, N, N), as the (..., 3, N, N) stack of its xx, xy, yy entries."""
+    return np.stack([jac[..., 0, 0, :, :], 0.5 * (jac[..., 1, 0, :, :] + jac[..., 0, 1, :, :]),
+                     jac[..., 1, 1, :, :]], axis=-3)
 
 
-def sym_gradient(u: SpectralField) -> SymTensorField:
-    """Symmetric part of the velocity gradient, D(u) = (grad u + grad u^T) / 2."""
-    j = gradient(u)
-    return SymTensorField(j[0, 0], 0.5 * (j[1, 0] + j[0, 1]), j[1, 1])
+def sym_contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise double contraction A:B = A11 B11 + 2 A12 B12 + A22 B22 of
+    symmetric tensors (..., 3, N, N), over the entry axis -3."""
+    return (a[..., 0, :, :] * b[..., 0, :, :] + 2.0 * a[..., 1, :, :] * b[..., 1, :, :]
+            + a[..., 2, :, :] * b[..., 2, :, :])
+
+
+def sym_modulus(t: np.ndarray) -> np.ndarray:
+    """Pointwise Frobenius modulus |T| = sqrt(T11^2 + 2 T12^2 + T22^2) of
+    symmetric tensors (..., 3, N, N)."""
+    return np.sqrt(t[..., 0, :, :] ** 2 + 2.0 * t[..., 1, :, :] ** 2 + t[..., 2, :, :] ** 2)
 
 
 def leray_project(v: np.ndarray, k_max: int) -> SpectralField:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import fields
 from .errors import ConfigurationError, DivergenceError, ValidationError
-from .fields import SpectralField, SymTensorField, from_grid, mode_table, quad_weight, to_grid
+from .fields import SpectralField, from_grid, mode_table, quad_weight, to_grid
 from .noise import NoiseModel, sample_increment
 from .rheology import RheologyParams, power_law_stress, stabilizer
 
@@ -114,35 +114,39 @@ class DivFreeBasis:
     def mass_multipliers(self, kappa: float) -> np.ndarray:
         return 1.0 + kappa * self.k2
 
-    def scatter(self, c: np.ndarray) -> SpectralField:
-        """Coefficient vector -> spectral field (u = sum_j c_j psi_j)."""
-        c = np.asarray(c, dtype=float)
+    def scatter(self, c: np.ndarray) -> np.ndarray:
+        """Coefficients (..., n) -> vector tables (..., 2, 2K+1, 2K+1), K = ``k_max``,
+        of u = sum_j c_j psi_j."""
+        c = np.asarray(c, dtype=float)[..., None, :]
         k = self.k_max
-        coeffs = np.zeros((2, 2 * k + 1, 2 * k + 1), dtype=complex)
-        np.add.at(coeffs, (slice(None), self._rows_p, self._cols_p), c * self._w_plus * self.pol.T)
-        np.add.at(coeffs, (slice(None), self._rows_m, self._cols_m), c * self._w_minus * self.pol.T)
-        return SpectralField(coeffs, self.grid_size)
+        coeffs = np.zeros(c.shape[:-2] + (2, 2 * k + 1, 2 * k + 1), dtype=complex)
+        np.add.at(coeffs, (..., self._rows_p, self._cols_p), c * self._w_plus * self.pol.T)
+        np.add.at(coeffs, (..., self._rows_m, self._cols_m), c * self._w_minus * self.pol.T)
+        return coeffs
 
     def gather(self, coeffs: np.ndarray) -> np.ndarray:
-        """L2 pairings (f, psi_j) for the table ``coeffs`` of f; the orthogonal projection."""
+        """L2 pairings (f, psi_j), shape (..., n), for the vector tables
+        (..., 2, 2K'+1, 2K'+1) of f, K' >= ``k_max``; the orthogonal projection."""
         off = (coeffs.shape[-1] - 1) // 2 - self.k_max
         if off < 0:
             raise ValidationError("field truncation too small for this basis")
-        vals = coeffs[:, self._rows_p + off, self._cols_p + off]
-        z = self.pol[:, 0] * vals[0] + self.pol[:, 1] * vals[1]
+        vals = coeffs[..., self._rows_p + off, self._cols_p + off]
+        z = self.pol[:, 0] * vals[..., 0, :] + self.pol[:, 1] * vals[..., 1, :]
         amp = 2.0 * np.sqrt(2.0) * np.pi
-        return np.where(
+        # C order: over a stack, the fancy index leaves the mode axis outermost
+        # in memory, and BLAS dot products of strided rows round differently
+        return np.ascontiguousarray(np.where(
             self.phase == _COS, amp * z.real,
             np.where(self.phase == _SIN, -amp * z.imag, 2.0 * np.pi * z.real),
-        )
+        ))
 
     def gather_grid(self, v: np.ndarray) -> np.ndarray:
         return self.gather(from_grid(v, self.k_max))
 
-    def field_norms_sq(self, c: np.ndarray) -> tuple[float, float]:
-        """(||u||_2^2, ||grad u||_2^2) in coefficient space."""
+    def field_norms_sq(self, c: np.ndarray) -> tuple:
+        """(||u||_2^2, ||grad u||_2^2) in coefficient space, for coefficients (..., n)."""
         c = np.asarray(c, dtype=float)
-        return float(np.sum(c * c)), float(np.sum(self.k2 * c * c))
+        return np.sum(c * c, axis=-1), np.sum(self.k2 * c * c, axis=-1)
 
     def energy(self, c: np.ndarray, kappa: float) -> float:
         """||u||_2^2 + kappa ||grad u||_2^2."""
@@ -172,45 +176,50 @@ def forcing_at(forcing: np.ndarray, step):
 
 @dataclass
 class PointwiseTerms:
-    """Grid fields of one state: the pointwise stage of the drift kernel,
-    also read by the pressure sources.  Terms that are switched off are None."""
+    """Grid fields of a state, or of a stack of states along the leading axes
+    ``...``: the pointwise stage of the drift kernel, also read by the
+    pressure sources.  Terms that are switched off are None."""
 
-    u: np.ndarray                   # (2, N, N) velocity samples
-    jac: np.ndarray                 # (2, 2, N, N) Jacobian J[i, j] = d_i u_j
-    d: SymTensorField               # D(u) = (J + J^T) / 2
-    stress: SymTensorField          # A = |D|^(p-2) D, without the factor nu
-    conv: SymTensorField | None     # u x u; None with convection off
-    damping: np.ndarray | None      # alpha |u|^(q-2) u; None when alpha = 0
-    noise_shape: np.ndarray | None  # shape(u); None when the noise is off
+    u: np.ndarray                   # (..., 2, N, N) velocity samples
+    jac: np.ndarray                 # (..., 2, 2, N, N) Jacobian J[i, j] = d_i u_j
+    d: np.ndarray                   # (..., 3, N, N) D(u) = (J + J^T) / 2
+    stress: np.ndarray              # (..., 3, N, N) A = |D|^(p-2) D, without the factor nu
+    conv: np.ndarray | None         # (..., 3, N, N) u x u; None with convection off
+    damping: np.ndarray | None      # (..., 2, N, N) alpha |u|^(q-2) u; None when alpha = 0
+    noise_shape: np.ndarray | None  # (..., 2, N, N) shape(u); None when the noise is off
 
     @classmethod
-    def at(cls, u: SpectralField, params: RheologyParams, noise: NoiseModel,
+    def at(cls, u: np.ndarray, grid_size: int, params: RheologyParams, noise: NoiseModel,
            convection: bool) -> "PointwiseTerms":
-        rows = to_grid(np.concatenate([u.coeffs[None], fields.gradient_table(u.coeffs)]), u.grid_size)
-        u_grid, jac = rows[0], rows[1:]
-        d = SymTensorField(jac[0, 0], 0.5 * (jac[1, 0] + jac[0, 1]), jac[1, 1])
-        u0, u1 = u_grid
+        """The grid fields of the velocity tables ``u`` (..., 2, 2K+1, 2K+1)."""
+        rows = to_grid(np.concatenate([u[..., None, :, :, :], fields.gradient_table(u)], axis=-4),
+                       grid_size)
+        u_grid, jac = rows[..., 0, :, :, :], rows[..., 1:, :, :, :]
+        d = fields.sym_gradient(jac)
+        u0, u1 = u_grid[..., 0, :, :], u_grid[..., 1, :, :]
         return cls(
             u=u_grid,
             jac=jac,
             d=d,
-            stress=power_law_stress(d, params),
-            conv=SymTensorField(u0 * u0, u0 * u1, u1 * u1) if convection else None,
+            stress=power_law_stress(d, params.p),
+            conv=np.stack([u0 * u0, u0 * u1, u1 * u1], axis=-3) if convection else None,
             damping=stabilizer(u_grid, params) if params.alpha > 0 else None,
             noise_shape=noise.shape(u_grid) if noise.active else None,
         )
 
     def source_tables(self, k_max: int) -> tuple:
-        """Tables of (div A, div(u x u), alpha |u|^(q-2) u, shape(u)) to |k_i| <= k_max,
-        by one forward transform of the rows present; a term that is off gives None."""
+        """Tables of (div A, div(u x u), alpha |u|^(q-2) u, shape(u)), each
+        (..., 2, 2K+1, 2K+1) with K = ``k_max``, by one forward transform of
+        the terms present, stacked on axis -3; a term that is off gives None."""
         tensors = [t for t in (self.stress, self.conv) if t is not None]
         vectors = [v for v in (self.damping, self.noise_shape) if v is not None]
-        rows = [c for t in tensors for c in (t.xx, t.xy, t.yy)] + [c for v in vectors for c in v]
-        tables = from_grid(np.stack(rows), k_max)
-        divs = iter(fields.tensor_divergence(tables[: 3 * len(tensors)].reshape(-1, 3, *tables.shape[1:])))
-        vecs = iter(tables[3 * len(tensors) :].reshape(-1, 2, *tables.shape[1:]))
-        kinds = ((self.stress, divs), (self.conv, divs), (self.damping, vecs), (self.noise_shape, vecs))
-        return tuple(None if term is None else next(it) for term, it in kinds)
+        tables = from_grid(np.concatenate(tensors + vectors, axis=-3), k_max)
+        lead, k, nt = tables.shape[:-3], tables.shape[-2:], 3 * len(tensors)
+        divs = fields.tensor_divergence(tables[..., :nt, :, :].reshape(lead + (-1, 3) + k))
+        divs = iter(np.moveaxis(divs, -4, 0))
+        vecs = iter(np.moveaxis(tables[..., nt:, :, :].reshape(lead + (-1, 2) + k), -4, 0))
+        return (*(None if t is None else next(divs) for t in (self.stress, self.conv)),
+                *(None if v is None else next(vecs) for v in (self.damping, self.noise_shape)))
 
 
 @dataclass
@@ -222,11 +231,12 @@ class DriftTerms:
     dissipation_p: float   # ||D(u)||_p^p by grid quadrature
     grad_p: float          # ||grad u||_p^p by grid quadrature
     damping_q: float       # ||u||_q^q by grid quadrature
+    max_speed: float       # max |u| over the grid
 
 
 def assemble_drift_terms(
     basis: DivFreeBasis,
-    u: SpectralField,
+    u: np.ndarray,
     f_coeffs: np.ndarray,
     params: RheologyParams,
     noise: NoiseModel,
@@ -235,23 +245,29 @@ def assemble_drift_terms(
     """The drift kernel: Galerkin drift b_j = (f,psi_j) + (u x u : grad psi_j)
     - nu (A(u) : D(psi_j)) - alpha (a(u), psi_j), the noise projection
     s_j = (shape(u), psi_j), so that phi_k(u) projects to scale_k * s, and the
-    quadrature scalars of the energy functionals, all from one pointwise stage."""
-    pw = PointwiseTerms.at(u, params, noise, convection)
-    stress_div, conv_div, damping, noise_shape = pw.source_tables(basis.k_max)
+    quadrature scalars of the energy functionals, all from one pointwise stage.
+    ``u`` is the state's vector table (2, 2K+1, 2K+1), as :meth:`DivFreeBasis.scatter`
+    gives it."""
+    pw = PointwiseTerms.at(u, basis.grid_size, params, noise, convection)
+    sources = pw.source_tables(basis.k_max)
+    pairings = iter(basis.gather(np.stack([t for t in sources if t is not None])))
+    stress, conv, damping, shape = (None if t is None else next(pairings) for t in sources)
     w = quad_weight(basis.grid_size)
     b = np.asarray(f_coeffs, dtype=float).copy()
-    if conv_div is not None:
-        b -= basis.gather(conv_div)
-    b += params.nu * basis.gather(stress_div)
+    if conv is not None:
+        b -= conv
+    b += params.nu * stress
     if damping is not None:
-        b -= basis.gather(damping)
-    s = basis.gather(noise_shape) if noise_shape is not None else np.zeros(basis.n)
+        b -= damping
+    s = shape if shape is not None else np.zeros(basis.n)
+    speed = np.sqrt((pw.u**2).sum(axis=-3))
     return DriftTerms(
         b=b,
         s=s,
-        dissipation_p=float(np.sum(pw.d.modulus() ** params.p) * w),
-        grad_p=float(np.sum(np.sqrt(np.sum(pw.jac**2, axis=(0, 1))) ** params.p) * w),
-        damping_q=float(np.sum(np.sqrt(np.sum(pw.u**2, axis=0)) ** params.q) * w),
+        dissipation_p=float((fields.sym_modulus(pw.d) ** params.p).sum(axis=(-2, -1)) * w),
+        grad_p=float((np.sqrt((pw.jac**2).sum(axis=(-4, -3))) ** params.p).sum(axis=(-2, -1)) * w),
+        damping_q=float((speed**params.q).sum(axis=(-2, -1)) * w),
+        max_speed=float(speed.max(axis=(-2, -1))),
     )
 
 
@@ -277,9 +293,6 @@ class GalerkinState:
             raise ValidationError(f"coefficient vector has shape {self.c.shape}, expected ({self.basis.n},)")
         if self.dt <= 0:
             raise ValidationError(f"dt={self.dt} must be positive")
-
-    def field(self) -> SpectralField:
-        return self.basis.scatter(self.c)
 
     def grad_norm(self) -> float:
         return float(np.sqrt(self.basis.field_norms_sq(self.c)[1]))
@@ -328,7 +341,7 @@ class Trajectory:
         return len(self.times) - 1
 
     def field_at(self, i: int) -> SpectralField:
-        return self.basis.scatter(self.coeffs[i])
+        return SpectralField(self.basis.scatter(self.coeffs[i]), self.basis.grid_size)
 
     def energies(self) -> np.ndarray:
         kappa = self.params.kappa
@@ -361,14 +374,6 @@ def run(
     mass = basis.mass_multipliers(params.kappa)
     scales = noise.mode_scales()
 
-    speed0 = float(np.max(np.sqrt(np.sum(to_grid(state0.field().coeffs, basis.grid_size) ** 2, axis=0))))
-    cfl = dt * speed0 * basis.k_max
-    if cfl > 0.5:
-        warnings.warn(
-            f"dt*max|u|*k_max = {cfl:.3g} > 0.5: explicit convection may be unstable",
-            stacklevel=2,
-        )
-
     state = state0
     times = [state.t]
     coeffs = [state.c.copy()]
@@ -378,9 +383,15 @@ def run(
     # state and gives that state's record row, the final state's included.
     while True:
         terms = assemble_drift_terms(
-            basis, state.field(), forcing_at(state.forcing, state.step_index), params, noise,
+            basis, basis.scatter(state.c), forcing_at(state.forcing, state.step_index), params, noise,
             convection=state.convection,
         )
+        cfl = dt * terms.max_speed * basis.k_max
+        if not record and cfl > 0.5:  # checked at the initial state only
+            warnings.warn(
+                f"dt*max|u|*k_max = {cfl:.3g} > 0.5: explicit convection may be unstable",
+                stacklevel=2,
+            )
         record.append((
             terms.dissipation_p, terms.grad_p, terms.damping_q,
             float(np.sum(terms.s * terms.s / mass)), float(np.dot(state.c, terms.s)),
@@ -432,9 +443,7 @@ def trajectory_csv(path, traj: Trajectory) -> None:
     from .analysis import ledger_from_trajectory  # local import to keep layering one-way
 
     ledger = ledger_from_trajectory(traj)
-    c = traj.coeffs
-    l2 = np.sum(c * c, axis=1)
-    g2 = np.sum(traj.basis.k2 * c * c, axis=1)
+    l2, g2 = traj.basis.field_norms_sq(traj.coeffs)
     columns = (
         traj.times, np.sqrt(l2), np.sqrt(g2), traj.grad_p, traj.damping_q,
         l2 + traj.params.kappa * g2,

@@ -74,13 +74,14 @@ class NoiseModel:
         return self.amplitude / (k * k)
 
     def shape(self, u: np.ndarray) -> np.ndarray:
-        """The amplitude-one pointwise profile shared by every mode."""
+        """The amplitude-one pointwise profile shared by every mode, on grid
+        samples (..., 2, N, N)."""
         u = np.asarray(u, dtype=float)
         if self.family == "linear":
             return u
         if self.family == "saturating":
-            speed = np.sqrt(np.sum(u**2, axis=0))
-            return u / (1.0 + speed)[None, ...]
+            speed = np.sqrt(np.sum(u**2, axis=-3, keepdims=True))
+            return u / (1.0 + speed)
         return np.zeros_like(u)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fields
 from .errors import ValidationError
-from .fields import SymTensorField, from_grid, quad_weight, to_grid
+from .fields import from_grid, quad_weight, to_grid
 from .galerkin import PointwiseTerms, Trajectory, forcing_at
 
 
@@ -35,10 +35,11 @@ def _lift(v: np.ndarray, grid_size: int) -> np.ndarray:
     return to_grid(np.where(k2 > 0, -div / np.where(k2 > 0, k2, 1.0), 0.0), grid_size)
 
 
-def recover_pressure(H: SymTensorField) -> np.ndarray:
-    """Mean-zero grid pressure with laplace(pi) = div div H."""
-    n = H.grid_size
-    return _lift(H.divergence((n - 2) // 2), n)
+def recover_pressure(H: np.ndarray) -> np.ndarray:
+    """Mean-zero grid pressures (..., N, N) with laplace(pi) = div div H, for
+    symmetric tensor fields H of shape (..., 3, N, N)."""
+    n = H.shape[-1]
+    return _lift(fields.tensor_divergence(from_grid(H, (n - 2) // 2)), n)
 
 
 @dataclass
@@ -80,16 +81,17 @@ def _slice_sources(traj: Trajectory, i: int, k_max: int):
     decomposition follows whatever parameters the trajectory carries.
     """
     params = traj.params
-    pw = PointwiseTerms.at(traj.field_at(i), params, traj.noise, traj.convection)
+    basis = traj.basis
+    pw = PointwiseTerms.at(basis.scatter(traj.coeffs[i]), basis.grid_size, params, traj.noise,
+                           traj.convection)
     stress_div, conv_div, damping, noise = pw.source_tables(k_max)
     stress = params.nu * stress_div
     rest = -conv_div if conv_div is not None else np.zeros_like(stress)
     fc = forcing_at(traj.forcing, i)
     if np.any(fc):
-        f_spec = traj.basis.scatter(fc)
-        off = f_spec.k_max
+        off = basis.k_max
         sl = slice(k_max - off, k_max + off + 1)
-        rest[:, sl, sl] += f_spec.coeffs
+        rest[..., sl, sl] += basis.scatter(fc)
     if damping is not None:
         rest -= damping
     return stress, rest, noise

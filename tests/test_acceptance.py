@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nsvsim import analysis, cli, fields, pressure
+from nsvsim import analysis, cli, fields, pressure, rheology
 from nsvsim.galerkin import DivFreeBasis, GalerkinState, run
 from nsvsim.noise import NoiseModel
 from nsvsim.rheology import RheologyParams, monotonicity_sweep
@@ -46,13 +46,29 @@ def test_criterion_02_korn_identity():
     for seed in range(100):
         rng = np.random.default_rng([2026, seed])
         u = fields.leray_project(rng.standard_normal((2, 64, 64)), 20)
-        d = fields.sym_gradient(u)
-        lhs = float(np.sum(d.modulus() ** 2) * fields.quad_weight(64))
+        d = fields.sym_gradient(fields.gradient(u))
+        lhs = float(np.sum(fields.sym_modulus(d) ** 2) * fields.quad_weight(64))
         rhs = 0.5 * fields.grad_l2_norm(u) ** 2
         worst = max(worst, abs(lhs - rhs) / rhs)
     passed = worst < 1e-10
     report(2, passed, f"||D(u)||_2^2 = ||grad u||_2^2 / 2 to {worst:.3e} over 100 fields")
     assert passed
+
+
+def test_criterion_01_fails_on_a_sign_flipped_stress(monkeypatch):
+    stress = rheology.power_law_stress
+    monkeypatch.setattr(rheology, "power_law_stress", lambda d, p: -stress(d, p))
+    violations, worst = monotonicity_sweep(2.0, samples=1000, seed=2026)
+    assert violations > 0 and worst < 0.0
+    with pytest.raises(AssertionError):
+        test_criterion_01_monotonicity_sweeps()
+
+
+def test_criterion_02_fails_on_a_doubled_symmetric_gradient(monkeypatch):
+    sym_gradient = fields.sym_gradient
+    monkeypatch.setattr(fields, "sym_gradient", lambda jac: 2.0 * sym_gradient(jac))
+    with pytest.raises(AssertionError):
+        test_criterion_02_korn_identity()
 
 
 def test_criterion_03_euler_voigt_conservation():
@@ -182,7 +198,7 @@ def test_criterion_07_alpha_sweep():
 def test_criterion_08_pressure():
     xx, yy = np.meshgrid(*(np.arange(64) * 2 * np.pi / 64,) * 2, indexing="ij")
     u = np.stack([np.sin(xx) * np.cos(yy), -np.cos(xx) * np.sin(yy)])
-    h = fields.SymTensorField(u[0] * u[0], u[0] * u[1], u[1] * u[1])
+    h = np.stack([u[0] * u[0], u[0] * u[1], u[1] * u[1]])
     pi = pressure.recover_pressure(h)
     tg_err = float(np.max(np.abs(pi + 0.25 * (np.cos(2 * xx) + np.cos(2 * yy)))))
 

@@ -88,6 +88,16 @@ class TestParseConfig:
         assert pair.split("=")[0] in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("pair", ["ic.energy=-1", "monitor.threshold=-1"])
+    def test_negative_energy_and_threshold_exit_2(self, pair, tmp_path, capsys):
+        key = pair.split("=")[0]
+        with pytest.raises(ConfigurationError, match=f"^{key}=-1.0 must be >= 0"):
+            cli.parse_config(None, [pair])
+        rc = cli.main(["simulate", "--override", pair, "--override", "steps=10",
+                       "--override", "dt=0.005", "--override", "T=0.05", "--out", str(tmp_path)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
     def test_huge_steps_rejected(self):
         with pytest.raises(ConfigurationError, match="^steps="):
             cli.parse_config(None, ["steps=1" + "0" * 400])
@@ -177,7 +187,7 @@ class TestExperiments:
     def test_forcing_file(self, tmp_path):
         cfg = cli.parse_config(None, ["ic.kind=shear", "steps=10", "dt=0.005", "T=0.05"])
         basis = cfg.basis()
-        f = basis.scatter(cli.initial_coefficients(cfg, basis))
+        f = fields.SpectralField(basis.scatter(cli.initial_coefficients(cfg, basis)), basis.grid_size)
         snap = tmp_path / "force.bin"
         fields.save_field(snap, f)
         cfg2 = cli.parse_config(None, [
@@ -186,6 +196,18 @@ class TestExperiments:
         ])
         state = cli.make_state(cfg2, cfg2.basis())
         assert np.max(np.abs(state.forcing)) > 0.0
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_forcing_file_exits_2(self, kind, tmp_path, capsys):
+        path = tmp_path / "absent.bin" if kind == "missing" else tmp_path
+        overrides = ["steps=10", "dt=0.005", "T=0.05", "forcing.kind=file", f"forcing.path={path}"]
+        cfg = cli.parse_config(None, overrides)
+        with pytest.raises(ConfigurationError, match="^forcing.path"):
+            cli.forcing_coefficients(cfg, cfg.basis())
+        args = [a for ov in overrides for a in ("--override", ov)]
+        rc = cli.main(["simulate", *args, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "forcing.path" in capsys.readouterr().err
 
     def test_bogovskii_ratio_criterion_fails_above_bound(self, tmp_path, monkeypatch):
         def zeros(xis, n):

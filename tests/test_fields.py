@@ -73,19 +73,29 @@ class TestSymGradient:
         dy = lambda a: (np.roll(a, -1, axis=1) - np.roll(a, 1, axis=1)) / (2 * h)
         return dx(g[0]), 0.5 * (dy(g[0]) + dx(g[1])), dy(g[1])
 
+    def test_stack_equals_single_fields(self):
+        # sym_gradient and sym_modulus over a leading (M,) axis, bit for bit
+        jac = np.stack([fields.gradient(random_divfree(6, 32, seed)) for seed in range(4)])
+        d = fields.sym_gradient(jac)
+        mod = fields.sym_modulus(d)
+        assert d.shape == (4, 3, 32, 32) and mod.shape == (4, 32, 32)
+        for i in range(4):
+            assert np.array_equal(d[i], fields.sym_gradient(jac[i]))
+            assert np.array_equal(mod[i], fields.sym_modulus(d[i]))
+
     def test_zero(self):
-        d = fields.sym_gradient(fields.zero_field(3, 16))
-        assert np.all(d.xx == 0.0) and np.all(d.xy == 0.0) and np.all(d.yy == 0.0)
+        d = fields.sym_gradient(fields.gradient(fields.zero_field(3, 16)))
+        assert np.all(d[0] == 0.0) and np.all(d[1] == 0.0) and np.all(d[2] == 0.0)
 
     def test_shear_closed_form(self):
         f = fields.zero_field(2, 32)
         f.coeffs[0, 2, 3] = -0.5j
         f.coeffs[0, 2, 1] = 0.5j
-        d = fields.sym_gradient(f)
+        d = fields.sym_gradient(fields.gradient(f))
         _, yy = torus_grid(32)
-        assert np.allclose(d.xy, 0.5 * np.cos(yy), atol=1e-13)
-        assert np.allclose(d.xx, 0.0, atol=1e-13)
-        assert np.allclose(d.yy, 0.0, atol=1e-13)
+        assert np.allclose(d[1], 0.5 * np.cos(yy), atol=1e-13)
+        assert np.allclose(d[0], 0.0, atol=1e-13)
+        assert np.allclose(d[2], 0.0, atol=1e-13)
 
     def test_periodic_rotation_matches_finite_differences(self):
         # u = (-sin y, sin x): D = [[0, (cos x - cos y)/2], [(cos x - cos y)/2, 0]]
@@ -93,12 +103,12 @@ class TestSymGradient:
         xx, yy = torus_grid(n)
         g = np.stack([-np.sin(yy), np.sin(xx)])
         f = fields.SpectralField(fields.from_grid(g, 4), n)
-        d = fields.sym_gradient(f)
-        assert np.allclose(d.xy, 0.5 * (np.cos(xx) - np.cos(yy)), atol=1e-13)
+        d = fields.sym_gradient(fields.gradient(f))
+        assert np.allclose(d[1], 0.5 * (np.cos(xx) - np.cos(yy)), atol=1e-13)
         fd = self._fd_sym_gradient(g)
         # second-order oracle on a fine grid
-        assert np.max(np.abs(d.xy - fd[1])) < 1e-3
-        assert np.max(np.abs(d.xx - fd[0])) < 1e-3
+        assert np.max(np.abs(d[1] - fd[1])) < 1e-3
+        assert np.max(np.abs(d[0] - fd[0])) < 1e-3
 
 
 class TestLeray:
@@ -155,8 +165,8 @@ class TestNorms:
     @given(seed=st.integers(0, 2**31))
     def test_korn_identity(self, seed):
         u = random_divfree(9, 32, seed)
-        d = fields.sym_gradient(u)
-        lhs = np.sum(d.modulus() ** 2) * fields.quad_weight(32)
+        d = fields.sym_gradient(fields.gradient(u))
+        lhs = np.sum(fields.sym_modulus(d) ** 2) * fields.quad_weight(32)
         rhs = 0.5 * fields.grad_l2_norm(u) ** 2
         assert lhs == pytest.approx(rhs, rel=1e-10)
 

@@ -9,6 +9,7 @@ from nsvsim.errors import ConfigurationError, DivergenceError, ValidationError
 from nsvsim.galerkin import (
     DivFreeBasis,
     GalerkinState,
+    PointwiseTerms,
     StoppingMonitor,
     assemble_drift_terms,
     run,
@@ -48,13 +49,13 @@ def make_state(basis, c, params, noise=OFF, dt=1e-3, **kw) -> GalerkinState:
 class TestBasis:
     def test_orthonormal_round_trip(self, small_basis, rng):
         c = rng.standard_normal(small_basis.n)
-        f = small_basis.scatter(c)
+        f = fields.SpectralField(small_basis.scatter(c), small_basis.grid_size)
         assert fields.divergence_error(f) < 1e-12
         assert np.max(np.abs(small_basis.gather(f.coeffs) - c)) < 1e-12
 
     def test_coefficient_norms_match_field_norms(self, small_basis, rng):
         c = rng.standard_normal(small_basis.n)
-        f = small_basis.scatter(c)
+        f = fields.SpectralField(small_basis.scatter(c), small_basis.grid_size)
         l2, g2 = small_basis.field_norms_sq(c)
         assert l2 == pytest.approx(l2_norm(f) ** 2, rel=1e-12)
         assert g2 == pytest.approx(fields.grad_l2_norm(f) ** 2, rel=1e-12)
@@ -63,7 +64,7 @@ class TestBasis:
         # a field with more modes than the span: projecting shrinks both norms
         big = fields.leray_project(rng.standard_normal((2, 32, 32)), 9)
         c = small_basis.gather(big.coeffs)
-        proj = small_basis.scatter(c)
+        proj = fields.SpectralField(small_basis.scatter(c), small_basis.grid_size)
         assert np.max(np.abs(small_basis.gather(proj.coeffs) - c)) < 1e-12
         assert l2_norm(proj) <= l2_norm(big) * (1 + 1e-12)
         assert fields.grad_l2_norm(proj) <= fields.grad_l2_norm(big) * (1 + 1e-12)
@@ -176,6 +177,51 @@ class TestDrift:
             expected = conv - diss
             assert b[j] == pytest.approx(expected, abs=1e-10)
 
+
+    @pytest.mark.parametrize("convection,alpha,family", [
+        (True, 0.1, "saturating"), (False, 0.0, "off"), (True, 0.0, "linear")])
+    def test_stack_equals_single_states(self, small_basis, convection, alpha, family):
+        # scatter, the pointwise stage, its source tables and gather over a
+        # leading (M,) axis give each state's single-call result bit for bit
+        params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=alpha)
+        model = NoiseModel(family, 0.5, 4)
+        c = np.stack([smooth_random_coeffs(small_basis, seed) for seed in range(4)])
+        tables = small_basis.scatter(c)
+        pw = PointwiseTerms.at(tables, small_basis.grid_size, params, model, convection)
+        sources = pw.source_tables(small_basis.k_max)
+        for i in range(len(c)):
+            assert np.array_equal(tables[i], small_basis.scatter(c[i]))
+            one = PointwiseTerms.at(tables[i], small_basis.grid_size, params, model, convection)
+            for name in ("u", "jac", "d", "stress", "conv", "damping", "noise_shape"):
+                stacked, single = getattr(pw, name), getattr(one, name)
+                assert (stacked is None) == (single is None)
+                assert single is None or np.array_equal(stacked[i], single)
+            for stacked, single in zip(sources, one.source_tables(small_basis.k_max)):
+                assert (stacked is None) == (single is None)
+                if single is not None:
+                    assert np.array_equal(stacked[i], single)
+                    pairings = small_basis.gather(stacked)
+                    assert pairings.flags.c_contiguous
+                    assert np.array_equal(pairings[i], small_basis.gather(single))
+
+    def test_two_real_transforms_per_stored_state(self, small_basis, monkeypatch):
+        # the CFL check reads max |u| from the kernel's first evaluation:
+        # a run of S steps makes 2 (S + 1) transforms and no other
+        calls = []
+        for name in ("irfft2", "rfft2"):
+            def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
+        c = smooth_random_coeffs(small_basis)
+        run(make_state(small_basis, c, params, noise=NoiseModel("linear", 0.5, 4)), 0.005)
+        assert calls == ["irfft2", "rfft2"] * 6
+        terms = assemble_drift_terms(
+            small_basis, small_basis.scatter(c), np.zeros(small_basis.n), params, OFF)
+        speed = np.sqrt(np.sum(fields.to_grid(small_basis.scatter(c), small_basis.grid_size) ** 2, axis=0))
+        assert terms.max_speed == np.max(speed)
 
     def test_two_real_transforms_per_evaluation(self, small_basis, monkeypatch):
         # one inverse transform of (u, grad u) and one forward transform of

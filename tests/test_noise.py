@@ -39,8 +39,15 @@ class TestPhiApply:
 
     def test_saturating_bounded(self):
         m = NoiseModel("saturating", 1.0, 4)
-        big = m.mode_scale(1) * m.shape(np.array([1e9, 0.0]))
+        big = m.mode_scale(1) * m.shape(np.array([1e9, 0.0])[:, None, None])
         assert np.linalg.norm(big) <= 1.0 + 1e-9
+
+    def test_saturating_stack_equals_single_fields(self):
+        m = NoiseModel("saturating", 1.0, 4)
+        u = np.random.default_rng(5).standard_normal((4, 2, 8, 8))
+        out = m.shape(u)
+        for i in range(4):
+            assert np.array_equal(out[i], m.shape(u[i]))
 
     def test_mode_out_of_range(self):
         m = NoiseModel("linear", 1.0, 4)

@@ -41,32 +41,32 @@ class TestParams:
             RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=1.0, alpha=-0.5)
 
 
-def _tensor(entries) -> fields.SymTensorField:
+def _tensor(entries) -> np.ndarray:
     xx, xy, yy = entries
     one = np.ones((4, 4))
-    return fields.SymTensorField(xx * one, xy * one, yy * one)
+    return np.stack([xx * one, xy * one, yy * one])
 
 
 class TestStress:
     def test_newtonian_identity(self):
         d = _tensor((0.7, -0.3, 1.1))
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=1.0)
-        a = power_law_stress(d, params)
-        assert np.array_equal(a.xx, d.xx) and np.array_equal(a.xy, d.xy)
+        a = power_law_stress(d, params.p)
+        assert np.array_equal(a[0], d[0]) and np.array_equal(a[1], d[1])
 
     def test_zero_convention_below_two(self):
         d = _tensor((0.0, 0.0, 0.0))
         params = RheologyParams(p=1.5, q=3.0, nu=1.0, kappa=1.0)
-        a = power_law_stress(d, params)
-        assert np.all(a.xx == 0.0) and np.all(np.isfinite(a.xx))
+        a = power_law_stress(d, params.p)
+        assert np.all(a[0] == 0.0) and np.all(np.isfinite(a[0]))
 
     def test_diagonal_oracle_p3(self):
         # D = diag(1, -1): |D| = sqrt(2), A = sqrt(2) diag(1, -1)
         d = _tensor((1.0, 0.0, -1.0))
         params = RheologyParams(p=3.0, q=4.0, nu=1.0, kappa=1.0)
-        a = power_law_stress(d, params)
-        assert a.xx[0, 0] == pytest.approx(np.sqrt(2.0), rel=1e-15)
-        assert a.yy[0, 0] == pytest.approx(-np.sqrt(2.0), rel=1e-15)
+        a = power_law_stress(d, params.p)
+        assert a[0, 0, 0] == pytest.approx(np.sqrt(2.0), rel=1e-15)
+        assert a[2, 0, 0] == pytest.approx(-np.sqrt(2.0), rel=1e-15)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -77,16 +77,33 @@ class TestStress:
     def test_positive_homogeneity(self, p, lam, seed):
         rng = np.random.default_rng(seed)
         m = rng.standard_normal((4, 4))
-        d = fields.SymTensorField(m, rng.standard_normal((4, 4)), -m)
+        d = np.stack([m, rng.standard_normal((4, 4)), -m])
         params = RheologyParams(p=p, q=6.0, nu=1.0, kappa=1.0)
-        a1 = power_law_stress(d.scaled(np.full((4, 4), lam)), params)
-        a0 = power_law_stress(d, params)
+        a1 = power_law_stress(np.full((4, 4), lam) * d, params.p)
+        a0 = power_law_stress(d, params.p)
         scale = lam ** (p - 1.0)
-        for c0, c1 in ((a0.xx, a1.xx), (a0.xy, a1.xy), (a0.yy, a1.yy)):
+        for c0, c1 in zip(a0, a1):
             assert np.allclose(c1, scale * c0, rtol=1e-12, atol=1e-12)
 
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_stack_equals_single_fields(self, p, rng):
+        d = rng.standard_normal((4, 3, 8, 8))
+        d[1, :, :2] = 0.0  # the zero convention inside a stack
+        a = power_law_stress(d, p)
+        for i in range(4):
+            assert np.array_equal(a[i], power_law_stress(d[i], p))
+
+
 class TestStabilizer:
+    def test_stack_equals_single_fields(self, rng):
+        params = RheologyParams(p=2.0, q=4.5, nu=1.0, kappa=1.0, alpha=0.5)
+        u = rng.standard_normal((4, 2, 8, 8))
+        u[2, :, 3:] = 0.0
+        out = stabilizer(u, params)
+        for i in range(4):
+            assert np.array_equal(out[i], stabilizer(u[i], params))
+
     def test_zero(self):
         params = RheologyParams(p=2.0, q=4.0, nu=1.0, kappa=1.0, alpha=2.0)
         out = stabilizer(np.zeros((2, 4, 4)), params)
@@ -127,6 +144,18 @@ class TestMonotonicity:
             assert rep.holds
             assert rep.rhs == pytest.approx(2.0 * rep.lhs, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [1.2, 2.0, 3.0])
+    def test_stack_equals_single_pairs(self, p, rng):
+        ab = rng.uniform(-5.0, 5.0, size=(6, 2, 2, 2))
+        ab = 0.5 * (ab + np.swapaxes(ab, -1, -2))
+        ab[0, 1] = ab[0, 0]  # an equal pair
+        ab[1, 1] = 0.0       # a zero tensor
+        rep = monotonicity_gap(ab[:, 0], ab[:, 1], p)
+        for i in range(len(ab)):
+            one = monotonicity_gap(ab[i, 0], ab[i, 1], p)
+            for name in ("lhs", "rhs", "product", "scale", "holds"):
+                assert np.array_equal(getattr(rep, name)[i], getattr(one, name))
+
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValidationError):
             monotonicity_gap(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2), 2.0)
@@ -144,12 +173,12 @@ class TestMonotonicity:
         for seed in range(10):
             u = random_divfree(6, 32, seed)
             v = random_divfree(6, 32, seed + 100)
-            du, dv = fields.sym_gradient(u), fields.sym_gradient(v)
-            au, av = power_law_stress(du, params), power_law_stress(dv, params)
-            gap = fields.SymTensorField(au.xx - av.xx, au.xy - av.xy, au.yy - av.yy)
-            dd = fields.SymTensorField(du.xx - dv.xx, du.xy - dv.xy, du.yy - dv.yy)
-            val = np.sum(gap.contract(dd)) * w
-            scale = np.sum(du.modulus() ** params.p + dv.modulus() ** params.p) * w
+            du, dv = fields.sym_gradient(fields.gradient(u)), fields.sym_gradient(fields.gradient(v))
+            au, av = power_law_stress(du, params.p), power_law_stress(dv, params.p)
+            gap = au - av
+            dd = du - dv
+            val = np.sum(fields.sym_contract(gap, dd)) * w
+            scale = np.sum(fields.sym_modulus(du) ** params.p + fields.sym_modulus(dv) ** params.p) * w
             assert val >= -1e-10 * max(scale, 1.0)
 
     def test_report_type(self):
