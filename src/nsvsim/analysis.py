@@ -2,8 +2,8 @@
 estimation, weak-form residuals, the damping-weight sweep, and the twin-path
 uniqueness experiment.
 
-All operations are pure functions of trajectories; Monte-Carlo reductions are
-ordered by path index so aggregate statistics are schedule-independent.
+All operations are pure functions of trajectories; Monte-Carlo reductions run
+over paths in index order.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -27,11 +26,11 @@ from .galerkin import (
     DivFreeBasis,
     GalerkinState,
     StoppingMonitor,
-    Trajectory,
+    basis_capacity,
     run,
     trajectory_csv,
 )
-from .noise import NoiseModel, verify_noise_conditions
+from .noise import FAMILIES as NOISE_FAMILIES, NoiseModel, verify_noise_conditions
 from .rheology import RheologyParams, monotonicity_sweep
 
 EXPERIMENTS = (
@@ -83,6 +82,8 @@ class SimConfig:
             raise ConfigurationError(f"steps={self.steps} must lie in [0, 2**53]")
         if self.gamma < 2.0:
             raise ConfigurationError(f"gamma={self.gamma} must be >= 2 in 2D")
+        if not self.dt > 0:
+            raise ConfigurationError(f"dt={self.dt} must be positive")
         if abs(self.steps * self.dt - self.T) > 1e-12 * max(1.0, abs(self.T)):
             raise ConfigurationError(
                 f"steps*dt = {self.steps * self.dt!r} must equal T = {self.T!r} to 1e-12"
@@ -95,16 +96,33 @@ class SimConfig:
             raise ConfigurationError(
                 f"unknown forcing.kind {self.forcing_kind!r}; choose from {FORCING_KINDS}"
             )
+        if self.noise_family not in NOISE_FAMILIES:
+            raise ConfigurationError(
+                f"unknown noise.family {self.noise_family!r}; choose from {NOISE_FAMILIES}")
         if self.paths < 1:
             raise ConfigurationError("paths must be >= 1")
-        for key, value in (("ic.energy", self.ic_energy), ("monitor.threshold", self.monitor_threshold)):
+        for key, value in (("ic.energy", self.ic_energy), ("monitor.threshold", self.monitor_threshold),
+                           ("noise.amplitude", self.noise_amplitude), ("noise.modes", self.noise_modes)):
             if value < 0:
                 raise ConfigurationError(f"{key}={value} must be >= 0 (0 switches it off)")
+        # the grid and the span are checked here, before any table is built
+        if self.grid_n < 4 or self.grid_n & (self.grid_n - 1):
+            raise ConfigurationError(f"grid_n={self.grid_n} must be a power of two >= 4")
+        if self.n_modes < 1:
+            raise ConfigurationError(f"n_modes={self.n_modes} must be >= 1")
+        # moments also runs a leg at twice n_modes
+        need = 2 * self.n_modes if self.experiment == "moments" else self.n_modes
+        capacity = basis_capacity(self.grid_n, include_mean=not self.pin_mean)
+        if need > capacity:
+            raise ConfigurationError(
+                f"n_modes={self.n_modes} needs {need} basis modes for {self.experiment}, "
+                f"but grid_n={self.grid_n} supports only {capacity}")
         if self.seed < 0 or self.seed >= 2**64:
             raise ConfigurationError("seed must fit in u64")
         if self.noise_model().active and self.experiment == "energy-audit" and self.paths < 2:
             raise ConfigurationError(
-                "paths must be >= 2 for energy-audit with active noise: one path has no standard error")
+                f"paths={self.paths} must be >= 2 for experiment=energy-audit with active noise: "
+                "one path has no standard error")
 
     def rheology(self) -> RheologyParams:
         return RheologyParams(p=self.p, q=self.q, nu=self.nu, kappa=self.kappa, alpha=self.alpha)
@@ -243,7 +261,7 @@ def forcing_coefficients(cfg: SimConfig, basis: DivFreeBasis) -> np.ndarray:
     paths = sorted(glob.glob(cfg.forcing_path))
     if len(paths) < cfg.steps:
         raise ConfigurationError(
-            f"forcing sequence has {len(paths)} snapshots, need {cfg.steps}"
+            f"forcing.path: {cfg.forcing_path!r} matches {len(paths)} snapshots, need {cfg.steps}"
         )
     return np.stack([_forcing_snapshot(basis, p) for p in paths[: cfg.steps]])
 
@@ -261,28 +279,6 @@ def make_state(cfg: SimConfig, basis: DivFreeBasis, path: int = 0) -> GalerkinSt
         path=path,
         convection=cfg.convection,
     )
-
-
-def thread_count() -> int:
-    """Worker threads for the path loops, from ``NSV_THREADS`` (default 1)."""
-    raw = os.environ.get("NSV_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigurationError(f"NSV_THREADS must be an integer >= 1, got {raw!r}")
-    return workers
-
-
-def run_paths(fn, M: int) -> list:
-    """Evaluate fn(path_index) for all paths; reduction is ordered by index,
-    so results do not depend on the thread schedule."""
-    workers = thread_count()
-    if workers <= 1 or M <= 1:
-        return [fn(i) for i in range(M)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(M)))
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +330,10 @@ def _versions() -> dict:
 
 def _experiment_simulate(cfg: SimConfig, out_dir: str):
     basis = cfg.basis()
-
-    def one_path(i: int) -> Trajectory:
+    trajs = []
+    for i in range(cfg.paths):
         monitor = StoppingMonitor(cfg.monitor_threshold) if cfg.monitor_threshold > 0 else None
-        return run(make_state(cfg, basis, i), cfg.T, monitor=monitor)
-
-    trajs = run_paths(one_path, cfg.paths)
+        trajs.append(run(make_state(cfg, basis, i), cfg.T, monitor=monitor))
     criteria = []
     artifacts = []
     final = trajs[0].field_at(trajs[0].n_steps)
@@ -383,10 +377,8 @@ def _experiment_energy_audit(cfg: SimConfig, out_dir: str):
     metrics = {}
     artifacts = []
     if cfg.noise_model().active:
-        ledgers = run_paths(
-            lambda i: analysis.ledger_from_trajectory(run(make_state(cfg, basis, i), cfg.T)),
-            cfg.paths,
-        )
+        ledgers = [analysis.ledger_from_trajectory(run(make_state(cfg, basis, i), cfg.T))
+                   for i in range(cfg.paths)]
         cum = np.stack([np.cumsum(led.residual) for led in ledgers])
         mean = cum.mean(axis=0)
         se = cum.std(axis=0, ddof=1) / np.sqrt(cfg.paths)
@@ -669,7 +661,6 @@ _DISPATCH = {
 
 def run_experiment(cfg: SimConfig, out_dir: str) -> RunReport:
     cfg.validate()
-    thread_count()  # a bad NSV_THREADS fails before any work
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     try:

@@ -25,6 +25,7 @@ parameters it is handed.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -41,6 +42,13 @@ _AMP = 1.0 / (np.pi * np.sqrt(2.0))  # L2-normalization of cos/sin basis fields
 _MEAN_AMP = 1.0 / (2.0 * np.pi)
 
 
+def basis_capacity(grid_size: int, include_mean: bool = True) -> int:
+    """Number of basis fields in the alias-free band |k_x|, |k_y| <= (N - 1) // 3:
+    a cosine and a sine per half-space wavevector, and the two means if kept."""
+    k = (grid_size - 1) // 3
+    return 4 * k * (k + 1) + 2 * include_mean
+
+
 class DivFreeBasis:
     """First ``n`` real divergence-free Fourier basis fields on the torus.
 
@@ -52,26 +60,29 @@ class DivFreeBasis:
     """
 
     def __init__(self, n_modes: int, grid_size: int, include_mean: bool = True):
-        if n_modes < 1:
-            raise ConfigurationError("need at least one basis mode")
         k_limit = (grid_size - 1) // 3
         if k_limit < 1:
             raise ConfigurationError(f"grid_size={grid_size} leaves no alias-free band")
+        capacity = basis_capacity(grid_size, include_mean)
+        if not 1 <= n_modes <= capacity:
+            raise ConfigurationError(
+                f"grid_size={grid_size} supports 1 to {capacity} basis modes, requested {n_modes}"
+            )
+        # The sorted table of the square |k_x|, |k_y| <= r begins with the disk
+        # |k| <= r in the full band's order, and that disk holds at least
+        # pi (r - 1/sqrt(2))^2 wavevectors: at this r, enough for the n_modes + 1
+        # entries the loop takes, so no larger square needs sorting.
+        r = min(k_limit, math.ceil(math.sqrt((n_modes + 2) / math.pi)) + 1)
         entries: list[tuple[int, int, int]] = []
         if include_mean:
             entries.append((0, 0, _MEAN))
             entries.append((0, 0, _MEAN + 1))
-        for kx, ky in mode_table(k_limit):
+        for kx, ky in mode_table(r):
             if kx > 0 or (kx == 0 and ky > 0):
                 entries.append((kx, ky, _COS))
                 entries.append((kx, ky, _SIN))
             if len(entries) >= n_modes + 1:
                 break
-        if len(entries) < n_modes:
-            raise ConfigurationError(
-                f"grid_size={grid_size} supports only {len(entries)} basis modes, "
-                f"requested {n_modes}"
-            )
         entries = entries[:n_modes]
 
         self.n = n_modes
@@ -82,10 +93,6 @@ class DivFreeBasis:
         self.phase = np.array([min(e[2], _MEAN) for e in entries], dtype=int)
         self.k2 = (self.kx**2 + self.ky**2).astype(float)
         self.k_max = int(max(1, np.max(np.abs(self.kx)), np.max(np.abs(self.ky))))
-        if grid_size <= 3 * self.k_max:
-            raise ConfigurationError(
-                f"grid_size={grid_size} must exceed 3*k_max={3 * self.k_max} for the retained modes"
-            )
 
         # Polarization k_perp/|k| for wave modes, coordinate unit vectors for means.
         pol = np.zeros((n_modes, 2))

@@ -61,12 +61,6 @@ class NoiseModel:
         pointwise."""
         return 0.0 if not self.active else float(np.sum(self.mode_scales() ** 2))
 
-    def mode_scale(self, k: int) -> float:
-        """The 1/k^2 envelope factor of mode k."""
-        if not 1 <= k <= self.n_w:
-            raise ValidationError(f"noise mode {k} out of range 1..{self.n_w}")
-        return 0.0 if self.family == "off" else self.amplitude / float(k * k)
-
     def mode_scales(self) -> np.ndarray:
         if self.family == "off" or self.n_w == 0:
             return np.zeros(self.n_w)
@@ -106,25 +100,21 @@ def verify_noise_conditions(
     if not model.active:
         return NoiseConditionReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, True)
     rng = np.random.default_rng(seed)
-    # Mixed scales so both the small-|xi| and saturated regimes are exercised.
+    # Mixed scales so both the small-|xi| and saturated regimes are exercised;
+    # each point is a one-sample grid field (2, 1, 1), the layout shape() takes.
     scales = 10.0 ** rng.uniform(-2, 3, size=samples)
-    xi = rng.standard_normal((samples, 2)) * scales[:, None]
-    zeta = rng.standard_normal((samples, 2)) * scales[::-1, None]
-    sc = model.mode_scales()
-    s2 = float(np.sum(sc))  # partial sum of the envelope
+    xi = (rng.standard_normal((samples, 2)) * scales[:, None])[..., None, None]
+    zeta = (rng.standard_normal((samples, 2)) * scales[::-1, None])[..., None, None]
+    s2 = float(np.sum(model.mode_scales()))  # partial sum of the envelope
 
-    def profile(v):
-        speed = np.linalg.norm(v, axis=-1)
-        if model.family == "linear":
-            return v, speed
-        return v / (1.0 + speed)[..., None], speed / (1.0 + speed)
+    def modulus(v):
+        return np.linalg.norm(v, axis=-3)
 
-    pxi, mag_xi = profile(xi)
-    pzeta, _ = profile(zeta)
-    norm_xi = np.linalg.norm(xi, axis=-1)
+    pxi = model.shape(xi)
+    mag_xi, norm_xi = modulus(pxi), modulus(xi)
     K_emp = float(np.max(s2 * mag_xi / (1.0 + norm_xi)))
-    diff = np.linalg.norm(pxi - pzeta, axis=-1)
-    gap = np.linalg.norm(xi - zeta, axis=-1)
+    diff = modulus(pxi - model.shape(zeta))
+    gap = modulus(xi - zeta)
     ok = gap > 0
     L_emp = float(np.max(s2 * diff[ok] / gap[ok]))
     # sup_k k^2 |phi_k|^2 = amplitude^2 |shape|^2 attained at k = 1

@@ -10,9 +10,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nsvsim import analysis, cli, fields, pressure, rheology
+from nsvsim import analysis, cli, fields, galerkin, pressure, rheology
 from nsvsim.galerkin import DivFreeBasis, GalerkinState, run
-from nsvsim.noise import NoiseModel
+from nsvsim.noise import NoiseModel, WienerIncrement
 from nsvsim.rheology import RheologyParams, monotonicity_sweep
 
 pytestmark = pytest.mark.acceptance
@@ -303,16 +303,16 @@ def test_criterion_11_twin_uniqueness():
     assert passed
 
 
-def test_criterion_12_reproducibility(tmp_path, monkeypatch):
-    args = [
-        "--paths", "3",
-        "--override", "noise.family=linear", "--override", "noise.amplitude=0.5",
-        "--override", "ic.kind=random", "--override", "steps=40",
-        "--override", "dt=0.0025", "--override", "T=0.1",
-    ]
+CRITERION_12 = [
+    "noise.family=linear", "noise.amplitude=0.5", "ic.kind=random",
+    "steps=40", "dt=0.0025", "T=0.1",
+]
+
+
+def test_criterion_12_reproducibility(tmp_path):
+    args = ["--paths", "3", *(a for kv in CRITERION_12 for a in ("--override", kv))]
     outputs = {}
-    for tag, threads in (("a", "1"), ("b", "1"), ("c", "4")):
-        monkeypatch.setenv("NSV_THREADS", threads)
+    for tag in ("a", "b"):
         rc = cli.main(["simulate", "--out", str(tmp_path / tag), "--seed", "2026", *args])
         assert rc == 0
         outputs[tag] = {
@@ -321,8 +321,37 @@ def test_criterion_12_reproducibility(tmp_path, monkeypatch):
         }
         outputs[tag]["snapshot"] = (tmp_path / tag / "fields" / "final_path0.bin").read_bytes()
     same_rerun = outputs["a"] == outputs["b"]
-    same_threads = outputs["a"] == outputs["c"]
-    passed = same_rerun and same_threads
+
+    # each path is a function of its own (seed, path) lineage: running the
+    # paths in reverse order from fresh states changes no bit of any of them
+    cfg = cli.parse_config(None, ["seed=2026", "paths=3", *CRITERION_12])
+
+    def trajectories(order):
+        basis = cfg.basis()
+        return {i: run(cli.make_state(cfg, basis, i), cfg.T) for i in order}
+
+    forward = trajectories(range(cfg.paths))
+    reverse = trajectories(reversed(range(cfg.paths)))
+    arrays = ("coeffs", "increments", "dissipation_p", "grad_p", "damping_q", "noise_mass_sq", "c_dot_s")
+    same_order = all(
+        np.array_equal(getattr(forward[i], name), getattr(reverse[i], name))
+        for i in forward for name in arrays
+    )
+    passed = same_rerun and same_order
     report(12, passed,
-           f"byte-identical CSV/JSON/snapshots: rerun {same_rerun}, thread-count variation {same_threads}")
+           f"byte-identical CSV/JSON/snapshots on rerun: {same_rerun}; "
+           f"every path bitwise equal with paths run in order 2, 1, 0: {same_order}")
     assert passed
+
+
+def test_criterion_12_fails_on_a_shared_generator(tmp_path, monkeypatch, capsys):
+    # one generator for every path: a path's draws depend on the paths run before it
+    shared = np.random.default_rng(2026)
+
+    def draw(master_seed, path, step, dt, n_w):
+        return WienerIncrement(shared.standard_normal(n_w) * np.sqrt(dt), dt, (master_seed, path, step))
+
+    monkeypatch.setattr(galerkin, "sample_increment", draw)
+    with pytest.raises(AssertionError):
+        test_criterion_12_reproducibility(tmp_path)
+    assert "run in order 2, 1, 0: False" in capsys.readouterr().out

@@ -1,5 +1,5 @@
 import json
-import os
+import re
 
 import numpy as np
 import pytest
@@ -102,23 +102,49 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="^steps="):
             cli.parse_config(None, ["steps=1" + "0" * 400])
 
-    @pytest.mark.parametrize("key", sorted(cli._KEY_MAP))
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(value=st.one_of(
+    @pytest.mark.parametrize("experiment, overrides", [
+        ("simulate", ["n_modes=0"]),
+        ("simulate", ["n_modes=443"]),
+        ("simulate", ["pin_mean=true", "n_modes=441"]),
+        ("moments", ["n_modes=300"]),
+        ("simulate", ["grid_n=48"]),
+        ("bogovskii", ["grid_n=2"]),
+        ("simulate", ["noise.family=pink"]),
+        ("simulate", ["noise.amplitude=-1"]),
+        ("simulate", ["noise.modes=-1"]),
+        ("simulate", ["steps=0", "T=0", "dt=-1"]),
+    ], ids=lambda v: ",".join(v) if isinstance(v, list) else v)
+    def test_config_error_names_its_key_before_any_work(self, experiment, overrides, tmp_path, capsys):
+        key = overrides[-1].split("=")[0]
+        args = [a for kv in ["steps=10", "dt=0.005", "T=0.05", *overrides] for a in ("--override", kv)]
+        rc = cli.main([experiment, *args, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    VALUES = st.one_of(
         st.text(max_size=12),
         st.integers().map(str),
         st.integers(min_value=10**300, max_value=10**600).map(str),
         st.floats().map(repr),
-        st.sampled_from(["", "-1", "0", "1e400", "-0.0", "true", "off", "linear", "zero"]),
-    ))
-    def test_parse_fuzz(self, key, value):
-        # parses or names its fault; nothing is run, since a valid huge
-        # noise.modes or paths would allocate or loop at run time
+        st.sampled_from(["", "-1", "0", "1e400", "-0.0", "true", "off", "linear", "zero",
+                         "energy-audit", "moments", "48", "443"]),
+    )
+
+    @pytest.mark.parametrize("key", sorted(cli._KEY_MAP))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=VALUES, more=st.lists(st.tuples(st.sampled_from(sorted(cli._KEY_MAP)), VALUES), max_size=2))
+    def test_parse_fuzz(self, key, value, more):
+        # 1-3 pairs parse or the rejection names one of the drawn keys; nothing
+        # is built or run, since a valid huge n_modes, grid_n, noise.modes or
+        # paths would allocate or loop at run time
+        pairs = [(key, value), *more]
         try:
-            cli.parse_config(None, [f"{key}={value}"])
-        except (ConfigurationError, ValidationError):
-            pass
+            cli.parse_config(None, [f"{k}={v}" for k, v in pairs])
+        except (ConfigurationError, ValidationError) as exc:
+            named = [k for k, _ in pairs if re.search(rf"(?<![\w.]){re.escape(k)}(?![\w.])", str(exc))]
+            assert named, f"{exc} names none of {[k for k, _ in pairs]}"
 
 
 class TestInitialConditions:
@@ -197,10 +223,11 @@ class TestExperiments:
         state = cli.make_state(cfg2, cfg2.basis())
         assert np.max(np.abs(state.forcing)) > 0.0
 
-    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "empty glob"])
     def test_unreadable_forcing_file_exits_2(self, kind, tmp_path, capsys):
-        path = tmp_path / "absent.bin" if kind == "missing" else tmp_path
-        overrides = ["steps=10", "dt=0.005", "T=0.05", "forcing.kind=file", f"forcing.path={path}"]
+        path = tmp_path if kind == "directory" else tmp_path / "absent.bin"
+        forcing_kind = "files" if kind == "empty glob" else "file"
+        overrides = ["steps=10", "dt=0.005", "T=0.05", f"forcing.kind={forcing_kind}", f"forcing.path={path}"]
         cfg = cli.parse_config(None, overrides)
         with pytest.raises(ConfigurationError, match="^forcing.path"):
             cli.forcing_coefficients(cfg, cfg.basis())
@@ -233,6 +260,21 @@ class TestExperiments:
         assert rc == 2
         assert "paths" in capsys.readouterr().err
         assert cli.parse_config(None, ["experiment=energy-audit", "paths=1"]).paths == 1
+
+    def test_energy_audit_fails_without_the_ito_correction(self, tmp_path, capsys, monkeypatch):
+        # with the trace term dropped the residual has mean -(Ito correction),
+        # far outside 3 SE at the criterion-05 config
+        monkeypatch.setattr(cli.NoiseModel, "trace_const", property(lambda self: 0.0))
+        rc = cli.main(["energy-audit", "--paths", "8", "--seed", "1000", "--out", str(tmp_path), *(
+            f"--override={kv}" for kv in (
+                "nu=0.5", "p=2.5", "noise.family=linear", "noise.amplitude=0.5", "noise.modes=8",
+                "ic.kind=random", "steps=100", "dt=0.0025", "T=0.25"))])
+        assert rc == 1
+        payload = json.loads((tmp_path / "report.json").read_text())
+        [crit] = payload["criteria"]
+        assert crit["name"].startswith("mean ledger residual within 3 SE") and not crit["passed"]
+        assert payload["metrics"]["max_z"] > 3.0
+        assert "[FAIL] mean ledger residual" in capsys.readouterr().out
 
     def test_divergence_reports_failed_criterion(self, tmp_path, capsys):
         with pytest.warns(UserWarning, match="unstable"), np.errstate(all="ignore"):
@@ -294,17 +336,6 @@ class TestExperiments:
         assert pi_phi["linear"] < 1e-14
         assert pi_phi["saturating"] > 1e-6
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
-    def test_bad_thread_count_exits_2(self, value, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("NSV_THREADS", value)
-        with pytest.raises(ConfigurationError, match="NSV_THREADS"):
-            cli.thread_count()
-        rc = cli.main(["simulate", "--out", str(tmp_path / "out"), "--override", "steps=10",
-                       "--override", "dt=0.005", "--override", "T=0.05"])
-        assert rc == 2
-        assert "NSV_THREADS" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
 
 class TestReproducibility:
     ARGS = [
@@ -314,25 +345,12 @@ class TestReproducibility:
         "--override", "dt=0.0025", "--override", "T=0.05",
     ]
 
-    def _run(self, out, threads):
-        env_before = os.environ.get("NSV_THREADS")
-        os.environ["NSV_THREADS"] = str(threads)
-        try:
-            rc = cli.main(["simulate", "--out", str(out), "--seed", "99", *self.ARGS])
-        finally:
-            if env_before is None:
-                os.environ.pop("NSV_THREADS", None)
-            else:
-                os.environ["NSV_THREADS"] = env_before
+    def _run(self, out):
+        rc = cli.main(["simulate", "--out", str(out), "--seed", "99", *self.ARGS])
         assert rc == 0
 
     def test_byte_identical_outputs(self, tmp_path):
-        self._run(tmp_path / "a", threads=1)
-        self._run(tmp_path / "b", threads=1)
-        self._run(tmp_path / "c", threads=4)
-        for name in ("report.json", "trajectory.csv"):
-            a = (tmp_path / "a" / name).read_bytes()
-            assert a == (tmp_path / "b" / name).read_bytes()
-            assert a == (tmp_path / "c" / name).read_bytes()
-        a = (tmp_path / "a" / "fields" / "final_path0.bin").read_bytes()
-        assert a == (tmp_path / "c" / "fields" / "final_path0.bin").read_bytes()
+        self._run(tmp_path / "a")
+        self._run(tmp_path / "b")
+        for name in ("report.json", "trajectory.csv", "fields/final_path0.bin"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

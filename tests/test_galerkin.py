@@ -73,6 +73,29 @@ class TestBasis:
         with pytest.raises(ConfigurationError):
             DivFreeBasis(10_000, 32)
 
+    @pytest.mark.parametrize("n, grid", [
+        (8, 16), (16, 16), (32, 16), (120, 16), (8, 32), (16, 32), (24, 32), (32, 32),
+        (64, 32), (128, 32), (440, 32), (200, 64),
+    ])
+    @pytest.mark.parametrize("include_mean", [True, False])
+    def test_tables_match_the_full_band(self, n, grid, include_mean):
+        # the basis sorts only a square around the origin; the first n entries
+        # are those of the whole alias-free band in its canonical order
+        entries = [(0, 0, 2), (0, 0, 2)] if include_mean else []
+        for kx, ky in fields.mode_table((grid - 1) // 3):
+            if kx > 0 or (kx == 0 and ky > 0):
+                entries += [(kx, ky, 0), (kx, ky, 1)]
+        kx, ky, phase = np.array(entries[:n]).T
+        basis = DivFreeBasis(n, grid, include_mean=include_mean)
+        assert np.array_equal(basis.kx, kx)
+        assert np.array_equal(basis.ky, ky)
+        assert np.array_equal(basis.phase, phase)
+
+    def test_fine_grid_builds_the_same_tables(self):
+        coarse, fine = DivFreeBasis(32, 64), DivFreeBasis(32, 2048)
+        for name in ("kx", "ky", "phase"):
+            assert np.array_equal(getattr(fine, name), getattr(coarse, name))
+
     def test_mean_mode_toggle(self):
         with_mean = DivFreeBasis(8, 32, include_mean=True)
         without = DivFreeBasis(8, 32, include_mean=False)
@@ -377,7 +400,6 @@ def test_one_kernel_evaluation_per_stored_state(experiment, tmp_path, monkeypatc
     for name, mod in list(sys.modules.items()):
         if name.startswith("nsvsim") and getattr(mod, "assemble_drift_terms", None) is original:
             monkeypatch.setattr(mod, "assemble_drift_terms", counted)
-    monkeypatch.delenv("NSV_THREADS", raising=False)
     steps, paths = 12, 2
     cfg = cli.parse_config(None, [
         f"experiment={experiment}", f"paths={paths}", f"steps={steps}", "dt=0.0025",
