@@ -363,11 +363,8 @@ class TwinReport:
     """Gronwall shadow of the two-solution comparison under shared noise."""
 
     delta0: float                 # ||grad w(0)||_2, representative path
-    weighted_peak: float          # max over paths of sup_t phi(t) E_w(t)
     gronwall_constant: float      # max over paths of sup_t phi E_w / ||grad w(0)||_2^2
-    weight_constant: float        # C1 in phi(t) = exp(-C1 int ||grad u2|| ds)
     per_path_ratios: np.ndarray
-    times: np.ndarray = field(default=None)
     weighted_gap_series: np.ndarray = field(default=None)
     bitwise_identical: bool | None = None
 
@@ -387,9 +384,7 @@ def twin_uniqueness(
     bitwise equal forever.
     """
     ratios = []
-    peaks = []
     delta0 = 0.0
-    series_t = None
     series_gap = None
     bitwise = True
     for path in range(M):
@@ -402,7 +397,6 @@ def twin_uniqueness(
         tb = run(sb, T)
         if np.array_equal(ta.coeffs, tb.coeffs):
             ratios.append(0.0)
-            peaks.append(0.0)
             continue
         bitwise = False
         kappa = sa.params.kappa
@@ -416,19 +410,14 @@ def twin_uniqueness(
             raise ValidationError("perturbed twin run started from identical gradients")
         weighted = phi * e_w
         ratios.append(float(np.max(weighted)) / gap0)
-        peaks.append(float(np.max(weighted)))
         if path == 0:
             delta0 = float(np.sqrt(gap0))
-            series_t = ta.times
             series_gap = weighted
     ratios = np.asarray(ratios)
     return TwinReport(
         delta0=delta0,
-        weighted_peak=float(np.max(peaks)),
         gronwall_constant=float(np.max(ratios)),
-        weight_constant=weight_constant,
         per_path_ratios=ratios,
-        times=series_t,
         weighted_gap_series=series_gap,
         bitwise_identical=bitwise,
     )

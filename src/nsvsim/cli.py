@@ -330,22 +330,26 @@ def _versions() -> dict:
 
 def _experiment_simulate(cfg: SimConfig, out_dir: str):
     basis = cfg.basis()
-    trajs = []
-    for i in range(cfg.paths):
+
+    def run_path(i: int):
         monitor = StoppingMonitor(cfg.monitor_threshold) if cfg.monitor_threshold > 0 else None
-        trajs.append(run(make_state(cfg, basis, i), cfg.T, monitor=monitor))
+        return run(make_state(cfg, basis, i), cfg.T, monitor=monitor)
+
+    # path 0 feeds every output; each other path is checked for finite states and dropped
+    traj = run_path(0)
+    finite = [np.all(np.isfinite(traj.coeffs))]
+    finite += [np.all(np.isfinite(run_path(i).coeffs)) for i in range(1, cfg.paths)]
     criteria = []
     artifacts = []
-    final = trajs[0].field_at(trajs[0].n_steps)
-    criteria.append(Criterion(
-        "states finite", all(np.all(np.isfinite(t.coeffs)) for t in trajs), "no nonfinite coefficient"))
+    final = traj.field_at(traj.n_steps)
+    criteria.append(Criterion("states finite", bool(all(finite)), "no nonfinite coefficient"))
     criteria.append(Criterion(
         "reconstruction divergence-free", fields.divergence_error(final) < 1e-12,
         f"max |k.u(k)| relative = {fields.divergence_error(final):.3e}"))
     criteria.append(Criterion(
         "reconstruction real-valued", fields.hermitian_error(final) < 1e-12,
         f"hermitian defect = {fields.hermitian_error(final):.3e}"))
-    ledger, summary = analysis.energy_audit(trajs[0])
+    ledger, summary = analysis.energy_audit(traj)
     criteria.append(Criterion(
         "ledger bookkeeping exact", summary["bookkeeping_error"] == 0.0,
         f"recomputation defect = {summary['bookkeeping_error']:.3e}"))
@@ -356,17 +360,17 @@ def _experiment_simulate(cfg: SimConfig, out_dir: str):
         criteria.append(Criterion(
             "energy nonincreasing", bool(summary["energy_nonincreasing"]),
             "noise off, f = 0, nu > 0"))
-    csv_path = os.path.join(out_dir, "trajectory.csv")
-    trajectory_csv(csv_path, trajs[0])
-    artifacts.append(csv_path)
     os.makedirs(os.path.join(out_dir, "fields"), exist_ok=True)
+    csv_path = os.path.join(out_dir, "trajectory.csv")
+    trajectory_csv(csv_path, traj)
+    artifacts.append(csv_path)
     snap = os.path.join(out_dir, "fields", "final_path0.bin")
     fields.save_field(snap, final)
     artifacts.append(snap)
     metrics = {
-        "final_energy": float(trajs[0].energies()[-1]),
+        "final_energy": float(traj.energies()[-1]),
         "max_abs_residual": summary["max_abs_residual"],
-        "tripped_at": trajs[0].tripped_at,
+        "tripped_at": traj.tripped_at,
     }
     return criteria, metrics, artifacts
 
@@ -542,6 +546,7 @@ def _experiment_pressure(cfg: SimConfig, out_dir: str):
         replace(traj, increments=2.0 * traj.increments), parts.noise_shape)
     doubling_exact = all(np.array_equal(d, 2.0 * p) for d, p in zip(doubled, parts.pi_phi))
 
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "pressure.csv")
     pressure.pressure_csv(csv_path, parts, cfg.p, cfg.q)
 
@@ -585,10 +590,12 @@ def _experiment_propcheck(cfg: SimConfig, out_dir: str):
         korn_worst < 1e-10, f"worst relative error = {korn_worst:.3e}"))
     basis = cfg.basis()
     mono = solvability.check_weak_monotonicity(
-        basis, cfg.rheology(), model, radius=5.0, samples=1000, seed=cfg.seed)
+        basis, cfg.rheology(), model, radius=5.0, samples=1000, seed=cfg.seed,
+        convection=cfg.convection)
     coer = solvability.check_coercivity(
         basis, cfg.rheology(), model, forcing_coefficients(cfg, basis)
-        if cfg.forcing_kind != "files" else np.zeros(basis.n), samples=1000, seed=cfg.seed)
+        if cfg.forcing_kind != "files" else np.zeros(basis.n), samples=1000, seed=cfg.seed,
+        convection=cfg.convection)
     criteria.append(Criterion(
         "weak monotonicity margin nonnegative", mono.passed,
         f"worst margin = {mono.worst_margin:.3e}, fitted C = {mono.fitted_constant:.6g}"))
@@ -661,7 +668,6 @@ _DISPATCH = {
 
 def run_experiment(cfg: SimConfig, out_dir: str) -> RunReport:
     cfg.validate()
-    os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     try:
         criteria, metrics, artifacts = _DISPATCH[cfg.experiment](cfg, out_dir)
@@ -677,6 +683,9 @@ def run_experiment(cfg: SimConfig, out_dir: str) -> RunReport:
         versions=_versions(),
         wall_clock=wall,
     )
+    # the directory is made on the first write, so a config error found in the
+    # experiment body (an unreadable forcing.path) leaves none behind
+    os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "report.json")
     with open(report_path, "w") as fh:
         fh.write(report.to_json())

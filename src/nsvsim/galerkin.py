@@ -10,8 +10,9 @@ the discrete energy identities of the audits exact.
 
 :func:`assemble_drift_terms` is the one per-state kernel.  Its pointwise stage
 (:class:`PointwiseTerms`) forms u and its Jacobian on the grid by one inverse
-transform, then D(u), the stress, u x u, the damping term and the noise shape;
-one forward transform takes every source back to a table.  The kernel projects
+transform, then D(u), the stress A, the flux nu A - u x u, the damping term
+and the noise shape; one forward transform gives the drift source and the
+shape table, which the kernel and the pressure both read.  The kernel projects
 those to the drift ``b`` and the noise projection ``s`` and integrates the
 quadrature scalars ||D u||_p^p, ||grad u||_p^p and ||u||_q^q.  :func:`run`
 evaluates it once per stored state and keeps the state-only outputs on the
@@ -185,13 +186,15 @@ def forcing_at(forcing: np.ndarray, step):
 class PointwiseTerms:
     """Grid fields of a state, or of a stack of states along the leading axes
     ``...``: the pointwise stage of the drift kernel, also read by the
-    pressure sources.  Terms that are switched off are None."""
+    pressure sources.  Terms that are switched off are None.  The drift's nu
+    and signs are applied here only: in the flux and in :meth:`drift_tables`,
+    the one drift source."""
 
     u: np.ndarray                   # (..., 2, N, N) velocity samples
     jac: np.ndarray                 # (..., 2, 2, N, N) Jacobian J[i, j] = d_i u_j
     d: np.ndarray                   # (..., 3, N, N) D(u) = (J + J^T) / 2
     stress: np.ndarray              # (..., 3, N, N) A = |D|^(p-2) D, without the factor nu
-    conv: np.ndarray | None         # (..., 3, N, N) u x u; None with convection off
+    flux: np.ndarray                # (..., 3, N, N) nu A - u x u; nu A with convection off
     damping: np.ndarray | None      # (..., 2, N, N) alpha |u|^(q-2) u; None when alpha = 0
     noise_shape: np.ndarray | None  # (..., 2, N, N) shape(u); None when the noise is off
 
@@ -203,30 +206,32 @@ class PointwiseTerms:
                        grid_size)
         u_grid, jac = rows[..., 0, :, :, :], rows[..., 1:, :, :, :]
         d = fields.sym_gradient(jac)
-        u0, u1 = u_grid[..., 0, :, :], u_grid[..., 1, :, :]
+        stress = power_law_stress(d, params.p)
+        flux = params.nu * stress
+        if convection:
+            u0, u1 = u_grid[..., 0, :, :], u_grid[..., 1, :, :]
+            flux -= np.stack([u0 * u0, u0 * u1, u1 * u1], axis=-3)
         return cls(
             u=u_grid,
             jac=jac,
             d=d,
-            stress=power_law_stress(d, params.p),
-            conv=np.stack([u0 * u0, u0 * u1, u1 * u1], axis=-3) if convection else None,
+            stress=stress,
+            flux=flux,
             damping=stabilizer(u_grid, params) if params.alpha > 0 else None,
             noise_shape=noise.shape(u_grid) if noise.active else None,
         )
 
-    def source_tables(self, k_max: int) -> tuple:
-        """Tables of (div A, div(u x u), alpha |u|^(q-2) u, shape(u)), each
-        (..., 2, 2K+1, 2K+1) with K = ``k_max``, by one forward transform of
-        the terms present, stacked on axis -3; a term that is off gives None."""
-        tensors = [t for t in (self.stress, self.conv) if t is not None]
+    def drift_tables(self, k_max: int) -> tuple:
+        """Tables (drift, shape), each (..., 2, 2K+1, 2K+1) with K = ``k_max``,
+        of the drift source div(nu A - u x u) - alpha |u|^(q-2) u and of
+        shape(u), by one forward transform of the flux, the damping term and
+        the noise shape; ``shape`` is None with the noise off."""
         vectors = [v for v in (self.damping, self.noise_shape) if v is not None]
-        tables = from_grid(np.concatenate(tensors + vectors, axis=-3), k_max)
-        lead, k, nt = tables.shape[:-3], tables.shape[-2:], 3 * len(tensors)
-        divs = fields.tensor_divergence(tables[..., :nt, :, :].reshape(lead + (-1, 3) + k))
-        divs = iter(np.moveaxis(divs, -4, 0))
-        vecs = iter(np.moveaxis(tables[..., nt:, :, :].reshape(lead + (-1, 2) + k), -4, 0))
-        return (*(None if t is None else next(divs) for t in (self.stress, self.conv)),
-                *(None if v is None else next(vecs) for v in (self.damping, self.noise_shape)))
+        tables = from_grid(np.concatenate([self.flux, *vectors], axis=-3), k_max)
+        drift = fields.tensor_divergence(tables[..., :3, :, :])
+        if self.damping is not None:
+            drift -= tables[..., 3:5, :, :]
+        return drift, (tables[..., -2:, :, :] if self.noise_shape is not None else None)
 
 
 @dataclass
@@ -249,24 +254,19 @@ def assemble_drift_terms(
     noise: NoiseModel,
     convection: bool = True,
 ) -> DriftTerms:
-    """The drift kernel: Galerkin drift b_j = (f,psi_j) + (u x u : grad psi_j)
-    - nu (A(u) : D(psi_j)) - alpha (a(u), psi_j), the noise projection
-    s_j = (shape(u), psi_j), so that phi_k(u) projects to scale_k * s, and the
-    quadrature scalars of the energy functionals, all from one pointwise stage.
-    ``u`` is the state's vector table (2, 2K+1, 2K+1), as :meth:`DivFreeBasis.scatter`
-    gives it."""
+    """The drift kernel: Galerkin drift b_j = (f,psi_j) + (drift, psi_j) for the
+    drift source of :meth:`PointwiseTerms.drift_tables`, that is (f,psi_j)
+    + (u x u : grad psi_j) - nu (A(u) : D(psi_j)) - alpha (a(u), psi_j), the
+    noise projection s_j = (shape(u), psi_j), so that phi_k(u) projects to
+    scale_k * s, and the quadrature scalars of the energy functionals, all from
+    one pointwise stage.  ``u`` is the state's vector table (2, 2K+1, 2K+1), as
+    :meth:`DivFreeBasis.scatter` gives it."""
     pw = PointwiseTerms.at(u, basis.grid_size, params, noise, convection)
-    sources = pw.source_tables(basis.k_max)
-    pairings = iter(basis.gather(np.stack([t for t in sources if t is not None])))
-    stress, conv, damping, shape = (None if t is None else next(pairings) for t in sources)
+    drift, shape = pw.drift_tables(basis.k_max)
+    pairings = basis.gather(np.stack([drift] if shape is None else [drift, shape]))
+    b = np.asarray(f_coeffs, dtype=float) + pairings[0]
+    s = np.zeros(basis.n) if shape is None else pairings[1]
     w = quad_weight(basis.grid_size)
-    b = np.asarray(f_coeffs, dtype=float).copy()
-    if conv is not None:
-        b -= conv
-    b += params.nu * stress
-    if damping is not None:
-        b -= damping
-    s = shape if shape is not None else np.zeros(basis.n)
     speed = np.sqrt((pw.u**2).sum(axis=-3))
     return DriftTerms(
         b=b,

@@ -3,10 +3,10 @@ divergence solver on the unit square.
 
 On the torus every lift is one Fourier multiplier: the mean-zero solution of
 ``laplace(pi) = div v`` for a vector coefficient table v.  The drift pressure
-lifts, slice by slice, the flux divergence div(nu A - u x u) + f - alpha a(u);
-the stochastic part lifts the accumulated noise; the harmonic part is
-identically zero once means are removed, which the decomposition asserts
-rather than assumes.  :func:`decompose_pressure` evaluates each slice's
+lifts, slice by slice, the drift kernel's drift source plus f, split into
+div(nu A) and the rest; the stochastic part lifts the accumulated noise; the
+harmonic part is identically zero once means are removed, which the
+decomposition asserts rather than assumes.  :func:`decompose_pressure` evaluates each slice's
 sources once and keeps the state-only tables on :class:`PressureParts`, which
 the momentum check and a rerun of the stochastic part under other increments
 read.  The square-domain solver exercises the bounded-domain right inverse of
@@ -73,28 +73,24 @@ class PressureParts:
 def _slice_sources(traj: Trajectory, i: int, k_max: int):
     """Coefficient tables of the slice-i pressure sources.
 
-    Returns (div(nu A), -div(u x u) + f - alpha a(u), shape(u) or None with
-    the noise off); ``pi1`` lifts the first, ``pi2`` the second.  The tables
-    come from the drift kernel's own pointwise stage and forward transform
-    (:meth:`PointwiseTerms.source_tables`), evaluated at ``traj.coeffs[i]``
-    under ``traj.params`` rather than read from the kernel record, so the
-    decomposition follows whatever parameters the trajectory carries.
+    Returns (div(nu A), drift + f, shape(u) or None with the noise off), with
+    the drift kernel's own tables (:meth:`PointwiseTerms.drift_tables`);
+    ``pi1`` lifts the first, ``pi2`` the second minus the first.  They are
+    evaluated at ``traj.coeffs[i]`` under ``traj.params`` rather than read from
+    the kernel record, so the decomposition follows whatever parameters the
+    trajectory carries.
     """
-    params = traj.params
     basis = traj.basis
-    pw = PointwiseTerms.at(basis.scatter(traj.coeffs[i]), basis.grid_size, params, traj.noise,
+    pw = PointwiseTerms.at(basis.scatter(traj.coeffs[i]), basis.grid_size, traj.params, traj.noise,
                            traj.convection)
-    stress_div, conv_div, damping, noise = pw.source_tables(k_max)
-    stress = params.nu * stress_div
-    rest = -conv_div if conv_div is not None else np.zeros_like(stress)
+    drift, shape = pw.drift_tables(k_max)
+    stress = traj.params.nu * fields.tensor_divergence(from_grid(pw.stress, k_max))
     fc = forcing_at(traj.forcing, i)
     if np.any(fc):
         off = basis.k_max
         sl = slice(k_max - off, k_max + off + 1)
-        rest[..., sl, sl] += basis.scatter(fc)
-    if damping is not None:
-        rest -= damping
-    return stress, rest, noise
+        drift[..., sl, sl] += basis.scatter(fc)
+    return stress, drift, shape
 
 
 def _etas(traj: Trajectory) -> np.ndarray:
@@ -138,9 +134,8 @@ def decompose_pressure(traj: Trajectory) -> PressureParts:
 
     acc = np.zeros(tables[1:], dtype=complex)  # integrated drift and noise sources
     for i in range(s_steps + 1):
-        stress, rest, noise = _slice_sources(traj, i, k_max)
-        pi1[i], pi2[i], pi_total[i] = _lift(np.stack([stress, rest, acc]), n)
-        drift_div[i] = stress + rest
+        stress, drift_div[i], noise = _slice_sources(traj, i, k_max)
+        pi1[i], pi2[i], pi_total[i] = _lift(np.stack([stress, drift_div[i] - stress, acc]), n)
         if noise is not None:
             noise_shape[i] = noise
         if i < s_steps:

@@ -24,8 +24,6 @@ _UNIF_AMP = 1.0 / (np.pi * np.sqrt(2.0))  # sup-norm of a unit basis field
 
 @dataclass(frozen=True)
 class SolvabilityReport:
-    radius: float
-    samples: int
     worst_margin: float       # min over samples of envelope - lhs, relative
     fitted_constant: float    # tightest constant observed
     envelope_constant: float  # explicit analytic envelope
@@ -78,8 +76,6 @@ def check_weak_monotonicity(
         worst = min(worst, (envelope * norm_sq - lhs) / max(norm_sq, 1e-300))
         fitted = max(fitted, lhs / norm_sq)
     return SolvabilityReport(
-        radius=radius,
-        samples=samples,
         worst_margin=float(worst),
         fitted_constant=float(fitted),
         envelope_constant=float(envelope),
@@ -94,6 +90,7 @@ def check_coercivity(
     f_coeffs: np.ndarray,
     samples: int,
     seed: int = 0,
+    convection: bool = True,
 ) -> SolvabilityReport:
     """Sample states at mixed scales and test
     <b(u), u> + ||G(u)||_F^2 <= C (1 + ||f||_2)(1 + ||u||_2^2).
@@ -111,15 +108,13 @@ def check_coercivity(
     for _ in range(samples):
         scale = 10.0 ** rng.uniform(-2, 1.5)
         cu = rng.standard_normal(basis.n) * scale
-        terms = assemble_drift_terms(basis, basis.scatter(cu), f_coeffs, params, model)
+        terms = assemble_drift_terms(basis, basis.scatter(cu), f_coeffs, params, model, convection)
         # ||G(u)||_F^2 = S ||P shape(u)||_2^2 for the separable family
         lhs = float(np.dot(terms.b, cu)) + model.trace_const * float(np.sum(terms.s * terms.s))
         rhs_norm = (1.0 + f_norm) * (1.0 + float(np.sum(cu * cu)))
         worst = min(worst, (envelope * rhs_norm - lhs) / rhs_norm)
         fitted = max(fitted, lhs / rhs_norm)
     return SolvabilityReport(
-        radius=0.0,
-        samples=samples,
         worst_margin=float(worst),
         fitted_constant=float(fitted),
         envelope_constant=float(envelope),

@@ -1,5 +1,6 @@
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -235,6 +236,41 @@ class TestExperiments:
         rc = cli.main(["simulate", *args, "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "forcing.path" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_simulate_drops_every_path_but_the_first(self, tmp_path, monkeypatch):
+        # path 0 feeds the outputs; any other path's trajectory is gone
+        # before the next path starts
+        original = cli.run
+        refs = {}
+        alive_at_start = {}
+
+        def tracked(state0, *args, **kwargs):
+            alive_at_start[state0.path] = sorted(p for p, ref in refs.items() if ref() is not None)
+            traj = original(state0, *args, **kwargs)
+            refs[state0.path] = weakref.ref(traj)
+            return traj
+
+        monkeypatch.setattr(cli, "run", tracked)
+        cfg = cli.parse_config(None, [
+            "experiment=simulate", "paths=4", "ic.kind=random", "grid_n=16", "n_modes=16",
+            "steps=4", "dt=0.005", "T=0.02",
+        ])
+        report = cli.run_experiment(cfg, str(tmp_path))
+        assert report.passed
+        assert alive_at_start == {0: [], 1: [0], 2: [0], 3: [0]}
+
+    def test_propcheck_samples_the_configured_convection(self, tmp_path):
+        # without convection the sampled drift and the envelope both lose the
+        # convective term, so the monotonicity margin falls
+        margins = {}
+        for flag in ("true", "false"):
+            cfg = cli.parse_config(None, [
+                "experiment=propcheck", f"convection={flag}", "grid_n=16", "n_modes=16"])
+            report = cli.run_experiment(cfg, str(tmp_path / flag))
+            crit = next(c for c in report.criteria if c.name == "weak monotonicity margin nonnegative")
+            margins[flag] = float(re.search(r"worst margin = (\S+),", crit.details).group(1))
+        assert margins["false"] < margins["true"]
 
     def test_bogovskii_ratio_criterion_fails_above_bound(self, tmp_path, monkeypatch):
         def zeros(xis, n):

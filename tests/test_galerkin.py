@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nsvsim import fields
+from nsvsim import fields, galerkin
 from nsvsim.errors import ConfigurationError, DivergenceError, ValidationError
 from nsvsim.galerkin import (
     DivFreeBasis,
@@ -16,7 +16,7 @@ from nsvsim.galerkin import (
     trajectory_csv,
 )
 from nsvsim.noise import NoiseModel
-from nsvsim.rheology import RheologyParams
+from nsvsim.rheology import RheologyParams, power_law_stress, stabilizer
 
 from conftest import l2_norm, torus_grid
 
@@ -204,28 +204,78 @@ class TestDrift:
     @pytest.mark.parametrize("convection,alpha,family", [
         (True, 0.1, "saturating"), (False, 0.0, "off"), (True, 0.0, "linear")])
     def test_stack_equals_single_states(self, small_basis, convection, alpha, family):
-        # scatter, the pointwise stage, its source tables and gather over a
+        # scatter, the pointwise stage, its drift tables and gather over a
         # leading (M,) axis give each state's single-call result bit for bit
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=alpha)
         model = NoiseModel(family, 0.5, 4)
         c = np.stack([smooth_random_coeffs(small_basis, seed) for seed in range(4)])
         tables = small_basis.scatter(c)
         pw = PointwiseTerms.at(tables, small_basis.grid_size, params, model, convection)
-        sources = pw.source_tables(small_basis.k_max)
+        sources = pw.drift_tables(small_basis.k_max)
         for i in range(len(c)):
             assert np.array_equal(tables[i], small_basis.scatter(c[i]))
             one = PointwiseTerms.at(tables[i], small_basis.grid_size, params, model, convection)
-            for name in ("u", "jac", "d", "stress", "conv", "damping", "noise_shape"):
+            for name in ("u", "jac", "d", "stress", "flux", "damping", "noise_shape"):
                 stacked, single = getattr(pw, name), getattr(one, name)
                 assert (stacked is None) == (single is None)
                 assert single is None or np.array_equal(stacked[i], single)
-            for stacked, single in zip(sources, one.source_tables(small_basis.k_max)):
+            for stacked, single in zip(sources, one.drift_tables(small_basis.k_max)):
                 assert (stacked is None) == (single is None)
                 if single is not None:
                     assert np.array_equal(stacked[i], single)
                     pairings = small_basis.gather(stacked)
                     assert pairings.flags.c_contiguous
                     assert np.array_equal(pairings[i], small_basis.gather(single))
+
+    @pytest.mark.parametrize("convection", [True, False])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    @pytest.mark.parametrize("family", ["off", "saturating"])
+    def test_drift_table_matches_separate_transforms(self, small_basis, convection, alpha, family):
+        # drift = nu div A - div(u x u) - alpha |u|^(q-2) u with every term
+        # transformed on its own, for one state and for a stack of three
+        params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=alpha)
+        model = NoiseModel(family, 0.5, 4)
+        n, k = small_basis.grid_size, small_basis.k_max
+        single = smooth_random_coeffs(small_basis)
+        stack = np.stack([smooth_random_coeffs(small_basis, seed) for seed in range(3)])
+        for c in (single, stack):
+            tables = small_basis.scatter(c)
+            u = fields.to_grid(tables, n)
+            d = fields.sym_gradient(fields.to_grid(fields.gradient_table(tables), n))
+            expected = params.nu * fields.tensor_divergence(
+                fields.from_grid(power_law_stress(d, params.p), k))
+            if convection:
+                u0, u1 = u[..., 0, :, :], u[..., 1, :, :]
+                expected -= fields.tensor_divergence(
+                    fields.from_grid(np.stack([u0 * u0, u0 * u1, u1 * u1], axis=-3), k))
+            if alpha > 0:
+                expected -= fields.from_grid(stabilizer(u, params), k)
+            drift, shape = PointwiseTerms.at(tables, n, params, model, convection).drift_tables(k)
+            assert drift.shape == expected.shape
+            assert np.max(np.abs(drift - expected)) <= 1e-13 * np.max(np.abs(expected))
+            if family == "off":
+                assert shape is None
+            else:
+                ref = fields.from_grid(model.shape(u), k)
+                assert np.max(np.abs(shape - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("alpha,family", [
+        (0.0, "off"), (0.1, "off"), (0.0, "linear"), (0.1, "linear")])
+    def test_forward_transform_rows_per_evaluation(self, small_basis, monkeypatch, alpha, family):
+        # one forward transform of the flux (3 rows), plus the damping term and
+        # the noise shape (2 rows each) when they are on
+        rows = []
+
+        def counted(v, k_max):
+            rows.append(np.shape(v)[-3])
+            return fields.from_grid(v, k_max)
+
+        monkeypatch.setattr(galerkin, "from_grid", counted)
+        params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=alpha)
+        c = smooth_random_coeffs(small_basis)
+        assemble_drift_terms(small_basis, small_basis.scatter(c), np.zeros(small_basis.n), params,
+                             NoiseModel(family, 0.5, 4), convection=True)
+        assert rows == [3 + 2 * (alpha > 0) + 2 * (family != "off")]
 
     def test_two_real_transforms_per_stored_state(self, small_basis, monkeypatch):
         # the CFL check reads max |u| from the kernel's first evaluation:
