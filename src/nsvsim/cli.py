@@ -123,6 +123,10 @@ class SimConfig:
             raise ConfigurationError(
                 f"paths={self.paths} must be >= 2 for experiment=energy-audit with active noise: "
                 "one path has no standard error")
+        if self.experiment == "moments" and self.paths < 2:
+            raise ConfigurationError(
+                f"paths={self.paths} must be >= 2 for experiment=moments: "
+                "one path has no standard error")
 
     def rheology(self) -> RheologyParams:
         return RheologyParams(p=self.p, q=self.q, nu=self.nu, kappa=self.kappa, alpha=self.alpha)

@@ -14,6 +14,8 @@ One transform pair, :func:`to_grid`/:func:`from_grid`, maps centered tables
 so a stack of rows takes one call.  Both are real FFTs, which keep only the
 ky >= 0 half: :func:`to_grid` assumes Hermitian tables (every real field's
 table is one) and :func:`from_grid` fills the ky < 0 half by conjugation.
+Each runs as two 1-D passes, the complex one over kx only on the K+1 columns
+0 <= ky <= K, where a table can be nonzero.
 
 Conventions: ``u(x) = sum_k uhat(k) exp(i k.x)``, grid points ``x_j = 2 pi j / N``,
 L2 inner product ``(u, v) = 4 pi^2 sum_k uhat(k) . conj(vhat(k))``.
@@ -117,30 +119,32 @@ def divergence_error(f: SpectralField) -> float:
 
 def to_grid(table: np.ndarray, grid_size: int) -> np.ndarray:
     """Grid samples (..., N, N) of real fields from their centered coefficient
-    tables (..., 2K+1, 2K+1), by one real inverse FFT over any leading axes.
-    Only the ky >= 0 half is read: the tables must be Hermitian,
-    ``table[-k] == conj(table[k])``, as every table of a real field is."""
+    tables (..., 2K+1, 2K+1), over any leading axes: an inverse FFT over kx of
+    the K+1 columns ky >= 0, then a real inverse FFT over ky.  Only that half
+    is read: the tables must be Hermitian, ``table[-k] == conj(table[k])``, as
+    every table of a real field is."""
     k = (table.shape[-1] - 1) // 2
     _check_grid(grid_size, k)
-    half = np.zeros(table.shape[:-2] + (grid_size, grid_size // 2 + 1), dtype=complex)
-    idx = np.arange(-k, k + 1) % grid_size
-    half[..., idx, : k + 1] = table[..., k:]
-    return np.fft.irfft2(half, s=(grid_size, grid_size), norm="forward")
+    half = np.zeros(table.shape[:-2] + (grid_size, k + 1), dtype=complex)
+    half[..., np.arange(-k, k + 1) % grid_size, :] = table[..., k:]
+    return np.fft.irfft(np.fft.ifft(half, axis=-2, norm="forward"), n=grid_size, axis=-1,
+                        norm="forward")
 
 
 def from_grid(v: np.ndarray, k_max: int) -> np.ndarray:
     """Centered coefficient tables (..., 2K+1, 2K+1), K = ``k_max``, of real
-    grid fields (..., N, N), over any leading axes, by one real FFT; the
-    ky < 0 half is filled by conjugation."""
+    grid fields (..., N, N), over any leading axes: a real FFT over y, then
+    an FFT over x of the K+1 columns 0 <= ky <= K only; the ky < 0 half is
+    filled by conjugation."""
     v = np.asarray(v, dtype=float)
     if v.ndim < 2 or v.shape[-1] != v.shape[-2]:
         raise ValidationError(f"expected grid fields of shape (..., N, N), got {v.shape}")
     n = v.shape[-1]
     _check_grid(n, k_max)
-    half = np.fft.rfft2(v, norm="forward")
-    idx = np.arange(-k_max, k_max + 1) % n
+    half = np.fft.fft(np.fft.rfft(v, axis=-1, norm="forward")[..., : k_max + 1], axis=-2,
+                      norm="forward")
     table = np.empty(v.shape[:-2] + (2 * k_max + 1, 2 * k_max + 1), dtype=complex)
-    table[..., k_max:] = half[..., idx, : k_max + 1]
+    table[..., k_max:] = half[..., np.arange(-k_max, k_max + 1) % n, :]
     table[..., :k_max] = np.conj(table[..., ::-1, :k_max:-1])
     return table
 

@@ -8,14 +8,15 @@ the first ``n`` modes; the grid is required to satisfy ``N > 3 K`` so that
 quadratic products are alias-free in the retained band, which is what makes
 the discrete energy identities of the audits exact.
 
-:func:`assemble_drift_terms` is the one per-state kernel.  Its pointwise stage
-(:class:`PointwiseTerms`) forms u and its Jacobian on the grid by one inverse
-transform, then D(u), the stress A, the flux nu A - u x u, the damping term
-and the noise shape; one forward transform gives the drift source and the
-shape table, which the kernel and the pressure both read.  The kernel projects
-those to the drift ``b`` and the noise projection ``s`` and integrates the
-quadrature scalars ||D u||_p^p, ||grad u||_p^p and ||u||_q^q.  :func:`run`
-evaluates it once per stored state and keeps the state-only outputs on the
+:func:`assemble_drift_terms` is the one drift kernel, at a state or over a
+stack of states.  Its pointwise stage (:class:`PointwiseTerms`) forms u and
+its Jacobian on the grid by one inverse transform, then D(u), the stress A,
+the flux nu A - u x u, the damping term and the noise shape; one forward
+transform gives the drift source and the shape table, which the kernel and
+the pressure both read.  The kernel projects those to the drift ``b`` and
+the noise projection ``s`` and integrates the quadrature scalars
+||D u||_p^p, ||grad u||_p^p and ||u||_q^q.  :func:`run` evaluates it once
+per stored state and keeps the state-only outputs on the
 :class:`Trajectory`, which every audit reads.  Two passes recompute from the
 stored coefficients on purpose: ``analysis.weak_form_residual`` is the
 independent check that catches a corrupted state, and the pressure
@@ -236,14 +237,15 @@ class PointwiseTerms:
 
 @dataclass
 class DriftTerms:
-    """Output of the drift kernel at one state."""
+    """Output of the drift kernel at a state, or at each state of a stack of
+    states with leading shape ``...``."""
 
-    b: np.ndarray          # drift coefficients
-    s: np.ndarray          # noise projection (shape(u), psi_j); zero with the noise off
-    dissipation_p: float   # ||D(u)||_p^p by grid quadrature
-    grad_p: float          # ||grad u||_p^p by grid quadrature
-    damping_q: float       # ||u||_q^q by grid quadrature
-    max_speed: float       # max |u| over the grid
+    b: np.ndarray              # (..., n) drift coefficients
+    s: np.ndarray              # (..., n) noise projection (shape(u), psi_j); zero with the noise off
+    dissipation_p: np.ndarray  # (...) ||D(u)||_p^p by grid quadrature
+    grad_p: np.ndarray         # (...) ||grad u||_p^p by grid quadrature
+    damping_q: np.ndarray      # (...) ||u||_q^q by grid quadrature
+    max_speed: np.ndarray      # (...) max |u| over the grid
 
 
 def assemble_drift_terms(
@@ -260,21 +262,22 @@ def assemble_drift_terms(
     noise projection s_j = (shape(u), psi_j), so that phi_k(u) projects to
     scale_k * s, and the quadrature scalars of the energy functionals, all from
     one pointwise stage.  ``u`` is the state's vector table (2, 2K+1, 2K+1), as
-    :meth:`DivFreeBasis.scatter` gives it."""
+    :meth:`DivFreeBasis.scatter` gives it, or a stack of them (..., 2, 2K+1,
+    2K+1); each state's outputs are bit for bit those of its own call."""
     pw = PointwiseTerms.at(u, basis.grid_size, params, noise, convection)
     drift, shape = pw.drift_tables(basis.k_max)
-    pairings = basis.gather(np.stack([drift] if shape is None else [drift, shape]))
-    b = np.asarray(f_coeffs, dtype=float) + pairings[0]
-    s = np.zeros(basis.n) if shape is None else pairings[1]
+    pairings = basis.gather(np.stack([drift] if shape is None else [drift, shape], axis=-4))
+    b = np.asarray(f_coeffs, dtype=float) + pairings[..., 0, :]
+    s = np.zeros_like(b) if shape is None else pairings[..., 1, :]
     w = quad_weight(basis.grid_size)
     speed = np.sqrt((pw.u**2).sum(axis=-3))
     return DriftTerms(
         b=b,
         s=s,
-        dissipation_p=float((fields.sym_modulus(pw.d) ** params.p).sum(axis=(-2, -1)) * w),
-        grad_p=float((np.sqrt((pw.jac**2).sum(axis=(-4, -3))) ** params.p).sum(axis=(-2, -1)) * w),
-        damping_q=float((speed**params.q).sum(axis=(-2, -1)) * w),
-        max_speed=float(speed.max(axis=(-2, -1))),
+        dissipation_p=(fields.sym_modulus(pw.d) ** params.p).sum(axis=(-2, -1)) * w,
+        grad_p=(np.sqrt((pw.jac**2).sum(axis=(-4, -3))) ** params.p).sum(axis=(-2, -1)) * w,
+        damping_q=(speed**params.q).sum(axis=(-2, -1)) * w,
+        max_speed=speed.max(axis=(-2, -1)),
     )
 
 
@@ -393,14 +396,14 @@ def run(
             basis, basis.scatter(state.c), forcing_at(state.forcing, state.step_index), params, noise,
             convection=state.convection,
         )
-        cfl = dt * terms.max_speed * basis.k_max
+        cfl = dt * float(terms.max_speed) * basis.k_max
         if not record and cfl > 0.5:  # checked at the initial state only
             warnings.warn(
                 f"dt*max|u|*k_max = {cfl:.3g} > 0.5: explicit convection may be unstable",
                 stacklevel=2,
             )
         record.append((
-            terms.dissipation_p, terms.grad_p, terms.damping_q,
+            float(terms.dissipation_p), float(terms.grad_p), float(terms.damping_q),
             float(np.sum(terms.s * terms.s / mass)), float(np.dot(state.c, terms.s)),
         ))
         i = len(incs)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nsvsim import cli, fields
+from nsvsim import cli, fields, galerkin
 from nsvsim.errors import ConfigurationError, DivergenceError, ValidationError
 
 
@@ -272,6 +272,23 @@ class TestExperiments:
             margins[flag] = float(re.search(r"worst margin = (\S+),", crit.details).group(1))
         assert margins["false"] < margins["true"]
 
+    @pytest.mark.parametrize("convection, criterion", [
+        ("true", "weak coercivity margin nonnegative"),
+        ("false", "weak monotonicity margin nonnegative"),
+    ])
+    def test_propcheck_solvability_fails_on_a_sign_flipped_stress(
+            self, convection, criterion, tmp_path, monkeypatch):
+        # -A in the kernel feeds energy in at the rate nu ||D u||_p^p; the
+        # convective part of the monotonicity envelope covers that, so that
+        # criterion is checked with convection off
+        stress = galerkin.power_law_stress
+        monkeypatch.setattr(galerkin, "power_law_stress", lambda d, p: -stress(d, p))
+        cfg = cli.parse_config(None, [
+            "experiment=propcheck", f"convection={convection}", "grid_n=16", "n_modes=16"])
+        report = cli.run_experiment(cfg, str(tmp_path))
+        crit = next(c for c in report.criteria if c.name == criterion)
+        assert not crit.passed and not report.passed
+
     def test_bogovskii_ratio_criterion_fails_above_bound(self, tmp_path, monkeypatch):
         def zeros(xis, n):
             return np.zeros((len(xis), 2, n, n))
@@ -296,6 +313,14 @@ class TestExperiments:
         assert rc == 2
         assert "paths" in capsys.readouterr().err
         assert cli.parse_config(None, ["experiment=energy-audit", "paths=1"]).paths == 1
+
+    def test_moments_one_path_rejected(self, tmp_path, capsys):
+        # one path has no standard error, so the stability criteria would
+        # divide by the SE floor
+        rc = cli.main(["moments", "--paths", "1", "--out", str(tmp_path / "out"), *self.NOISY_AUDIT])
+        assert rc == 2
+        assert "paths" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_energy_audit_fails_without_the_ito_correction(self, tmp_path, capsys, monkeypatch):
         # with the trace term dropped the residual has mean -(Ito correction),

@@ -278,10 +278,10 @@ class TestDrift:
         assert rows == [3 + 2 * (alpha > 0) + 2 * (family != "off")]
 
     def test_two_real_transforms_per_stored_state(self, small_basis, monkeypatch):
-        # the CFL check reads max |u| from the kernel's first evaluation:
-        # a run of S steps makes 2 (S + 1) transforms and no other
+        # the CFL check reads max |u| from the kernel's first evaluation: a run
+        # of S steps makes the pair's four 1-D passes S + 1 times and no other
         calls = []
-        for name in ("irfft2", "rfft2"):
+        for name in ("ifft", "irfft", "rfft", "fft"):
             def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _fn(*args, **kwargs)
@@ -290,7 +290,7 @@ class TestDrift:
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
         c = smooth_random_coeffs(small_basis)
         run(make_state(small_basis, c, params, noise=NoiseModel("linear", 0.5, 4)), 0.005)
-        assert calls == ["irfft2", "rfft2"] * 6
+        assert calls == ["ifft", "irfft", "rfft", "fft"] * 6
         terms = assemble_drift_terms(
             small_basis, small_basis.scatter(c), np.zeros(small_basis.n), params, OFF)
         speed = np.sqrt(np.sum(fields.to_grid(small_basis.scatter(c), small_basis.grid_size) ** 2, axis=0))
@@ -298,7 +298,8 @@ class TestDrift:
 
     def test_two_real_transforms_per_evaluation(self, small_basis, monkeypatch):
         # one inverse transform of (u, grad u) and one forward transform of
-        # every source row, with convection, damping and noise all on
+        # every source row, with convection, damping and noise all on; each is
+        # a complex pass over kx of the band's columns and a real pass over ky
         calls = []
         for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
                      "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
@@ -312,8 +313,27 @@ class TestDrift:
         terms = assemble_drift_terms(
             small_basis, small_basis.scatter(c), np.zeros(small_basis.n), params,
             NoiseModel("saturating", 0.5, 4), convection=True)
-        assert calls == ["irfft2", "rfft2"]
+        assert calls == ["ifft", "irfft", "rfft", "fft"]
         assert np.any(terms.s != 0.0)  # the noise projection was formed
+
+    @pytest.mark.parametrize("p,q,alpha,family,convection", [
+        (2.5, 4.0, 0.0, "linear", True),
+        (1.5, 6.0, 0.1, "saturating", True),
+        (2.5, 4.0, 0.0, "off", False),
+    ])
+    def test_stacked_states_match_single_calls(self, small_basis, p, q, alpha, family, convection):
+        # a stack of 5 states gives each state's outputs bit for bit
+        params = RheologyParams(p=p, q=q, nu=0.5, kappa=0.5, alpha=alpha)
+        noise = NoiseModel(family, 0.5 if family != "off" else 0.0, 4 if family != "off" else 0)
+        f = smooth_random_coeffs(small_basis, seed=3)
+        cs = np.stack([smooth_random_coeffs(small_basis, seed=s) for s in range(5)])
+        stacked = assemble_drift_terms(small_basis, small_basis.scatter(cs), f, params, noise, convection)
+        single = [assemble_drift_terms(small_basis, small_basis.scatter(c), f, params, noise, convection)
+                  for c in cs]
+        for name in ("b", "s", "dissipation_p", "grad_p", "damping_q", "max_speed"):
+            assert np.array_equal(getattr(stacked, name), [getattr(t, name) for t in single]), name
+        if family == "off":
+            assert stacked.s.shape == (5, small_basis.n) and np.all(stacked.s == 0.0)
 
 
 class TestStep:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nsvsim.errors import ValidationError
-from nsvsim.galerkin import DivFreeBasis
+from nsvsim.galerkin import DivFreeBasis, assemble_drift_terms
 from nsvsim.noise import NoiseModel
 from nsvsim.rheology import RheologyParams
 from nsvsim.solvability import check_coercivity, check_weak_monotonicity
@@ -10,6 +10,8 @@ from nsvsim.solvability import check_coercivity, check_weak_monotonicity
 PARAMS = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
 LINEAR = NoiseModel("linear", 0.5, 6)
 OFF = NoiseModel("off", 0.0, 0)
+# small viscosity, so that convection drives a positive fitted constant
+LOOSE = RheologyParams(p=2.0, q=3.0, nu=1e-4, kappa=0.5, alpha=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +85,64 @@ class TestCoercivity:
         rep = check_coercivity(basis, PARAMS, LINEAR, f, samples=300, seed=4)
         assert rep.passed
         assert rep.worst_margin >= -1e-8
+
+
+def per_sample_monotonicity(basis, params, model, envelope, radius, samples, seed, convection):
+    """(worst margin, fitted constant) by one single-state kernel call per state."""
+
+    def ball():
+        v = rng.standard_normal(basis.n)
+        return v * (radius * rng.uniform() ** (1.0 / basis.n) / np.linalg.norm(v))
+
+    rng = np.random.default_rng(seed)
+    zero_f = np.zeros(basis.n)
+    worst, fitted = np.inf, 0.0
+    for _ in range(samples):
+        cu = ball()
+        cv = ball()
+        dw = cu - cv
+        norm_sq = float(np.sum(dw * dw))
+        if norm_sq == 0.0:
+            continue
+        tu = assemble_drift_terms(basis, basis.scatter(cu), zero_f, params, model, convection)
+        tv = assemble_drift_terms(basis, basis.scatter(cv), zero_f, params, model, convection)
+        lhs = float(np.dot(tu.b - tv.b, dw)) + model.trace_const * float(np.sum((tu.s - tv.s) ** 2))
+        worst = min(worst, (envelope * norm_sq - lhs) / max(norm_sq, 1e-300))
+        fitted = max(fitted, lhs / norm_sq)
+    return worst, fitted
+
+
+def per_sample_coercivity(basis, params, model, f, samples, seed, convection):
+    """(worst margin, fitted constant) by one single-state kernel call per state."""
+    rng = np.random.default_rng(seed)
+    envelope = 0.5 + model.trace_const
+    f_norm = float(np.linalg.norm(f))
+    worst, fitted = np.inf, 0.0
+    for _ in range(samples):
+        scale = 10.0 ** rng.uniform(-2, 1.5)
+        cu = rng.standard_normal(basis.n) * scale
+        terms = assemble_drift_terms(basis, basis.scatter(cu), f, params, model, convection)
+        lhs = float(np.dot(terms.b, cu)) + model.trace_const * float(np.sum(terms.s * terms.s))
+        rhs_norm = (1.0 + f_norm) * (1.0 + float(np.sum(cu * cu)))
+        worst = min(worst, (envelope * rhs_norm - lhs) / rhs_norm)
+        fitted = max(fitted, lhs / rhs_norm)
+    return worst, fitted
+
+
+@pytest.mark.parametrize("params, model, convection", [
+    (PARAMS, LINEAR, True), (PARAMS, OFF, False), (LOOSE, OFF, True), (LOOSE, LINEAR, True)])
+@pytest.mark.parametrize("samples", [1, 7])
+def test_stacked_samplers_match_per_sample_loop(basis, params, model, convection, samples):
+    # the samplers stack states through the kernel; every margin and constant
+    # is bit for bit that of one single-state call per state, a partial last
+    # stack included (7 samples)
+    mono = check_weak_monotonicity(basis, params, model, 5.0, samples, seed=10, convection=convection)
+    assert (mono.worst_margin, mono.fitted_constant) == per_sample_monotonicity(
+        basis, params, model, mono.envelope_constant, 5.0, samples, 10, convection)
+    f = np.zeros(basis.n)
+    f[4] = 0.7
+    coer = check_coercivity(basis, params, model, f, samples, seed=10, convection=convection)
+    assert (coer.worst_margin, coer.fitted_constant) == per_sample_coercivity(
+        basis, params, model, f, samples, 10, convection)
+    if params is LOOSE and samples == 7:
+        assert mono.fitted_constant > 0.0 and coer.fitted_constant > 0.0  # not pinned at the floor
