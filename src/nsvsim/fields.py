@@ -91,11 +91,6 @@ class SpectralField:
     def k_max(self) -> int:
         return (self.coeffs.shape[1] - 1) // 2
 
-    def mean_flow(self) -> np.ndarray:
-        """The k=0 coefficient (spatial mean of each component)."""
-        k = self.k_max
-        return self.coeffs[:, k, k].real.copy()
-
 
 def zero_field(k_max: int, grid_size: int) -> SpectralField:
     return SpectralField(np.zeros((2, 2 * k_max + 1, 2 * k_max + 1), dtype=complex), grid_size)

@@ -8,8 +8,9 @@ the first ``n`` modes; the grid is required to satisfy ``N > 3 K`` so that
 quadratic products are alias-free in the retained band, which is what makes
 the discrete energy identities of the audits exact.
 
-:func:`assemble_drift_terms` is the one drift kernel, at a state or over a
-stack of states.  Its pointwise stage (:class:`PointwiseTerms`) forms u and
+:func:`assemble_drift_terms` is the one drift kernel: it takes a state's
+coefficients, or a stack of them, which it evaluates in chunks of bounded
+grid size.  Its pointwise stage (:class:`PointwiseTerms`) forms u and
 its Jacobian on the grid by one inverse transform, then D(u), the stress A,
 the flux nu A - u x u, the damping term and the noise shape; one forward
 transform gives the drift source and the shape table, which the kernel and
@@ -248,9 +249,15 @@ class DriftTerms:
     max_speed: np.ndarray      # (...) max |u| over the grid
 
 
+# Grid points per kernel evaluation of a stack: 4 states at grid 32, 1 from
+# grid 64 up.  Larger chunks gain little time and raise peak memory with every
+# state added.
+_STACK_POINTS = 4 * 32**2
+
+
 def assemble_drift_terms(
     basis: DivFreeBasis,
-    u: np.ndarray,
+    c: np.ndarray,
     f_coeffs: np.ndarray,
     params: RheologyParams,
     noise: NoiseModel,
@@ -261,13 +268,37 @@ def assemble_drift_terms(
     + (u x u : grad psi_j) - nu (A(u) : D(psi_j)) - alpha (a(u), psi_j), the
     noise projection s_j = (shape(u), psi_j), so that phi_k(u) projects to
     scale_k * s, and the quadrature scalars of the energy functionals, all from
-    one pointwise stage.  ``u`` is the state's vector table (2, 2K+1, 2K+1), as
-    :meth:`DivFreeBasis.scatter` gives it, or a stack of them (..., 2, 2K+1,
-    2K+1); each state's outputs are bit for bit those of its own call."""
-    pw = PointwiseTerms.at(u, basis.grid_size, params, noise, convection)
+    one pointwise stage.  ``c`` holds the coefficients of one state (n,) or of
+    a stack of states (..., n), and ``f_coeffs`` broadcasts against it; every
+    output has the stack's leading shape.  A stack is evaluated in chunks of
+    at most ``_STACK_POINTS`` grid points, and each state's outputs are bit
+    for bit those of its own call."""
+    c = np.asarray(c, dtype=float)
+    f = np.asarray(f_coeffs, dtype=float)
+    lead = c.shape[:-1]
+    states = math.prod(lead)
+    per_call = max(1, _STACK_POINTS // basis.grid_size**2)
+    if 0 < states <= per_call:
+        return _evaluate(basis, c, f, params, noise, convection)
+    c = c.reshape(states, basis.n)
+    f = np.broadcast_to(f, lead + (basis.n,)).reshape(states, basis.n)
+    out = DriftTerms(*(np.empty((states, basis.n)) for _ in range(2)),
+                     *(np.empty(states) for _ in range(4)))
+    for i in range(0, states, per_call):
+        part = _evaluate(basis, c[i:i + per_call], f[i:i + per_call], params, noise, convection)
+        for name, value in vars(part).items():
+            getattr(out, name)[i:i + per_call] = value
+    return DriftTerms(**{name: value.reshape(lead + value.shape[1:])
+                         for name, value in vars(out).items()})
+
+
+def _evaluate(basis: DivFreeBasis, c: np.ndarray, f: np.ndarray, params: RheologyParams,
+              noise: NoiseModel, convection: bool) -> DriftTerms:
+    """The kernel at a state or at one chunk of a stack, by one pointwise stage."""
+    pw = PointwiseTerms.at(basis.scatter(c), basis.grid_size, params, noise, convection)
     drift, shape = pw.drift_tables(basis.k_max)
     pairings = basis.gather(np.stack([drift] if shape is None else [drift, shape], axis=-4))
-    b = np.asarray(f_coeffs, dtype=float) + pairings[..., 0, :]
+    b = f + pairings[..., 0, :]
     s = np.zeros_like(b) if shape is None else pairings[..., 1, :]
     w = quad_weight(basis.grid_size)
     speed = np.sqrt((pw.u**2).sum(axis=-3))
@@ -393,7 +424,7 @@ def run(
     # state and gives that state's record row, the final state's included.
     while True:
         terms = assemble_drift_terms(
-            basis, basis.scatter(state.c), forcing_at(state.forcing, state.step_index), params, noise,
+            basis, state.c, forcing_at(state.forcing, state.step_index), params, noise,
             convection=state.convection,
         )
         cfl = dt * float(terms.max_speed) * basis.k_max

@@ -387,11 +387,6 @@ def bogovskii_solve_batch(xis: np.ndarray, resolution: int) -> np.ndarray:
     return w_out.reshape(-1, 2, n, n)
 
 
-def bogovskii_solve(prob: BogovskiiProblem) -> np.ndarray:
-    """Right inverse of the divergence with zero boundary trace, shape (2, n, n)."""
-    return bogovskii_solve_batch(prob.xi[None], prob.resolution)[0]
-
-
 def divergence_residual(prob: BogovskiiProblem, w: np.ndarray) -> float:
     """||div w - xi||_2 on interior nodes, divergence by central differences."""
     n = prob.resolution

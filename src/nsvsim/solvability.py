@@ -8,14 +8,13 @@ explicit so the margins are rigorous, and the fitted constants are reported
 alongside for sharpness.
 
 Both samplers draw every sample first, in the order a per-sample loop would,
-then run the drift kernel on stacks of at most ``_STACK_POINTS`` grid points
-and reduce the margins as arrays; each sample's terms are bit for bit those
-of a single-state call.
+then pass all of them to the drift kernel in one call and reduce the margins
+as arrays; each sample's terms are bit for bit those of a single-state call.
+A check passes only if every margin is finite and none is negative.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +25,6 @@ from .noise import NoiseModel
 from .rheology import RheologyParams
 
 _UNIF_AMP = 1.0 / (np.pi * np.sqrt(2.0))  # sup-norm of a unit basis field
-# Grid points per kernel call: 4 states at grid 32, 1 from grid 64 up (but a
-# monotonicity pair always shares a call).  Larger stacks gain little time and
-# raise peak memory with every state added.
-_STACK_POINTS = 4 * 32**2
 
 
 @dataclass(frozen=True)
@@ -46,21 +41,21 @@ def _random_ball(rng: np.ndarray, n: int, radius: float) -> np.ndarray:
     return v
 
 
-def _stacked_drift(basis: DivFreeBasis, coeffs: np.ndarray, f_coeffs: np.ndarray,
-                   params: RheologyParams, model: NoiseModel, convection: bool):
-    """(coeffs, DriftTerms) for each chunk along the first axis of the sample
-    coefficients ``coeffs`` (S, ..., n), a chunk holding at most
-    ``_STACK_POINTS`` grid points, and at least one sample."""
-    states = math.prod(coeffs.shape[1:-1])  # per sample
-    per_call = max(1, _STACK_POINTS // (basis.grid_size**2 * states))
-    for i in range(0, len(coeffs), per_call):
-        c = coeffs[i:i + per_call]
-        yield c, assemble_drift_terms(basis, basis.scatter(c), f_coeffs, params, model, convection)
-
-
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise a . b over the last axis, each row rounded as ``np.dot`` rounds it."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _report(margins: np.ndarray, fitted: np.ndarray, envelope: float) -> SolvabilityReport:
+    """Worst margin and tightest constant over the samples; a NaN or infinite
+    margin fails the check."""
+    worst = float(np.min(margins, initial=np.inf))
+    return SolvabilityReport(
+        worst_margin=worst,
+        fitted_constant=float(np.max(fitted, initial=0.0)),
+        envelope_constant=float(envelope),
+        passed=bool(np.all(np.isfinite(margins)) and worst >= -1e-8),
+    )
 
 
 def check_weak_monotonicity(
@@ -81,33 +76,24 @@ def check_weak_monotonicity(
     """
     if radius <= 0:
         raise ValidationError("radius must be positive")
+    if samples < 1:
+        raise ValidationError("samples must be at least 1")
     rng = np.random.default_rng(seed)
     k_eff = float(np.sqrt(np.max(basis.k2))) if np.any(basis.k2 > 0) else 0.0
     convective = 2.0 * radius * np.sqrt(basis.n) * _UNIF_AMP * k_eff if convection else 0.0
     envelope = convective + model.trace_const
 
-    # (samples, 2, n): the pair (u, v) of each sample, which share a kernel call
+    # (samples, 2, n): the pair (u, v) of each sample
     pairs = np.array([[_random_ball(rng, basis.n, radius) for _ in range(2)] for _ in range(samples)])
-    worst = np.inf
-    fitted = 0.0
-    for c, terms in _stacked_drift(basis, pairs, np.zeros(basis.n), params, model, convection):
-        dw = c[:, 0] - c[:, 1]
-        norm_sq = np.sum(dw * dw, axis=-1)
-        # ||G(u) - G(v)||_F^2 = S ||P shape(u) - P shape(v)||_2^2 for the separable family
-        lhs = (_row_dot(terms.b[:, 0] - terms.b[:, 1], dw)
-               + model.trace_const * np.sum((terms.s[:, 0] - terms.s[:, 1]) ** 2, axis=-1))
-        keep = norm_sq != 0.0
-        lhs, norm_sq = lhs[keep], norm_sq[keep]
-        # fmin/fmax: a NaN sample leaves worst and fitted as they are
-        worst = np.fmin.reduce((envelope * norm_sq - lhs) / np.maximum(norm_sq, 1e-300),
-                               initial=worst)
-        fitted = np.fmax.reduce(lhs / norm_sq, initial=fitted)
-    return SolvabilityReport(
-        worst_margin=float(worst),
-        fitted_constant=float(fitted),
-        envelope_constant=float(envelope),
-        passed=bool(worst >= -1e-8),
-    )
+    terms = assemble_drift_terms(basis, pairs, np.zeros(basis.n), params, model, convection)
+    dw = pairs[:, 0] - pairs[:, 1]
+    norm_sq = np.sum(dw * dw, axis=-1)
+    # ||G(u) - G(v)||_F^2 = S ||P shape(u) - P shape(v)||_2^2 for the separable family
+    lhs = (_row_dot(terms.b[:, 0] - terms.b[:, 1], dw)
+           + model.trace_const * np.sum((terms.s[:, 0] - terms.s[:, 1]) ** 2, axis=-1))
+    keep = norm_sq != 0.0
+    lhs, norm_sq = lhs[keep], norm_sq[keep]
+    return _report((envelope * norm_sq - lhs) / np.maximum(norm_sq, 1e-300), lhs / norm_sq, envelope)
 
 
 def check_coercivity(
@@ -125,6 +111,8 @@ def check_coercivity(
     The convective contribution cancels exactly against u, the sign-definite
     stress and damping terms are dropped, so C = 1/2 + trace constant works.
     """
+    if samples < 1:
+        raise ValidationError("samples must be at least 1")
     rng = np.random.default_rng(seed)
     f_coeffs = np.asarray(f_coeffs, dtype=float)
     f_norm = float(np.linalg.norm(f_coeffs))
@@ -134,17 +122,9 @@ def check_coercivity(
     for _ in range(samples):
         scale = 10.0 ** rng.uniform(-2, 1.5)
         states.append(rng.standard_normal(basis.n) * scale)
-    worst = np.inf
-    fitted = 0.0
-    for cu, terms in _stacked_drift(basis, np.array(states), f_coeffs, params, model, convection):
-        # ||G(u)||_F^2 = S ||P shape(u)||_2^2 for the separable family
-        lhs = _row_dot(terms.b, cu) + model.trace_const * np.sum(terms.s * terms.s, axis=-1)
-        rhs_norm = (1.0 + f_norm) * (1.0 + np.sum(cu * cu, axis=-1))
-        worst = np.fmin.reduce((envelope * rhs_norm - lhs) / rhs_norm, initial=worst)
-        fitted = np.fmax.reduce(lhs / rhs_norm, initial=fitted)
-    return SolvabilityReport(
-        worst_margin=float(worst),
-        fitted_constant=float(fitted),
-        envelope_constant=float(envelope),
-        passed=bool(worst >= -1e-8),
-    )
+    cu = np.array(states)
+    terms = assemble_drift_terms(basis, cu, f_coeffs, params, model, convection)
+    # ||G(u)||_F^2 = S ||P shape(u)||_2^2 for the separable family
+    lhs = _row_dot(terms.b, cu) + model.trace_const * np.sum(terms.s * terms.s, axis=-1)
+    rhs_norm = (1.0 + f_norm) * (1.0 + np.sum(cu * cu, axis=-1))
+    return _report((envelope * rhs_norm - lhs) / rhs_norm, lhs / rhs_norm, envelope)

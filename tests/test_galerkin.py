@@ -36,7 +36,7 @@ def smooth_random_coeffs(basis: DivFreeBasis, seed: int = 7, kappa: float = 0.5)
 
 def drift(basis: DivFreeBasis, c: np.ndarray, params: RheologyParams) -> np.ndarray:
     """Kernel drift at coefficients c with zero forcing and the noise off."""
-    return assemble_drift_terms(basis, basis.scatter(c), np.zeros(basis.n), params, OFF).b
+    return assemble_drift_terms(basis, c, np.zeros(basis.n), params, OFF).b
 
 
 def make_state(basis, c, params, noise=OFF, dt=1e-3, **kw) -> GalerkinState:
@@ -118,7 +118,7 @@ class TestDrift:
         params = RheologyParams(p=2.0, q=4.0, nu=1.0, kappa=0.5, alpha=0.1)
         model = NoiseModel("linear", 0.5, 4)
         zero = np.zeros(small_basis.n)
-        terms = assemble_drift_terms(small_basis, small_basis.scatter(zero), zero, params, model)
+        terms = assemble_drift_terms(small_basis, zero, zero, params, model)
         assert np.all(terms.b == 0.0) and np.all(terms.s == 0.0)
         assert terms.dissipation_p == terms.grad_p == terms.damping_q == 0.0
 
@@ -134,7 +134,7 @@ class TestDrift:
         params = RheologyParams(p=2.0, q=2.0, nu=0.5, kappa=0.5)
         c = smooth_random_coeffs(small_basis)
         terms = assemble_drift_terms(
-            small_basis, small_basis.scatter(c), np.zeros(small_basis.n), params, OFF)
+            small_basis, c, np.zeros(small_basis.n), params, OFF)
         l2, g2 = small_basis.field_norms_sq(c)
         assert terms.damping_q == pytest.approx(l2, rel=1e-12)
         assert terms.grad_p == pytest.approx(g2, rel=1e-12)
@@ -273,7 +273,7 @@ class TestDrift:
         monkeypatch.setattr(galerkin, "from_grid", counted)
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=alpha)
         c = smooth_random_coeffs(small_basis)
-        assemble_drift_terms(small_basis, small_basis.scatter(c), np.zeros(small_basis.n), params,
+        assemble_drift_terms(small_basis, c, np.zeros(small_basis.n), params,
                              NoiseModel(family, 0.5, 4), convection=True)
         assert rows == [3 + 2 * (alpha > 0) + 2 * (family != "off")]
 
@@ -292,7 +292,7 @@ class TestDrift:
         run(make_state(small_basis, c, params, noise=NoiseModel("linear", 0.5, 4)), 0.005)
         assert calls == ["ifft", "irfft", "rfft", "fft"] * 6
         terms = assemble_drift_terms(
-            small_basis, small_basis.scatter(c), np.zeros(small_basis.n), params, OFF)
+            small_basis, c, np.zeros(small_basis.n), params, OFF)
         speed = np.sqrt(np.sum(fields.to_grid(small_basis.scatter(c), small_basis.grid_size) ** 2, axis=0))
         assert terms.max_speed == np.max(speed)
 
@@ -311,7 +311,7 @@ class TestDrift:
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
         c = smooth_random_coeffs(small_basis)
         terms = assemble_drift_terms(
-            small_basis, small_basis.scatter(c), np.zeros(small_basis.n), params,
+            small_basis, c, np.zeros(small_basis.n), params,
             NoiseModel("saturating", 0.5, 4), convection=True)
         assert calls == ["ifft", "irfft", "rfft", "fft"]
         assert np.any(terms.s != 0.0)  # the noise projection was formed
@@ -322,18 +322,29 @@ class TestDrift:
         (2.5, 4.0, 0.0, "off", False),
     ])
     def test_stacked_states_match_single_calls(self, small_basis, p, q, alpha, family, convection):
-        # a stack of 5 states gives each state's outputs bit for bit
+        # a stack gives each state's outputs bit for bit, in one chunk or in
+        # several (4 states per chunk at grid 32): 5 states under one forcing,
+        # and a (3, 3) stack under per-state forcing
         params = RheologyParams(p=p, q=q, nu=0.5, kappa=0.5, alpha=alpha)
         noise = NoiseModel(family, 0.5 if family != "off" else 0.0, 4 if family != "off" else 0)
+        n = small_basis.n
         f = smooth_random_coeffs(small_basis, seed=3)
         cs = np.stack([smooth_random_coeffs(small_basis, seed=s) for s in range(5)])
-        stacked = assemble_drift_terms(small_basis, small_basis.scatter(cs), f, params, noise, convection)
-        single = [assemble_drift_terms(small_basis, small_basis.scatter(c), f, params, noise, convection)
-                  for c in cs]
-        for name in ("b", "s", "dissipation_p", "grad_p", "damping_q", "max_speed"):
-            assert np.array_equal(getattr(stacked, name), [getattr(t, name) for t in single]), name
-        if family == "off":
-            assert stacked.s.shape == (5, small_basis.n) and np.all(stacked.s == 0.0)
+        grid_cs = np.stack([smooth_random_coeffs(small_basis, seed=s) for s in range(9)]).reshape(3, 3, n)
+        grid_f = np.stack([smooth_random_coeffs(small_basis, seed=s) for s in range(10, 19)]).reshape(3, 3, n)
+        for c, forcing in ((cs, f), (grid_cs, grid_f)):
+            stacked = assemble_drift_terms(small_basis, c, forcing, params, noise, convection)
+            single = [assemble_drift_terms(small_basis, ci, fi, params, noise, convection)
+                      for ci, fi in zip(c.reshape(-1, n), np.broadcast_to(forcing, c.shape).reshape(-1, n))]
+            for name in ("b", "s", "dissipation_p", "grad_p", "damping_q", "max_speed"):
+                rows = [getattr(t, name) for t in single]
+                expected = np.reshape(rows, c.shape[:-1] + np.shape(rows[0]))
+                assert np.array_equal(getattr(stacked, name), expected), name
+            if family == "off":
+                assert stacked.s.shape == c.shape and np.all(stacked.s == 0.0)
+        empty = assemble_drift_terms(small_basis, np.zeros((0, n)), f, params, noise, convection)
+        assert empty.b.shape == empty.s.shape == (0, n)
+        assert empty.dissipation_p.shape == empty.max_speed.shape == (0,)
 
 
 class TestStep:

@@ -221,7 +221,7 @@ class TestBogovskii:
 
     def test_zero_source(self):
         prob = pressure.BogovskiiProblem(np.zeros((16, 16)), 16)
-        assert np.all(pressure.bogovskii_solve(prob) == 0.0)
+        assert np.all(pressure.bogovskii_solve_batch(prob.xi[None], 16)[0] == 0.0)
 
     def test_nonzero_mean_rejected(self):
         with pytest.raises(ValidationError):
@@ -281,16 +281,10 @@ class TestBogovskii:
         lw = np.stack([-lw0 if flip_x else lw0, -lw1 if flip_y else lw1])
         np.testing.assert_allclose(w[:, r0, r1], lw, rtol=1e-12, atol=1e-12 * np.max(np.abs(w)))
 
-    def test_single_solve_equals_batch(self):
-        n = 32
-        prob = pressure.BogovskiiProblem(self._random_xi(n, 2), n)
-        w = pressure.bogovskii_solve(prob)
-        assert np.array_equal(w, pressure.bogovskii_solve_batch(prob.xi[None], n)[0])
-
     def test_boundary_trace_zero(self):
         n = 32
         prob = pressure.BogovskiiProblem(self._random_xi(n, 0), n)
-        w = pressure.bogovskii_solve(prob)
+        w = pressure.bogovskii_solve_batch(prob.xi[None], n)[0]
         edge = max(
             np.max(np.abs(w[:, 0, :])), np.max(np.abs(w[:, -1, :])),
             np.max(np.abs(w[:, :, 0])), np.max(np.abs(w[:, :, -1])))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nsvsim import galerkin
 from nsvsim.errors import ValidationError
 from nsvsim.galerkin import DivFreeBasis, assemble_drift_terms
 from nsvsim.noise import NoiseModel
@@ -104,8 +105,8 @@ def per_sample_monotonicity(basis, params, model, envelope, radius, samples, see
         norm_sq = float(np.sum(dw * dw))
         if norm_sq == 0.0:
             continue
-        tu = assemble_drift_terms(basis, basis.scatter(cu), zero_f, params, model, convection)
-        tv = assemble_drift_terms(basis, basis.scatter(cv), zero_f, params, model, convection)
+        tu = assemble_drift_terms(basis, cu, zero_f, params, model, convection)
+        tv = assemble_drift_terms(basis, cv, zero_f, params, model, convection)
         lhs = float(np.dot(tu.b - tv.b, dw)) + model.trace_const * float(np.sum((tu.s - tv.s) ** 2))
         worst = min(worst, (envelope * norm_sq - lhs) / max(norm_sq, 1e-300))
         fitted = max(fitted, lhs / norm_sq)
@@ -121,7 +122,7 @@ def per_sample_coercivity(basis, params, model, f, samples, seed, convection):
     for _ in range(samples):
         scale = 10.0 ** rng.uniform(-2, 1.5)
         cu = rng.standard_normal(basis.n) * scale
-        terms = assemble_drift_terms(basis, basis.scatter(cu), f, params, model, convection)
+        terms = assemble_drift_terms(basis, cu, f, params, model, convection)
         lhs = float(np.dot(terms.b, cu)) + model.trace_const * float(np.sum(terms.s * terms.s))
         rhs_norm = (1.0 + f_norm) * (1.0 + float(np.sum(cu * cu)))
         worst = min(worst, (envelope * rhs_norm - lhs) / rhs_norm)
@@ -146,3 +147,19 @@ def test_stacked_samplers_match_per_sample_loop(basis, params, model, convection
         basis, params, model, f, samples, 10, convection)
     if params is LOOSE and samples == 7:
         assert mono.fitted_constant > 0.0 and coer.fitted_constant > 0.0  # not pinned at the floor
+
+
+def test_nan_kernel_fails_both_samplers(monkeypatch):
+    # a kernel whose stress is NaN gives NaN margins, which fail both checks
+    monkeypatch.setattr(galerkin, "power_law_stress", lambda d, p: np.full_like(d, np.nan))
+    small = DivFreeBasis(16, 16)
+    mono = check_weak_monotonicity(small, PARAMS, OFF, 5.0, samples=20, seed=0)
+    coer = check_coercivity(small, PARAMS, OFF, np.zeros(small.n), samples=20, seed=0)
+    assert not mono.passed and not coer.passed
+
+
+def test_no_samples_rejected(basis):
+    with pytest.raises(ValidationError, match="samples"):
+        check_weak_monotonicity(basis, PARAMS, OFF, radius=1.0, samples=0)
+    with pytest.raises(ValidationError, match="samples"):
+        check_coercivity(basis, PARAMS, OFF, np.zeros(basis.n), samples=0)
