@@ -397,16 +397,15 @@ def _experiment_energy_audit(cfg: SimConfig, out_dir: str):
         metrics.update({"max_z": float(np.max(z)), "final_mean_residual": float(mean[-1]), "final_se": float(se[-1])})
     else:
         half = replace(cfg, dt=cfg.dt / 2.0, steps=cfg.steps * 2)
-        _, s1 = analysis.energy_audit(
-            run(make_state(cfg, basis, 0), cfg.T),
-            refined=run(make_state(half, basis, 0), half.T),
-        )
+        fine = run(make_state(half, basis, 0), half.T)
+        _, s1 = analysis.energy_audit(run(make_state(cfg, basis, 0), cfg.T), refined=fine)
         ratio = s1["residual_halving_ratio"]
         criteria.append(Criterion(
-            "residual halves under dt-halving", 0.3 <= ratio <= 0.7, f"ratio = {ratio:.4f}"))
+            "residual halves under dt-halving", 0.4 <= ratio <= 0.6, f"ratio = {ratio:.4f} in [0.4, 0.6]"))
         if cfg.nu > 0 and cfg.forcing_kind == "zero":
+            legs = [s1["energy_nonincreasing"], analysis.energy_audit(fine)[1]["energy_nonincreasing"]]
             criteria.append(Criterion(
-                "energy nonincreasing", bool(s1["energy_nonincreasing"]), "noise off, f = 0"))
+                "energy nonincreasing", all(legs), f"noise off, f = 0; at dt and dt/2: {legs}"))
         metrics.update({"residual_ratio": ratio, "accumulated_residual": s1["accumulated_residual"]})
     return criteria, metrics, artifacts
 
@@ -441,7 +440,7 @@ def _experiment_moments(cfg: SimConfig, out_dir: str):
         for name, va, sa, vb, sb in pairs:
             se = max(np.hypot(sa, sb), 1e-300)
             criteria.append(Criterion(
-                f"{name} stable under {tag}", abs(va - vb) <= 2.0 * se,
+                f"{name} stable under {tag}", abs(va - vb) < 2.0 * se,
                 f"|delta|/SE = {abs(va - vb) / se:.3f}"))
 
     within(base, double_n, "mode doubling")
@@ -493,8 +492,9 @@ def _experiment_uniqueness(cfg: SimConfig, out_dir: str):
     criteria = [
         Criterion("identical data stays bitwise equal", bool(identical.bitwise_identical),
                   "shared increments, equal initial coefficients"),
-        Criterion("weighted Gronwall constant stable under dt-halving",
-                  0.5 <= stability <= 2.0, f"ratio = {stability:.4f}"),
+        Criterion("weighted Gronwall constant stable under dt-halving", 0.5 <= stability <= 2.0,
+                  f"C = {perturbed.gronwall_constant:.4f} at dt, {perturbed_half.gronwall_constant:.4f} "
+                  f"at dt/2: ratio = {stability:.4f}"),
     ]
     metrics = {
         "weight_constant": weight_c,
@@ -615,7 +615,8 @@ def _experiment_propcheck(cfg: SimConfig, out_dir: str):
     return criteria, metrics, []
 
 
-# Bound on ||grad w||_2 / ||xi||_2, the same as acceptance criterion 09.
+# Bound on ||grad w||_2 / ||xi||_2; acceptance criterion 09 reads its verdict
+# from this experiment's report.
 BOGOVSKII_RATIO_BOUND = 10.0
 
 
@@ -644,7 +645,8 @@ def _experiment_bogovskii(cfg: SimConfig, out_dir: str):
     ratio_bound = float(np.max(ratios))
     criteria = [
         Criterion("divergence residual decreases across resolutions",
-                  decreasing, f"per-source residuals {residuals.tolist()}"),
+                  decreasing, f"max ratio to the next coarser residual = "
+                  f"{float(np.max(residuals[1:] / residuals[:-1])):.3e} < 1"),
         Criterion("gradient/source ratio bounded across the batch",
                   ratio_bound < BOGOVSKII_RATIO_BOUND,
                   f"max ratio = {ratio_bound:.4f} < {BOGOVSKII_RATIO_BOUND}"),

@@ -2,6 +2,13 @@
 pass/fail line per criterion.  Desk scale throughout (N = 64 grid at most,
 n <= 200 modes, T <= 1, M <= 500 paths).
 
+Criteria 01, 02, 04-09 and 11 are the CLI experiments users run: each test
+runs its experiment at the pinned seed and config in ``CRITERIA``, prints its
+line from the report's criteria and requires the whole report to pass.  A
+negative test breaks one piece of the library and requires the report
+criterion it names to FAIL.  Criteria 03, 10 and 12 have no experiment and
+are checked directly.
+
 Run as ``pytest tests/test_acceptance.py -s`` to see the lines as they pass.
 """
 
@@ -11,13 +18,27 @@ import numpy as np
 import pytest
 
 from nsvsim import analysis, cli, fields, galerkin, pressure, rheology
-from nsvsim.galerkin import DivFreeBasis, GalerkinState, run
-from nsvsim.noise import NoiseModel, WienerIncrement
-from nsvsim.rheology import RheologyParams, monotonicity_sweep
+from nsvsim.galerkin import GalerkinState, run
+from nsvsim.noise import WienerIncrement
 
 pytestmark = pytest.mark.acceptance
 
-OFF = NoiseModel("off", 0.0, 0)
+_RANDOM = ["seed=12345", "ic.kind=random"]
+_LINEAR = ["noise.family=linear", "noise.amplitude=0.5"]
+_T25 = ["steps=100", "dt=0.0025", "T=0.25"]
+
+# criterion -> (experiment, pinned overrides); criterion 02 shares 01's run
+CRITERIA = {
+    1: ("propcheck", ["seed=2026", "grid_n=64"]),
+    4: ("energy-audit", [*_RANDOM, "nu=1", "p=1.5", "alpha=0", "noise.family=off", *_T25]),
+    5: ("energy-audit", [*_RANDOM, "paths=200", "nu=0.5", "p=2.5", *_LINEAR, "noise.modes=8", *_T25]),
+    6: ("moments", [*_RANDOM, "paths=160", "n_modes=64", "nu=0.5", "p=2", "q=4", "alpha=0.125", "gamma=2",
+                    *_LINEAR, "noise.modes=8", "steps=80", "dt=0.0025", "T=0.2"]),
+    7: ("alpha-sweep", [*_RANDOM, "nu=0.5", "p=2", "q=4", "noise.family=off", *_T25]),
+    8: ("pressure", [*_RANDOM, "nu=0.5", "p=2.5", "q=4", "alpha=0.1", *_LINEAR, "noise.modes=6", *_T25]),
+    9: ("bogovskii", ["seed=2026"]),
+    11: ("uniqueness", [*_RANDOM, "paths=100", "nu=0.5", "p=2", *_LINEAR, "noise.modes=6", *_T25]),
+}
 
 
 def report(number: int, passed: bool, detail: str) -> None:
@@ -29,46 +50,55 @@ def state_from(overrides: list[str], path: int = 0) -> GalerkinState:
     return cli.make_state(cfg, cfg.basis(), path)
 
 
-def test_criterion_01_monotonicity_sweeps():
-    worst_overall = np.inf
-    total = 0
-    for p in (1.2, 1.5, 2.0, 3.0, 4.0):
-        violations, worst = monotonicity_sweep(p, samples=10_000, seed=2026)
-        total += violations
-        worst_overall = min(worst_overall, worst)
-    passed = total == 0
-    report(1, passed, f"0 violations required; got {total}, worst margin {worst_overall:.3e}")
-    assert passed
+def run_criterion(number: int, out) -> cli.RunReport:
+    """Criterion ``number``'s experiment at its pinned config, written to ``out``."""
+    experiment, overrides = CRITERIA[number]
+    return cli.run_experiment(cli.parse_config(None, [f"experiment={experiment}", *overrides]), str(out))
 
 
-def test_criterion_02_korn_identity():
-    worst = 0.0
-    for seed in range(100):
-        rng = np.random.default_rng([2026, seed])
-        u = fields.leray_project(rng.standard_normal((2, 64, 64)), 20)
-        d = fields.sym_gradient(fields.gradient(u))
-        lhs = float(np.sum(fields.sym_modulus(d) ** 2) * fields.quad_weight(64))
-        rhs = 0.5 * fields.grad_l2_norm(u) ** 2
-        worst = max(worst, abs(lhs - rhs) / rhs)
-    passed = worst < 1e-10
-    report(2, passed, f"||D(u)||_2^2 = ||grad u||_2^2 / 2 to {worst:.3e} over 100 fields")
-    assert passed
+def verdict(number: int, rep: cli.RunReport, *prefixes: str) -> None:
+    """Print criterion ``number``'s line from the report criteria whose names
+    start with one of ``prefixes`` (all of them when none is given), and
+    require the whole report to pass, naming each failed criterion."""
+    shown = [c for c in rep.criteria if c.name.startswith(prefixes or ("",))]
+    report(number, rep.passed, "; ".join(f"{c.name}: {c.details}" for c in shown))
+    failed = "; ".join(f"{c.name}: {c.details}" for c in rep.criteria if not c.passed)
+    assert rep.passed, f"criterion {number} failed: {failed}"
 
 
-def test_criterion_01_fails_on_a_sign_flipped_stress(monkeypatch):
+def criterion(rep: cli.RunReport, name: str) -> cli.Criterion:
+    return next(c for c in rep.criteria if c.name == name)
+
+
+@pytest.fixture(scope="module")
+def propcheck(tmp_path_factory) -> cli.RunReport:
+    return run_criterion(1, tmp_path_factory.mktemp("propcheck"))
+
+
+def test_criterion_01_monotonicity_sweeps(propcheck):
+    verdict(1, propcheck, "shear-rate inequalities")
+
+
+def test_criterion_02_korn_identity(propcheck):
+    verdict(2, propcheck, "symmetric-gradient identity")
+
+
+def test_criterion_01_fails_on_a_sign_flipped_stress(tmp_path, monkeypatch):
     stress = rheology.power_law_stress
     monkeypatch.setattr(rheology, "power_law_stress", lambda d, p: -stress(d, p))
-    violations, worst = monotonicity_sweep(2.0, samples=1000, seed=2026)
-    assert violations > 0 and worst < 0.0
-    with pytest.raises(AssertionError):
-        test_criterion_01_monotonicity_sweeps()
+    rep = run_criterion(1, tmp_path)
+    assert not any(c.passed for c in rep.criteria if c.name.startswith("shear-rate inequalities"))
+    with pytest.raises(AssertionError, match="criterion 1 failed: shear-rate inequalities hold at p = 1.2"):
+        test_criterion_01_monotonicity_sweeps(rep)
 
 
-def test_criterion_02_fails_on_a_doubled_symmetric_gradient(monkeypatch):
+def test_criterion_02_fails_on_a_doubled_symmetric_gradient(tmp_path, monkeypatch):
     sym_gradient = fields.sym_gradient
     monkeypatch.setattr(fields, "sym_gradient", lambda jac: 2.0 * sym_gradient(jac))
-    with pytest.raises(AssertionError):
-        test_criterion_02_korn_identity()
+    rep = run_criterion(1, tmp_path)
+    assert not criterion(rep, "symmetric-gradient identity on 100 random solenoidal fields").passed
+    with pytest.raises(AssertionError, match="symmetric-gradient identity .*: worst relative error = 3.000e"):
+        test_criterion_02_korn_identity(rep)
 
 
 def test_criterion_03_euler_voigt_conservation():
@@ -97,157 +127,56 @@ def test_criterion_03_euler_voigt_conservation():
     assert passed
 
 
-def test_criterion_04_deterministic_energy_law():
-    base = ["nu=1", "p=1.5", "alpha=0", "noise.family=off", "ic.kind=random"]
-    acc = []
-    nonincreasing = True
-    for steps, dt in ((100, 0.0025), (200, 0.00125)):
-        st = state_from(base + [f"steps={steps}", f"dt={dt}", "T=0.25"])
-        traj = run(st, 0.25)
-        ledger, summary = analysis.energy_audit(traj)
-        nonincreasing &= bool(summary["energy_nonincreasing"])
-        acc.append(abs(summary["accumulated_residual"]))
-    ratio = acc[1] / acc[0]
-    passed = nonincreasing and 0.4 <= ratio <= 0.6
-    report(4, passed, f"E nonincreasing: {nonincreasing}; residual halving ratio {ratio:.3f}")
-    assert passed
+def test_criterion_04_deterministic_energy_law(tmp_path):
+    verdict(4, run_criterion(4, tmp_path))
 
 
-def test_criterion_05_ito_energy_balance():
-    overrides = [
-        "nu=0.5", "p=2.5", "noise.family=linear", "noise.amplitude=0.5",
-        "noise.modes=8", "ic.kind=random", "steps=100", "dt=0.0025", "T=0.25",
-    ]
-    M = 200
-    cum = []
-    for path in range(M):
-        traj = run(state_from(overrides, path), 0.25)
-        cum.append(np.cumsum(analysis.ledger_from_trajectory(traj).residual))
-    cum = np.asarray(cum)
-    mean = cum.mean(axis=0)
-    se = cum.std(axis=0, ddof=1) / np.sqrt(M)
-    z = np.abs(mean) / np.maximum(se, 1e-300)
-    passed = bool(np.all(z <= 3.0))
-    report(5, passed, f"max |mean residual| / SE = {float(np.max(z)):.3f} over {cum.shape[1]} output times, M = {M}")
-    assert passed
+def test_criterion_04_fails_on_a_ledger_without_dissipation(tmp_path, monkeypatch):
+    # the residual is then the O(1) energy decay, which dt-halving leaves as it is
+    original = analysis.ledger_from_trajectory
+
+    def without_dissipation(traj):
+        ledger = original(traj)
+        return dataclasses.replace(ledger, residual=ledger.residual - ledger.dissipation)
+
+    monkeypatch.setattr(analysis, "ledger_from_trajectory", without_dissipation)
+    assert not criterion(run_criterion(4, tmp_path), "residual halves under dt-halving").passed
 
 
-def test_criterion_06_uniform_estimate_shadow():
-    base = [
-        "nu=0.5", "p=2", "q=4", "alpha=0.125", "noise.family=linear",
-        "noise.amplitude=0.5", "noise.modes=8", "ic.kind=random",
-        "steps=80", "dt=0.0025", "T=0.2", "gamma=2",
-    ]
-    M = 160
-
-    def estimate(extra):
-        cfg = cli.parse_config(None, base + extra)
-        basis = cfg.basis()
-        state0 = cli.make_state(cfg, basis, 0)
-        e0 = basis.energy(state0.c, cfg.kappa)
-        return analysis.moment_estimate(
-            lambda i: run(cli.make_state(cfg, basis, i), cfg.T),
-            M, 2.0, cfg.noise_model(), e0, 0.0, cfg.T)
-
-    base_rep = estimate(["n_modes=64"])
-    big_rep = estimate(["n_modes=128"])
-    half_rep = estimate(["n_modes=64", "alpha=0.0625"])
-
-    def delta_se(a, b, va, vb, sa, sb):
-        return abs(va - vb) / max(np.hypot(sa, sb), 1e-300)
-
-    checks = {
-        "sup-E vs n": delta_se(base_rep, big_rep, base_rep.sup_energy, big_rep.sup_energy,
-                               base_rep.sup_energy_se, big_rep.sup_energy_se),
-        "grad-p vs n": delta_se(base_rep, big_rep, base_rep.grad_p_integral, big_rep.grad_p_integral,
-                                base_rep.grad_p_integral_se, big_rep.grad_p_integral_se),
-        "sup-E vs alpha": delta_se(base_rep, half_rep, base_rep.sup_energy, half_rep.sup_energy,
-                                   base_rep.sup_energy_se, half_rep.sup_energy_se),
-        "grad-p vs alpha": delta_se(base_rep, half_rep, base_rep.grad_p_integral, half_rep.grad_p_integral,
-                                    base_rep.grad_p_integral_se, half_rep.grad_p_integral_se),
-    }
-    passed = all(v < 2.0 for v in checks.values())
-    detail = ", ".join(f"{k}: {v:.2f} SE" for k, v in checks.items())
-    report(6, passed, f"n 64->128 modes and alpha 1/8->1/16 with shared seeds; {detail}")
-    assert passed
+def test_criterion_05_ito_energy_balance(tmp_path):
+    verdict(5, run_criterion(5, tmp_path))
 
 
-def test_criterion_07_alpha_sweep():
-    cfg = cli.parse_config(None, [
-        "nu=0.5", "p=2", "q=4", "noise.family=off", "ic.kind=random",
-        "steps=100", "dt=0.0025", "T=0.25",
-    ])
-    basis = cfg.basis()
-
-    def state_for(alpha):
-        local = dataclasses.replace(cfg, alpha=alpha)
-        return cli.make_state(local, basis, 0)
-
-    rows = analysis.alpha_sweep(state_for, cfg.T, [0.25, 0.125, 0.0625, 0.03125])
-    damping = [r.damping_integral for r in rows]
-    dists = [r.distance_to_reference for r in rows]
-    decreasing = all(b < a for a, b in zip(damping, damping[1:]))
-    converging = all(b < a for a, b in zip(dists, dists[1:]))
-    passed = decreasing and converging
-    report(7, passed,
-           f"2 alpha int ||u||_q^q dt strictly decreasing: {decreasing}; "
-           f"distance to alpha=0 decreasing: {converging}")
-    assert passed
+def test_criterion_06_uniform_estimate_shadow(tmp_path):
+    verdict(6, run_criterion(6, tmp_path))
 
 
-def test_criterion_08_pressure():
-    xx, yy = np.meshgrid(*(np.arange(64) * 2 * np.pi / 64,) * 2, indexing="ij")
-    u = np.stack([np.sin(xx) * np.cos(yy), -np.cos(xx) * np.sin(yy)])
-    h = np.stack([u[0] * u[0], u[0] * u[1], u[1] * u[1]])
-    pi = pressure.recover_pressure(h)
-    tg_err = float(np.max(np.abs(pi + 0.25 * (np.cos(2 * xx) + np.cos(2 * yy)))))
-
-    traj = run(state_from([
-        "nu=0.5", "p=2.5", "q=4", "alpha=0.1", "noise.family=linear",
-        "noise.amplitude=0.5", "noise.modes=6", "ic.kind=random",
-        "steps=100", "dt=0.0025", "T=0.25",
-    ]), 0.25)
-    parts = pressure.decompose_pressure(traj)
-    recon = parts.max_residual()
-    doubled = pressure.decompose_pressure(
-        dataclasses.replace(traj, increments=2.0 * traj.increments))
-    doubling = bool(np.array_equal(doubled.pi_phi, 2.0 * parts.pi_phi))
-
-    passed = tg_err < 1e-10 and recon < 1e-8 and doubling
-    report(8, passed,
-           f"vortex-array error {tg_err:.3e} < 1e-10; recombination residual {recon:.3e} < 1e-8; "
-           f"stochastic part doubles exactly: {doubling}")
-    assert passed
+def test_criterion_07_alpha_sweep(tmp_path):
+    verdict(7, run_criterion(7, tmp_path))
 
 
-def test_criterion_09_bogovskii():
-    resolutions = (32, 64, 128)
-    n_sources = 20
-    residuals = np.zeros((3, n_sources))
-    ratios = np.zeros_like(residuals)
-    for ri, n in enumerate(resolutions):
-        m = pressure.midpoints(n)
-        xx, yy = np.meshgrid(m, m, indexing="ij")
-        xis = []
-        for l in range(n_sources):
-            rng = np.random.default_rng([2026, l])
-            xi = np.zeros((n, n))
-            for j in range(1, 4):
-                for k in range(1, 4):
-                    xi += rng.standard_normal() * np.sin(j * np.pi * xx) * np.sin(k * np.pi * yy)
-            xis.append(xi - xi.mean())
-        ws = pressure.bogovskii_solve_batch(np.array(xis), n)
-        for l in range(n_sources):
-            prob = pressure.BogovskiiProblem(xis[l], n)
-            residuals[ri, l] = pressure.divergence_residual(prob, ws[l])
-            ratios[ri, l] = pressure.gradient_ratio(prob, ws[l])
-    decreasing = bool(np.all(residuals[1:] < residuals[:-1]))
-    bound = float(np.max(ratios))
-    passed = decreasing and bound < 10.0
-    report(9, passed,
-           f"||div w - xi||_2 decreasing across (32, 64, 128) for all 20 sources: {decreasing}; "
-           f"||grad w||_2 / ||xi||_2 <= {bound:.3f} across the batch")
-    assert passed
+def test_criterion_07_fails_on_a_drift_without_damping(tmp_path, monkeypatch):
+    # every alpha then runs the alpha = 0 reference path: each distance to it is 0
+    kernel = galerkin.assemble_drift_terms
+    monkeypatch.setattr(galerkin, "assemble_drift_terms", lambda basis, c, f, params, *args, **kwargs:
+                        kernel(basis, c, f, dataclasses.replace(params, alpha=0.0), *args, **kwargs))
+    assert not criterion(run_criterion(7, tmp_path), "distance to alpha = 0 reference decreasing").passed
+
+
+def test_criterion_08_pressure(tmp_path):
+    verdict(8, run_criterion(8, tmp_path))
+
+
+def test_criterion_08_fails_on_a_nonlinear_stochastic_pressure(tmp_path, monkeypatch):
+    # a term quadratic in the increments grows fourfold when they double
+    stochastic_pressure = pressure.stochastic_pressure
+    monkeypatch.setattr(pressure, "stochastic_pressure",
+                        lambda traj, shape: stochastic_pressure(traj, shape) + np.sum(traj.increments**2))
+    assert not criterion(run_criterion(8, tmp_path), "stochastic part doubles exactly with increments").passed
+
+
+def test_criterion_09_bogovskii(tmp_path):
+    verdict(9, run_criterion(9, tmp_path))
 
 
 def test_criterion_10_weak_form_residual():
@@ -269,38 +198,8 @@ def test_criterion_10_weak_form_residual():
     assert passed
 
 
-def test_criterion_11_twin_uniqueness():
-    overrides = [
-        "nu=0.5", "p=2", "noise.family=linear", "noise.amplitude=0.5",
-        "noise.modes=6", "ic.kind=random", "steps=100", "dt=0.0025", "T=0.25",
-    ]
-    cfg = cli.parse_config(None, overrides)
-    basis = cfg.basis()
-    weight_c = analysis.calibrate_ladyzhenskaya(basis)
-
-    def pair_factory(local_cfg, delta):
-        def make_pair(path):
-            sa = cli.make_state(local_cfg, basis, path)
-            sb = cli.make_state(local_cfg, basis, path)
-            if delta:
-                cb = sb.c.copy()
-                cb[int(np.flatnonzero(basis.k2 > 0)[0])] += delta
-                sb = dataclasses.replace(sb, c=cb)
-            return sa, sb
-        return make_pair
-
-    identical = analysis.twin_uniqueness(pair_factory(cfg, 0.0), cfg.T, 8, weight_c)
-    perturbed = analysis.twin_uniqueness(pair_factory(cfg, 1e-3), cfg.T, 100, weight_c)
-    half_cfg = dataclasses.replace(cfg, dt=cfg.dt / 2.0, steps=cfg.steps * 2)
-    half = analysis.twin_uniqueness(pair_factory(half_cfg, 1e-3), cfg.T, 100, weight_c)
-    stability = half.gronwall_constant / perturbed.gronwall_constant
-    path_by_path = bool(np.all(perturbed.per_path_ratios <= perturbed.gronwall_constant))
-    passed = bool(identical.bitwise_identical) and path_by_path and 0.5 <= stability <= 2.0
-    report(11, passed,
-           f"identical twins bitwise equal: {identical.bitwise_identical}; "
-           f"Gronwall constant C = {perturbed.gronwall_constant:.4f} holds on all 100 paths, "
-           f"dt-halving ratio {stability:.3f} within x2")
-    assert passed
+def test_criterion_11_twin_uniqueness(tmp_path):
+    verdict(11, run_criterion(11, tmp_path))
 
 
 CRITERION_12 = [

@@ -337,6 +337,41 @@ class TestExperiments:
         assert payload["metrics"]["max_z"] > 3.0
         assert "[FAIL] mean ledger residual" in capsys.readouterr().out
 
+    DETERMINISTIC_AUDIT = [
+        "experiment=energy-audit", "nu=1", "p=1.5", "ic.kind=random", "grid_n=16", "n_modes=16",
+        "steps=10", "dt=0.005", "T=0.05",
+    ]
+
+    @pytest.mark.parametrize("ratio", [0.35, 0.65])
+    def test_energy_audit_halving_ratio_gated_on_0_4_to_0_6(self, ratio, tmp_path, monkeypatch):
+        audit = cli.analysis.energy_audit
+
+        def patched(traj, refined=None):
+            ledger, summary = audit(traj, refined)
+            if refined is not None:
+                summary["residual_halving_ratio"] = ratio
+            return ledger, summary
+
+        monkeypatch.setattr(cli.analysis, "energy_audit", patched)
+        report = cli.run_experiment(cli.parse_config(None, self.DETERMINISTIC_AUDIT), str(tmp_path))
+        crit = next(c for c in report.criteria if c.name == "residual halves under dt-halving")
+        assert not crit.passed and crit.details == f"ratio = {ratio:.4f} in [0.4, 0.6]"
+
+    def test_energy_audit_energy_law_checks_the_fine_leg(self, tmp_path, monkeypatch):
+        # the dt/2 leg's last state gains energy; the dt leg is untouched
+        original = cli.run
+
+        def rising_fine_leg(state0, T, **kwargs):
+            traj = original(state0, T, **kwargs)
+            if state0.dt < 0.005:
+                traj.coeffs[-1] *= 2.0
+            return traj
+
+        monkeypatch.setattr(cli, "run", rising_fine_leg)
+        report = cli.run_experiment(cli.parse_config(None, self.DETERMINISTIC_AUDIT), str(tmp_path))
+        crit = next(c for c in report.criteria if c.name == "energy nonincreasing")
+        assert not crit.passed and crit.details.endswith("at dt and dt/2: [True, False]")
+
     def test_divergence_reports_failed_criterion(self, tmp_path, capsys):
         with pytest.warns(UserWarning, match="unstable"), np.errstate(all="ignore"):
             rc = cli.main([
@@ -375,6 +410,48 @@ class TestExperiments:
         assert not crit["passed"]
         assert crit["details"] == "base: 1 of 4, mode doubling: 1 of 4, alpha halving: 1 of 4"
         assert "[FAIL] no divergent path excluded" in capsys.readouterr().out
+
+    def test_uniqueness_fails_on_a_nan_twin_ratio(self, tmp_path, monkeypatch):
+        # only the perturbed legs run path 8 (the identical twins run paths
+        # 0-7); its NaN ratio makes the Gronwall constant NaN at dt and dt/2
+        original = cli.analysis.run
+
+        def nan_path_8(state0, T, **kwargs):
+            traj = original(state0, T, **kwargs)
+            if state0.path == 8:
+                traj.coeffs[-1] = np.nan
+            return traj
+
+        monkeypatch.setattr(cli.analysis, "run", nan_path_8)
+        cfg = cli.parse_config(None, [
+            "experiment=uniqueness", "paths=9", "grid_n=16", "n_modes=16", "steps=10", "dt=0.005",
+            "T=0.05", "noise.family=linear", "noise.amplitude=0.5", "noise.modes=6", "ic.kind=random"])
+        report = cli.run_experiment(cfg, str(tmp_path))
+        assert [c.name for c in report.criteria if not c.passed] == [
+            "weighted Gronwall constant stable under dt-halving"]
+        assert np.isnan(report.metrics["per_path_max_ratio"])
+
+    @pytest.mark.parametrize("criterion, entries", [
+        # u_x at k = (1, 0) and at its conjugate (-1, 0): real, but k.u != 0
+        ("reconstruction divergence-free", [(1, 0), (-1, 0)]),
+        # u_x at k = (0, 1) without its conjugate: solenoidal, but not real
+        ("reconstruction real-valued", [(0, 1)]),
+    ])
+    def test_simulate_reconstruction_check_fails_on_a_corrupted_field(
+            self, criterion, entries, tmp_path, monkeypatch):
+        field_at = galerkin.Trajectory.field_at
+
+        def corrupted(traj, i):
+            f = field_at(traj, i)
+            for kx, ky in entries:
+                f.coeffs[0, f.k_max + kx, f.k_max + ky] += 1.0
+            return f
+
+        monkeypatch.setattr(galerkin.Trajectory, "field_at", corrupted)
+        cfg = cli.parse_config(None, [
+            "experiment=simulate", "ic.kind=random", "grid_n=16", "n_modes=16", "steps=4", "dt=0.005", "T=0.02"])
+        report = cli.run_experiment(cfg, str(tmp_path))
+        assert [c.name for c in report.criteria if not c.passed] == [criterion]
 
     def test_pressure_stochastic_part_needs_a_nonlinear_shape(self, tmp_path):
         # shape(u) = u is divergence-free, so the linear family's stochastic
