@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DivergenceError, ValidationError
 from .fields import quad_weight, to_grid
-from .galerkin import DivFreeBasis, Trajectory, assemble_drift_terms, forcing_at, run
+from .galerkin import DivFreeBasis, Trajectory, assemble_drift_terms, forcing_at
 from .noise import NoiseModel
 
 
@@ -130,15 +130,6 @@ class MomentReport:
             raise ValidationError(f"gamma={self.gamma} must be >= 2")
 
 
-def _path_functionals(traj: Trajectory) -> tuple[float, float, float]:
-    """(sup_t E, int ||grad u||_p^p dt, int ||u||_q^q dt) for one path."""
-    return (
-        float(np.max(traj.energies())),
-        float(np.sum(traj.grad_p[:-1] * traj.dt)),
-        float(np.sum(traj.damping_q[:-1] * traj.dt)),
-    )
-
-
 def explicit_moment_bound(
     gamma: float,
     energy0: float,
@@ -171,7 +162,7 @@ def explicit_moment_bound(
 
 
 def moment_estimate(
-    run_path,
+    trajs,
     M: int,
     gamma: float,
     model: NoiseModel,
@@ -179,49 +170,36 @@ def moment_estimate(
     forcing_l2_sq_integral: float,
     T: float,
 ) -> MomentReport:
-    """Run M independent paths (``run_path(path_index) -> Trajectory``) and
-    estimate the gamma/2-moments; divergent paths are excluded and counted."""
+    """Estimate the gamma/2-moments over M independent paths.  ``trajs`` yields
+    the trajectories of the paths that stayed finite, in path order; the
+    paths it lacks are counted as excluded."""
     if M < 1:
         raise ValidationError("need at least one path")
-    sup_vals, grad_vals, damp_vals = [], [], []
-    excluded = 0
-    alpha = None
-    for path in range(M):
-        try:
-            traj = run_path(path)
-        except DivergenceError:
-            excluded += 1
-            continue
-        alpha = traj.params.alpha
-        sup_e, grad_p, lq_q = _path_functionals(traj)
-        sup_vals.append(sup_e ** (gamma / 2.0))
-        grad_vals.append(grad_p ** (gamma / 2.0))
-        damp_vals.append(lq_q ** (gamma / 2.0))
-    if not sup_vals:
+    # per path: alpha, sup_t E, int ||grad u||_p^p dt and int ||u||_q^q dt
+    rows = [(traj.params.alpha, np.max(traj.energies()), np.sum(traj.grad_p[:-1] * traj.dt),
+             np.sum(traj.damping_q[:-1] * traj.dt)) for traj in trajs]
+    if not rows:
         raise DivergenceError(0, "every Monte-Carlo path diverged")
-
-    def mean_se(vals):
-        arr = np.asarray(vals)
-        se = float(np.std(arr, ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
-        return float(np.mean(arr)), se
-
-    sup_mean, sup_se = mean_se(sup_vals)
-    grad_mean, grad_se = mean_se(grad_vals)
-    damp_mean, damp_se = mean_se(damp_vals)
+    if len(rows) > M:
+        raise ValidationError(f"{len(rows)} trajectories for {M} paths")
+    vals = np.ascontiguousarray(np.array(rows)[:, 1:].T) ** (gamma / 2.0)   # (3, paths)
+    mean = vals.mean(axis=1).tolist()
+    se = (vals.std(axis=1, ddof=1) / np.sqrt(len(rows))).tolist() if len(rows) > 1 else [0.0] * 3
+    alpha = rows[-1][0]
     bound, rigorous = explicit_moment_bound(gamma, energy0, forcing_l2_sq_integral, model, T)
     return MomentReport(
         gamma=gamma,
         paths=M,
-        excluded_paths=excluded,
-        sup_energy=sup_mean,
-        sup_energy_se=sup_se,
-        grad_p_integral=grad_mean,
-        grad_p_integral_se=grad_se,
-        damping_integral=(alpha or 0.0) * damp_mean,
-        damping_integral_se=(alpha or 0.0) * damp_se,
+        excluded_paths=M - len(rows),
+        sup_energy=mean[0],
+        sup_energy_se=se[0],
+        grad_p_integral=mean[1],
+        grad_p_integral_se=se[1],
+        damping_integral=alpha * mean[2],
+        damping_integral_se=alpha * se[2],
         bound=bound,
         bound_rigorous=rigorous,
-        passed=sup_mean <= bound,
+        passed=mean[0] <= bound,
     )
 
 
@@ -267,28 +245,19 @@ class AlphaSweepRow:
     distance_to_previous: float | None
 
 
-def alpha_sweep(make_state, T: float, alphas, increments: np.ndarray | None = None) -> list[AlphaSweepRow]:
-    """Run the damped system for each weight in ``alphas`` (descending) plus the
-    alpha = 0 reference on matched noise; ``make_state(alpha) -> GalerkinState``.
-
-    Noise is matched automatically when every state shares a seed lineage,
-    or explicitly via ``increments``.
-    """
-    alphas = list(alphas)
-    if any(a <= 0 for a in alphas) or alphas != sorted(alphas, reverse=True):
-        raise ValidationError("alphas must be positive and decreasing")
-    ref = run(make_state(0.0), T, increments=increments)
-    kappa = ref.params.kappa
-    basis = ref.basis
-
+def alpha_sweep(ref: Trajectory, trajs) -> list[AlphaSweepRow]:
+    """One row per damped trajectory in ``trajs``, in order of decreasing
+    alpha (read from each one's params), against the alpha = 0 reference
+    ``ref`` run on matched noise."""
     def final_distance(a: Trajectory, b: Trajectory) -> float:
-        w = a.coeffs[-1] - b.coeffs[-1]
-        return float(np.sqrt(np.sum((1.0 + kappa * basis.k2) * w * w)))
+        return float(np.sqrt(ref.basis.energy(a.coeffs[-1] - b.coeffs[-1], ref.params.kappa)))
 
     rows = []
     prev = None
-    for alpha in alphas:
-        traj = run(make_state(alpha), T, increments=increments)
+    for traj in trajs:
+        alpha = traj.params.alpha
+        if alpha <= 0 or (prev is not None and alpha > prev.params.alpha):
+            raise ValidationError("alphas must be positive and decreasing")
         damping = float(np.sum(traj.damping_q[:-1] * traj.dt))
         rows.append(
             AlphaSweepRow(
@@ -335,43 +304,33 @@ class TwinReport:
     bitwise_identical: bool | None = None
 
 
-def twin_uniqueness(
-    make_state_pair,
-    T: float,
-    M: int,
-    weight_constant: float,
-) -> TwinReport:
-    """Evolve two initial fields per path under shared increments and report the
-    weighted Gronwall ratio sup_t phi(t)(||w||_2^2 + kappa ||grad w||_2^2) / ||grad w(0)||_2^2.
+def twin_uniqueness(pairs, weight_constant: float) -> TwinReport:
+    """For each pair (ta, tb) of trajectories from two initial fields driven by
+    the same increments, one pair per path, report the weighted Gronwall ratio
+    sup_t phi(t)(||w||_2^2 + kappa ||grad w||_2^2) / ||grad w(0)||_2^2.
 
-    ``make_state_pair(path) -> (GalerkinState, GalerkinState)``.  Both states
-    must share the basis and the seed lineage; identical lineage is what makes
-    the noise increments pathwise-shared, so twins with equal initial data stay
+    Both runs must share the basis and the increments; shared increments are
+    what make the comparison pathwise, so twins with equal initial data stay
     bitwise equal forever.
     """
     ratios = []
     delta0 = 0.0
     series_gap = None
     bitwise = True
-    for path in range(M):
-        sa, sb = make_state_pair(path)
-        if sa.basis is not sb.basis or sa.basis.n != sb.basis.n:
+    for path, (ta, tb) in enumerate(pairs):
+        if ta.basis is not tb.basis or ta.basis.n != tb.basis.n:
             raise ValidationError("twin states must share the Galerkin span")
-        if (sa.master_seed, sa.path) != (sb.master_seed, sb.path):
-            raise ValidationError("twin states must share the seed lineage")
-        ta = run(sa, T)
-        tb = run(sb, T)
+        if not np.array_equal(ta.increments, tb.increments):
+            raise ValidationError("twin runs must share their noise increments")
         if np.array_equal(ta.coeffs, tb.coeffs):
             ratios.append(0.0)
             continue
         bitwise = False
-        kappa = sa.params.kappa
         w = ta.coeffs - tb.coeffs
-        k2 = sa.basis.k2
-        e_w = np.sum((1.0 + kappa * k2) * w * w, axis=1)
-        grad_u2 = tb.grad_norms()
-        phi = np.exp(-weight_constant * np.concatenate([[0.0], np.cumsum(grad_u2[:-1]) * sa.dt]))
-        gap0 = float(np.sum(k2 * w[0] ** 2))
+        e_w = ta.basis.energy(w, ta.params.kappa)
+        grad_u = np.sqrt(ta.basis.field_norms_sq(tb.coeffs)[1])
+        phi = np.exp(-weight_constant * np.concatenate([[0.0], np.cumsum(grad_u[:-1]) * ta.dt]))
+        gap0 = float(np.sum(ta.basis.k2 * w[0] ** 2))
         if gap0 == 0.0:
             raise ValidationError("perturbed twin run started from identical gradients")
         weighted = phi * e_w

@@ -1,8 +1,8 @@
 """Configuration, experiment orchestration, and output emission.
 
 Config files are flat ``key = value`` text with dotted sections.  Every
-experiment writes a deterministic ``report.json`` (sorted keys, no volatile
-fields) plus its CSV/snapshot artifacts; the exit code is 0 iff every
+experiment writes a deterministic ``report.json`` (strict JSON, sorted keys,
+no volatile fields) plus its CSV/snapshot artifacts; the exit code is 0 iff every
 criterion in the report passed.  Wall-clock timing goes to stdout only, so
 equal config and seed reproduce byte-identical files.
 """
@@ -317,15 +317,18 @@ class RunReport:
             "versions": self.versions,
             "passed": self.passed,
         }
-        return json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
+        # strict JSON: a non-finite float is written as null, and one missed raises
+        return json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not serializable: {type(obj)}")
+def _plain(obj):
+    """``obj`` with NumPy values as Python ones and non-finite floats as None."""
+    obj = obj.tolist() if isinstance(obj, (np.ndarray, np.generic)) else obj
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _versions() -> dict:
@@ -366,7 +369,7 @@ def _experiment_simulate(cfg: SimConfig, out_dir: str):
             "noise off, f = 0, nu > 0"))
     os.makedirs(os.path.join(out_dir, "fields"), exist_ok=True)
     csv_path = os.path.join(out_dir, "trajectory.csv")
-    trajectory_csv(csv_path, traj)
+    trajectory_csv(csv_path, traj, ledger)
     artifacts.append(csv_path)
     snap = os.path.join(out_dir, "fields", "final_path0.bin")
     fields.save_field(snap, final)
@@ -419,10 +422,17 @@ def _experiment_moments(cfg: SimConfig, out_dir: str):
         e0 = basis.energy(state0.c, local_cfg.kappa)
         f = state0.forcing
         f_int = float(np.sum(f**2)) * local_cfg.T if f.ndim == 1 else float(np.sum(f**2) * local_cfg.dt)
-        return analysis.moment_estimate(
-            lambda i: run(make_state(local_cfg, basis, i), local_cfg.T),
-            local_cfg.paths, local_cfg.gamma, local_cfg.noise_model(), e0, f_int, local_cfg.T,
-        )
+
+        def finite_paths():
+            for i in range(local_cfg.paths):
+                try:
+                    traj = run(make_state(local_cfg, basis, i), local_cfg.T)
+                except DivergenceError:
+                    continue
+                yield traj
+
+        return analysis.moment_estimate(finite_paths(), local_cfg.paths, local_cfg.gamma,
+                                        local_cfg.noise_model(), e0, f_int, local_cfg.T)
 
     base = estimate(cfg)
     double_n = estimate(replace(cfg, n_modes=cfg.n_modes * 2))
@@ -471,22 +481,20 @@ def _experiment_uniqueness(cfg: SimConfig, out_dir: str):
     weight_c = analysis.calibrate_ladyzhenskaya(basis)
     delta = 1e-3
 
-    def pair_factory(local_cfg: SimConfig, perturb: float):
-        def make_pair(path: int):
-            sa = make_state(local_cfg, basis, path)
-            sb = make_state(local_cfg, basis, path)
-            if perturb:
-                cb = sb.c.copy()
-                wave = np.flatnonzero(basis.k2 > 0)
-                cb[wave[0]] += perturb
-                sb = replace(sb, c=cb)
-            return sa, sb
-        return make_pair
+    first_wave = np.flatnonzero(basis.k2 > 0)[0]
 
-    identical = analysis.twin_uniqueness(pair_factory(cfg, 0.0), cfg.T, min(cfg.paths, 8), weight_c)
-    perturbed = analysis.twin_uniqueness(pair_factory(cfg, delta), cfg.T, cfg.paths, weight_c)
+    def twins(local_cfg: SimConfig, paths: int, perturb: float):
+        # one state per path; its twin differs by perturb in the first wave mode
+        for path in range(paths):
+            sa = make_state(local_cfg, basis, path)
+            cb = sa.c.copy()
+            cb[first_wave] += perturb
+            yield run(sa, local_cfg.T), run(replace(sa, c=cb), local_cfg.T)
+
+    identical = analysis.twin_uniqueness(twins(cfg, min(cfg.paths, 8), 0.0), weight_c)
+    perturbed = analysis.twin_uniqueness(twins(cfg, cfg.paths, delta), weight_c)
     half = replace(cfg, dt=cfg.dt / 2.0, steps=cfg.steps * 2)
-    perturbed_half = analysis.twin_uniqueness(pair_factory(half, delta), half.T, cfg.paths, weight_c)
+    perturbed_half = analysis.twin_uniqueness(twins(half, cfg.paths, delta), weight_c)
 
     stability = perturbed_half.gronwall_constant / max(perturbed.gronwall_constant, 1e-300)
     criteria = [
@@ -509,13 +517,10 @@ def _experiment_uniqueness(cfg: SimConfig, out_dir: str):
 def _experiment_alpha_sweep(cfg: SimConfig, out_dir: str):
     basis = cfg.basis()
 
-    def state_for(alpha: float) -> GalerkinState:
-        local = replace(cfg, alpha=alpha)
-        local.validate()
-        return make_state(local, basis, 0)
-
-    alphas = [0.25, 0.125, 0.0625, 0.03125]
-    rows = analysis.alpha_sweep(state_for, cfg.T, alphas)
+    # the first run is the alpha = 0 reference
+    trajs = (run(make_state(replace(cfg, alpha=alpha), basis, 0), cfg.T)
+             for alpha in (0.0, 0.25, 0.125, 0.0625, 0.03125))
+    rows = analysis.alpha_sweep(next(trajs), trajs)
     damping = [r.damping_integral for r in rows]
     dists = [r.distance_to_reference for r in rows]
     criteria = [

@@ -158,8 +158,8 @@ class DivFreeBasis:
         c = np.asarray(c, dtype=float)
         return np.sum(c * c, axis=-1), np.sum(self.k2 * c * c, axis=-1)
 
-    def energy(self, c: np.ndarray, kappa: float) -> float:
-        """||u||_2^2 + kappa ||grad u||_2^2."""
+    def energy(self, c: np.ndarray, kappa: float) -> np.ndarray:
+        """The Voigt energy ||u||_2^2 + kappa ||grad u||_2^2, for coefficients (..., n)."""
         l2, g2 = self.field_norms_sq(c)
         return l2 + kappa * g2
 
@@ -338,9 +338,6 @@ class GalerkinState:
     def grad_norm(self) -> float:
         return float(np.sqrt(self.basis.field_norms_sq(self.c)[1]))
 
-    def energy(self) -> float:
-        return self.basis.energy(self.c, self.params.kappa)
-
 
 @dataclass
 class Trajectory:
@@ -385,11 +382,7 @@ class Trajectory:
         return SpectralField(self.basis.scatter(self.coeffs[i]), self.basis.grid_size)
 
     def energies(self) -> np.ndarray:
-        kappa = self.params.kappa
-        return np.sum((1.0 + kappa * self.basis.k2) * self.coeffs**2, axis=1)
-
-    def grad_norms(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.basis.k2 * self.coeffs**2, axis=1))
+        return self.basis.energy(self.coeffs, self.params.kappa)
 
 
 def run(
@@ -477,13 +470,10 @@ def run(
     )
 
 
-def trajectory_csv(path, traj: Trajectory) -> None:
+def trajectory_csv(path, traj: Trajectory, ledger) -> None:
     """Per-state CSV: t, l2, grad_l2, lp_gradp, lq_q, energy, dissipation_acc,
-    noise_trace_acc, tripped, read from the kernel record and the ledger.
-    Floats carry 17 significant digits."""
-    from .analysis import ledger_from_trajectory  # local import to keep layering one-way
-
-    ledger = ledger_from_trajectory(traj)
+    noise_trace_acc, tripped, read from the kernel record and from ``ledger``,
+    the energy ledger of ``traj``.  Floats carry 17 significant digits."""
     l2, g2 = traj.basis.field_norms_sq(traj.coeffs)
     columns = (
         traj.times, np.sqrt(l2), np.sqrt(g2), traj.grad_p, traj.damping_q,

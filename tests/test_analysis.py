@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nsvsim import analysis, cli, fields, galerkin
-from nsvsim.errors import ValidationError
+from nsvsim.errors import DivergenceError, ValidationError
 from nsvsim.galerkin import DivFreeBasis, GalerkinState, assemble_drift_terms, run
 from nsvsim.noise import NoiseModel
 from nsvsim.rheology import RheologyParams
@@ -184,7 +184,7 @@ class TestMoments:
         params = RheologyParams(p=2.0, q=3.0, nu=0.5, kappa=0.5)
         model = NoiseModel("linear", 0.5, 4)
         run_path, e0 = self._runner(small_basis, params, model)
-        rep = analysis.moment_estimate(run_path, 1, 2.0, model, e0, 0.0, 0.05)
+        rep = analysis.moment_estimate(map(run_path, range(1)), 1, 2.0, model, e0, 0.0, 0.05)
         traj = run_path(0)
         sup_e = float(np.max(traj.energies()))
         assert rep.sup_energy == pytest.approx(sup_e, rel=1e-12)
@@ -194,14 +194,14 @@ class TestMoments:
         # noise off, f = 0: sup_t E = E(0) exactly, all moments = E(0)^(gamma/2)
         params = RheologyParams(p=2.0, q=3.0, nu=0.5, kappa=0.5)
         run_path, e0 = self._runner(small_basis, params, OFF)
-        rep = analysis.moment_estimate(run_path, 3, 4.0, OFF, e0, 0.0, 0.05)
+        rep = analysis.moment_estimate(map(run_path, range(3)), 3, 4.0, OFF, e0, 0.0, 0.05)
         assert rep.sup_energy == pytest.approx(e0 ** 2.0, rel=1e-10)
 
     def test_bound_is_honest_for_gamma_two(self, small_basis):
         params = RheologyParams(p=2.0, q=3.0, nu=0.5, kappa=0.5)
         model = NoiseModel("linear", 0.5, 4)
         run_path, e0 = self._runner(small_basis, params, model)
-        rep = analysis.moment_estimate(run_path, 8, 2.0, model, e0, 0.0, 0.05)
+        rep = analysis.moment_estimate(map(run_path, range(8)), 8, 2.0, model, e0, 0.0, 0.05)
         assert rep.bound_rigorous
         assert rep.sup_energy <= rep.bound
         assert rep.passed
@@ -224,7 +224,15 @@ class TestMoments:
                     return run(st, 100.0)
             return run(make_state(small_basis, smooth_coeffs(small_basis), params, model), 0.002)
 
-        rep = analysis.moment_estimate(run_path, 3, 2.0, model, 1.0, 0.0, 0.002)
+        def finite_paths():
+            for path in range(3):
+                try:
+                    traj = run_path(path)
+                except DivergenceError:
+                    continue
+                yield traj
+
+        rep = analysis.moment_estimate(finite_paths(), 3, 2.0, model, 1.0, 0.0, 0.002)
         assert rep.excluded_paths == 1
         assert rep.paths == 3
 
@@ -237,7 +245,8 @@ class TestAlphaSweep:
             params = RheologyParams(p=2.0, q=4.0, nu=0.5, kappa=0.5, alpha=alpha)
             return make_state(small_basis, c, params, dt=2.5e-3)
 
-        rows = analysis.alpha_sweep(state_for, 0.05, [0.25, 0.125, 0.0625, 0.03125])
+        rows = analysis.alpha_sweep(run(state_for(0.0), 0.05),
+                                    (run(state_for(a), 0.05) for a in [0.25, 0.125, 0.0625, 0.03125]))
         damping = [r.damping_integral for r in rows]
         assert all(b < a for a, b in zip(damping, damping[1:]))
         dists = [r.distance_to_reference for r in rows]
@@ -252,15 +261,20 @@ class TestAlphaSweep:
             params = RheologyParams(p=2.0, q=4.0, nu=0.5, kappa=0.5, alpha=alpha)
             return make_state(small_basis, c, params, dt=2.5e-3)
 
-        rows = analysis.alpha_sweep(state_for, 0.01, [1e-12])
+        rows = analysis.alpha_sweep(run(state_for(0.0), 0.01), [run(state_for(1e-12), 0.01)])
         assert rows[0].damping_integral == pytest.approx(0.0, abs=1e-10)
         # and the ledger's damping column vanishes identically on the reference
         ledger = analysis.ledger_from_trajectory(run(state_for(0.0), 0.01))
         assert np.all(ledger.damping == 0.0)
 
     def test_validation(self, small_basis):
+        c = smooth_coeffs(small_basis)
+        ref, *trajs = (
+            run(make_state(small_basis, c, RheologyParams(p=2.0, q=4.0, nu=0.5, kappa=0.5, alpha=a),
+                           dt=2.5e-3), 0.01)
+            for a in (0.0, 0.1, 0.2))
         with pytest.raises(ValidationError):
-            analysis.alpha_sweep(lambda a: None, 0.01, [0.1, 0.2])
+            analysis.alpha_sweep(ref, trajs)
 
 
 class TestMonotoneLimitShadow:
@@ -294,29 +308,27 @@ class TestMonotoneLimitShadow:
 
 
 class TestTwin:
-    def _pair_factory(self, basis, perturb, noise=None, dt=2.5e-3):
+    def _pairs(self, basis, perturb, paths, T=0.05, noise=None, dt=2.5e-3, path_b=None):
         params = RheologyParams(p=2.0, q=3.0, nu=0.5, kappa=0.5)
         model = noise or NoiseModel("linear", 0.5, 6)
         base = smooth_coeffs(basis)
-
-        def make_pair(path):
+        for path in range(paths):
             sa = make_state(basis, base, params, model, dt=dt, seed=3, path=path)
             cb = base.copy()
             if perturb:
                 cb[int(np.flatnonzero(basis.k2 > 0)[0])] += perturb
-            sb = make_state(basis, cb, params, model, dt=dt, seed=3, path=path)
-            return sa, sb
-
-        return make_pair
+            sb = make_state(basis, cb, params, model, dt=dt, seed=3,
+                            path=path if path_b is None else path_b)
+            yield run(sa, T), run(sb, T)
 
     def test_identical_initial_data_bitwise(self, small_basis):
-        rep = analysis.twin_uniqueness(self._pair_factory(small_basis, 0.0), 0.05, 4, 1.0)
+        rep = analysis.twin_uniqueness(self._pairs(small_basis, 0.0, 4), 1.0)
         assert rep.bitwise_identical
         assert np.all(rep.per_path_ratios == 0.0)
 
     def test_weight_in_unit_interval(self, small_basis):
         c1 = analysis.calibrate_ladyzhenskaya(small_basis, samples=16)
-        rep = analysis.twin_uniqueness(self._pair_factory(small_basis, 1e-3), 0.05, 3, c1)
+        rep = analysis.twin_uniqueness(self._pairs(small_basis, 1e-3, 3), c1)
         assert rep.weighted_gap_series is not None
         assert np.all(rep.weighted_gap_series >= 0.0)
         assert rep.gronwall_constant > 0.0
@@ -326,7 +338,7 @@ class TestTwin:
         gaps = []
         for delta in (1e-3, 5e-4):
             rep = analysis.twin_uniqueness(
-                self._pair_factory(small_basis, delta), 0.05, 6, 1.0)
+                self._pairs(small_basis, delta, 6), 1.0)
             gaps.append(np.sqrt(np.mean(rep.per_path_ratios) * delta**2))
         ratio = gaps[1] / gaps[0]
         assert 0.3 <= ratio <= 0.7
@@ -334,7 +346,7 @@ class TestTwin:
     def test_viscous_newtonian_decay(self, small_basis):
         # noise off, p = 2: the gap decays and the weighted peak sits at t = 0
         rep = analysis.twin_uniqueness(
-            self._pair_factory(small_basis, 1e-3, noise=OFF), 0.05, 1, 0.5)
+            self._pairs(small_basis, 1e-3, 1, noise=OFF), 0.5)
         series = rep.weighted_gap_series
         assert series[-1] < series[0]
         assert np.argmax(series) == 0
@@ -343,19 +355,23 @@ class TestTwin:
         other = DivFreeBasis(16, 32)
         params = RheologyParams(p=2.0, q=3.0, nu=0.5, kappa=0.5)
 
-        def bad_pair(path):
-            return (
-                make_state(small_basis, smooth_coeffs(small_basis), params),
-                make_state(other, smooth_coeffs(other), params),
-            )
-
+        bad_pair = (
+            run(make_state(small_basis, smooth_coeffs(small_basis), params), 0.01),
+            run(make_state(other, smooth_coeffs(other), params), 0.01),
+        )
         with pytest.raises(ValidationError, match="span"):
-            analysis.twin_uniqueness(bad_pair, 0.01, 1, 1.0)
+            analysis.twin_uniqueness([bad_pair], 1.0)
+
+    def test_twins_on_different_increments_rejected(self, small_basis):
+        # path 0 against path 1: the twins draw different increments, so their
+        # gap is not a pathwise comparison
+        with pytest.raises(ValidationError, match="increments"):
+            analysis.twin_uniqueness(self._pairs(small_basis, 1e-3, 1, path_b=1), 1.0)
 
     def test_gronwall_constant_stable_under_dt_halving(self, small_basis):
         reps = [
             analysis.twin_uniqueness(
-                self._pair_factory(small_basis, 1e-3, dt=dt), 0.05, 4, 1.0)
+                self._pairs(small_basis, 1e-3, 4, dt=dt), 1.0)
             for dt in (2.5e-3, 1.25e-3)
         ]
         ratio = reps[1].gronwall_constant / reps[0].gronwall_constant
@@ -364,7 +380,7 @@ class TestTwin:
     def test_gronwall_constant_stable_under_span_doubling(self, small_basis):
         big = DivFreeBasis(2 * small_basis.n, small_basis.grid_size)
         reps = [
-            analysis.twin_uniqueness(self._pair_factory(b, 1e-3), 0.05, 4, 1.0)
+            analysis.twin_uniqueness(self._pairs(b, 1e-3, 4), 1.0)
             for b in (small_basis, big)
         ]
         ratio = reps[1].gronwall_constant / reps[0].gronwall_constant

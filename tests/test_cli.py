@@ -411,10 +411,28 @@ class TestExperiments:
         assert crit["details"] == "base: 1 of 4, mode doubling: 1 of 4, alpha halving: 1 of 4"
         assert "[FAIL] no divergent path excluded" in capsys.readouterr().out
 
+    def test_moments_mode_doubling_fails_on_a_scaled_doubled_basis(self, tmp_path, monkeypatch):
+        # sqrt(2) times the initial field on the doubled basis only doubles
+        # the sup energy there, far outside 2 SE of the base leg
+        original = cli.initial_coefficients
+
+        def scaled_on_doubled_basis(cfg, basis, path=0):
+            c = original(cfg, basis, path)
+            return np.sqrt(2.0) * c if basis.n == 32 else c   # n_modes = 16, doubled
+
+        monkeypatch.setattr(cli, "initial_coefficients", scaled_on_doubled_basis)
+        cfg = cli.parse_config(None, [
+            "experiment=moments", "paths=8", "seed=7", "grid_n=16", "n_modes=16", "steps=20",
+            "dt=0.0025", "T=0.05", "p=2", "q=4", "alpha=0.125", "noise.family=linear",
+            "noise.amplitude=0.5", "noise.modes=6", "ic.kind=random"])
+        report = cli.run_experiment(cfg, str(tmp_path))
+        crit = next(c for c in report.criteria if c.name == "sup energy stable under mode doubling")
+        assert not crit.passed and not report.passed
+
     def test_uniqueness_fails_on_a_nan_twin_ratio(self, tmp_path, monkeypatch):
         # only the perturbed legs run path 8 (the identical twins run paths
         # 0-7); its NaN ratio makes the Gronwall constant NaN at dt and dt/2
-        original = cli.analysis.run
+        original = cli.run
 
         def nan_path_8(state0, T, **kwargs):
             traj = original(state0, T, **kwargs)
@@ -422,7 +440,7 @@ class TestExperiments:
                 traj.coeffs[-1] = np.nan
             return traj
 
-        monkeypatch.setattr(cli.analysis, "run", nan_path_8)
+        monkeypatch.setattr(cli, "run", nan_path_8)
         cfg = cli.parse_config(None, [
             "experiment=uniqueness", "paths=9", "grid_n=16", "n_modes=16", "steps=10", "dt=0.005",
             "T=0.05", "noise.family=linear", "noise.amplitude=0.5", "noise.modes=6", "ic.kind=random"])
@@ -430,6 +448,14 @@ class TestExperiments:
         assert [c.name for c in report.criteria if not c.passed] == [
             "weighted Gronwall constant stable under dt-halving"]
         assert np.isnan(report.metrics["per_path_max_ratio"])
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        # report.json stays strict JSON: each NaN is written as null
+        payload = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        for key in ("gronwall_constant", "gronwall_constant_half_dt", "per_path_max_ratio"):
+            assert payload["metrics"][key] is None
 
     @pytest.mark.parametrize("criterion, entries", [
         # u_x at k = (1, 0) and at its conjugate (-1, 0): real, but k.u != 0

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nsvsim import fields, galerkin
+from nsvsim import analysis, fields, galerkin
 from nsvsim.errors import ConfigurationError, DivergenceError, ValidationError
 from nsvsim.galerkin import (
     DivFreeBasis,
@@ -456,7 +456,7 @@ def test_trajectory_csv_layout(tmp_path, small_basis):
     params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
     traj = run(make_state(small_basis, shear_coeffs(small_basis), params, dt=1e-2), 0.05)
     path = tmp_path / "trajectory.csv"
-    trajectory_csv(path, traj)
+    trajectory_csv(path, traj, analysis.ledger_from_trajectory(traj))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,l2,grad_l2,lp_gradp,lq_q,energy,dissipation_acc,noise_trace_acc,tripped"
     assert len(lines) == traj.n_steps + 2
