@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 
 from .errors import ConfigurationError, DivergenceError, ValidationError
 from .fields import SpectralField
-from .galerkin import DivFreeBasis, GalerkinState, StoppingMonitor, Trajectory
-from .noise import NoiseModel, WienerIncrement
+from .galerkin import DivFreeBasis, GalerkinState, Trajectory
+from .noise import NoiseModel
 from .rheology import RheologyParams
 
 __all__ = [
@@ -17,9 +17,7 @@ __all__ = [
     "NoiseModel",
     "RheologyParams",
     "SpectralField",
-    "StoppingMonitor",
     "Trajectory",
     "ValidationError",
-    "WienerIncrement",
     "__version__",
 ]

@@ -25,7 +25,6 @@ from .errors import ConfigurationError, DivergenceError, ValidationError
 from .galerkin import (
     DivFreeBasis,
     GalerkinState,
-    StoppingMonitor,
     basis_capacity,
     run,
     trajectory_csv,
@@ -254,6 +253,10 @@ def _forcing_snapshot(basis: DivFreeBasis, path: str) -> np.ndarray:
         snap = fields.load_field(path)
     except OSError as exc:
         raise ConfigurationError(f"forcing.path: cannot read snapshot {path!r}: {exc.strerror or exc}") from None
+    if snap.k_max < basis.k_max:
+        raise ConfigurationError(
+            f"forcing.path: snapshot {path!r} is truncated at K = {snap.k_max}, "
+            f"below k_max = {basis.k_max} of a {basis.n}-mode basis")
     return basis.gather(snap.coeffs)
 
 
@@ -270,15 +273,23 @@ def forcing_coefficients(cfg: SimConfig, basis: DivFreeBasis) -> np.ndarray:
     return np.stack([_forcing_snapshot(basis, p) for p in paths[: cfg.steps]])
 
 
-def make_state(cfg: SimConfig, basis: DivFreeBasis, path: int = 0) -> GalerkinState:
+def _halved(cfg: SimConfig, forcing: np.ndarray) -> tuple:
+    """The dt/2 leg of ``cfg`` and its forcing: each per-step row of ``forcing``
+    is held for two fine steps, so both legs see the same forcing."""
+    fine = forcing if forcing.ndim == 1 else np.repeat(forcing, 2, axis=0)
+    return replace(cfg, dt=cfg.dt / 2.0, steps=cfg.steps * 2), fine
+
+
+def make_state(cfg: SimConfig, basis: DivFreeBasis, path: int, forcing: np.ndarray) -> GalerkinState:
+    """Path ``path``'s initial state under ``forcing``, which each leg reads
+    once by :func:`forcing_coefficients`."""
     return GalerkinState(
-        t=0.0,
         c=initial_coefficients(cfg, basis, path),
         basis=basis,
         params=cfg.rheology(),
         noise=cfg.noise_model(),
         dt=cfg.dt,
-        forcing=forcing_coefficients(cfg, basis),
+        forcing=forcing,
         master_seed=cfg.seed,
         path=path,
         convection=cfg.convection,
@@ -337,10 +348,10 @@ def _versions() -> dict:
 
 def _experiment_simulate(cfg: SimConfig, out_dir: str):
     basis = cfg.basis()
+    forcing = forcing_coefficients(cfg, basis)
 
     def run_path(i: int):
-        monitor = StoppingMonitor(cfg.monitor_threshold) if cfg.monitor_threshold > 0 else None
-        return run(make_state(cfg, basis, i), cfg.T, monitor=monitor)
+        return run(make_state(cfg, basis, i, forcing), cfg.T, grad_threshold=cfg.monitor_threshold)
 
     # path 0 feeds every output; each other path is checked for finite states and dropped
     traj = run_path(0)
@@ -384,11 +395,12 @@ def _experiment_simulate(cfg: SimConfig, out_dir: str):
 
 def _experiment_energy_audit(cfg: SimConfig, out_dir: str):
     basis = cfg.basis()
+    forcing = forcing_coefficients(cfg, basis)
     criteria = []
     metrics = {}
     artifacts = []
     if cfg.noise_model().active:
-        ledgers = [analysis.ledger_from_trajectory(run(make_state(cfg, basis, i), cfg.T))
+        ledgers = [analysis.ledger_from_trajectory(run(make_state(cfg, basis, i, forcing), cfg.T))
                    for i in range(cfg.paths)]
         cum = np.stack([np.cumsum(led.residual) for led in ledgers])
         mean = cum.mean(axis=0)
@@ -399,9 +411,9 @@ def _experiment_energy_audit(cfg: SimConfig, out_dir: str):
             bool(np.all(z <= 3.0)), f"max |mean|/SE = {float(np.max(z)):.3f} over {cum.shape[1]} times"))
         metrics.update({"max_z": float(np.max(z)), "final_mean_residual": float(mean[-1]), "final_se": float(se[-1])})
     else:
-        half = replace(cfg, dt=cfg.dt / 2.0, steps=cfg.steps * 2)
-        fine = run(make_state(half, basis, 0), half.T)
-        _, s1 = analysis.energy_audit(run(make_state(cfg, basis, 0), cfg.T), refined=fine)
+        half, fine_forcing = _halved(cfg, forcing)
+        fine = run(make_state(half, basis, 0, fine_forcing), half.T)
+        _, s1 = analysis.energy_audit(run(make_state(cfg, basis, 0, forcing), cfg.T), refined=fine)
         ratio = s1["residual_halving_ratio"]
         criteria.append(Criterion(
             "residual halves under dt-halving", 0.4 <= ratio <= 0.6, f"ratio = {ratio:.4f} in [0.4, 0.6]"))
@@ -418,15 +430,14 @@ def _experiment_moments(cfg: SimConfig, out_dir: str):
 
     def estimate(local_cfg: SimConfig) -> analysis.MomentReport:
         basis = local_cfg.basis()
-        state0 = make_state(local_cfg, basis, 0)
-        e0 = basis.energy(state0.c, local_cfg.kappa)
-        f = state0.forcing
+        f = forcing_coefficients(local_cfg, basis)
+        e0 = basis.energy(initial_coefficients(local_cfg, basis, 0), local_cfg.kappa)
         f_int = float(np.sum(f**2)) * local_cfg.T if f.ndim == 1 else float(np.sum(f**2) * local_cfg.dt)
 
         def finite_paths():
             for i in range(local_cfg.paths):
                 try:
-                    traj = run(make_state(local_cfg, basis, i), local_cfg.T)
+                    traj = run(make_state(local_cfg, basis, i, f), local_cfg.T)
                 except DivergenceError:
                     continue
                 yield traj
@@ -483,18 +494,19 @@ def _experiment_uniqueness(cfg: SimConfig, out_dir: str):
 
     first_wave = np.flatnonzero(basis.k2 > 0)[0]
 
-    def twins(local_cfg: SimConfig, paths: int, perturb: float):
+    forcing = forcing_coefficients(cfg, basis)
+
+    def twins(local_cfg: SimConfig, forcing: np.ndarray, paths: int, perturb: float):
         # one state per path; its twin differs by perturb in the first wave mode
         for path in range(paths):
-            sa = make_state(local_cfg, basis, path)
+            sa = make_state(local_cfg, basis, path, forcing)
             cb = sa.c.copy()
             cb[first_wave] += perturb
             yield run(sa, local_cfg.T), run(replace(sa, c=cb), local_cfg.T)
 
-    identical = analysis.twin_uniqueness(twins(cfg, min(cfg.paths, 8), 0.0), weight_c)
-    perturbed = analysis.twin_uniqueness(twins(cfg, cfg.paths, delta), weight_c)
-    half = replace(cfg, dt=cfg.dt / 2.0, steps=cfg.steps * 2)
-    perturbed_half = analysis.twin_uniqueness(twins(half, cfg.paths, delta), weight_c)
+    identical = analysis.twin_uniqueness(twins(cfg, forcing, min(cfg.paths, 8), 0.0), weight_c)
+    perturbed = analysis.twin_uniqueness(twins(cfg, forcing, cfg.paths, delta), weight_c)
+    perturbed_half = analysis.twin_uniqueness(twins(*_halved(cfg, forcing), cfg.paths, delta), weight_c)
 
     stability = perturbed_half.gronwall_constant / max(perturbed.gronwall_constant, 1e-300)
     criteria = [
@@ -516,9 +528,10 @@ def _experiment_uniqueness(cfg: SimConfig, out_dir: str):
 
 def _experiment_alpha_sweep(cfg: SimConfig, out_dir: str):
     basis = cfg.basis()
+    forcing = forcing_coefficients(cfg, basis)
 
     # the first run is the alpha = 0 reference
-    trajs = (run(make_state(replace(cfg, alpha=alpha), basis, 0), cfg.T)
+    trajs = (run(make_state(replace(cfg, alpha=alpha), basis, 0, forcing), cfg.T)
              for alpha in (0.0, 0.25, 0.125, 0.0625, 0.03125))
     rows = analysis.alpha_sweep(next(trajs), trajs)
     damping = [r.damping_integral for r in rows]
@@ -545,7 +558,7 @@ def _experiment_pressure(cfg: SimConfig, out_dir: str):
     tg_err = float(np.max(np.abs(pi + 0.25 * (np.cos(2 * xx) + np.cos(2 * yy)))))
 
     basis = cfg.basis()
-    traj = run(make_state(cfg, basis, 0), cfg.T)
+    traj = run(make_state(cfg, basis, 0, forcing_coefficients(cfg, basis)), cfg.T)
     parts = pressure.decompose_pressure(traj)
     recon = parts.max_residual()
     mom = pressure.momentum_gradient_residual(traj, parts)

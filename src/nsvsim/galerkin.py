@@ -16,21 +16,26 @@ the flux nu A - u x u, the damping term and the noise shape; one forward
 transform gives the drift source and the shape table, which the kernel and
 the pressure both read.  The kernel projects those to the drift ``b`` and
 the noise projection ``s`` and integrates the quadrature scalars
-||D u||_p^p, ||grad u||_p^p and ||u||_q^q.  :func:`run` evaluates it once
-per stored state and keeps the state-only outputs on the
-:class:`Trajectory`, which every audit reads.  Two passes recompute from the
-stored coefficients on purpose: ``analysis.weak_form_residual`` is the
-independent check that catches a corrupted state, and the pressure
-decomposition takes its tables from the pointwise stage at ``traj.coeffs``
-under ``traj.params``, so that it describes whatever trajectory and
-parameters it is handed.
+||D u||_p^p, ||grad u||_p^p and ||u||_q^q.
+
+A :class:`GalerkinState` is what a path starts from: its initial
+coefficients, the system it solves and its (seed, path) noise lineage.
+:func:`run` keeps the coefficients, the time and the step index in its loop,
+evaluates the kernel once per stored state and keeps the state-only outputs
+on the :class:`Trajectory`, which every audit reads; a run stopped by its
+gradient threshold records the stopping time there as ``tripped_at``.  Two
+passes recompute from the stored coefficients on purpose:
+``analysis.weak_form_residual`` is the independent check that catches a
+corrupted state, and the pressure decomposition takes its tables from the
+pointwise stage at ``traj.coeffs`` under ``traj.params``, so that it
+describes whatever trajectory and parameters it is handed.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,19 +167,6 @@ class DivFreeBasis:
         """The Voigt energy ||u||_2^2 + kappa ||grad u||_2^2, for coefficients (..., n)."""
         l2, g2 = self.field_norms_sq(c)
         return l2 + kappa * g2
-
-
-@dataclass
-class StoppingMonitor:
-    """First time ||grad u(t)||_2 reaches the threshold."""
-
-    threshold: float
-    tripped_at: float | None = None
-
-    def check(self, grad_norm: float, t: float) -> bool:
-        if self.tripped_at is None and self.threshold > 0 and grad_norm >= self.threshold:
-            self.tripped_at = t
-        return self.tripped_at is not None
 
 
 def forcing_at(forcing: np.ndarray, step):
@@ -314,9 +306,9 @@ def _evaluate(basis: DivFreeBasis, c: np.ndarray, f: np.ndarray, params: Rheolog
 
 @dataclass
 class GalerkinState:
-    """Time-stepper state: coefficient vector over the first n basis modes."""
+    """What a path starts from: its initial coefficients over the first n
+    basis modes, the system it solves, and its (seed, path) noise lineage."""
 
-    t: float
     c: np.ndarray
     basis: DivFreeBasis
     params: RheologyParams
@@ -325,7 +317,6 @@ class GalerkinState:
     forcing: np.ndarray          # (n,) static or (steps, n) per-step coefficients
     master_seed: int = 0
     path: int = 0
-    step_index: int = 0
     convection: bool = True
 
     def __post_init__(self):
@@ -334,9 +325,6 @@ class GalerkinState:
             raise ValidationError(f"coefficient vector has shape {self.c.shape}, expected ({self.basis.n},)")
         if self.dt <= 0:
             raise ValidationError(f"dt={self.dt} must be positive")
-
-    def grad_norm(self) -> float:
-        return float(np.sqrt(self.basis.field_norms_sq(self.c)[1]))
 
 
 @dataclass
@@ -388,13 +376,15 @@ class Trajectory:
 def run(
     state0: GalerkinState,
     T: float,
-    monitor: StoppingMonitor | None = None,
+    grad_threshold: float = 0.0,
     increments: np.ndarray | None = None,
 ) -> Trajectory:
-    """Advance to min(T, trip time) by semi-implicit Euler-Maruyama: exact
-    diagonal mass solve, explicit drift, explicit noise increment.  The drift
-    kernel runs once per stored state.  Deterministic given the seed lineage;
-    pass ``increments`` to drive several runs with matched noise."""
+    """Advance from t = 0 to T by semi-implicit Euler-Maruyama: exact diagonal
+    mass solve, explicit drift, explicit noise increment.  The drift kernel
+    runs once per stored state.  With ``grad_threshold`` > 0 the run stops at
+    the first state with ||grad u||_2 >= ``grad_threshold`` and records its
+    time as ``tripped_at``.  Deterministic given the seed lineage; pass
+    ``increments`` to drive several runs with matched noise."""
     if T < 0:
         raise ValidationError(f"T={T} must be nonnegative")
     dt = state0.dt
@@ -408,47 +398,46 @@ def run(
     mass = basis.mass_multipliers(params.kappa)
     scales = noise.mode_scales()
 
-    state = state0
-    times = [state.t]
-    coeffs = [state.c.copy()]
-    incs = []
-    record = []
+    c, t = state0.c, 0.0
+    times, coeffs, incs, record = [t], [c], [], []
+    tripped_at = None
     # One kernel evaluation per stored state: it drives the step out of a
     # state and gives that state's record row, the final state's included.
-    while True:
+    for i in range(n_steps + 1):
         terms = assemble_drift_terms(
-            basis, state.c, forcing_at(state.forcing, state.step_index), params, noise,
-            convection=state.convection,
+            basis, c, forcing_at(state0.forcing, i), params, noise, convection=state0.convection,
         )
         cfl = dt * float(terms.max_speed) * basis.k_max
-        if not record and cfl > 0.5:  # checked at the initial state only
+        if i == 0 and cfl > 0.5:  # checked at the initial state only
             warnings.warn(
                 f"dt*max|u|*k_max = {cfl:.3g} > 0.5: explicit convection may be unstable",
                 stacklevel=2,
             )
         record.append((
             float(terms.dissipation_p), float(terms.grad_p), float(terms.damping_q),
-            float(np.sum(terms.s * terms.s / mass)), float(np.dot(state.c, terms.s)),
+            float(np.sum(terms.s * terms.s / mass)), float(np.dot(c, terms.s)),
         ))
-        i = len(incs)
-        if (monitor is not None and monitor.check(state.grad_norm(), state.t)) or i == n_steps:
+        if grad_threshold > 0 and np.sqrt(basis.field_norms_sq(c)[1]) >= grad_threshold:
+            tripped_at = t
+            break
+        if i == n_steps:
             break
         if increments is not None:
             db = np.asarray(increments[i, : noise.n_w], dtype=float)
         elif noise.active:
-            db = sample_increment(state.master_seed, state.path, state.step_index, dt, noise.n_w).db
+            db = sample_increment(state0.master_seed, state0.path, i, dt, noise.n_w)
         else:
             db = np.zeros(noise.n_w)
         rhs = terms.b * dt
         if noise.active:
             rhs = rhs + terms.s * float(np.dot(scales, db))
-        c_new = state.c + rhs / mass
-        if not np.all(np.isfinite(c_new)):
-            raise DivergenceError(state.step_index)
-        state = replace(state, t=state.t + dt, c=c_new, step_index=state.step_index + 1)
-        incs.append(db.copy())
-        times.append(state.t)
-        coeffs.append(state.c.copy())
+        c = c + rhs / mass
+        if not np.all(np.isfinite(c)):
+            raise DivergenceError(i)
+        t = t + dt
+        incs.append(db)
+        times.append(t)
+        coeffs.append(c)
 
     dissipation_p, grad_p, damping_q, noise_mass_sq, c_dot_s = np.asarray(record).T.copy()
     return Trajectory(
@@ -466,7 +455,7 @@ def run(
         dt=dt,
         forcing=state0.forcing,
         convection=state0.convection,
-        tripped_at=None if monitor is None else monitor.tripped_at,
+        tripped_at=tripped_at,
     )
 
 

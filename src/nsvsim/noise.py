@@ -5,6 +5,10 @@ The coefficient family is separable: ``phi_k(xi) = (c / k^2) * shape(xi)`` with
 family).  The 1/k^2 envelope makes the growth/Lipschitz sums convergent with
 closed-form constants K = L = c pi^2 / 6 and the decay constant C = c^2, so the
 empirical validators have exact targets.
+
+The Wiener process enters as plain arrays of increments: each step's (n_w,)
+draws are a pure function of the (seed, path, step) lineage, so every path is
+the same whatever order the paths run in.
 """
 
 from __future__ import annotations
@@ -130,20 +134,10 @@ def verify_noise_conditions(
     )
 
 
-@dataclass(frozen=True)
-class WienerIncrement:
-    """One step of per-mode Brownian increments with its seed lineage."""
-
-    db: np.ndarray  # shape (n_w,), N(0, dt) draws
-    dt: float
-    lineage: tuple[int, int, int]  # (master seed, path index, step index)
-
-
-def sample_increment(master_seed: int, path: int, step: int, dt: float, n_w: int) -> WienerIncrement:
-    """n_w independent N(0, dt) draws, a pure function of (seed, path, step)."""
+def sample_increment(master_seed: int, path: int, step: int, dt: float, n_w: int) -> np.ndarray:
+    """The Brownian increments of one step: n_w independent N(0, dt) draws,
+    shape (n_w,), a pure function of the lineage (seed, path, step)."""
     if dt <= 0:
         raise ValidationError(f"dt={dt} must be positive")
     rng = np.random.default_rng([int(master_seed), int(path), int(step)])
-    db = rng.standard_normal(n_w) * np.sqrt(dt)
-    return WienerIncrement(db=db, dt=dt, lineage=(int(master_seed), int(path), int(step)))
-
+    return rng.standard_normal(n_w) * np.sqrt(dt)

@@ -19,7 +19,6 @@ import pytest
 
 from nsvsim import analysis, cli, fields, galerkin, pressure, rheology
 from nsvsim.galerkin import GalerkinState, run
-from nsvsim.noise import WienerIncrement
 
 pytestmark = pytest.mark.acceptance
 
@@ -47,7 +46,8 @@ def report(number: int, passed: bool, detail: str) -> None:
 
 def state_from(overrides: list[str], path: int = 0) -> GalerkinState:
     cfg = cli.parse_config(None, overrides)
-    return cli.make_state(cfg, cfg.basis(), path)
+    basis = cfg.basis()
+    return cli.make_state(cfg, basis, path, cli.forcing_coefficients(cfg, basis))
 
 
 def run_criterion(number: int, out) -> cli.RunReport:
@@ -227,7 +227,8 @@ def test_criterion_12_reproducibility(tmp_path):
 
     def trajectories(order):
         basis = cfg.basis()
-        return {i: run(cli.make_state(cfg, basis, i), cfg.T) for i in order}
+        forcing = cli.forcing_coefficients(cfg, basis)
+        return {i: run(cli.make_state(cfg, basis, i, forcing), cfg.T) for i in order}
 
     forward = trajectories(range(cfg.paths))
     reverse = trajectories(reversed(range(cfg.paths)))
@@ -248,7 +249,7 @@ def test_criterion_12_fails_on_a_shared_generator(tmp_path, monkeypatch, capsys)
     shared = np.random.default_rng(2026)
 
     def draw(master_seed, path, step, dt, n_w):
-        return WienerIncrement(shared.standard_normal(n_w) * np.sqrt(dt), dt, (master_seed, path, step))
+        return shared.standard_normal(n_w) * np.sqrt(dt)
 
     monkeypatch.setattr(galerkin, "sample_increment", draw)
     with pytest.raises(AssertionError):

@@ -16,7 +16,7 @@ OFF = NoiseModel("off", 0.0, 0)
 
 def make_state(basis, c, params, noise=OFF, dt=1e-3, seed=11, path=0):
     return GalerkinState(
-        t=0.0, c=np.asarray(c, float), basis=basis, params=params, noise=noise,
+        c=np.asarray(c, float), basis=basis, params=params, noise=noise,
         dt=dt, forcing=np.zeros(basis.n), master_seed=seed, path=path)
 
 
@@ -109,7 +109,8 @@ class TestWeakForm:
             "noise.amplitude=0.5", "noise.modes=6", "ic.kind=random",
             "steps=100", "dt=0.0025", "T=0.25", "convection=false",
         ])
-        traj = run(cli.make_state(cfg, cfg.basis()), cfg.T)
+        basis = cfg.basis()
+        traj = run(cli.make_state(cfg, basis, 0, cli.forcing_coefficients(cfg, basis)), cfg.T)
         modes = np.eye(traj.basis.n)
         assert analysis.weak_form_residual(traj, modes) <= 1e-9
 

@@ -11,6 +11,17 @@ from nsvsim import cli, fields, galerkin
 from nsvsim.errors import ConfigurationError, DivergenceError, ValidationError
 
 
+def write_forcing_snapshots(directory, count: int) -> str:
+    """``count`` distinct forcing snapshots f0.bin, f1.bin, ... with K = 2, enough
+    for 16 modes on grid 16; returns their glob."""
+    basis = galerkin.DivFreeBasis(16, 16)
+    rng = np.random.default_rng(5)
+    for i in range(count):
+        table = basis.scatter(0.1 * rng.standard_normal(basis.n))
+        fields.save_field(directory / f"f{i}.bin", fields.SpectralField(table, 16))
+    return str(directory / "f*.bin")
+
+
 class TestParseConfig:
     def test_defaults_valid(self):
         cfg = cli.parse_config(None, [])
@@ -221,8 +232,7 @@ class TestExperiments:
             "ic.kind=shear", "steps=10", "dt=0.005", "T=0.05",
             "forcing.kind=file", f"forcing.path={snap}",
         ])
-        state = cli.make_state(cfg2, cfg2.basis())
-        assert np.max(np.abs(state.forcing)) > 0.0
+        assert np.max(np.abs(cli.forcing_coefficients(cfg2, cfg2.basis()))) > 0.0
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "empty glob"])
     def test_unreadable_forcing_file_exits_2(self, kind, tmp_path, capsys):
@@ -237,6 +247,53 @@ class TestExperiments:
         assert rc == 2
         assert "forcing.path" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment, n_modes", [("simulate", 32), ("moments", 8)])
+    def test_truncated_forcing_snapshot_exits_2(self, experiment, n_modes, tmp_path, capsys):
+        # a K = 1 snapshot lies below k_max = 3 of 32 modes; 8 modes fit it, but
+        # moments' doubled basis of 16 modes has k_max = 2
+        snap = tmp_path / "coarse.bin"
+        fields.save_field(snap, fields.zero_field(1, 32))
+        overrides = ["steps=4", "dt=0.005", "T=0.02", "paths=2", f"n_modes={n_modes}",
+                     "forcing.kind=file", f"forcing.path={snap}"]
+        rc = cli.main([experiment, *(a for ov in overrides for a in ("--override", ov)),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "forcing.path" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    FORCED = ["paths=3", "grid_n=16", "n_modes=8", "steps=4", "dt=0.005", "T=0.02", "ic.kind=random",
+              "forcing.kind=files"]
+
+    def test_moments_reads_the_forcing_once_per_leg(self, tmp_path, monkeypatch):
+        # 4 snapshots for the base leg and 4 for the doubled basis, however many paths
+        forcing = write_forcing_snapshots(tmp_path, 4)
+        load, loads = fields.load_field, []
+        monkeypatch.setattr(fields, "load_field", lambda path: loads.append(path) or load(path))
+        cfg = cli.parse_config(None, ["experiment=moments", *self.FORCED, f"forcing.path={forcing}",
+                                      "noise.family=linear", "noise.amplitude=0.5", "noise.modes=4"])
+        cli.run_experiment(cfg, str(tmp_path / "out"))
+        assert len(loads) == 8
+
+    @pytest.mark.parametrize("experiment", ["uniqueness", "energy-audit"])
+    def test_dt_halving_leg_holds_each_forcing_snapshot_for_two_fine_steps(
+            self, experiment, tmp_path, monkeypatch, capsys):
+        # steps snapshots serve both legs: fine steps 2i and 2i + 1 see coarse step i's
+        forcing = write_forcing_snapshots(tmp_path, 4)
+        original, seen = cli.run, {}
+
+        def recording(state0, *args, **kwargs):
+            seen[state0.dt] = state0.forcing
+            return original(state0, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run", recording)
+        overrides = [*self.FORCED, f"forcing.path={forcing}"]
+        rc = cli.main([experiment, *(a for ov in overrides for a in ("--override", ov)),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 0, capsys.readouterr()
+        steps = np.arange(8)
+        assert np.array_equal(galerkin.forcing_at(seen[0.0025], steps),
+                              galerkin.forcing_at(seen[0.005], steps // 2))
 
     def test_simulate_drops_every_path_but_the_first(self, tmp_path, monkeypatch):
         # path 0 feeds the outputs; any other path's trajectory is gone

@@ -10,7 +10,6 @@ from nsvsim.galerkin import (
     DivFreeBasis,
     GalerkinState,
     PointwiseTerms,
-    StoppingMonitor,
     assemble_drift_terms,
     run,
     trajectory_csv,
@@ -41,7 +40,7 @@ def drift(basis: DivFreeBasis, c: np.ndarray, params: RheologyParams) -> np.ndar
 
 def make_state(basis, c, params, noise=OFF, dt=1e-3, **kw) -> GalerkinState:
     return GalerkinState(
-        t=0.0, c=np.asarray(c, float), basis=basis, params=params, noise=noise,
+        c=np.asarray(c, float), basis=basis, params=params, noise=noise,
         dt=dt, forcing=np.zeros(basis.n), **kw,
     )
 
@@ -426,9 +425,7 @@ class TestRun:
     def test_monitor_trips_immediately(self, small_basis):
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
         st = make_state(small_basis, shear_coeffs(small_basis), params)
-        monitor = StoppingMonitor(threshold=0.1)
-        traj = run(st, 0.1, monitor=monitor)
-        assert monitor.tripped_at == 0.0
+        traj = run(st, 0.1, grad_threshold=0.1)
         assert traj.n_steps == 0
         assert traj.tripped_at == 0.0
 
@@ -436,10 +433,42 @@ class TestRun:
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
         c = shear_coeffs(small_basis)
         g0 = float(np.sqrt(np.sum(small_basis.k2 * c**2)))
-        monitor = StoppingMonitor(threshold=g0 * 1.0001)
-        traj = run(make_state(small_basis, c, params), 0.1, monitor=monitor)
+        traj = run(make_state(small_basis, c, params), 0.1, grad_threshold=g0 * 1.0001)
         assert traj.tripped_at is None
         assert traj.n_steps == 100
+
+    def test_monitor_trips_after_step_zero(self, tmp_path, small_basis):
+        # a forced shear grows from rest, so ||grad u|| rises at every step and
+        # a threshold at step k's value stops the run there
+        params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
+        st = GalerkinState(c=np.zeros(small_basis.n), basis=small_basis, params=params, noise=OFF,
+                           dt=1e-3, forcing=shear_coeffs(small_basis))
+        free = run(st, 0.02)
+        grads = np.sqrt(small_basis.field_norms_sq(free.coeffs)[1])
+        assert np.all(np.diff(grads) > 0)
+        k = 12
+        traj = run(st, 0.02, grad_threshold=grads[k])
+        assert traj.n_steps == k
+        assert traj.tripped_at == traj.times[-1] == free.times[k]
+        assert np.array_equal(traj.coeffs, free.coeffs[: k + 1])
+        reached = np.sqrt(small_basis.field_norms_sq(traj.coeffs)[1]) >= grads[k]
+        assert np.flatnonzero(reached).tolist() == [k]
+        path = tmp_path / "trajectory.csv"
+        trajectory_csv(path, traj, analysis.ledger_from_trajectory(traj))
+        tripped = [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]]
+        assert tripped == ["0"] * k + ["1"]
+
+    def test_supplied_increments_reproduce_the_path(self, small_basis):
+        params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
+        st = make_state(small_basis, smooth_random_coeffs(small_basis), params,
+                        noise=NoiseModel("linear", 0.5, 6), master_seed=9, path=2)
+        traj = run(st, 0.02)
+        replay = run(st, 0.02, increments=traj.increments)
+        for name in ("times", "coeffs", "increments", "dissipation_p", "grad_p", "damping_q",
+                     "noise_mass_sq", "c_dot_s"):
+            assert np.array_equal(getattr(replay, name), getattr(traj, name)), name
+        with pytest.raises(ValidationError, match="shorter"):
+            run(st, 0.02, increments=traj.increments[:-1])
 
     def test_forcing_balances_dissipation(self, small_basis):
         # forcing equal to the dissipative drift freezes the single-mode state
@@ -447,9 +476,15 @@ class TestRun:
         c = shear_coeffs(small_basis)
         f = -drift(small_basis, c, params)
         st = GalerkinState(
-            t=0.0, c=c, basis=small_basis, params=params, noise=OFF, dt=1e-3, forcing=f)
+            c=c, basis=small_basis, params=params, noise=OFF, dt=1e-3, forcing=f)
         traj = run(st, 0.05)
         assert np.max(np.abs(traj.coeffs[-1] - c)) < 1e-10
+
+
+def test_every_public_name_resolves():
+    import nsvsim
+
+    assert [name for name in nsvsim.__all__ if not hasattr(nsvsim, name)] == []
 
 
 def test_trajectory_csv_layout(tmp_path, small_basis):

@@ -87,19 +87,18 @@ class TestIncrements:
     def test_determinism(self):
         a = sample_increment(42, 3, 17, 0.01, 6)
         b = sample_increment(42, 3, 17, 0.01, 6)
-        assert np.array_equal(a.db, b.db)
-        assert a.lineage == (42, 3, 17)
+        assert np.array_equal(a, b)
 
     def test_distinct_lineages_differ(self):
         a = sample_increment(42, 3, 17, 0.01, 6)
         b = sample_increment(42, 3, 18, 0.01, 6)
         c = sample_increment(42, 4, 17, 0.01, 6)
-        assert not np.array_equal(a.db, b.db)
-        assert not np.array_equal(a.db, c.db)
+        assert not np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_empty_increment(self):
         inc = sample_increment(1, 0, 0, 0.5, 0)
-        assert inc.db.shape == (0,)
+        assert inc.shape == (0,)
 
     def test_dt_validation(self):
         with pytest.raises(ValidationError):
@@ -107,7 +106,7 @@ class TestIncrements:
 
     def test_variance_law_of_large_numbers(self):
         dt = 0.003
-        draws = np.array([sample_increment(9, 0, s, dt, 1).db[0] for s in range(100_000)])
+        draws = np.array([sample_increment(9, 0, s, dt, 1)[0] for s in range(100_000)])
         var = np.var(draws / np.sqrt(dt))
         assert 0.99 <= var <= 1.01
         assert abs(np.mean(draws)) < 5e-4

@@ -19,7 +19,7 @@ def noisy_trajectory(small_basis, alpha=0.1, family="saturating", seed=5, steps=
     params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=alpha)
     model = NoiseModel(family, 0.5, 6)
     st = GalerkinState(
-        t=0.0, c=c0, basis=small_basis, params=params, noise=model, dt=2.5e-3,
+        c=c0, basis=small_basis, params=params, noise=model, dt=2.5e-3,
         forcing=np.zeros(small_basis.n), master_seed=seed, path=0)
     return run(st, steps * st.dt)
 
@@ -53,7 +53,7 @@ class TestDecompose:
     def test_zero_trajectory(self, small_basis):
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
         st = GalerkinState(
-            t=0.0, c=np.zeros(small_basis.n), basis=small_basis, params=params,
+            c=np.zeros(small_basis.n), basis=small_basis, params=params,
             noise=NoiseModel("off", 0.0, 0), dt=1e-2, forcing=np.zeros(small_basis.n))
         parts = pressure.decompose_pressure(run(st, 0.05))
         for arr in (parts.pi1, parts.pi2, parts.pi_phi, parts.pi_h, parts.pi_total):
@@ -113,7 +113,7 @@ class TestDecompose:
         c0 = rng.standard_normal(small_basis.n) * (1.0 + small_basis.k2) ** -1.0
         params = RheologyParams(p=2.5, q=4.0, nu=0.0, kappa=0.5, alpha=0.0)
         st = GalerkinState(
-            t=0.0, c=c0, basis=small_basis, params=params, noise=NoiseModel("off", 0.0, 0),
+            c=c0, basis=small_basis, params=params, noise=NoiseModel("off", 0.0, 0),
             dt=2.5e-3, forcing=np.zeros(small_basis.n), convection=False)
         parts = pressure.decompose_pressure(run(st, 10 * st.dt))
         assert np.max(np.abs(c0)) > 0.0
