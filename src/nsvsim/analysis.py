@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError
+from .errors import ValidationError
 from .fields import quad_weight, to_grid
 from .galerkin import DivFreeBasis, Trajectory, assemble_drift_terms, forcing_at
 from .noise import NoiseModel
@@ -179,7 +179,7 @@ def moment_estimate(
     rows = [(traj.params.alpha, np.max(traj.energies()), np.sum(traj.grad_p[:-1] * traj.dt),
              np.sum(traj.damping_q[:-1] * traj.dt)) for traj in trajs]
     if not rows:
-        raise DivergenceError(0, "every Monte-Carlo path diverged")
+        raise ValidationError("no finite trajectory to estimate from")
     if len(rows) > M:
         raise ValidationError(f"{len(rows)} trajectories for {M} paths")
     vals = np.ascontiguousarray(np.array(rows)[:, 1:].T) ** (gamma / 2.0)   # (3, paths)

@@ -27,6 +27,7 @@ from .galerkin import (
     GalerkinState,
     basis_capacity,
     run,
+    states_per_call,
     trajectory_csv,
 )
 from .noise import FAMILIES as NOISE_FAMILIES, NoiseModel, verify_noise_conditions
@@ -253,6 +254,8 @@ def _forcing_snapshot(basis: DivFreeBasis, path: str) -> np.ndarray:
         snap = fields.load_field(path)
     except OSError as exc:
         raise ConfigurationError(f"forcing.path: cannot read snapshot {path!r}: {exc.strerror or exc}") from None
+    except ValidationError as exc:
+        raise ConfigurationError(f"forcing.path: {path!r} is not a field snapshot: {exc}") from None
     if snap.k_max < basis.k_max:
         raise ConfigurationError(
             f"forcing.path: snapshot {path!r} is truncated at K = {snap.k_max}, "
@@ -294,6 +297,25 @@ def make_state(cfg: SimConfig, basis: DivFreeBasis, path: int, forcing: np.ndarr
         path=path,
         convection=cfg.convection,
     )
+
+
+def _path_results(cfg: SimConfig, basis: DivFreeBasis, forcing: np.ndarray, **kwargs):
+    """Each of the ``cfg.paths`` paths' results, a Trajectory or its
+    DivergenceError, in path order.  The paths run as stacks of one kernel
+    chunk, so memory holds one chunk's trajectories at a time."""
+    per_call = states_per_call(basis.grid_size)
+    for start in range(0, cfg.paths, per_call):
+        stop = min(start + per_call, cfg.paths)
+        yield from run([make_state(cfg, basis, i, forcing) for i in range(start, stop)], cfg.T, **kwargs)
+
+
+def _trajectory(result):
+    """A path's result when it is a Trajectory; its DivergenceError is raised.
+    Mapped over results in path order, it raises the lowest-index diverged
+    path's error, and holds no result once it has handed it on."""
+    if isinstance(result, DivergenceError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +372,11 @@ def _experiment_simulate(cfg: SimConfig, out_dir: str):
     basis = cfg.basis()
     forcing = forcing_coefficients(cfg, basis)
 
-    def run_path(i: int):
-        return run(make_state(cfg, basis, i, forcing), cfg.T, grad_threshold=cfg.monitor_threshold)
-
     # path 0 feeds every output; each other path is checked for finite states and dropped
-    traj = run_path(0)
+    trajs = map(_trajectory, _path_results(cfg, basis, forcing, grad_threshold=cfg.monitor_threshold))
+    traj = next(trajs)
     finite = [np.all(np.isfinite(traj.coeffs))]
-    finite += [np.all(np.isfinite(run_path(i).coeffs)) for i in range(1, cfg.paths)]
+    finite += map(lambda other: np.all(np.isfinite(other.coeffs)), trajs)
     criteria = []
     artifacts = []
     final = traj.field_at(traj.n_steps)
@@ -400,8 +420,8 @@ def _experiment_energy_audit(cfg: SimConfig, out_dir: str):
     metrics = {}
     artifacts = []
     if cfg.noise_model().active:
-        ledgers = [analysis.ledger_from_trajectory(run(make_state(cfg, basis, i, forcing), cfg.T))
-                   for i in range(cfg.paths)]
+        ledgers = [analysis.ledger_from_trajectory(traj)
+                   for traj in map(_trajectory, _path_results(cfg, basis, forcing))]
         cum = np.stack([np.cumsum(led.residual) for led in ledgers])
         mean = cum.mean(axis=0)
         se = cum.std(axis=0, ddof=1) / np.sqrt(cfg.paths)
@@ -412,8 +432,9 @@ def _experiment_energy_audit(cfg: SimConfig, out_dir: str):
         metrics.update({"max_z": float(np.max(z)), "final_mean_residual": float(mean[-1]), "final_se": float(se[-1])})
     else:
         half, fine_forcing = _halved(cfg, forcing)
-        fine = run(make_state(half, basis, 0, fine_forcing), half.T)
-        _, s1 = analysis.energy_audit(run(make_state(cfg, basis, 0, forcing), cfg.T), refined=fine)
+        fine = _trajectory(run([make_state(half, basis, 0, fine_forcing)], half.T)[0])
+        coarse = _trajectory(run([make_state(cfg, basis, 0, forcing)], cfg.T)[0])
+        _, s1 = analysis.energy_audit(coarse, refined=fine)
         ratio = s1["residual_halving_ratio"]
         criteria.append(Criterion(
             "residual halves under dt-halving", 0.4 <= ratio <= 0.6, f"ratio = {ratio:.4f} in [0.4, 0.6]"))
@@ -435,12 +456,16 @@ def _experiment_moments(cfg: SimConfig, out_dir: str):
         f_int = float(np.sum(f**2)) * local_cfg.T if f.ndim == 1 else float(np.sum(f**2) * local_cfg.dt)
 
         def finite_paths():
-            for i in range(local_cfg.paths):
-                try:
-                    traj = run(make_state(local_cfg, basis, i, f), local_cfg.T)
-                except DivergenceError:
-                    continue
-                yield traj
+            # the diverged paths are excluded; when every path diverged, the
+            # lowest-index one's error is raised
+            errors = []
+            for result in _path_results(local_cfg, basis, f):
+                if isinstance(result, DivergenceError):
+                    errors.append(result)
+                else:
+                    yield result
+            if len(errors) == local_cfg.paths:
+                raise errors[0]
 
         return analysis.moment_estimate(finite_paths(), local_cfg.paths, local_cfg.gamma,
                                         local_cfg.noise_model(), e0, f_int, local_cfg.T)
@@ -496,13 +521,20 @@ def _experiment_uniqueness(cfg: SimConfig, out_dir: str):
 
     forcing = forcing_coefficients(cfg, basis)
 
+    # a path's state and its twin, which differs by perturb in the first wave
+    # mode, share a stack; a stack holds one kernel chunk of pairs
+    pairs_per_stack = max(1, states_per_call(basis.grid_size) // 2)
+
     def twins(local_cfg: SimConfig, forcing: np.ndarray, paths: int, perturb: float):
-        # one state per path; its twin differs by perturb in the first wave mode
-        for path in range(paths):
-            sa = make_state(local_cfg, basis, path, forcing)
-            cb = sa.c.copy()
-            cb[first_wave] += perturb
-            yield run(sa, local_cfg.T), run(replace(sa, c=cb), local_cfg.T)
+        for start in range(0, paths, pairs_per_stack):
+            states = []
+            for path in range(start, min(start + pairs_per_stack, paths)):
+                sa = make_state(local_cfg, basis, path, forcing)
+                cb = sa.c.copy()
+                cb[first_wave] += perturb
+                states += [sa, replace(sa, c=cb)]
+            trajs = list(map(_trajectory, run(states, local_cfg.T)))
+            yield from zip(trajs[::2], trajs[1::2])
 
     identical = analysis.twin_uniqueness(twins(cfg, forcing, min(cfg.paths, 8), 0.0), weight_c)
     perturbed = analysis.twin_uniqueness(twins(cfg, forcing, cfg.paths, delta), weight_c)
@@ -531,7 +563,7 @@ def _experiment_alpha_sweep(cfg: SimConfig, out_dir: str):
     forcing = forcing_coefficients(cfg, basis)
 
     # the first run is the alpha = 0 reference
-    trajs = (run(make_state(replace(cfg, alpha=alpha), basis, 0, forcing), cfg.T)
+    trajs = (_trajectory(run([make_state(replace(cfg, alpha=alpha), basis, 0, forcing)], cfg.T)[0])
              for alpha in (0.0, 0.25, 0.125, 0.0625, 0.03125))
     rows = analysis.alpha_sweep(next(trajs), trajs)
     damping = [r.damping_integral for r in rows]
@@ -558,7 +590,7 @@ def _experiment_pressure(cfg: SimConfig, out_dir: str):
     tg_err = float(np.max(np.abs(pi + 0.25 * (np.cos(2 * xx) + np.cos(2 * yy)))))
 
     basis = cfg.basis()
-    traj = run(make_state(cfg, basis, 0, forcing_coefficients(cfg, basis)), cfg.T)
+    traj = _trajectory(run([make_state(cfg, basis, 0, forcing_coefficients(cfg, basis))], cfg.T)[0])
     parts = pressure.decompose_pressure(traj)
     recon = parts.max_residual()
     mom = pressure.momentum_gradient_residual(traj, parts)
@@ -697,7 +729,7 @@ def run_experiment(cfg: SimConfig, out_dir: str) -> RunReport:
         criteria, metrics, artifacts = _DISPATCH[cfg.experiment](cfg, out_dir)
     except DivergenceError as exc:
         criteria = [Criterion("states stay finite", False, str(exc))]
-        metrics, artifacts = {"divergence_step": exc.step}, []
+        metrics, artifacts = {"divergence_step": exc.step, "divergence_path": exc.path}, []
     wall = time.perf_counter() - t0
     report = RunReport(
         config=config_echo(cfg),

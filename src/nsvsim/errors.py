@@ -10,8 +10,9 @@ class ValidationError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """The time stepper produced a nonfinite value."""
+    """The time stepper produced a nonfinite value on a path."""
 
-    def __init__(self, step: int, message: str = ""):
+    def __init__(self, step: int, path: int):
         self.step = step
-        super().__init__(message or f"nonfinite state detected at step {step}")
+        self.path = path
+        super().__init__(f"nonfinite state detected at step {step} of path {path}")

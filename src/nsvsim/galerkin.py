@@ -20,10 +20,15 @@ the noise projection ``s`` and integrates the quadrature scalars
 
 A :class:`GalerkinState` is what a path starts from: its initial
 coefficients, the system it solves and its (seed, path) noise lineage.
-:func:`run` keeps the coefficients, the time and the step index in its loop,
-evaluates the kernel once per stored state and keeps the state-only outputs
-on the :class:`Trajectory`, which every audit reads; a run stopped by its
-gradient threshold records the stopping time there as ``tripped_at``.  Two
+:func:`run` steps a stack of states of one system, each on its own lineage,
+so that every row is bit for bit its own run; a single state is a stack of
+one.  It keeps the coefficients, the time and the step index in its loop,
+evaluates the kernel once per step on the stack's coefficients and keeps
+each row's state-only outputs on its :class:`Trajectory`, which every audit
+reads.  A row leaves the stack on its own: a row that diverges as its
+:class:`DivergenceError`, and a row stopped by the gradient threshold with
+its stopping time as ``tripped_at``.  The experiments feed it stacks of
+:func:`states_per_call` paths, one kernel chunk.  Two
 passes recompute from the stored coefficients on purpose:
 ``analysis.weak_form_residual`` is the independent check that catches a
 corrupted state, and the pressure decomposition takes its tables from the
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,10 +247,15 @@ class DriftTerms:
     max_speed: np.ndarray      # (...) max |u| over the grid
 
 
-# Grid points per kernel evaluation of a stack: 4 states at grid 32, 1 from
-# grid 64 up.  Larger chunks gain little time and raise peak memory with every
-# state added.
+# Grid points per kernel evaluation of a stack.  Larger chunks gain little
+# time and raise peak memory with every state added.
 _STACK_POINTS = 4 * 32**2
+
+
+def states_per_call(grid_size: int) -> int:
+    """States per kernel evaluation of a stack on this grid: 4 at grid 32, 1
+    from grid 64 up.  The experiments run their paths in stacks of this many."""
+    return max(1, _STACK_POINTS // grid_size**2)
 
 
 def assemble_drift_terms(
@@ -263,13 +274,13 @@ def assemble_drift_terms(
     one pointwise stage.  ``c`` holds the coefficients of one state (n,) or of
     a stack of states (..., n), and ``f_coeffs`` broadcasts against it; every
     output has the stack's leading shape.  A stack is evaluated in chunks of
-    at most ``_STACK_POINTS`` grid points, and each state's outputs are bit
+    at most :func:`states_per_call` states, and each state's outputs are bit
     for bit those of its own call."""
     c = np.asarray(c, dtype=float)
     f = np.asarray(f_coeffs, dtype=float)
     lead = c.shape[:-1]
     states = math.prod(lead)
-    per_call = max(1, _STACK_POINTS // basis.grid_size**2)
+    per_call = states_per_call(basis.grid_size)
     if 0 < states <= per_call:
         return _evaluate(basis, c, f, params, noise, convection)
     c = c.reshape(states, basis.n)
@@ -373,90 +384,141 @@ class Trajectory:
         return self.basis.energy(self.coeffs, self.params.kappa)
 
 
+class Paths(list):
+    """What :func:`run` returns: for each state of the stack, in order, its
+    :class:`Trajectory` or the :class:`DivergenceError` that ended it."""
+
+    @property
+    def n_steps(self) -> int:
+        """Steps taken by the finished paths, summed over the stack."""
+        return sum(r.n_steps for r in self if isinstance(r, Trajectory))
+
+
 def run(
-    state0: GalerkinState,
+    states: Sequence[GalerkinState],
     T: float,
     grad_threshold: float = 0.0,
     increments: np.ndarray | None = None,
-) -> Trajectory:
-    """Advance from t = 0 to T by semi-implicit Euler-Maruyama: exact diagonal
-    mass solve, explicit drift, explicit noise increment.  The drift kernel
-    runs once per stored state.  With ``grad_threshold`` > 0 the run stops at
-    the first state with ||grad u||_2 >= ``grad_threshold`` and records its
-    time as ``tripped_at``.  Deterministic given the seed lineage; pass
-    ``increments`` to drive several runs with matched noise."""
+) -> Paths:
+    """Advance a stack of states from t = 0 to T by semi-implicit
+    Euler-Maruyama: exact diagonal mass solve, explicit drift, explicit noise
+    increment.  The states share basis, params, noise, dt, forcing and
+    convection; each draws its increments from its own (seed, path) lineage,
+    so each row is bit for bit its own run, and a single state is a stack of
+    one.  Each step evaluates the drift kernel once on the stack, once per
+    stored state of every row.  A row leaves the stack on its own: at a
+    nonfinite state, as the DivergenceError of that step, or with
+    ``grad_threshold`` > 0 at its first state with ||grad u||_2 >=
+    ``grad_threshold``, whose time it records as ``tripped_at``.  Pass
+    ``increments`` (states, steps, n_w) to drive runs with matched noise."""
+    states = list(states)
+    if not states:
+        raise ValidationError("run needs at least one state")
+    first = states[0]
+
+    def system(st: GalerkinState) -> tuple:
+        return (st.basis.n, st.basis.grid_size, st.basis.include_mean, st.params, st.noise, st.dt,
+                st.convection)
+
+    for st in states[1:]:
+        if system(st) != system(first) or not np.array_equal(st.forcing, first.forcing):
+            raise ValidationError(f"the state of path {st.path} does not share the stack's basis, "
+                                  "params, noise, dt, forcing and convection")
     if T < 0:
         raise ValidationError(f"T={T} must be nonnegative")
-    dt = state0.dt
+    dt = first.dt
     n_steps = int(round(T / dt)) if T > 0 else 0
     if abs(n_steps * dt - T) > 1e-12 * max(1.0, abs(T)):
         raise ValidationError(f"T={T} is not an integer number of steps of dt={dt}")
-    if increments is not None and increments.shape[0] < n_steps:
+    if increments is not None and (np.ndim(increments) != 3 or len(increments) != len(states)):
+        raise ValidationError("supplied increments need the shape (states, steps, n_w)")
+    if increments is not None and increments.shape[1] < n_steps:
         raise ValidationError("supplied increment array shorter than the run")
 
-    basis, params, noise = state0.basis, state0.params, state0.noise
+    basis, params, noise = first.basis, first.params, first.noise
     mass = basis.mass_multipliers(params.kappa)
     scales = noise.mode_scales()
+    rows = list(range(len(states)))  # the stack's rows still running, as indices into states
+    c, t = np.stack([st.c for st in states]), 0.0
+    times, coeffs = [t], [[st.c] for st in states]
+    incs, record = [[] for _ in states], [[] for _ in states]
+    out = Paths([None] * len(states))
 
-    c, t = state0.c, 0.0
-    times, coeffs, incs, record = [t], [c], [], []
-    tripped_at = None
-    # One kernel evaluation per stored state: it drives the step out of a
+    def draw(row: int, i: int) -> np.ndarray:
+        if increments is not None:
+            return np.asarray(increments[row, i, : noise.n_w], dtype=float)
+        if noise.active:
+            return sample_increment(states[row].master_seed, states[row].path, i, dt, noise.n_w)
+        return np.zeros(noise.n_w)
+
+    def finish(row: int, tripped_at: float | None) -> Trajectory:
+        dissipation_p, grad_p, damping_q, noise_mass_sq, c_dot_s = np.asarray(record[row]).T.copy()
+        return Trajectory(
+            times=np.asarray(times[: len(coeffs[row])]),
+            coeffs=np.asarray(coeffs[row]),
+            increments=np.asarray(incs[row]).reshape(len(incs[row]), noise.n_w),
+            dissipation_p=dissipation_p,
+            grad_p=grad_p,
+            damping_q=damping_q,
+            noise_mass_sq=noise_mass_sq,
+            c_dot_s=c_dot_s,
+            basis=basis,
+            params=params,
+            noise=noise,
+            dt=dt,
+            forcing=first.forcing,
+            convection=first.convection,
+            tripped_at=tripped_at,
+        )
+
+    # One kernel evaluation per step: it drives the step out of each row's
     # state and gives that state's record row, the final state's included.
     for i in range(n_steps + 1):
         terms = assemble_drift_terms(
-            basis, c, forcing_at(state0.forcing, i), params, noise, convection=state0.convection,
+            basis, c, forcing_at(first.forcing, i), params, noise, convection=first.convection,
         )
-        cfl = dt * float(terms.max_speed) * basis.k_max
-        if i == 0 and cfl > 0.5:  # checked at the initial state only
-            warnings.warn(
-                f"dt*max|u|*k_max = {cfl:.3g} > 0.5: explicit convection may be unstable",
-                stacklevel=2,
-            )
-        record.append((
-            float(terms.dissipation_p), float(terms.grad_p), float(terms.damping_q),
-            float(np.sum(terms.s * terms.s / mass)), float(np.dot(c, terms.s)),
-        ))
-        if grad_threshold > 0 and np.sqrt(basis.field_norms_sq(c)[1]) >= grad_threshold:
-            tripped_at = t
-            break
+        if i == 0:  # checked at the initial states only
+            for cfl in dt * terms.max_speed * basis.k_max:
+                if cfl > 0.5:
+                    warnings.warn(
+                        f"dt*max|u|*k_max = {cfl:.3g} > 0.5: explicit convection may be unstable",
+                        stacklevel=2,
+                    )
+        # per row, as in a run of that row alone: np.dot on contiguous rows
+        # rounds as it does on the row's own arrays
+        noise_mass_sq = np.sum(terms.s * terms.s / mass, axis=-1)
+        for j, row in enumerate(rows):
+            record[row].append((terms.dissipation_p[j], terms.grad_p[j], terms.damping_q[j],
+                                noise_mass_sq[j], np.dot(c[j], terms.s[j])))
+        tripped = np.zeros(len(rows), dtype=bool)
+        if grad_threshold > 0:
+            tripped = np.sqrt(basis.field_norms_sq(c)[1]) >= grad_threshold
+        for j, row in enumerate(rows):
+            if tripped[j] or i == n_steps:
+                out[row] = finish(row, t if tripped[j] else None)
         if i == n_steps:
             break
-        if increments is not None:
-            db = np.asarray(increments[i, : noise.n_w], dtype=float)
-        elif noise.active:
-            db = sample_increment(state0.master_seed, state0.path, i, dt, noise.n_w)
-        else:
-            db = np.zeros(noise.n_w)
-        rhs = terms.b * dt
+        going = ~tripped
+        rows = [row for row, on in zip(rows, going) if on]
+        db = [draw(row, i) for row in rows]
+        rhs = terms.b[going] * dt
         if noise.active:
-            rhs = rhs + terms.s * float(np.dot(scales, db))
-        c = c + rhs / mass
-        if not np.all(np.isfinite(c)):
-            raise DivergenceError(i)
+            rhs = rhs + terms.s[going] * np.array([np.dot(scales, d) for d in db])[:, None]
+        c = c[going] + rhs / mass
         t = t + dt
-        incs.append(db)
         times.append(t)
-        coeffs.append(c)
-
-    dissipation_p, grad_p, damping_q, noise_mass_sq, c_dot_s = np.asarray(record).T.copy()
-    return Trajectory(
-        times=np.asarray(times),
-        coeffs=np.asarray(coeffs),
-        increments=np.asarray(incs).reshape(len(incs), noise.n_w),
-        dissipation_p=dissipation_p,
-        grad_p=grad_p,
-        damping_q=damping_q,
-        noise_mass_sq=noise_mass_sq,
-        c_dot_s=c_dot_s,
-        basis=basis,
-        params=params,
-        noise=noise,
-        dt=dt,
-        forcing=state0.forcing,
-        convection=state0.convection,
-        tripped_at=tripped_at,
-    )
+        finite = np.all(np.isfinite(c), axis=-1)
+        for j, row in enumerate(rows):
+            if finite[j]:
+                incs[row].append(db[j])
+                coeffs[row].append(c[j])
+            else:
+                out[row] = DivergenceError(i, states[row].path)
+        rows = [row for row, ok in zip(rows, finite) if ok]
+        c = c[finite]
+        if not rows:
+            break
+    return out
 
 
 def trajectory_csv(path, traj: Trajectory, ledger) -> None:

@@ -108,7 +108,7 @@ def test_criterion_03_euler_voigt_conservation():
     ]
     # steady shear: drift vanishes identically, so the drift test is the bound
     st = state_from(base + ["ic.kind=shear"])
-    traj = run(st, 0.25)
+    traj = run([st], 0.25)[0]
     e = traj.energies()
     shear_drift = abs(e[-1] - e[0]) / e[0]
     shear_ok = shear_drift < 10.0 * st.dt
@@ -117,7 +117,7 @@ def test_criterion_03_euler_voigt_conservation():
     errs = []
     for steps, dt in ((125, 0.002), (250, 0.001)):
         st = state_from(base[:-3] + [f"steps={steps}", f"dt={dt}", "T=0.25", "ic.kind=random"])
-        e = run(st, 0.25).energies()
+        e = run([st], 0.25)[0].energies()
         errs.append(abs(e[-1] - e[0]) / e[0])
     ratio = errs[1] / errs[0]
     ratio_ok = 0.4 <= ratio <= 0.6
@@ -180,11 +180,11 @@ def test_criterion_09_bogovskii(tmp_path):
 
 
 def test_criterion_10_weak_form_residual():
-    traj = run(state_from([
+    traj = run([state_from([
         "nu=0.5", "p=2.5", "q=4", "alpha=0.1", "noise.family=linear",
         "noise.amplitude=0.5", "noise.modes=6", "ic.kind=random",
         "steps=100", "dt=0.0025", "T=0.25",
-    ]), 0.25)
+    ])], 0.25)[0]
     basis = traj.basis
     modes = np.eye(basis.n)
     base = analysis.weak_form_residual(traj, modes)
@@ -222,25 +222,30 @@ def test_criterion_12_reproducibility(tmp_path):
     same_rerun = outputs["a"] == outputs["b"]
 
     # each path is a function of its own (seed, path) lineage: running the
-    # paths in reverse order from fresh states changes no bit of any of them
+    # paths in reverse order from fresh states, one by one or as one stack,
+    # changes no bit of any of them
     cfg = cli.parse_config(None, ["seed=2026", "paths=3", *CRITERION_12])
+    basis = cfg.basis()
+    forcing = cli.forcing_coefficients(cfg, basis)
 
-    def trajectories(order):
-        basis = cfg.basis()
-        forcing = cli.forcing_coefficients(cfg, basis)
-        return {i: run(cli.make_state(cfg, basis, i, forcing), cfg.T) for i in order}
+    def trajectories(order, stacked=False):
+        states = [cli.make_state(cfg, basis, i, forcing) for i in order]
+        return dict(zip(order, run(states, cfg.T) if stacked else [run([st], cfg.T)[0] for st in states]))
 
     forward = trajectories(range(cfg.paths))
-    reverse = trajectories(reversed(range(cfg.paths)))
     arrays = ("coeffs", "increments", "dissipation_p", "grad_p", "damping_q", "noise_mass_sq", "c_dot_s")
-    same_order = all(
-        np.array_equal(getattr(forward[i], name), getattr(reverse[i], name))
-        for i in forward for name in arrays
-    )
-    passed = same_rerun and same_order
+
+    def same_as_forward(other):
+        return all(np.array_equal(getattr(forward[i], name), getattr(other[i], name))
+                   for i in forward for name in arrays)
+
+    same_order = same_as_forward(trajectories([2, 1, 0]))
+    same_stack = same_as_forward(trajectories([2, 1, 0], stacked=True))
+    passed = same_rerun and same_order and same_stack
     report(12, passed,
            f"byte-identical CSV/JSON/snapshots on rerun: {same_rerun}; "
-           f"every path bitwise equal with paths run in order 2, 1, 0: {same_order}")
+           f"every path bitwise equal with paths run in order 2, 1, 0: {same_order}, "
+           f"and as one stack in that order: {same_stack}")
     assert passed
 
 
@@ -254,4 +259,5 @@ def test_criterion_12_fails_on_a_shared_generator(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(galerkin, "sample_increment", draw)
     with pytest.raises(AssertionError):
         test_criterion_12_reproducibility(tmp_path)
-    assert "run in order 2, 1, 0: False" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "run in order 2, 1, 0: False" in out and "as one stack in that order: False" in out

@@ -30,7 +30,7 @@ class TestEnergyAudit:
     def test_bookkeeping_identity_exact(self, small_basis):
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
         model = NoiseModel("linear", 0.5, 6)
-        traj = run(make_state(small_basis, smooth_coeffs(small_basis), params, model), 0.05)
+        traj = run([make_state(small_basis, smooth_coeffs(small_basis), params, model)], 0.05)[0]
         ledger, summary = analysis.energy_audit(traj)
         assert summary["bookkeeping_error"] == 0.0
         assert len(ledger.residual) == traj.n_steps
@@ -39,7 +39,7 @@ class TestEnergyAudit:
         # state columns equal, bitwise, the kernel recomputed at each stored state
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
         model = NoiseModel("linear", 0.5, 6)
-        traj = run(make_state(small_basis, smooth_coeffs(small_basis), params, model), 0.02)
+        traj = run([make_state(small_basis, smooth_coeffs(small_basis), params, model)], 0.02)[0]
         ledger = analysis.ledger_from_trajectory(traj)
         mass = small_basis.mass_multipliers(params.kappa)
         eta = traj.increments @ model.mode_scales()
@@ -57,15 +57,15 @@ class TestEnergyAudit:
         _, yy = torus_grid(small_basis.grid_size)
         c = small_basis.gather_grid(np.stack([np.sin(yy), np.zeros_like(yy)]))
         params = RheologyParams(p=2.0, q=3.0, nu=0.0, kappa=0.5)
-        traj = run(make_state(small_basis, c, params, dt=1e-2), 0.5)
+        traj = run([make_state(small_basis, c, params, dt=1e-2)], 0.5)[0]
         ledger, _ = analysis.energy_audit(traj)
         assert np.max(np.abs(ledger.d_energy)) < 1e-10 * ledger.energy[0]
 
     def test_viscous_residual_halves_with_dt(self, small_basis):
         params = RheologyParams(p=1.5, q=3.0, nu=1.0, kappa=0.5)
         c = smooth_coeffs(small_basis)
-        coarse = run(make_state(small_basis, c, params, dt=1e-3), 0.2)
-        fine = run(make_state(small_basis, c, params, dt=5e-4), 0.2)
+        coarse = run([make_state(small_basis, c, params, dt=1e-3)], 0.2)[0]
+        fine = run([make_state(small_basis, c, params, dt=5e-4)], 0.2)[0]
         _, summary = analysis.energy_audit(coarse, refined=fine)
         assert summary["energy_nonincreasing"]
         assert summary["residual_halving_ratio"] == pytest.approx(0.5, abs=0.1)
@@ -73,7 +73,7 @@ class TestEnergyAudit:
     def test_refined_trajectory_step_checked(self, small_basis):
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
         c = smooth_coeffs(small_basis)
-        traj = run(make_state(small_basis, c, params, dt=1e-3), 0.01)
+        traj = run([make_state(small_basis, c, params, dt=1e-3)], 0.01)[0]
         with pytest.raises(ValidationError, match="halve"):
             analysis.energy_audit(traj, refined=traj)
 
@@ -83,7 +83,7 @@ class TestEnergyAudit:
         c = smooth_coeffs(small_basis)
         finals = []
         for path in range(60):
-            traj = run(make_state(small_basis, c, params, model, dt=2.5e-3, path=path), 0.1)
+            traj = run([make_state(small_basis, c, params, model, dt=2.5e-3, path=path)], 0.1)[0]
             finals.append(np.sum(analysis.ledger_from_trajectory(traj).residual))
         finals = np.asarray(finals)
         se = finals.std(ddof=1) / np.sqrt(len(finals))
@@ -94,7 +94,7 @@ class TestWeakForm:
     def _traj(self, small_basis, noise=True):
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
         model = NoiseModel("linear", 0.5, 6) if noise else OFF
-        return run(make_state(small_basis, smooth_coeffs(small_basis), params, model, dt=2e-3), 0.05)
+        return run([make_state(small_basis, smooth_coeffs(small_basis), params, model, dt=2e-3)], 0.05)[0]
 
     def test_scheme_satisfies_own_identity(self, small_basis):
         traj = self._traj(small_basis)
@@ -110,13 +110,13 @@ class TestWeakForm:
             "steps=100", "dt=0.0025", "T=0.25", "convection=false",
         ])
         basis = cfg.basis()
-        traj = run(cli.make_state(cfg, basis, 0, cli.forcing_coefficients(cfg, basis)), cfg.T)
+        traj = run([cli.make_state(cfg, basis, 0, cli.forcing_coefficients(cfg, basis))], cfg.T)[0]
         modes = np.eye(traj.basis.n)
         assert analysis.weak_form_residual(traj, modes) <= 1e-9
 
     def test_zero_trajectory_zero_residual(self, small_basis):
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
-        traj = run(make_state(small_basis, np.zeros(small_basis.n), params), 0.02)
+        traj = run([make_state(small_basis, np.zeros(small_basis.n), params)], 0.02)[0]
         modes = np.eye(small_basis.n)[[0, 3, 7]]
         assert analysis.weak_form_residual(traj, modes) == 0.0
 
@@ -166,8 +166,8 @@ class TestWeakForm:
 
     def test_zero_step_trajectory(self, small_basis):
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
-        traj = run(make_state(small_basis, smooth_coeffs(small_basis), params,
-                              NoiseModel("linear", 0.5, 6)), 0.0)
+        traj = run([make_state(small_basis, smooth_coeffs(small_basis), params,
+                              NoiseModel("linear", 0.5, 6))], 0.0)[0]
         assert traj.n_steps == 0
         assert analysis.weak_form_residual(traj, np.eye(small_basis.n)) == 0.0
 
@@ -177,7 +177,7 @@ class TestMoments:
         c = smooth_coeffs(small_basis)
 
         def run_path(path):
-            return run(make_state(small_basis, c, params, model, dt=dt, path=path), T)
+            return run([make_state(small_basis, c, params, model, dt=dt, path=path)], T)[0]
 
         return run_path, small_basis.energy(c, params.kappa)
 
@@ -222,16 +222,14 @@ class TestMoments:
                 import warnings
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    return run(st, 100.0)
-            return run(make_state(small_basis, smooth_coeffs(small_basis), params, model), 0.002)
+                    return run([st], 100.0)[0]
+            return run([make_state(small_basis, smooth_coeffs(small_basis), params, model)], 0.002)[0]
 
         def finite_paths():
             for path in range(3):
-                try:
-                    traj = run_path(path)
-                except DivergenceError:
-                    continue
-                yield traj
+                traj = run_path(path)
+                if not isinstance(traj, DivergenceError):
+                    yield traj
 
         rep = analysis.moment_estimate(finite_paths(), 3, 2.0, model, 1.0, 0.0, 0.002)
         assert rep.excluded_paths == 1
@@ -246,8 +244,8 @@ class TestAlphaSweep:
             params = RheologyParams(p=2.0, q=4.0, nu=0.5, kappa=0.5, alpha=alpha)
             return make_state(small_basis, c, params, dt=2.5e-3)
 
-        rows = analysis.alpha_sweep(run(state_for(0.0), 0.05),
-                                    (run(state_for(a), 0.05) for a in [0.25, 0.125, 0.0625, 0.03125]))
+        rows = analysis.alpha_sweep(run([state_for(0.0)], 0.05)[0],
+                                    (run([state_for(a)], 0.05)[0] for a in [0.25, 0.125, 0.0625, 0.03125]))
         damping = [r.damping_integral for r in rows]
         assert all(b < a for a, b in zip(damping, damping[1:]))
         dists = [r.distance_to_reference for r in rows]
@@ -262,17 +260,17 @@ class TestAlphaSweep:
             params = RheologyParams(p=2.0, q=4.0, nu=0.5, kappa=0.5, alpha=alpha)
             return make_state(small_basis, c, params, dt=2.5e-3)
 
-        rows = analysis.alpha_sweep(run(state_for(0.0), 0.01), [run(state_for(1e-12), 0.01)])
+        rows = analysis.alpha_sweep(run([state_for(0.0)], 0.01)[0], [run([state_for(1e-12)], 0.01)[0]])
         assert rows[0].damping_integral == pytest.approx(0.0, abs=1e-10)
         # and the ledger's damping column vanishes identically on the reference
-        ledger = analysis.ledger_from_trajectory(run(state_for(0.0), 0.01))
+        ledger = analysis.ledger_from_trajectory(run([state_for(0.0)], 0.01)[0])
         assert np.all(ledger.damping == 0.0)
 
     def test_validation(self, small_basis):
         c = smooth_coeffs(small_basis)
         ref, *trajs = (
-            run(make_state(small_basis, c, RheologyParams(p=2.0, q=4.0, nu=0.5, kappa=0.5, alpha=a),
-                           dt=2.5e-3), 0.01)
+            run([make_state(small_basis, c, RheologyParams(p=2.0, q=4.0, nu=0.5, kappa=0.5, alpha=a),
+                           dt=2.5e-3)], 0.01)[0]
             for a in (0.0, 0.1, 0.2))
         with pytest.raises(ValidationError):
             analysis.alpha_sweep(ref, trajs)
@@ -291,7 +289,7 @@ class TestMonotoneLimitShadow:
         for n_modes in (16, 32):
             basis = DivFreeBasis(n_modes, grid)
             c = smooth_coeffs(basis)
-            trajs[n_modes] = run(make_state(basis, c, params, model, dt=2.5e-3), 0.05)
+            trajs[n_modes] = run([make_state(basis, c, params, model, dt=2.5e-3)], 0.05)[0]
         t_small, t_big = trajs[16], trajs[32]
         w = fields.quad_weight(grid)
         total = 0.0
@@ -320,7 +318,7 @@ class TestTwin:
                 cb[int(np.flatnonzero(basis.k2 > 0)[0])] += perturb
             sb = make_state(basis, cb, params, model, dt=dt, seed=3,
                             path=path if path_b is None else path_b)
-            yield run(sa, T), run(sb, T)
+            yield run([sa], T)[0], run([sb], T)[0]
 
     def test_identical_initial_data_bitwise(self, small_basis):
         rep = analysis.twin_uniqueness(self._pairs(small_basis, 0.0, 4), 1.0)
@@ -357,8 +355,8 @@ class TestTwin:
         params = RheologyParams(p=2.0, q=3.0, nu=0.5, kappa=0.5)
 
         bad_pair = (
-            run(make_state(small_basis, smooth_coeffs(small_basis), params), 0.01),
-            run(make_state(other, smooth_coeffs(other), params), 0.01),
+            run([make_state(small_basis, smooth_coeffs(small_basis), params)], 0.01)[0],
+            run([make_state(other, smooth_coeffs(other), params)], 0.01)[0],
         )
         with pytest.raises(ValidationError, match="span"):
             analysis.twin_uniqueness([bad_pair], 1.0)

@@ -234,9 +234,12 @@ class TestExperiments:
         ])
         assert np.max(np.abs(cli.forcing_coefficients(cfg2, cfg2.basis()))) > 0.0
 
-    @pytest.mark.parametrize("kind", ["missing", "directory", "empty glob"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "empty glob", "corrupt"])
     def test_unreadable_forcing_file_exits_2(self, kind, tmp_path, capsys):
         path = tmp_path if kind == "directory" else tmp_path / "absent.bin"
+        if kind == "corrupt":
+            path = tmp_path / "bad.bin"
+            path.write_text("garbage text\n")   # 13 bytes, no snapshot magic
         forcing_kind = "files" if kind == "empty glob" else "file"
         overrides = ["steps=10", "dt=0.005", "T=0.05", f"forcing.kind={forcing_kind}", f"forcing.path={path}"]
         cfg = cli.parse_config(None, overrides)
@@ -245,7 +248,10 @@ class TestExperiments:
         args = [a for ov in overrides for a in ("--override", ov)]
         rc = cli.main(["simulate", *args, "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert "forcing.path" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "forcing.path" in err
+        if kind == "corrupt":
+            assert str(path) in err and "bad snapshot magic" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("experiment, n_modes", [("simulate", 32), ("moments", 8)])
@@ -282,9 +288,9 @@ class TestExperiments:
         forcing = write_forcing_snapshots(tmp_path, 4)
         original, seen = cli.run, {}
 
-        def recording(state0, *args, **kwargs):
-            seen[state0.dt] = state0.forcing
-            return original(state0, *args, **kwargs)
+        def recording(states, *args, **kwargs):
+            seen.update((st.dt, st.forcing) for st in states)
+            return original(states, *args, **kwargs)
 
         monkeypatch.setattr(cli, "run", recording)
         overrides = [*self.FORCED, f"forcing.path={forcing}"]
@@ -296,26 +302,27 @@ class TestExperiments:
                               galerkin.forcing_at(seen[0.005], steps // 2))
 
     def test_simulate_drops_every_path_but_the_first(self, tmp_path, monkeypatch):
-        # path 0 feeds the outputs; any other path's trajectory is gone
-        # before the next path starts
+        # path 0 feeds the outputs; the paths run in stacks of one kernel
+        # chunk, 4 at grid 32, and any other path's trajectory is gone before
+        # the next stack starts
         original = cli.run
         refs = {}
         alive_at_start = {}
 
-        def tracked(state0, *args, **kwargs):
-            alive_at_start[state0.path] = sorted(p for p, ref in refs.items() if ref() is not None)
-            traj = original(state0, *args, **kwargs)
-            refs[state0.path] = weakref.ref(traj)
-            return traj
+        def tracked(states, *args, **kwargs):
+            alive_at_start[states[0].path] = sorted(p for p, ref in refs.items() if ref() is not None)
+            results = original(states, *args, **kwargs)
+            refs.update((st.path, weakref.ref(traj)) for st, traj in zip(states, results))
+            return results
 
         monkeypatch.setattr(cli, "run", tracked)
         cfg = cli.parse_config(None, [
-            "experiment=simulate", "paths=4", "ic.kind=random", "grid_n=16", "n_modes=16",
+            "experiment=simulate", "paths=9", "ic.kind=random", "grid_n=32", "n_modes=16",
             "steps=4", "dt=0.005", "T=0.02",
         ])
         report = cli.run_experiment(cfg, str(tmp_path))
         assert report.passed
-        assert alive_at_start == {0: [], 1: [0], 2: [0], 3: [0]}
+        assert alive_at_start == {0: [], 4: [0], 8: [0]}
 
     def test_propcheck_samples_the_configured_convection(self, tmp_path):
         # without convection the sampled drift and the envelope both lose the
@@ -418,11 +425,11 @@ class TestExperiments:
         # the dt/2 leg's last state gains energy; the dt leg is untouched
         original = cli.run
 
-        def rising_fine_leg(state0, T, **kwargs):
-            traj = original(state0, T, **kwargs)
-            if state0.dt < 0.005:
-                traj.coeffs[-1] *= 2.0
-            return traj
+        def rising_fine_leg(states, T, **kwargs):
+            results = original(states, T, **kwargs)
+            if states[0].dt < 0.005:
+                results[0].coeffs[-1] *= 2.0
+            return results
 
         monkeypatch.setattr(cli, "run", rising_fine_leg)
         report = cli.run_experiment(cli.parse_config(None, self.DETERMINISTIC_AUDIT), str(tmp_path))
@@ -440,18 +447,18 @@ class TestExperiments:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["passed"] is False
         [crit] = payload["criteria"]
-        assert not crit["passed"] and "step 8" in crit["details"]
+        assert not crit["passed"] and crit["details"] == "nonfinite state detected at step 8 of path 0"
         assert payload["metrics"]["divergence_step"] == 8
+        assert payload["metrics"]["divergence_path"] == 0
         assert "[FAIL]" in capsys.readouterr().out
 
 
     def test_moments_excluded_path_fails(self, tmp_path, capsys, monkeypatch):
         original = cli.run
 
-        def diverge_path_one(state, T, **kwargs):
-            if state.path == 1:
-                raise DivergenceError(3)
-            return original(state, T, **kwargs)
+        def diverge_path_one(states, T, **kwargs):
+            results = original(states, T, **kwargs)
+            return [DivergenceError(3, 1) if st.path == 1 else traj for st, traj in zip(states, results)]
 
         monkeypatch.setattr(cli, "run", diverge_path_one)
         rc = cli.main([
@@ -486,16 +493,53 @@ class TestExperiments:
         crit = next(c for c in report.criteria if c.name == "sup energy stable under mode doubling")
         assert not crit.passed and not report.passed
 
+    def test_moments_alpha_halving_fails_on_a_scaled_half_alpha_leg(self, tmp_path, monkeypatch):
+        # sqrt(2) times the initial field on the alpha/2 leg only doubles its
+        # sup energy and its gradient integral, far outside 2 SE of the base leg
+        original = cli.initial_coefficients
+
+        def scaled_at_half_alpha(cfg, basis, path=0):
+            c = original(cfg, basis, path)
+            return np.sqrt(2.0) * c if cfg.alpha == 0.0625 else c   # alpha = 0.125, halved
+
+        monkeypatch.setattr(cli, "initial_coefficients", scaled_at_half_alpha)
+        cfg = cli.parse_config(None, [
+            "experiment=moments", "paths=8", "seed=7", "grid_n=16", "n_modes=16", "steps=20",
+            "dt=0.0025", "T=0.05", "p=2", "q=4", "alpha=0.125", "noise.family=linear",
+            "noise.amplitude=0.5", "noise.modes=6", "ic.kind=random"])
+        report = cli.run_experiment(cfg, str(tmp_path))
+        assert [c.name for c in report.criteria if not c.passed] == [
+            "sup energy stable under alpha halving", "gradient p-integral stable under alpha halving"]
+
+    def test_moments_every_path_diverged_reports_the_lowest_index_path(self, tmp_path, monkeypatch):
+        # each path diverges at a step that falls with its index, so the last
+        # path of each stack diverges first; the report names path 0
+        original = cli.run
+
+        def diverge_all(states, T, **kwargs):
+            original(states, T, **kwargs)
+            return [DivergenceError(10 - st.path, st.path) for st in states]
+
+        monkeypatch.setattr(cli, "run", diverge_all)
+        cfg = cli.parse_config(None, [
+            "experiment=moments", "paths=6", "grid_n=32", "n_modes=16", "steps=4", "dt=0.005",
+            "T=0.02", "noise.family=linear", "noise.amplitude=0.5", "noise.modes=6", "ic.kind=random"])
+        report = cli.run_experiment(cfg, str(tmp_path))
+        assert [(c.name, c.details) for c in report.criteria] == [
+            ("states stay finite", "nonfinite state detected at step 10 of path 0")]
+        assert report.metrics == {"divergence_step": 10, "divergence_path": 0}
+
     def test_uniqueness_fails_on_a_nan_twin_ratio(self, tmp_path, monkeypatch):
         # only the perturbed legs run path 8 (the identical twins run paths
         # 0-7); its NaN ratio makes the Gronwall constant NaN at dt and dt/2
         original = cli.run
 
-        def nan_path_8(state0, T, **kwargs):
-            traj = original(state0, T, **kwargs)
-            if state0.path == 8:
-                traj.coeffs[-1] = np.nan
-            return traj
+        def nan_path_8(states, T, **kwargs):
+            results = original(states, T, **kwargs)
+            for st, traj in zip(states, results):
+                if st.path == 8:
+                    traj.coeffs[-1] = np.nan
+            return results
 
         monkeypatch.setattr(cli, "run", nan_path_8)
         cfg = cli.parse_config(None, [

@@ -288,7 +288,7 @@ class TestDrift:
             monkeypatch.setattr(np.fft, name, counted)
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
         c = smooth_random_coeffs(small_basis)
-        run(make_state(small_basis, c, params, noise=NoiseModel("linear", 0.5, 4)), 0.005)
+        run([make_state(small_basis, c, params, noise=NoiseModel("linear", 0.5, 4))], 0.005)
         assert calls == ["ifft", "irfft", "rfft", "fft"] * 6
         terms = assemble_drift_terms(
             small_basis, c, np.zeros(small_basis.n), params, OFF)
@@ -350,13 +350,13 @@ class TestStep:
     def test_zero_state_forever(self, small_basis):
         params = RheologyParams(p=2.5, q=3.0, nu=1.0, kappa=0.5)
         st = make_state(small_basis, np.zeros(small_basis.n), params)
-        traj = run(st, 0.05)
+        traj = run([st], 0.05)[0]
         assert np.all(traj.coeffs == 0.0)
 
     def test_steady_euler_voigt_shear(self, small_basis):
         params = RheologyParams(p=2.0, q=3.0, nu=0.0, kappa=0.5)
         c = shear_coeffs(small_basis)
-        traj = run(make_state(small_basis, c, params, dt=1e-2), 0.5)
+        traj = run([make_state(small_basis, c, params, dt=1e-2)], 0.5)[0]
         assert np.max(np.abs(traj.coeffs - c[None, :])) < 1e-12
 
     def test_single_mode_decay_closed_form(self, small_basis):
@@ -369,7 +369,7 @@ class TestStep:
         errs = []
         for dt in (1e-3, 5e-4):
             st = make_state(small_basis, c, params, dt=dt, convection=False)
-            traj = run(st, T)
+            traj = run([st], T)[0]
             errs.append(abs(traj.coeffs[-1, j] - c[j] * np.exp(-rate * T)))
         assert errs[1] / errs[0] == pytest.approx(0.5, abs=0.05)
 
@@ -378,32 +378,33 @@ class TestStep:
         params = RheologyParams(p=2.0, q=3.0, nu=0.0, kappa=0.5)
         c = smooth_random_coeffs(small_basis)
         for dt in (2e-3, 1e-3):
-            traj = run(make_state(small_basis, c, params, dt=dt), dt * 50)
+            traj = run([make_state(small_basis, c, params, dt=dt)], dt * 50)[0]
             de = np.diff(traj.energies())
             assert np.max(de) < 50.0 * dt**2
 
     def test_divergence_error_carries_step(self, small_basis):
         params = RheologyParams(p=4.0, q=3.0, nu=1.0, kappa=1e-6)
         c = 50.0 * smooth_random_coeffs(small_basis)
-        st = make_state(small_basis, c, params, dt=10.0)
+        st = make_state(small_basis, c, params, dt=10.0, path=3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with pytest.raises(DivergenceError) as err:
-                run(st, 100.0)
-        assert err.value.step >= 0
+            [err] = run([st], 100.0)
+        assert isinstance(err, DivergenceError)
+        assert err.step >= 0 and err.path == 3
+        assert str(err) == f"nonfinite state detected at step {err.step} of path 3"
 
     def test_cfl_warning(self, small_basis):
         params = RheologyParams(p=2.0, q=3.0, nu=0.0, kappa=0.5)
         c = 100.0 * shear_coeffs(small_basis)
         with pytest.warns(UserWarning, match="unstable"):
-            run(make_state(small_basis, c, params, dt=0.05), 0.05)
+            run([make_state(small_basis, c, params, dt=0.05)], 0.05)
 
     def test_determinism_bitwise(self, small_basis):
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
         model = NoiseModel("linear", 0.5, 6)
         c = smooth_random_coeffs(small_basis)
-        t1 = run(make_state(small_basis, c, params, noise=model, master_seed=9, path=2), 0.05)
-        t2 = run(make_state(small_basis, c, params, noise=model, master_seed=9, path=2), 0.05)
+        t1 = run([make_state(small_basis, c, params, noise=model, master_seed=9, path=2)], 0.05)[0]
+        t2 = run([make_state(small_basis, c, params, noise=model, master_seed=9, path=2)], 0.05)[0]
         assert np.array_equal(t1.coeffs, t2.coeffs)
         assert np.array_equal(t1.increments, t2.increments)
 
@@ -412,7 +413,7 @@ class TestRun:
     def test_zero_horizon(self, small_basis):
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
         st = make_state(small_basis, shear_coeffs(small_basis), params)
-        traj = run(st, 0.0)
+        traj = run([st], 0.0)[0]
         assert traj.n_steps == 0
         assert np.array_equal(traj.coeffs[0], st.c)
 
@@ -420,12 +421,12 @@ class TestRun:
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
         st = make_state(small_basis, shear_coeffs(small_basis), params, dt=1e-3)
         with pytest.raises(ValidationError):
-            run(st, 0.0105)
+            run([st], 0.0105)
 
     def test_monitor_trips_immediately(self, small_basis):
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
         st = make_state(small_basis, shear_coeffs(small_basis), params)
-        traj = run(st, 0.1, grad_threshold=0.1)
+        traj = run([st], 0.1, grad_threshold=0.1)[0]
         assert traj.n_steps == 0
         assert traj.tripped_at == 0.0
 
@@ -433,7 +434,7 @@ class TestRun:
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
         c = shear_coeffs(small_basis)
         g0 = float(np.sqrt(np.sum(small_basis.k2 * c**2)))
-        traj = run(make_state(small_basis, c, params), 0.1, grad_threshold=g0 * 1.0001)
+        traj = run([make_state(small_basis, c, params)], 0.1, grad_threshold=g0 * 1.0001)[0]
         assert traj.tripped_at is None
         assert traj.n_steps == 100
 
@@ -443,11 +444,11 @@ class TestRun:
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
         st = GalerkinState(c=np.zeros(small_basis.n), basis=small_basis, params=params, noise=OFF,
                            dt=1e-3, forcing=shear_coeffs(small_basis))
-        free = run(st, 0.02)
+        free = run([st], 0.02)[0]
         grads = np.sqrt(small_basis.field_norms_sq(free.coeffs)[1])
         assert np.all(np.diff(grads) > 0)
         k = 12
-        traj = run(st, 0.02, grad_threshold=grads[k])
+        traj = run([st], 0.02, grad_threshold=grads[k])[0]
         assert traj.n_steps == k
         assert traj.tripped_at == traj.times[-1] == free.times[k]
         assert np.array_equal(traj.coeffs, free.coeffs[: k + 1])
@@ -462,13 +463,13 @@ class TestRun:
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
         st = make_state(small_basis, smooth_random_coeffs(small_basis), params,
                         noise=NoiseModel("linear", 0.5, 6), master_seed=9, path=2)
-        traj = run(st, 0.02)
-        replay = run(st, 0.02, increments=traj.increments)
+        traj = run([st], 0.02)[0]
+        replay = run([st], 0.02, increments=traj.increments[None])[0]
         for name in ("times", "coeffs", "increments", "dissipation_p", "grad_p", "damping_q",
                      "noise_mass_sq", "c_dot_s"):
             assert np.array_equal(getattr(replay, name), getattr(traj, name)), name
         with pytest.raises(ValidationError, match="shorter"):
-            run(st, 0.02, increments=traj.increments[:-1])
+            run([st], 0.02, increments=traj.increments[None, :-1])
 
     def test_forcing_balances_dissipation(self, small_basis):
         # forcing equal to the dissipative drift freezes the single-mode state
@@ -477,8 +478,106 @@ class TestRun:
         f = -drift(small_basis, c, params)
         st = GalerkinState(
             c=c, basis=small_basis, params=params, noise=OFF, dt=1e-3, forcing=f)
-        traj = run(st, 0.05)
+        traj = run([st], 0.05)[0]
         assert np.max(np.abs(traj.coeffs[-1] - c)) < 1e-10
+
+
+RECORD = ("times", "coeffs", "increments", "dissipation_p", "grad_p", "damping_q", "noise_mass_sq",
+          "c_dot_s")
+
+
+def assert_same_path(stacked, single):
+    for name in RECORD:
+        assert np.array_equal(getattr(stacked, name), getattr(single, name)), name
+    assert stacked.tripped_at == single.tripped_at
+
+
+class TestStack:
+    """``run`` over a stack: every row is bit for bit its own run."""
+
+    @staticmethod
+    def states(basis, k, family="linear", scales=None, dt=2.5e-3, steps=8):
+        params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
+        forcing = 0.1 * np.random.default_rng(3).standard_normal((steps, basis.n))
+        scales = scales or [1.0] * k
+        return [GalerkinState(c=scale * smooth_random_coeffs(basis, seed=j), basis=basis, params=params,
+                              noise=NoiseModel(family, 0.5, 6), dt=dt, forcing=forcing,
+                              master_seed=11, path=3 * j + 1)
+                for j, scale in enumerate(scales)]
+
+    @pytest.mark.parametrize("grid, n_modes", [(16, 16), (32, 32)])
+    @pytest.mark.parametrize("family", ["linear", "saturating"])
+    @pytest.mark.parametrize("k", [1, 3, 4, 5, 9])
+    def test_rows_equal_their_own_runs(self, grid, n_modes, family, k):
+        # at grid 32 the kernel evaluates 4 states per call, so 5 and 9 rows
+        # cross its chunk boundary
+        states = self.states(DivFreeBasis(n_modes, grid), k, family)
+        stack = run(states, 8 * 2.5e-3)
+        assert len(stack) == k and stack.n_steps == 8 * k
+        for st, traj in zip(states, stack):
+            assert_same_path(traj, run([st], 8 * 2.5e-3)[0])
+
+    def test_a_diverged_row_leaves_the_others_unchanged(self, small_basis):
+        states = self.states(small_basis, 3, scales=[1.0, 1e4, 1.0], dt=0.025, steps=20)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            stack = run(states, 0.5)
+            [alone] = run([states[1]], 0.5)
+        err = stack[1]
+        assert isinstance(err, DivergenceError) and isinstance(alone, DivergenceError)
+        assert (err.step, err.path) == (alone.step, 4) and 0 < err.step < 20
+        for j in (0, 2):
+            assert_same_path(stack[j], run([states[j]], 0.5)[0])
+            assert stack[j].n_steps == 20
+
+    def test_a_tripped_row_stops_alone(self, small_basis):
+        # a forced shear grows from rest along one orbit: the middle row starts
+        # at the orbit's step 10 and reaches the threshold of step 18 after 8
+        # steps; the rows at rest stop at step 15, below it
+        params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
+        rest = GalerkinState(c=np.zeros(small_basis.n), basis=small_basis, params=params, noise=OFF,
+                             dt=1e-3, forcing=shear_coeffs(small_basis))
+        orbit = run([rest], 0.02)[0]
+        threshold = np.sqrt(small_basis.field_norms_sq(orbit.coeffs[18])[1])
+        states = [rest, GalerkinState(**{**vars(rest), "c": orbit.coeffs[10], "path": 1}),
+                  GalerkinState(**{**vars(rest), "path": 2})]
+        stack = run(states, 0.015, grad_threshold=threshold)
+        assert [traj.n_steps for traj in stack] == [15, 8, 15]
+        assert [traj.tripped_at for traj in stack] == [None, stack[1].times[-1], None]
+        for st, traj in zip(states, stack):
+            assert_same_path(traj, run([st], 0.015, grad_threshold=threshold)[0])
+
+    def test_cfl_warned_once_per_row_over_half(self, small_basis):
+        params = RheologyParams(p=2.0, q=3.0, nu=0.0, kappa=0.5)
+        states = [make_state(small_basis, scale * shear_coeffs(small_basis), params, dt=0.05, path=j)
+                  for j, scale in enumerate([100.0, 0.01, 200.0])]
+        with pytest.warns(UserWarning) as caught:
+            run(states, 0.05)
+        assert [str(w.message) for w in caught] == [
+            f"dt*max|u|*k_max = {cfl:.3g} > 0.5: explicit convection may be unstable"
+            for cfl in (0.05 * float(assemble_drift_terms(small_basis, st.c, st.forcing, params, OFF).max_speed)
+                        * small_basis.k_max for st in (states[0], states[2]))]
+
+    def test_supplied_increments_reproduce_every_row(self, small_basis):
+        states = self.states(small_basis, 5)
+        stack = run(states, 0.02)
+        replay = run(states, 0.02, increments=np.stack([traj.increments for traj in stack]))
+        for traj, again in zip(stack, replay):
+            assert_same_path(again, traj)
+        with pytest.raises(ValidationError, match="shape"):
+            run(states, 0.02, increments=stack[0].increments)
+
+    @pytest.mark.parametrize("field, value", [
+        ("dt", 1.25e-3),
+        ("params", RheologyParams(p=2.5, q=4.0, nu=0.25, kappa=0.5, alpha=0.1)),
+        ("basis", DivFreeBasis(16, 32)),
+    ])
+    def test_rows_of_another_system_rejected(self, small_basis, field, value):
+        states = self.states(small_basis, 3)
+        c = states[2].c[:value.n] if field == "basis" else states[2].c
+        states[2] = GalerkinState(**{**vars(states[2]), field: value, "c": c})
+        with pytest.raises(ValidationError, match="path 7 does not share"):
+            run(states, 0.02)
 
 
 def test_every_public_name_resolves():
@@ -489,7 +588,7 @@ def test_every_public_name_resolves():
 
 def test_trajectory_csv_layout(tmp_path, small_basis):
     params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
-    traj = run(make_state(small_basis, shear_coeffs(small_basis), params, dt=1e-2), 0.05)
+    traj = run([make_state(small_basis, shear_coeffs(small_basis), params, dt=1e-2)], 0.05)[0]
     path = tmp_path / "trajectory.csv"
     trajectory_csv(path, traj, analysis.ledger_from_trajectory(traj))
     lines = path.read_text().strip().splitlines()
@@ -503,15 +602,16 @@ def test_trajectory_csv_layout(tmp_path, small_basis):
 @pytest.mark.parametrize("experiment", ["simulate", "energy-audit"])
 def test_one_kernel_evaluation_per_stored_state(experiment, tmp_path, monkeypatch):
     # run, the ledger and the trajectory CSV share one drift evaluation per
-    # stored state: steps + 1 per path, the final state included
+    # stored state: steps + 1 per path, the final state included, in one call
+    # per step on the stack of both paths
     from nsvsim import cli, galerkin
 
     original = galerkin.assemble_drift_terms
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(basis, c, *args, **kwargs):
+        calls.append(len(np.reshape(c, (-1, basis.n))))
+        return original(basis, c, *args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("nsvsim") and getattr(mod, "assemble_drift_terms", None) is original:
@@ -523,4 +623,4 @@ def test_one_kernel_evaluation_per_stored_state(experiment, tmp_path, monkeypatc
         "noise.amplitude=0.5", "noise.modes=6",
     ])
     cli.run_experiment(cfg, str(tmp_path))
-    assert len(calls) == paths * (steps + 1)
+    assert calls == [paths] * (steps + 1)

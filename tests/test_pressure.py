@@ -21,7 +21,7 @@ def noisy_trajectory(small_basis, alpha=0.1, family="saturating", seed=5, steps=
     st = GalerkinState(
         c=c0, basis=small_basis, params=params, noise=model, dt=2.5e-3,
         forcing=np.zeros(small_basis.n), master_seed=seed, path=0)
-    return run(st, steps * st.dt)
+    return run([st], steps * st.dt)[0]
 
 
 class TestRecover:
@@ -55,7 +55,7 @@ class TestDecompose:
         st = GalerkinState(
             c=np.zeros(small_basis.n), basis=small_basis, params=params,
             noise=NoiseModel("off", 0.0, 0), dt=1e-2, forcing=np.zeros(small_basis.n))
-        parts = pressure.decompose_pressure(run(st, 0.05))
+        parts = pressure.decompose_pressure(run([st], 0.05)[0])
         for arr in (parts.pi1, parts.pi2, parts.pi_phi, parts.pi_h, parts.pi_total):
             assert np.all(arr == 0.0)
         # initial slice of every part vanishes even on nonzero runs
@@ -115,7 +115,7 @@ class TestDecompose:
         st = GalerkinState(
             c=c0, basis=small_basis, params=params, noise=NoiseModel("off", 0.0, 0),
             dt=2.5e-3, forcing=np.zeros(small_basis.n), convection=False)
-        parts = pressure.decompose_pressure(run(st, 10 * st.dt))
+        parts = pressure.decompose_pressure(run([st], 10 * st.dt)[0])
         assert np.max(np.abs(c0)) > 0.0
         assert np.all(parts.pi2 == 0.0)
         assert np.all(parts.pi_total == 0.0)
