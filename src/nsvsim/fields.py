@@ -11,11 +11,14 @@ the component axis -3 or the trailing axes, never over axis 0.
 
 One transform pair, :func:`to_grid`/:func:`from_grid`, maps centered tables
 (..., 2K+1, 2K+1) to grid samples (..., N, N) and back over any leading axes,
-so a stack of rows takes one call.  Both are real FFTs, which keep only the
-ky >= 0 half: :func:`to_grid` assumes Hermitian tables (every real field's
-table is one) and :func:`from_grid` fills the ky < 0 half by conjugation.
-Each runs as two 1-D passes, the complex one over kx only on the K+1 columns
-0 <= ky <= K, where a table can be nonzero.
+so a stack of rows takes one call.  Both are band-limited DFTs done as two
+matmuls by cached (N, K) matrices, and both keep only the ky >= 0 half:
+:func:`to_grid` assumes Hermitian tables (every real field's table is one)
+and :func:`from_grid` fills the ky < 0 half by conjugation.  One field costs
+O(N^2 K), against O(N^2 log N) for an FFT over the grid: faster at the narrow
+bands the Galerkin systems use (K = 3 at grid 32, K = 8 at grid 64) and at
+the pressure's K = N/3, about on par at full band on grid 64 (K = 31), and
+about 2x slower at full band on grid 128, where no experiment runs.
 
 Conventions: ``u(x) = sum_k uhat(k) exp(i k.x)``, grid points ``x_j = 2 pi j / N``,
 L2 inner product ``(u, v) = 4 pi^2 sum_k uhat(k) . conj(vhat(k))``.
@@ -23,6 +26,7 @@ L2 inner product ``(u, v) = 4 pi^2 sum_k uhat(k) . conj(vhat(k))``.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -112,34 +116,65 @@ def divergence_error(f: SpectralField) -> float:
     return float(np.max(np.abs(dots)) / scale)
 
 
+@functools.lru_cache(maxsize=32)
+def _band_dft(grid_size: int, k_max: int) -> tuple:
+    """Read-only matrices (ex, ey, fx, fy) of the transform pair on an N-grid
+    over the band |kx|, ky <= K, N = ``grid_size``, K = ``k_max``:
+
+    - ex (N, 2K+1): e^{+i kx x_j}, rows x_j, columns kx = -K..K;
+    - ey (2(K+1), N): rows alternating w cos(ky y_j) and -w sin(ky y_j) for
+      ky = 0..K, with w = 1 at ky = 0 and 2 above, so that a complex
+      (..., N, K+1) half viewed as reals times ey is the real field;
+    - fx (2K+1, N) and fy (N, 2(K+1)): the forward ones, e^{-i kx x_j} / N
+      and columns alternating cos(ky y_j) / N and -sin(ky y_j) / N.
+
+    Phases are reduced exactly, 2 pi ((k j) mod N) / N: the float product
+    k x_j would lose about K eps."""
+    j = np.arange(grid_size)
+    step = TWO_PI / grid_size
+    ex = np.exp(1j * step * (np.outer(j, np.arange(-k_max, k_max + 1)) % grid_size))
+    phase_y = step * (np.outer(np.arange(k_max + 1), j) % grid_size)
+    cos_y, sin_y = np.cos(phase_y), np.sin(phase_y)
+    w = np.where(np.arange(k_max + 1) == 0, 1.0, 2.0)[:, None]
+    ey = np.empty((2 * (k_max + 1), grid_size))
+    ey[0::2], ey[1::2] = w * cos_y, -w * sin_y
+    fy = np.empty((grid_size, 2 * (k_max + 1)))
+    fy[:, 0::2], fy[:, 1::2] = cos_y.T / grid_size, -sin_y.T / grid_size
+    fx = np.conj(ex.T) / grid_size
+    for m in (ex, ey, fx, fy):
+        m.flags.writeable = False
+    return ex, ey, fx, fy
+
+
 def to_grid(table: np.ndarray, grid_size: int) -> np.ndarray:
     """Grid samples (..., N, N) of real fields from their centered coefficient
-    tables (..., 2K+1, 2K+1), over any leading axes: an inverse FFT over kx of
-    the K+1 columns ky >= 0, then a real inverse FFT over ky.  Only that half
+    tables (..., 2K+1, 2K+1), over any leading axes: a complex matmul over kx
+    of the K+1 columns ky >= 0, then a real matmul over ky.  Only that half
     is read: the tables must be Hermitian, ``table[-k] == conj(table[k])``, as
-    every table of a real field is."""
+    every table of a real field is.  Cost O(N^2 K) per field; each table of a
+    stack goes through matmuls of its own fixed shape, so its samples are bit
+    for bit those of its own call."""
     k = (table.shape[-1] - 1) // 2
     _check_grid(grid_size, k)
-    half = np.zeros(table.shape[:-2] + (grid_size, k + 1), dtype=complex)
-    half[..., np.arange(-k, k + 1) % grid_size, :] = table[..., k:]
-    return np.fft.irfft(np.fft.ifft(half, axis=-2, norm="forward"), n=grid_size, axis=-1,
-                        norm="forward")
+    ex, ey, _, _ = _band_dft(grid_size, k)
+    return (ex @ table[..., k:]).view(float) @ ey
 
 
 def from_grid(v: np.ndarray, k_max: int) -> np.ndarray:
     """Centered coefficient tables (..., 2K+1, 2K+1), K = ``k_max``, of real
-    grid fields (..., N, N), over any leading axes: a real FFT over y, then
-    an FFT over x of the K+1 columns 0 <= ky <= K only; the ky < 0 half is
-    filled by conjugation."""
+    grid fields (..., N, N), over any leading axes: a real matmul over y onto
+    the K+1 columns 0 <= ky <= K, then a complex matmul over x; the ky < 0
+    half is filled by conjugation.  Cost O(N^2 K) per field; each field of a
+    stack goes through matmuls of its own fixed shape, so its table is bit
+    for bit that of its own call."""
     v = np.asarray(v, dtype=float)
     if v.ndim < 2 or v.shape[-1] != v.shape[-2]:
         raise ValidationError(f"expected grid fields of shape (..., N, N), got {v.shape}")
     n = v.shape[-1]
     _check_grid(n, k_max)
-    half = np.fft.fft(np.fft.rfft(v, axis=-1, norm="forward")[..., : k_max + 1], axis=-2,
-                      norm="forward")
+    _, _, fx, fy = _band_dft(n, k_max)
     table = np.empty(v.shape[:-2] + (2 * k_max + 1, 2 * k_max + 1), dtype=complex)
-    table[..., k_max:] = half[..., np.arange(-k_max, k_max + 1) % n, :]
+    table[..., k_max:] = fx @ (v @ fy).view(complex)
     table[..., :k_max] = np.conj(table[..., ::-1, :k_max:-1])
     return table
 

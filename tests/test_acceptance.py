@@ -175,8 +175,27 @@ def test_criterion_08_fails_on_a_nonlinear_stochastic_pressure(tmp_path, monkeyp
     assert not criterion(run_criterion(8, tmp_path), "stochastic part doubles exactly with increments").passed
 
 
+def test_criterion_08_fails_on_a_transform_without_the_ky_doubling(tmp_path, monkeypatch):
+    # the lift to the grid then counts each ky > 0 mode once, not with its
+    # conjugate: the closed form's cos(2y) comes out at half its amplitude
+    def undoubled(table, grid_size):
+        k = (table.shape[-1] - 1) // 2
+        return fields.to_grid(np.concatenate([table[..., :k + 1], 0.5 * table[..., k + 1:]], axis=-1),
+                              grid_size)
+
+    monkeypatch.setattr(pressure, "to_grid", undoubled)
+    assert not criterion(run_criterion(8, tmp_path), "vortex-array pressure matches closed form").passed
+
+
 def test_criterion_09_bogovskii(tmp_path):
     verdict(9, run_criterion(9, tmp_path))
+
+
+def test_criterion_09_fails_on_a_residual_that_does_not_fall(tmp_path, monkeypatch):
+    # w = 0 leaves the residual at ||xi|| over the interior nodes, which
+    # grows slightly with the resolution
+    monkeypatch.setattr(pressure, "bogovskii_solve_batch", lambda xis, n: np.zeros((len(xis), 2, n, n)))
+    assert not criterion(run_criterion(9, tmp_path), "divergence residual decreases across resolutions").passed
 
 
 def test_criterion_10_weak_form_residual():

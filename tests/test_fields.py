@@ -37,14 +37,48 @@ class TestTransforms:
         scale = np.max(np.abs(c))
         assert np.max(np.abs(back - c)) < 1e-12 * max(scale, 1.0)
 
+    @pytest.mark.parametrize("n,k_max", [(16, 5), (32, 3), (32, 10), (64, 8), (64, 21), (64, 31)])
+    def test_pair_matches_full_spectrum_fft(self, n, k_max):
+        # the band-limited pair against an FFT over the whole N x N spectrum
+        tables = np.stack([random_hermitian_coeffs(k_max, seed) for seed in range(2)])
+        idx = np.arange(-k_max, k_max + 1) % n
+        full = np.zeros(tables.shape[:-2] + (n, n), dtype=complex)
+        full[..., idx[:, None], idx[None, :]] = tables
+        ref_grid = np.fft.ifft2(full, norm="forward").real
+        grids = fields.to_grid(tables, n)
+        assert np.max(np.abs(grids - ref_grid)) <= 1e-14 * np.max(np.abs(ref_grid))
+        ref_table = np.fft.fft2(ref_grid, norm="forward")[..., idx[:, None], idx[None, :]]
+        back = fields.from_grid(ref_grid, k_max)
+        assert np.max(np.abs(back - ref_table)) <= 1e-14 * np.max(np.abs(ref_table))
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_highest_band_mode_round_trip(self, n):
+        # u = (cos(K x - K y), 0) at K = N/2 - 1, the widest band the grid holds
+        k_max = n // 2 - 1
+        f = fields.zero_field(k_max, n)
+        f.coeffs[0, -1, 0] = f.coeffs[0, 0, -1] = 0.5
+        g = fields.to_grid(f.coeffs, n)
+        j = np.arange(n)
+        expected = np.cos(2.0 * np.pi * (k_max * (j[:, None] - j[None, :]) % n) / n)
+        assert np.max(np.abs(g[0] - expected)) < 1e-14
+        assert np.all(g[1] == 0.0)
+        assert np.max(np.abs(fields.from_grid(g, k_max) - f.coeffs)) < 1e-14
+
     def test_stacked_transforms_equal_per_row_calls_bitwise(self):
-        tables = np.stack([random_hermitian_coeffs(5, seed) for seed in range(3)])  # (3, 2, 11, 11)
-        grids = fields.to_grid(tables, 32)
-        back = fields.from_grid(grids, 5)
-        assert grids.shape == (3, 2, 32, 32) and back.shape == tables.shape
-        for idx in np.ndindex(tables.shape[:2]):
-            assert np.array_equal(grids[idx], fields.to_grid(tables[idx], 32))
-            assert np.array_equal(back[idx], fields.from_grid(grids[idx], 5))
+        for n, k_max in [(32, 5), (64, 31)]:
+            tables = np.stack([random_hermitian_coeffs(k_max, seed) for seed in range(3)])  # (3, 2, 2K+1, 2K+1)
+            grids = fields.to_grid(tables, n)
+            back = fields.from_grid(grids, k_max)
+            assert grids.shape == (3, 2, n, n) and back.shape == tables.shape
+            for idx in np.ndindex(tables.shape[:2]):
+                assert np.array_equal(grids[idx], fields.to_grid(tables[idx], n))
+                assert np.array_equal(back[idx], fields.from_grid(grids[idx], k_max))
+
+    def test_cached_matrices_are_read_only(self):
+        for m in fields._band_dft(32, 3):
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 0.0
 
     def test_non_square_grid_rejected(self):
         with pytest.raises(ValidationError):

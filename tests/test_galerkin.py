@@ -38,6 +38,20 @@ def drift(basis: DivFreeBasis, c: np.ndarray, params: RheologyParams) -> np.ndar
     return assemble_drift_terms(basis, c, np.zeros(basis.n), params, OFF).b
 
 
+def count_transforms(monkeypatch) -> list:
+    """Record each call of the transform pair as ``galerkin`` binds it,
+    and every ``numpy.fft`` call, by name."""
+    calls = []
+    for module, names in ((galerkin, ("to_grid", "from_grid")), (np.fft, np.fft.__all__)):
+        for name in names:
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def make_state(basis, c, params, noise=OFF, dt=1e-3, **kw) -> GalerkinState:
     return GalerkinState(
         c=np.asarray(c, float), basis=basis, params=params, noise=noise,
@@ -278,18 +292,12 @@ class TestDrift:
 
     def test_two_real_transforms_per_stored_state(self, small_basis, monkeypatch):
         # the CFL check reads max |u| from the kernel's first evaluation: a run
-        # of S steps makes the pair's four 1-D passes S + 1 times and no other
-        calls = []
-        for name in ("ifft", "irfft", "rfft", "fft"):
-            def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-                calls.append(_name)
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
+        # of S steps makes the transform pair S + 1 times and no FFT
+        calls = count_transforms(monkeypatch)
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
         c = smooth_random_coeffs(small_basis)
         run([make_state(small_basis, c, params, noise=NoiseModel("linear", 0.5, 4))], 0.005)
-        assert calls == ["ifft", "irfft", "rfft", "fft"] * 6
+        assert calls == ["to_grid", "from_grid"] * 6
         terms = assemble_drift_terms(
             small_basis, c, np.zeros(small_basis.n), params, OFF)
         speed = np.sqrt(np.sum(fields.to_grid(small_basis.scatter(c), small_basis.grid_size) ** 2, axis=0))
@@ -297,22 +305,14 @@ class TestDrift:
 
     def test_two_real_transforms_per_evaluation(self, small_basis, monkeypatch):
         # one inverse transform of (u, grad u) and one forward transform of
-        # every source row, with convection, damping and noise all on; each is
-        # a complex pass over kx of the band's columns and a real pass over ky
-        calls = []
-        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
-                     "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
-            def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-                calls.append(_name)
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
+        # every source row, with convection, damping and noise all on, and no FFT
+        calls = count_transforms(monkeypatch)
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
         c = smooth_random_coeffs(small_basis)
         terms = assemble_drift_terms(
             small_basis, c, np.zeros(small_basis.n), params,
             NoiseModel("saturating", 0.5, 4), convection=True)
-        assert calls == ["ifft", "irfft", "rfft", "fft"]
+        assert calls == ["to_grid", "from_grid"]
         assert np.any(terms.s != 0.0)  # the noise projection was formed
 
     @pytest.mark.parametrize("p,q,alpha,family,convection", [
