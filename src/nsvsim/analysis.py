@@ -63,7 +63,7 @@ def ledger_from_trajectory(traj: Trajectory) -> EnergyLedger:
     forcing = forcing_at(traj.forcing, np.arange(traj.n_steps))
     work = 2.0 * np.sum(forcing * traj.coeffs[:-1], axis=1) * dt
     ito_trace = model.trace_const * traj.noise_mass_sq[:-1] * dt
-    martingale = 2.0 * traj.c_dot_s[:-1] * (traj.increments @ model.mode_scales())
+    martingale = 2.0 * traj.c_dot_s[:-1] * traj.etas()
 
     residual = d_energy + dissipation + damping - work - ito_trace - martingale
     return EnergyLedger(
@@ -224,8 +224,7 @@ def weak_form_residual(traj: Trajectory, test_coeffs: np.ndarray) -> float:
         traj.basis, traj.coeffs[:-1], forcing_at(traj.forcing, np.arange(steps)), traj.params,
         traj.noise, convection=traj.convection,
     )
-    eta = traj.increments @ traj.noise.mode_scales()
-    acc = np.cumsum((terms.b * traj.dt + terms.s * eta[:, None]) @ d.T, axis=0)   # (S, m)
+    acc = np.cumsum((terms.b * traj.dt + terms.s * traj.etas()[:, None]) @ d.T, axis=0)   # (S, m)
     lhs = traj.coeffs @ (traj.basis.mass_multipliers(traj.params.kappa) * d).T    # (S+1, m)
     # running scale: the largest |lhs| and |acc| so far, and at least |lhs[0]|
     scale = np.maximum.accumulate(np.maximum(np.abs(lhs[1:]), np.abs(acc)), axis=0)

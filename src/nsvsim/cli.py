@@ -299,14 +299,13 @@ def make_state(cfg: SimConfig, basis: DivFreeBasis, path: int, forcing: np.ndarr
     )
 
 
-def _path_results(cfg: SimConfig, basis: DivFreeBasis, forcing: np.ndarray, **kwargs):
-    """Each of the ``cfg.paths`` paths' results, a Trajectory or its
-    DivergenceError, in path order.  The paths run as stacks of one kernel
-    chunk, so memory holds one chunk's trajectories at a time."""
-    per_call = states_per_call(basis.grid_size)
-    for start in range(0, cfg.paths, per_call):
-        stop = min(start + per_call, cfg.paths)
-        yield from run([make_state(cfg, basis, i, forcing) for i in range(start, stop)], cfg.T, **kwargs)
+def _path_results(states: list[GalerkinState], T: float, **kwargs):
+    """Each state's result, a Trajectory or its DivergenceError, in order.
+    The states run to ``T`` as stacks of one kernel chunk, so memory holds
+    one chunk's trajectories at a time."""
+    per_call = states_per_call(states[0].basis.grid_size)
+    for start in range(0, len(states), per_call):
+        yield from run(states[start:start + per_call], T, **kwargs)
 
 
 def _trajectory(result):
@@ -373,7 +372,8 @@ def _experiment_simulate(cfg: SimConfig, out_dir: str):
     forcing = forcing_coefficients(cfg, basis)
 
     # path 0 feeds every output; each other path is checked for finite states and dropped
-    trajs = map(_trajectory, _path_results(cfg, basis, forcing, grad_threshold=cfg.monitor_threshold))
+    states = [make_state(cfg, basis, i, forcing) for i in range(cfg.paths)]
+    trajs = map(_trajectory, _path_results(states, cfg.T, grad_threshold=cfg.monitor_threshold))
     traj = next(trajs)
     finite = [np.all(np.isfinite(traj.coeffs))]
     finite += map(lambda other: np.all(np.isfinite(other.coeffs)), trajs)
@@ -420,8 +420,9 @@ def _experiment_energy_audit(cfg: SimConfig, out_dir: str):
     metrics = {}
     artifacts = []
     if cfg.noise_model().active:
+        states = [make_state(cfg, basis, i, forcing) for i in range(cfg.paths)]
         ledgers = [analysis.ledger_from_trajectory(traj)
-                   for traj in map(_trajectory, _path_results(cfg, basis, forcing))]
+                   for traj in map(_trajectory, _path_results(states, cfg.T))]
         cum = np.stack([np.cumsum(led.residual) for led in ledgers])
         mean = cum.mean(axis=0)
         se = cum.std(axis=0, ddof=1) / np.sqrt(cfg.paths)
@@ -452,14 +453,15 @@ def _experiment_moments(cfg: SimConfig, out_dir: str):
     def estimate(local_cfg: SimConfig) -> analysis.MomentReport:
         basis = local_cfg.basis()
         f = forcing_coefficients(local_cfg, basis)
-        e0 = basis.energy(initial_coefficients(local_cfg, basis, 0), local_cfg.kappa)
+        states = [make_state(local_cfg, basis, i, f) for i in range(local_cfg.paths)]
+        e0 = basis.energy(states[0].c, local_cfg.kappa)
         f_int = float(np.sum(f**2)) * local_cfg.T if f.ndim == 1 else float(np.sum(f**2) * local_cfg.dt)
 
         def finite_paths():
             # the diverged paths are excluded; when every path diverged, the
             # lowest-index one's error is raised
             errors = []
-            for result in _path_results(local_cfg, basis, f):
+            for result in _path_results(states, local_cfg.T):
                 if isinstance(result, DivergenceError):
                     errors.append(result)
                 else:
@@ -521,20 +523,17 @@ def _experiment_uniqueness(cfg: SimConfig, out_dir: str):
 
     forcing = forcing_coefficients(cfg, basis)
 
-    # a path's state and its twin, which differs by perturb in the first wave
-    # mode, share a stack; a stack holds one kernel chunk of pairs
-    pairs_per_stack = max(1, states_per_call(basis.grid_size) // 2)
-
     def twins(local_cfg: SimConfig, forcing: np.ndarray, paths: int, perturb: float):
-        for start in range(0, paths, pairs_per_stack):
-            states = []
-            for path in range(start, min(start + pairs_per_stack, paths)):
-                sa = make_state(local_cfg, basis, path, forcing)
-                cb = sa.c.copy()
-                cb[first_wave] += perturb
-                states += [sa, replace(sa, c=cb)]
-            trajs = list(map(_trajectory, run(states, local_cfg.T)))
-            yield from zip(trajs[::2], trajs[1::2])
+        # each path's state, then its twin, which differs by perturb in the
+        # first wave mode; a twin in another stack draws the same lineage
+        states = []
+        for path in range(paths):
+            sa = make_state(local_cfg, basis, path, forcing)
+            cb = sa.c.copy()
+            cb[first_wave] += perturb
+            states += [sa, replace(sa, c=cb)]
+        trajs = map(_trajectory, _path_results(states, local_cfg.T))
+        return zip(trajs, trajs)
 
     identical = analysis.twin_uniqueness(twins(cfg, forcing, min(cfg.paths, 8), 0.0), weight_c)
     perturbed = analysis.twin_uniqueness(twins(cfg, forcing, cfg.paths, delta), weight_c)

@@ -96,10 +96,6 @@ class SpectralField:
         return (self.coeffs.shape[1] - 1) // 2
 
 
-def zero_field(k_max: int, grid_size: int) -> SpectralField:
-    return SpectralField(np.zeros((2, 2 * k_max + 1, 2 * k_max + 1), dtype=complex), grid_size)
-
-
 def hermitian_error(f: SpectralField) -> float:
     """Max deviation from coeff(-k) = conj(coeff(k)), relative to the field scale."""
     c = f.coeffs

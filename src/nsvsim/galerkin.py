@@ -22,14 +22,15 @@ A :class:`GalerkinState` is what a path starts from: its initial
 coefficients, the system it solves and its (seed, path) noise lineage.
 :func:`run` steps a stack of states of one system, each on its own lineage,
 so that every row is bit for bit its own run; a single state is a stack of
-one.  It keeps the coefficients, the time and the step index in its loop,
-evaluates the kernel once per step on the stack's coefficients and keeps
-each row's state-only outputs on its :class:`Trajectory`, which every audit
-reads.  A row leaves the stack on its own: a row that diverges as its
-:class:`DivergenceError`, and a row stopped by the gradient threshold with
-its stopping time as ``tripped_at``.  The experiments feed it stacks of
-:func:`states_per_call` paths, one kernel chunk.  Two
-passes recompute from the stored coefficients on purpose:
+one.  It allocates the stack's record once (coefficients, increments,
+the kernel's state-only outputs and the times), evaluates the kernel once
+per step on the running rows' coefficients and writes each step's column in
+place.  A row leaves the stack on its own, with a :class:`Trajectory` of
+views of its own prefix of the record, which every audit reads: a row that
+diverges as its :class:`DivergenceError`, and a row stopped by the gradient
+threshold with its stopping time as ``tripped_at``.  The experiments feed
+it stacks of :func:`states_per_call` paths, one kernel chunk.  Two passes
+recompute from the stored coefficients on purpose:
 ``analysis.weak_form_residual`` is the independent check that catches a
 corrupted state, and the pressure decomposition takes its tables from the
 pointwise stage at ``traj.coeffs`` under ``traj.params``, so that it
@@ -349,7 +350,7 @@ class Trajectory:
     projection and M the mass multipliers, ``noise_mass_sq = s.(s/M)`` and
     ``c_dot_s = c.s``.  The ledger, the trajectory CSV, the moment functionals
     and the damping sweep are array reductions over this record; the terms
-    that involve the increments (eta, the martingale) are formed from
+    that involve the increments (:meth:`etas`, the martingale) are formed from
     ``increments``, so the record stays valid under
     ``replace(traj, increments=...)``.  Replacing ``coeffs`` or ``params``
     leaves it stale: ``analysis.weak_form_residual`` and the pressure
@@ -383,6 +384,11 @@ class Trajectory:
     def energies(self) -> np.ndarray:
         return self.basis.energy(self.coeffs, self.params.kappa)
 
+    def etas(self) -> np.ndarray:
+        """Per-step scalar noise increments eta_i = sum_k scale_k dW_k, (S,);
+        zero with the noise off."""
+        return self.increments @ self.noise.mode_scales()
+
 
 class Paths(list):
     """What :func:`run` returns: for each state of the stack, in order, its
@@ -409,7 +415,9 @@ def run(
     stored state of every row.  A row leaves the stack on its own: at a
     nonfinite state, as the DivergenceError of that step, or with
     ``grad_threshold`` > 0 at its first state with ||grad u||_2 >=
-    ``grad_threshold``, whose time it records as ``tripped_at``.  Pass
+    ``grad_threshold``, whose time it records as ``tripped_at``.  Each
+    row's Trajectory views its own prefix of the stack's record, so the rows
+    share no writable element; ``times`` is shared and read-only.  Pass
     ``increments`` (states, steps, n_w) to drive runs with matched noise."""
     states = list(states)
     if not states:
@@ -438,10 +446,14 @@ def run(
     basis, params, noise = first.basis, first.params, first.noise
     mass = basis.mass_multipliers(params.kappa)
     scales = noise.mode_scales()
-    rows = list(range(len(states)))  # the stack's rows still running, as indices into states
-    c, t = np.stack([st.c for st in states]), 0.0
-    times, coeffs = [t], [[st.c] for st in states]
-    incs, record = [[] for _ in states], [[] for _ in states]
+    # the stack's record, written in place: a row's Trajectory views its prefix
+    coeffs = np.empty((len(states), n_steps + 1, basis.n))
+    incs = np.empty((len(states), n_steps, noise.n_w))
+    record = np.empty((5, len(states), n_steps + 1))  # the five record scalars, in field order
+    times = np.concatenate([[0.0], np.cumsum(np.full(n_steps, dt))])  # t += dt, step by step
+    times.flags.writeable = False  # shared by every row
+    coeffs[:, 0] = [st.c for st in states]
+    rows = np.arange(len(states))  # the stack's rows still running
     out = Paths([None] * len(states))
 
     def draw(row: int, i: int) -> np.ndarray:
@@ -451,29 +463,10 @@ def run(
             return sample_increment(states[row].master_seed, states[row].path, i, dt, noise.n_w)
         return np.zeros(noise.n_w)
 
-    def finish(row: int, tripped_at: float | None) -> Trajectory:
-        dissipation_p, grad_p, damping_q, noise_mass_sq, c_dot_s = np.asarray(record[row]).T.copy()
-        return Trajectory(
-            times=np.asarray(times[: len(coeffs[row])]),
-            coeffs=np.asarray(coeffs[row]),
-            increments=np.asarray(incs[row]).reshape(len(incs[row]), noise.n_w),
-            dissipation_p=dissipation_p,
-            grad_p=grad_p,
-            damping_q=damping_q,
-            noise_mass_sq=noise_mass_sq,
-            c_dot_s=c_dot_s,
-            basis=basis,
-            params=params,
-            noise=noise,
-            dt=dt,
-            forcing=first.forcing,
-            convection=first.convection,
-            tripped_at=tripped_at,
-        )
-
     # One kernel evaluation per step: it drives the step out of each row's
-    # state and gives that state's record row, the final state's included.
+    # state and gives that state's record column, the final state's included.
     for i in range(n_steps + 1):
+        c = coeffs[rows, i]
         terms = assemble_drift_terms(
             basis, c, forcing_at(first.forcing, i), params, noise, convection=first.convection,
         )
@@ -484,39 +477,37 @@ def run(
                         f"dt*max|u|*k_max = {cfl:.3g} > 0.5: explicit convection may be unstable",
                         stacklevel=2,
                     )
-        # per row, as in a run of that row alone: np.dot on contiguous rows
+        # c.s per row, as in a run of that row alone: np.dot on contiguous rows
         # rounds as it does on the row's own arrays
-        noise_mass_sq = np.sum(terms.s * terms.s / mass, axis=-1)
-        for j, row in enumerate(rows):
-            record[row].append((terms.dissipation_p[j], terms.grad_p[j], terms.damping_q[j],
-                                noise_mass_sq[j], np.dot(c[j], terms.s[j])))
+        record[:, rows, i] = (terms.dissipation_p, terms.grad_p, terms.damping_q,
+                              np.sum(terms.s * terms.s / mass, axis=-1),
+                              [np.dot(cj, sj) for cj, sj in zip(c, terms.s)])
         tripped = np.zeros(len(rows), dtype=bool)
         if grad_threshold > 0:
             tripped = np.sqrt(basis.field_norms_sq(c)[1]) >= grad_threshold
-        for j, row in enumerate(rows):
-            if tripped[j] or i == n_steps:
-                out[row] = finish(row, t if tripped[j] else None)
-        if i == n_steps:
-            break
+        for row, trip in zip(rows, tripped):
+            if trip or i == n_steps:
+                out[row] = Trajectory(
+                    times[: i + 1], coeffs[row, : i + 1], incs[row, :i], *record[:, row, : i + 1],
+                    basis=basis, params=params, noise=noise, dt=dt, forcing=first.forcing,
+                    convection=first.convection, tripped_at=float(times[i]) if trip else None,
+                )
         going = ~tripped
-        rows = [row for row, on in zip(rows, going) if on]
-        db = [draw(row, i) for row in rows]
+        rows = rows[going]
+        if i == n_steps or not rows.size:
+            break
+        db = np.array([draw(row, i) for row in rows])
         rhs = terms.b[going] * dt
         if noise.active:
             rhs = rhs + terms.s[going] * np.array([np.dot(scales, d) for d in db])[:, None]
         c = c[going] + rhs / mass
-        t = t + dt
-        times.append(t)
         finite = np.all(np.isfinite(c), axis=-1)
-        for j, row in enumerate(rows):
-            if finite[j]:
-                incs[row].append(db[j])
-                coeffs[row].append(c[j])
-            else:
-                out[row] = DivergenceError(i, states[row].path)
-        rows = [row for row, ok in zip(rows, finite) if ok]
-        c = c[finite]
-        if not rows:
+        for row in rows[~finite]:
+            out[row] = DivergenceError(i, states[row].path)
+        rows = rows[finite]
+        coeffs[rows, i + 1] = c[finite]
+        incs[rows, i] = db[finite]
+        if not rows.size:
             break
     return out
 

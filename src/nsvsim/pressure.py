@@ -93,18 +93,13 @@ def _slice_sources(traj: Trajectory, i: int, k_max: int):
     return stress, drift, shape
 
 
-def _etas(traj: Trajectory) -> np.ndarray:
-    """Per-step scalar noise increments sum_k scale_k dW_k; zero with the noise off."""
-    return traj.increments @ traj.noise.mode_scales()
-
-
 def stochastic_pressure(traj: Trajectory, noise_shape: np.ndarray) -> np.ndarray:
     """The stochastic part pi_phi, slice by slice: the lift of the noise
     accumulated from the recorded shape(u) tables and ``traj.increments``."""
     n = traj.basis.grid_size
     out = np.zeros((traj.n_steps + 1, n, n))
     acc = np.zeros_like(noise_shape[0])
-    for i, eta in enumerate(_etas(traj)):
+    for i, eta in enumerate(traj.etas()):
         acc += eta * noise_shape[i]
         out[i + 1] = _lift(acc, n)
     return out
@@ -130,7 +125,7 @@ def decompose_pressure(traj: Trajectory) -> PressureParts:
     pi_total = np.zeros(shape)
     drift_div = np.zeros(tables, dtype=complex)
     noise_shape = np.zeros(tables, dtype=complex)
-    etas = _etas(traj)
+    etas = traj.etas()
 
     acc = np.zeros(tables[1:], dtype=complex)  # integrated drift and noise sources
     for i in range(s_steps + 1):
@@ -178,7 +173,7 @@ def momentum_gradient_residual(traj: Trajectory, parts: PressureParts) -> float:
     k_max = (parts.drift_div.shape[-1] - 1) // 2
     kx, ky = fields.wavenumbers(k_max)
     k2 = kx * kx + ky * ky
-    etas = _etas(traj)
+    etas = traj.etas()
 
     acc = np.zeros_like(parts.drift_div[0])
     worst = 0.0
@@ -231,15 +226,6 @@ def _bump_normalization(nodes: int = 400) -> float:
 
 
 _BUMP_CONST = _bump_normalization()
-
-
-def bump(points: np.ndarray) -> np.ndarray:
-    """The smooth bump of unit integral supported in the inscribed ball."""
-    d2 = np.sum((points - BUMP_CENTER) ** 2, axis=-1) / BUMP_RADIUS**2
-    out = np.zeros(d2.shape)
-    inside = d2 < 1.0
-    out[inside] = _BUMP_CONST * np.exp(-1.0 / (1.0 - d2[inside]))
-    return out
 
 
 @dataclass

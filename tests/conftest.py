@@ -13,6 +13,10 @@ def random_hermitian_coeffs(k_max: int, seed: int = 0) -> np.ndarray:
     return c
 
 
+def zero_field(k_max: int, grid_size: int) -> fields.SpectralField:
+    return fields.SpectralField(np.zeros((2, 2 * k_max + 1, 2 * k_max + 1), dtype=complex), grid_size)
+
+
 def random_divfree(k_max: int, grid_size: int, seed: int = 0) -> fields.SpectralField:
     rng = np.random.default_rng(seed)
     return fields.leray_project(rng.standard_normal((2, grid_size, grid_size)), k_max)

@@ -101,7 +101,8 @@ def test_criterion_02_fails_on_a_doubled_symmetric_gradient(tmp_path, monkeypatc
         test_criterion_02_korn_identity(rep)
 
 
-def test_criterion_03_euler_voigt_conservation():
+def euler_voigt_conservation() -> tuple:
+    """Criterion 03's two legs: (shear drift, shear ok, halving ratio, ratio ok)."""
     base = [
         "nu=0", "alpha=0", "noise.family=off", "kappa=0.5",
         "steps=125", "dt=0.002", "T=0.25",
@@ -111,7 +112,6 @@ def test_criterion_03_euler_voigt_conservation():
     traj = run([st], 0.25)[0]
     e = traj.energies()
     shear_drift = abs(e[-1] - e[0]) / e[0]
-    shear_ok = shear_drift < 10.0 * st.dt
 
     # first-order convergence on a non-steady field
     errs = []
@@ -120,11 +120,35 @@ def test_criterion_03_euler_voigt_conservation():
         e = run([st], 0.25)[0].energies()
         errs.append(abs(e[-1] - e[0]) / e[0])
     ratio = errs[1] / errs[0]
-    ratio_ok = 0.4 <= ratio <= 0.6
+    return shear_drift, shear_drift < 10.0 * 0.002, ratio, 0.4 <= ratio <= 0.6
+
+
+def test_criterion_03_euler_voigt_conservation():
+    shear_drift, shear_ok, ratio, ratio_ok = euler_voigt_conservation()
     passed = shear_ok and ratio_ok
     report(3, passed,
            f"shear drift {shear_drift:.3e} < {10 * 0.002:.0e}; halving ratio {ratio:.3f} in [0.4, 0.6]")
     assert passed
+
+
+def test_criterion_03_fails_on_a_convection_that_does_not_conserve_energy(monkeypatch):
+    # the xy entry of u x u written u_x u_x: the convection then does work, an
+    # energy drift that dt-halving leaves as it is.  (Scaling an entry of
+    # u x u would not do: for divergence-free u each entry's work is the
+    # integral of a derivative, zero to roundoff.)  The break's work is
+    # -int u_x^2 d_x u_y, which vanishes on the steady shear (u_y = 0), so it
+    # cannot reach that leg.
+    original = galerkin.PointwiseTerms.at
+
+    def slipped_xy_flux(u, grid_size, params, noise, convection):
+        pw = original(u, grid_size, params, noise, convection)
+        u0, u1 = pw.u[..., 0, :, :], pw.u[..., 1, :, :]
+        pw.flux[..., 1, :, :] += u0 * u1 - u0 * u0
+        return pw
+
+    monkeypatch.setattr(galerkin.PointwiseTerms, "at", staticmethod(slipped_xy_flux))
+    _, shear_ok, ratio, ratio_ok = euler_voigt_conservation()
+    assert shear_ok and not ratio_ok, ratio
 
 
 def test_criterion_04_deterministic_energy_law(tmp_path):

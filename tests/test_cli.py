@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from nsvsim import cli, fields, galerkin
 from nsvsim.errors import ConfigurationError, DivergenceError, ValidationError
 
+from conftest import zero_field
+
 
 def write_forcing_snapshots(directory, count: int) -> str:
     """``count`` distinct forcing snapshots f0.bin, f1.bin, ... with K = 2, enough
@@ -259,7 +261,7 @@ class TestExperiments:
         # a K = 1 snapshot lies below k_max = 3 of 32 modes; 8 modes fit it, but
         # moments' doubled basis of 16 modes has k_max = 2
         snap = tmp_path / "coarse.bin"
-        fields.save_field(snap, fields.zero_field(1, 32))
+        fields.save_field(snap, zero_field(1, 32))
         overrides = ["steps=4", "dt=0.005", "T=0.02", "paths=2", f"n_modes={n_modes}",
                      "forcing.kind=file", f"forcing.path={snap}"]
         rc = cli.main([experiment, *(a for ov in overrides for a in ("--override", ov)),

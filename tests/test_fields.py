@@ -6,19 +6,19 @@ from hypothesis import strategies as st
 from nsvsim import fields
 from nsvsim.errors import ConfigurationError, ValidationError
 
-from conftest import l2_norm, random_divfree, random_hermitian_coeffs, torus_grid
+from conftest import l2_norm, random_divfree, random_hermitian_coeffs, torus_grid, zero_field
 
 
 class TestTransforms:
     def test_zero_field_round_trip(self):
-        f = fields.zero_field(4, 16)
+        f = zero_field(4, 16)
         g = fields.to_grid(f.coeffs, f.grid_size)
         assert np.all(g == 0.0)
         assert np.all(fields.from_grid(g, 4) == 0.0)
 
     def test_single_mode_is_transform_eigenfunction(self):
         # u = (sin y, 0) samples to sin(y_j) and comes back as the same mode
-        f = fields.zero_field(2, 16)
+        f = zero_field(2, 16)
         f.coeffs[0, 2, 3] = -0.5j
         f.coeffs[0, 2, 1] = 0.5j
         g = fields.to_grid(f.coeffs, f.grid_size)
@@ -55,7 +55,7 @@ class TestTransforms:
     def test_highest_band_mode_round_trip(self, n):
         # u = (cos(K x - K y), 0) at K = N/2 - 1, the widest band the grid holds
         k_max = n // 2 - 1
-        f = fields.zero_field(k_max, n)
+        f = zero_field(k_max, n)
         f.coeffs[0, -1, 0] = f.coeffs[0, 0, -1] = 0.5
         g = fields.to_grid(f.coeffs, n)
         j = np.arange(n)
@@ -86,11 +86,11 @@ class TestTransforms:
 
     def test_grid_too_small_rejected(self):
         with pytest.raises(ConfigurationError):
-            fields.zero_field(8, 16)  # needs N >= 18
+            zero_field(8, 16)  # needs N >= 18
 
     def test_grid_power_of_two_required(self):
         with pytest.raises(ConfigurationError):
-            fields.zero_field(4, 24)
+            zero_field(4, 24)
 
     def test_hermitian_and_mean_flow(self):
         f = fields.SpectralField(random_hermitian_coeffs(3, 5), 16)
@@ -118,11 +118,11 @@ class TestSymGradient:
             assert np.array_equal(mod[i], fields.sym_modulus(d[i]))
 
     def test_zero(self):
-        d = fields.sym_gradient(fields.gradient(fields.zero_field(3, 16)))
+        d = fields.sym_gradient(fields.gradient(zero_field(3, 16)))
         assert np.all(d[0] == 0.0) and np.all(d[1] == 0.0) and np.all(d[2] == 0.0)
 
     def test_shear_closed_form(self):
-        f = fields.zero_field(2, 32)
+        f = zero_field(2, 32)
         f.coeffs[0, 2, 3] = -0.5j
         f.coeffs[0, 2, 1] = 0.5j
         d = fields.sym_gradient(fields.gradient(f))
@@ -177,7 +177,7 @@ class TestLeray:
 
 class TestNorms:
     def test_shear_closed_forms(self):
-        f = fields.zero_field(2, 32)
+        f = zero_field(2, 32)
         f.coeffs[0, 2, 3] = -0.5j
         f.coeffs[0, 2, 1] = 0.5j
         assert l2_norm(f) ** 2 == pytest.approx(2.0 * np.pi**2, rel=1e-13)
@@ -188,7 +188,7 @@ class TestNorms:
         assert np.sum(fields.gradient(f) ** 2) * w == pytest.approx(2.0 * np.pi**2, rel=1e-12)
 
     def test_zero_field(self):
-        f = fields.zero_field(3, 16)
+        f = zero_field(3, 16)
         w = fields.quad_weight(16)
         speed = np.sqrt(np.sum(fields.to_grid(f.coeffs, f.grid_size) ** 2, axis=0))
         lp = (np.sum(speed**2.5) * w) ** (1.0 / 2.5)
@@ -236,7 +236,7 @@ class TestSnapshots:
         assert np.array_equal(g.coeffs, f.coeffs)
 
     def test_header_layout(self, tmp_path):
-        f = fields.zero_field(2, 16)
+        f = zero_field(2, 16)
         path = tmp_path / "field.bin"
         fields.save_field(path, f)
         raw = path.read_bytes()
@@ -255,7 +255,7 @@ class TestSnapshots:
     def test_truncated_file_rejected(self, tmp_path, cut):
         # cut inside the 16-byte header, mid-value in the payload, on a mode boundary
         path = tmp_path / "field.bin"
-        fields.save_field(path, fields.zero_field(2, 16))
+        fields.save_field(path, zero_field(2, 16))
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(ValidationError, match="truncated|payload"):
             fields.load_field(path)
