@@ -241,9 +241,12 @@ class BogovskiiProblem:
 
 
 def _check_sources(xis: np.ndarray, n: int) -> None:
-    """Sources must be (L, n, n) midpoint samples, each with zero mean."""
+    """Sources must be (L, n, n) finite midpoint samples, each with zero mean."""
     if xis.ndim != 3 or xis.shape[1:] != (n, n):
         raise ValidationError(f"xi must be sampled on the {n}x{n} midpoint grid, as ({n}, {n}) per source")
+    finite = np.isfinite(xis).all(axis=(1, 2))
+    if not finite.all():
+        raise ValidationError(f"xi must be finite: source {int(np.argmin(finite))} is not")
     h2 = 1.0 / (n * n)
     mean = np.abs(np.sum(xis, axis=(1, 2)) * h2)
     l1 = np.sum(np.abs(xis), axis=(1, 2)) * h2
@@ -271,16 +274,38 @@ def _grid_image(i: np.ndarray, j: np.ndarray, n: int, sym) -> np.ndarray:
     return a * n + b
 
 
+# The ray pass runs over tiles of about _TILE_PAIRS (target, source) pairs,
+# so its temporaries (256 KB per array) stay in L2; each tile writes e g into
+# a block of about _BLOCK_PAIRS pairs (16 MB for both components), which
+# feeds one matmul by the 8L permuted sources.  The matmul stays per block:
+# with 64K-pair blocks a 20-source solve at n = 128 re-reads the 21 MB
+# source stack 520 times and took 6.6 s against 3.2-3.8 s.  One 4M-pair
+# chunk for both held criterion 09 at about 920 MB of peak RSS.
+_TILE_PAIRS = 1 << 15
+_BLOCK_PAIRS = 1 << 20
+
+
 def bogovskii_solve_batch(xis: np.ndarray, resolution: int) -> np.ndarray:
     """Solve div w = xi for a batch of sources sharing one kernel evaluation.
 
     Evaluates the explicit integral w(x) = int xi(y) (x - y) g(x, y) dy with
     g(x, y) = int_1^inf bump(y + s (x - y)) s ds by midpoint quadrature in y
     and Gauss quadrature along the ray segment beyond x that meets the bump's
-    support.  That segment is empty unless the line through y and x crosses
-    the ball beyond x, so one dense pass finds the segment ends for every
-    pair and compacts once, to the pairs with a nonempty segment, before the
-    only transcendental work.
+    support (the ball B of radius r about c).
+
+    With e = x - y and dx = x - c, the segment is nonempty iff the line
+    y + s e meets B twice and its far root s_hi exceeds 1.  The roots solve
+    |e|^2 s^2 + b s + cc = 0 with b = 2 e.(y - c) and cc = |y - c|^2 - r^2,
+    and by Lagrange's identity the discriminant is
+    4 (r^2 |e|^2 - (e x (y - c))^2), where e x (y - c) = e x dx.  So the
+    line meets B iff (e x dx)^2 < r^2 |e|^2, and then s_hi > 1 iff x lies
+    in B or the ray leaves x toward c (e.dx < 0).  This tangent test
+    selects the pairs; the roots and the 12-node rule are computed only on
+    the selected ones, with the guard s_hi > max(s_lo, 1) that also decides
+    the selection when every pair is solved.  A pair on which the two
+    selections differ in floating point is within roundoff of tangency or
+    of x on the sphere, so its nodes lie where the bump is exactly 0.0 and
+    it adds nothing either way.
 
     The bump is radial about BUMP_CENTER, the centre of the unit square, so
     for each of the square's 8 symmetries R (swap x and y, reflect x -> 1 - x,
@@ -292,8 +317,14 @@ def bogovskii_solve_batch(xis: np.ndarray, resolution: int) -> np.ndarray:
     by L_R into the targets R x.  Targets on the diagonals (and, for odd n, on
     the midlines) are written once per symmetry that fixes them, with values
     equal up to roundoff.  This relies on BUMP_CENTER being the square's
-    centre.  Input shape (L, n, n), each source with zero mean (else
-    ValidationError), output (L, 2, n, n).
+    centre.
+
+    The targets run in blocks of about _BLOCK_PAIRS pairs, each the
+    operand of one matmul, and each block in tiles of about _TILE_PAIRS
+    pairs for the ray pass.  Besides the (8L, n^2) permuted sources and the
+    (L, 2, n^2) output, the working set is the block's 2 x _BLOCK_PAIRS
+    doubles plus a few tile arrays, whatever n.  Input shape (L, n, n), each
+    source finite with zero mean (else ValidationError), output (L, 2, n, n).
     """
     n = resolution
     xis = np.asarray(xis, dtype=float)
@@ -306,62 +337,76 @@ def bogovskii_solve_batch(xis: np.ndarray, resolution: int) -> np.ndarray:
     pts = np.stack([m[gi], m[gj]], axis=1)             # (n^2, 2)
     src_w = 1.0 / n_pts
     gauss_s, gauss_w = np.polynomial.legendre.leggauss(RAY_NODES)
+    r_sq = BUMP_RADIUS**2
 
     d0 = pts[:, 0] - BUMP_CENTER[0]
     d1 = pts[:, 1] - BUMP_CENTER[1]
-    cc = d0 * d0 + d1 * d1 - BUMP_RADIUS**2            # (m,) > 0 off the ball
+    cc = d0 * d0 + d1 * d1 - r_sq                      # (m,) > 0 off the ball
 
     syms = list(itertools.product((False, True), repeat=3))
     # Row r * L + l holds xi_l o R_r.
     xs_sym = np.concatenate([xis[:, _grid_image(gi, gj, n, sym)] for sym in syms])
     fi, fj = np.triu_indices((n + 1) // 2)             # fundamental domain
     w_out = np.zeros((n_src, 2, n_pts))
-    chunk = max(1, (1 << 22) // n_pts)                 # 32 MB per (c, n^2) pair array
-    for start in range(0, fi.size, chunk):
-        ti, tj = fi[start : start + chunk], fj[start : start + chunk]
+    tile = max(1, _TILE_PAIRS // n_pts)
+    block = min(max(tile, _BLOCK_PAIRS // n_pts), fi.size)
+    k_buf = np.empty(2 * block * n_pts)
+    for start in range(0, fi.size, block):
+        ti, tj = fi[start : start + block], fj[start : start + block]
         c = ti.size
-        x = pts[ti * n + tj]                           # (c, 2)
-        e = np.empty((2, c, n_pts))
-        np.subtract(x[:, 0:1], pts[None, :, 0], out=e[0])
-        np.subtract(x[:, 1:2], pts[None, :, 1], out=e[1])
-        bv = e[0] * d0[None, :]
-        bv += e[1] * d1[None, :]                       # e . d = -(e . (center - y))
-        bv *= 2.0
-        av = e[0] * e[0] + e[1] * e[1]
-        disc = bv * bv - 4.0 * av * cc[None, :]
-        ok = (disc > 0.0) & (av > 1e-28)
-        sq = np.sqrt(disc, where=ok, out=np.zeros_like(disc))
-        inv2a = np.divide(0.5, av, where=ok, out=np.zeros_like(av))
-        s_hi = (sq - bv) * inv2a
-        s_lo = np.maximum((-sq - bv) * inv2a, 1.0)
-        ok &= s_hi > s_lo
-        # The only compaction: rays whose clipped segment [max(s_lo, 1), s_hi]
-        # is nonempty.  It implies e points at the ball (b < 0) or y lies in it.
-        flat = np.flatnonzero(ok)
-        g = np.zeros((c, n_pts))
-        if flat.size:
-            ev0 = e[0].ravel()[flat]
-            ev1 = e[1].ravel()[flat]
+        k = k_buf[: 2 * c * n_pts].reshape(2, c, n_pts)   # e g, by component
+        k.fill(0.0)
+        x_flat = ti * n + tj
+        for t0 in range(0, c, tile):
+            row = x_flat[t0 : t0 + tile]
+            e0 = np.subtract(pts[row, 0:1], pts[None, :, 0])  # (t, n^2)
+            e1 = np.subtract(pts[row, 1:2], pts[None, :, 1])
+            av = e0 * e0 + e1 * e1
+            cross = e0 * d1[row, None]
+            cross -= e1 * d0[row, None]                # e x dx = e x (y - c)
+            cross *= cross
+            keep = cross < r_sq * av
+            keep &= av > 1e-28
+            toward = e0 * d0[row, None]
+            toward += e1 * d1[row, None]               # e . dx
+            keep &= (toward < 0.0) | (cc[row, None] < 0.0)
+            flat = np.flatnonzero(keep)
             src = flat % n_pts
+            ev0 = e0.ravel()[flat]
+            ev1 = e1.ravel()[flat]
+            ea = av.ravel()[flat]
+            bv = ev0 * d0[src]
+            bv += ev1 * d1[src]                        # e . d = -(e . (center - y))
+            bv *= 2.0
+            disc = bv * bv - 4.0 * ea * cc[src]
+            sq = np.sqrt(np.maximum(disc, 0.0))
+            inv2a = 0.5 / ea
+            s_hi = (sq - bv) * inv2a
+            s_lo = np.maximum((-sq - bv) * inv2a, 1.0)
+            ok = s_hi > s_lo
+            if not ok.all():
+                flat, src, ev0, ev1, s_hi, s_lo = (
+                    a[ok] for a in (flat, src, ev0, ev1, s_hi, s_lo))
             y0 = pts[src, 0]
             y1 = pts[src, 1]
-            lo = s_lo.ravel()[flat]
-            half = 0.5 * (s_hi.ravel()[flat] - lo)
-            mid = lo + half
+            half = 0.5 * (s_hi - s_lo)
+            mid = s_lo + half
             acc = np.zeros(flat.size)
             for node, wt in zip(gauss_s, gauss_w):
                 s = mid + half * node
                 z0 = y0 + s * ev0 - BUMP_CENTER[0]
                 z1 = y1 + s * ev1 - BUMP_CENTER[1]
-                r2 = (z0 * z0 + z1 * z1) / BUMP_RADIUS**2
-                np.clip(r2, None, 1.0 - 1e-14, out=r2)
+                r2 = (z0 * z0 + z1 * z1) / r_sq
+                np.minimum(r2, 1.0 - 1e-14, out=r2)
                 r2 -= 1.0
                 np.reciprocal(r2, out=r2)
                 np.exp(r2, out=r2)
                 acc += (wt * s) * r2
-            g.ravel()[flat] = _BUMP_CONST * acc * half
-        e *= g[None]
-        v = (xs_sym @ e.reshape(2 * c, n_pts).T) * src_w   # (8L, 2c)
+            g = _BUMP_CONST * acc * half
+            flat += t0 * n_pts
+            k[0].ravel()[flat] = ev0 * g
+            k[1].ravel()[flat] = ev1 * g
+        v = (xs_sym @ k.reshape(2 * c, n_pts).T) * src_w   # (8L, 2c)
         for r, (swap, flip_x, flip_y) in enumerate(syms):
             rows = v[r * n_src : (r + 1) * n_src]
             v0, v1 = rows[:, :c], rows[:, c:]

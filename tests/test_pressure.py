@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,13 @@ class TestBogovskii:
         with pytest.raises(ValidationError, match="16x16"):
             pressure.bogovskii_solve_batch(np.zeros((1, 15, 15)), 16)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_batch_rejects_nonfinite(self, bad):
+        xis = np.array([self._random_xi(16, s) for s in range(3)])
+        xis[2, 5, 7] = bad
+        with pytest.raises(ValidationError, match="finite: source 2"):
+            pressure.bogovskii_solve_batch(xis, 16)
+
     def test_bump_properties(self):
         pts = np.array([[0.5, 0.5], [0.5, 0.76], [0.0, 0.0]])
         vals = _bump(pts)
@@ -276,6 +284,39 @@ class TestBogovskii:
         ref = _direct_bogovskii(xis, n)
         w = pressure.bogovskii_solve_batch(xis, n)
         np.testing.assert_allclose(w, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_tiling_does_not_change_the_result(self, monkeypatch):
+        # n = 13 has 28 fundamental targets of 169 pairs each.  Tiles of 3
+        # targets in blocks of 8 give blocks 8, 8, 8, 4, each ending in a
+        # partial tile (8 = 3 + 3 + 2, 4 = 3 + 1), where the defaults run
+        # one block of 28 targets in one tile.
+        n = 13
+        xis = np.array([self._random_xi(n, s) for s in range(3)])
+        ref = pressure.bogovskii_solve_batch(xis, n)
+        monkeypatch.setattr(pressure, "_TILE_PAIRS", 3 * n * n)
+        monkeypatch.setattr(pressure, "_BLOCK_PAIRS", 8 * n * n)
+        assert np.array_equal(pressure.bogovskii_solve_batch(xis, n), ref)
+
+    def test_working_set_bounded_by_tile_and_block(self):
+        # Peak traced memory of a 4-source solve at n = 64.  The block holds
+        # e g for both components: 2 * _BLOCK_PAIRS doubles (16 MiB).  The
+        # ray pass keeps at most about 32 arrays of one tile's pairs alive
+        # (the dense tests, then the compacted roots and nodes): 32 *
+        # _TILE_PAIRS doubles (8 MiB).  The permuted sources, their gathered
+        # copies and the output are 8L + 8L + 2L rows of n^2 doubles, and
+        # the points and index arrays 8 more rows.  Twice the sum, about
+        # 53 MiB, leaves room for NumPy's temporaries; one 4M-pair chunk
+        # per matmul peaked at 228 MiB here.
+        n, n_src = 64, 4
+        xis = np.array([self._random_xi(n, s) for s in range(n_src)])
+        doubles = 2 * pressure._BLOCK_PAIRS + 32 * pressure._TILE_PAIRS + (18 * n_src + 8) * n * n
+        tracemalloc.start()
+        try:
+            pressure.bogovskii_solve_batch(xis, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * doubles
 
     @pytest.mark.parametrize("n", [12, 13])
     @pytest.mark.parametrize("swap", [False, True])
