@@ -593,8 +593,8 @@ def _experiment_pressure(cfg: SimConfig, out_dir: str):
     parts = pressure.decompose_pressure(traj)
     recon = parts.max_residual()
     mom = pressure.momentum_gradient_residual(traj, parts)
-    pi_h_max = float(np.max(np.abs(parts.pi_h)))
-    # pi_h first and the doubled part slice by slice: no second (S+1, N, N) array beside `doubled`
+    pi_h_max = float(np.max(parts.harmonic_max))
+    # the doubled part is compared as it is yielded, one slice at a time
     doubled = pressure.stochastic_pressure(
         replace(traj, increments=2.0 * traj.increments), parts.noise_shape)
     doubling_exact = all(np.array_equal(d, 2.0 * p) for d, p in zip(doubled, parts.pi_phi))

@@ -150,10 +150,15 @@ def to_grid(table: np.ndarray, grid_size: int) -> np.ndarray:
     every table of a real field is.  Cost O(N^2 K) per field; each table of a
     stack goes through matmuls of its own fixed shape, so its samples are bit
     for bit those of its own call."""
-    k = (table.shape[-1] - 1) // 2
+    return _half_to_grid(table[..., (table.shape[-1] - 1) // 2:], grid_size)
+
+
+def _half_to_grid(half: np.ndarray, grid_size: int) -> np.ndarray:
+    """:func:`to_grid` of tables given by their ky >= 0 halves (..., 2K+1, K+1)."""
+    k = half.shape[-1] - 1
     _check_grid(grid_size, k)
     ex, ey, _, _ = _band_dft(grid_size, k)
-    return (ex @ table[..., k:]).view(float) @ ey
+    return (ex @ half).view(float) @ ey
 
 
 def from_grid(v: np.ndarray, k_max: int) -> np.ndarray:

@@ -6,11 +6,16 @@ On the torus every lift is one Fourier multiplier: the mean-zero solution of
 lifts, slice by slice, the drift kernel's drift source plus f, split into
 div(nu A) and the rest; the stochastic part lifts the accumulated noise; the
 harmonic part is identically zero once means are removed, which the
-decomposition asserts rather than assumes.  :func:`decompose_pressure` evaluates each slice's
-sources once and keeps the state-only tables on :class:`PressureParts`, which
-the momentum check and a rerun of the stochastic part under other increments
-read.  The square-domain solver exercises the bounded-domain right inverse of
-the divergence that the torus cannot.
+decomposition asserts rather than assumes.  :func:`decompose_pressure`
+evaluates each slice's sources once and keeps the state-only tables on
+:class:`PressureParts`, which the momentum check and a rerun of the
+stochastic part under other increments read.  Every table of a real field is
+Hermitian, so the lifts, the accumulated sources and the kept tables hold
+only the ky >= 0 half, the half the grid transform reads.  The pass keeps
+four (S+1, N, N) grid arrays and two half tables; the harmonic part is
+reduced to its per-slice max as it is formed.  The square-domain solver
+exercises the bounded-domain right inverse of the divergence that the torus
+cannot.
 """
 
 from __future__ import annotations
@@ -22,24 +27,31 @@ import numpy as np
 
 from . import fields
 from .errors import ValidationError
-from .fields import from_grid, quad_weight, to_grid
+from .fields import _half_to_grid, from_grid, quad_weight
 from .galerkin import PointwiseTerms, Trajectory, forcing_at
 
 
+def _half_wavenumbers(k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """kx (2K+1, 1) and the ky >= 0 half (1, K+1) of the centered wavenumbers."""
+    kx, ky = fields.wavenumbers(k_max)
+    return kx, ky[:, k_max:]
+
+
 def _lift(v: np.ndarray, grid_size: int) -> np.ndarray:
-    """Mean-zero grid solutions (..., N, N) of laplace(pi) = div v, for
-    centered vector coefficient tables v of shape (..., 2, 2K+1, 2K+1)."""
-    kx, ky = fields.wavenumbers((v.shape[-1] - 1) // 2)
+    """Mean-zero grid solutions (..., N, N) of laplace(pi) = div v, for the
+    ky >= 0 halves (..., 2, 2K+1, K+1) of centered vector coefficient tables v."""
+    kx, ky = _half_wavenumbers(v.shape[-1] - 1)
     k2 = kx * kx + ky * ky
     div = 1j * (kx * v[..., 0, :, :] + ky * v[..., 1, :, :])
-    return to_grid(np.where(k2 > 0, -div / np.where(k2 > 0, k2, 1.0), 0.0), grid_size)
+    return _half_to_grid(np.where(k2 > 0, -div / np.where(k2 > 0, k2, 1.0), 0.0), grid_size)
 
 
 def recover_pressure(H: np.ndarray) -> np.ndarray:
     """Mean-zero grid pressures (..., N, N) with laplace(pi) = div div H, for
     symmetric tensor fields H of shape (..., 3, N, N)."""
     n = H.shape[-1]
-    return _lift(fields.tensor_divergence(from_grid(H, (n - 2) // 2)), n)
+    k_max = (n - 2) // 2
+    return _lift(fields.tensor_divergence(from_grid(H, k_max))[..., k_max:], n)
 
 
 @dataclass
@@ -49,9 +61,10 @@ class PressureParts:
 
     ``pi1``/``pi2`` are the stress and convective drift-pressure rates, their
     time integral plus the stochastic part ``pi_phi`` recombines to the total;
-    ``pi_h`` is the leftover harmonic part, identically zero on the torus.
-    Every slice is mean-zero.  ``drift_div`` and ``noise_shape`` hold, per
-    slice, the centered coefficient tables of the drift flux divergence
+    the leftover harmonic part is identically zero on the torus, and only its
+    per-slice max ``harmonic_max`` is kept.  Every slice is mean-zero.
+    ``drift_div`` and ``noise_shape`` hold, per slice, the ky >= 0 halves of
+    the centered coefficient tables of the drift flux divergence
     div(nu A - u x u) + f - alpha a(u) and of shape(u); they do not involve
     the increments, so they stay valid under ``replace(traj, increments=...)``.
     """
@@ -60,18 +73,18 @@ class PressureParts:
     pi1: np.ndarray        # (S+1, N, N) rate from the power-law stress
     pi2: np.ndarray        # (S+1, N, N) rate from convection, damping, forcing
     pi_phi: np.ndarray     # (S+1, N, N) stochastic part
-    pi_h: np.ndarray       # (S+1, N, N) harmonic remainder
     pi_total: np.ndarray   # (S+1, N, N) independently accumulated pressure
     recombination_residual: np.ndarray  # (S+1,) L2 defect per slice
-    drift_div: np.ndarray    # (S+1, 2, 2K+1, 2K+1) drift flux divergence
-    noise_shape: np.ndarray  # (S+1, 2, 2K+1, 2K+1) shape(u); zero with the noise off
+    harmonic_max: np.ndarray  # (S+1,) max |pi_h| of the harmonic remainder per slice
+    drift_div: np.ndarray    # (S+1, 2, 2K+1, K+1) drift flux divergence, ky >= 0 half
+    noise_shape: np.ndarray  # (S+1, 2, 2K+1, K+1) shape(u), ky >= 0 half; zero with the noise off
 
     def max_residual(self) -> float:
         return float(np.max(self.recombination_residual))
 
 
 def _slice_sources(traj: Trajectory, i: int, k_max: int):
-    """Coefficient tables of the slice-i pressure sources.
+    """Coefficient tables of the slice-i pressure sources, as ky >= 0 halves.
 
     Returns (div(nu A), drift + f, shape(u) or None with the noise off), with
     the drift kernel's own tables (:meth:`PointwiseTerms.drift_tables`);
@@ -90,19 +103,19 @@ def _slice_sources(traj: Trajectory, i: int, k_max: int):
         off = basis.k_max
         sl = slice(k_max - off, k_max + off + 1)
         drift[..., sl, sl] += basis.scatter(fc)
-    return stress, drift, shape
+    return stress[..., k_max:], drift[..., k_max:], None if shape is None else shape[..., k_max:]
 
 
-def stochastic_pressure(traj: Trajectory, noise_shape: np.ndarray) -> np.ndarray:
-    """The stochastic part pi_phi, slice by slice: the lift of the noise
-    accumulated from the recorded shape(u) tables and ``traj.increments``."""
+def stochastic_pressure(traj: Trajectory, noise_shape: np.ndarray):
+    """Yield the stochastic part pi_phi slice by slice, S+1 grids (N, N): the
+    lift of the noise accumulated from the recorded shape(u) half tables and
+    ``traj.increments``.  Only the running sum and one slice are held."""
     n = traj.basis.grid_size
-    out = np.zeros((traj.n_steps + 1, n, n))
+    yield np.zeros((n, n))
     acc = np.zeros_like(noise_shape[0])
     for i, eta in enumerate(traj.etas()):
         acc += eta * noise_shape[i]
-        out[i + 1] = _lift(acc, n)
-    return out
+        yield _lift(acc, n)
 
 
 def decompose_pressure(traj: Trajectory) -> PressureParts:
@@ -119,7 +132,7 @@ def decompose_pressure(traj: Trajectory) -> PressureParts:
     k_max = n // 3
     s_steps = traj.n_steps
     shape = (s_steps + 1, n, n)
-    tables = (s_steps + 1, 2, 2 * k_max + 1, 2 * k_max + 1)
+    tables = (s_steps + 1, 2, 2 * k_max + 1, k_max + 1)
     pi1 = np.zeros(shape)
     pi2 = np.zeros(shape)
     pi_total = np.zeros(shape)
@@ -136,14 +149,16 @@ def decompose_pressure(traj: Trajectory) -> PressureParts:
         if i < s_steps:
             acc += drift_div[i] * traj.dt + etas[i] * noise_shape[i]
 
-    pi_phi = stochastic_pressure(traj, noise_shape)
-    pi_h = np.zeros(shape)
+    pi_phi = np.empty(shape)
     residual = np.zeros(s_steps + 1)
+    harmonic_max = np.zeros(s_steps + 1)
     w = quad_weight(n)
     drift_int = np.zeros((n, n))  # int (pi1 + pi2) ds
-    for i in range(s_steps + 1):
-        pi_h[i] = pi_total[i] - (pi_phi[i] + drift_int)
-        residual[i] = float(np.sqrt(np.sum(pi_h[i] ** 2) * w))
+    for i, phi in enumerate(stochastic_pressure(traj, noise_shape)):
+        pi_phi[i] = phi
+        pi_h = pi_total[i] - (phi + drift_int)
+        residual[i] = float(np.sqrt(np.sum(pi_h ** 2) * w))
+        harmonic_max[i] = np.max(np.abs(pi_h))
         drift_int = drift_int + (pi1[i] + pi2[i]) * traj.dt
 
     return PressureParts(
@@ -151,9 +166,9 @@ def decompose_pressure(traj: Trajectory) -> PressureParts:
         pi1=pi1,
         pi2=pi2,
         pi_phi=pi_phi,
-        pi_h=pi_h,
         pi_total=pi_total,
         recombination_residual=residual,
+        harmonic_max=harmonic_max,
         drift_div=drift_div,
         noise_shape=noise_shape,
     )
@@ -165,13 +180,16 @@ def momentum_gradient_residual(traj: Trajectory, parts: PressureParts) -> float:
     For every retained wavevector and every slice, compares the divergence of
     the accumulated sources against the Laplacian of the recovered total
     pressure (the mass and solenoidal terms drop out against gradient modes).
-    The sources are the per-slice tables recorded on ``parts``; their time
-    integral is accumulated here from ``traj.dt`` and ``traj.increments``,
-    independently of the bookkeeping inside :func:`decompose_pressure`, so a
-    corrupted ``pi_total`` slice shows.
+    The sources are the per-slice half tables recorded on ``parts``; their
+    time integral is accumulated here from ``traj.dt`` and
+    ``traj.increments``, independently of the bookkeeping inside
+    :func:`decompose_pressure`, so a corrupted ``pi_total`` slice shows.  The
+    ky < 0 entries of every full table are exact conjugates of ky > 0 ones,
+    with equal moduli, so the max over the ky >= 0 half is the max over all
+    retained wavevectors.
     """
-    k_max = (parts.drift_div.shape[-1] - 1) // 2
-    kx, ky = fields.wavenumbers(k_max)
+    k_max = parts.drift_div.shape[-1] - 1
+    kx, ky = _half_wavenumbers(k_max)
     k2 = kx * kx + ky * ky
     etas = traj.etas()
 
@@ -179,7 +197,7 @@ def momentum_gradient_residual(traj: Trajectory, parts: PressureParts) -> float:
     worst = 0.0
     for i in range(traj.n_steps + 1):
         # identity: |k|^2 pi_hat = -i k . F_hat for the accumulated sources F
-        pi_hat = from_grid(parts.pi_total[i], k_max)
+        pi_hat = from_grid(parts.pi_total[i], k_max)[:, k_max:]
         defect = 1j * (kx * acc[0] + ky * acc[1]) + k2 * pi_hat
         scale = max(float(np.max(np.abs(acc))), 1e-300)
         worst = max(worst, float(np.max(np.abs(defect))) / scale)

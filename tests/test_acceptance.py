@@ -194,20 +194,19 @@ def test_criterion_08_pressure(tmp_path):
 def test_criterion_08_fails_on_a_nonlinear_stochastic_pressure(tmp_path, monkeypatch):
     # a term quadratic in the increments grows fourfold when they double
     stochastic_pressure = pressure.stochastic_pressure
-    monkeypatch.setattr(pressure, "stochastic_pressure",
-                        lambda traj, shape: stochastic_pressure(traj, shape) + np.sum(traj.increments**2))
+    monkeypatch.setattr(pressure, "stochastic_pressure", lambda traj, shape: (
+        s + np.sum(traj.increments**2) for s in stochastic_pressure(traj, shape)))
     assert not criterion(run_criterion(8, tmp_path), "stochastic part doubles exactly with increments").passed
 
 
 def test_criterion_08_fails_on_a_transform_without_the_ky_doubling(tmp_path, monkeypatch):
     # the lift to the grid then counts each ky > 0 mode once, not with its
     # conjugate: the closed form's cos(2y) comes out at half its amplitude
-    def undoubled(table, grid_size):
-        k = (table.shape[-1] - 1) // 2
-        return fields.to_grid(np.concatenate([table[..., :k + 1], 0.5 * table[..., k + 1:]], axis=-1),
-                              grid_size)
+    def undoubled(half, grid_size):
+        return fields._half_to_grid(np.concatenate([half[..., :1], 0.5 * half[..., 1:]], axis=-1),
+                                    grid_size)
 
-    monkeypatch.setattr(pressure, "to_grid", undoubled)
+    monkeypatch.setattr(pressure, "_half_to_grid", undoubled)
     assert not criterion(run_criterion(8, tmp_path), "vortex-array pressure matches closed form").passed
 
 

@@ -57,7 +57,7 @@ class TestDecompose:
             c=np.zeros(small_basis.n), basis=small_basis, params=params,
             noise=NoiseModel("off", 0.0, 0), dt=1e-2, forcing=np.zeros(small_basis.n))
         parts = pressure.decompose_pressure(run([st], 0.05)[0])
-        for arr in (parts.pi1, parts.pi2, parts.pi_phi, parts.pi_h, parts.pi_total):
+        for arr in (parts.pi1, parts.pi2, parts.pi_phi, parts.harmonic_max, parts.pi_total):
             assert np.all(arr == 0.0)
         # initial slice of every part vanishes even on nonzero runs
         assert np.all(parts.pi_phi[0] == 0.0)
@@ -77,7 +77,8 @@ class TestDecompose:
 
     def test_harmonic_part_vanishes(self, small_basis):
         parts = pressure.decompose_pressure(noisy_trajectory(small_basis))
-        assert np.max(np.abs(parts.pi_h)) < 1e-12
+        assert parts.harmonic_max.shape == (parts.times.size,)
+        assert np.max(parts.harmonic_max) < 1e-12
 
     def test_slices_mean_zero(self, small_basis):
         parts = pressure.decompose_pressure(noisy_trajectory(small_basis))
@@ -103,10 +104,23 @@ class TestDecompose:
         parts.pi_total[traj.n_steps // 2] += 1e-3 * np.cos(xx + 2 * yy)
         assert pressure.momentum_gradient_residual(traj, parts) > 1e-7
 
+    @pytest.mark.parametrize("ky", [0, 3])
+    def test_momentum_identity_catches_perturbed_half_table(self, small_basis, ky):
+        # the kept tables are the ky >= 0 halves: an entry of the ky = 0
+        # column, or of ky > 0, at kx = 1 must each show in the defect
+        traj = noisy_trajectory(small_basis)
+        parts = pressure.decompose_pressure(traj)
+        k = parts.drift_div.shape[-1] - 1
+        assert parts.drift_div.shape[1:] == (2, 2 * k + 1, k + 1)
+        i = traj.n_steps // 2
+        parts.drift_div[i, 0, k + 1, ky] += 1e-3 * np.max(np.abs(parts.drift_div[i]))
+        assert pressure.momentum_gradient_residual(traj, parts) > 1e-7
+
     def test_stochastic_part_reruns_from_recorded_tables(self, small_basis):
         traj = noisy_trajectory(small_basis)
         parts = pressure.decompose_pressure(traj)
-        assert np.array_equal(pressure.stochastic_pressure(traj, parts.noise_shape), parts.pi_phi)
+        rerun = np.stack(list(pressure.stochastic_pressure(traj, parts.noise_shape)))
+        assert np.array_equal(rerun, parts.pi_phi)
 
     def test_convection_off_leaves_no_drift_pressure(self, small_basis):
         # nu = alpha = 0, noise off, f = 0: with convection off nothing drives pi2
@@ -151,6 +165,69 @@ def test_pressure_experiment_evaluates_each_state_once(tmp_path, monkeypatch):
     report = cli.run_experiment(cfg, str(tmp_path))
     assert report.passed
     assert len(calls) == 2 * (steps + 1)
+
+
+def test_pressure_experiment_doubling_fails_on_a_rescaled_noise_slice(tmp_path, monkeypatch):
+    # one recorded shape(u) slice off by 1 %: the rerun from the tables then
+    # differs from pi_phi, and so does the doubled part from 2 pi_phi
+    decompose = pressure.decompose_pressure
+    seen = []
+
+    def rescaled(traj):
+        parts = decompose(traj)
+        parts.noise_shape[traj.n_steps // 2] *= 1.01
+        seen.append((traj, parts))
+        return parts
+
+    monkeypatch.setattr(pressure, "decompose_pressure", rescaled)
+    steps = 12
+    cfg = cli.parse_config(None, [
+        "experiment=pressure", "grid_n=16", "n_modes=16", f"steps={steps}", "dt=0.0025",
+        f"T={steps * 0.0025!r}", "p=2.5", "q=4", "alpha=0.1", "ic.kind=random",
+        "noise.family=saturating", "noise.amplitude=0.5", "noise.modes=6",
+    ])
+    report = cli.run_experiment(cfg, str(tmp_path))
+    traj, parts = seen[0]
+    rerun = np.stack(list(pressure.stochastic_pressure(traj, parts.noise_shape)))
+    assert not np.array_equal(rerun, parts.pi_phi)
+    doubling = next(c for c in report.criteria if c.name == "stochastic part doubles exactly with increments")
+    assert not doubling.passed
+
+
+def test_pressure_pass_keeps_only_what_later_readers_need():
+    # Traced peak of decompose_pressure, the momentum check and the
+    # slice-by-slice doubling check on an S-step run at N = 64 (K = N // 3).
+    # Retained: pi1, pi2, pi_phi and pi_total, 4 (S+1) N^2 doubles, and the
+    # drift_div and noise_shape half tables, 2 (S+1) * 2 (2K+1)(K+1) complex
+    # (16 bytes each).  Everything else is per slice: one slice's pointwise
+    # stage (velocity, Jacobian, strain, stress, flux, noise shape), its
+    # coefficient tables and lifts, about 50 N^2 doubles at most; 64 N^2
+    # doubles (2 MiB) bound it.  The bound is 10.0 MB and the pass peaks at
+    # 8.5 MB; keeping the harmonic part, the full tables and a whole doubled
+    # stochastic array as well peaked at 13.3 MB.
+    n, steps = 64, 40
+    k = n // 3
+    basis = galerkin.DivFreeBasis(64, n)
+    rng = np.random.default_rng(7)
+    c0 = rng.standard_normal(basis.n) * (1.0 + basis.k2) ** -1.0
+    c0 /= np.sqrt(basis.energy(c0, 0.5))
+    st = GalerkinState(
+        c=c0, basis=basis, params=RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1),
+        noise=NoiseModel("saturating", 0.5, 6), dt=2.5e-3, forcing=np.zeros(basis.n),
+        master_seed=5, path=0)
+    traj = run([st], steps * st.dt)[0]
+    bound = 8 * 4 * (steps + 1) * n * n + 16 * 4 * (steps + 1) * (2 * k + 1) * (k + 1) + 8 * 64 * n * n
+    tracemalloc.start()
+    try:
+        parts = pressure.decompose_pressure(traj)
+        assert pressure.momentum_gradient_residual(traj, parts) < 1e-7
+        doubled = pressure.stochastic_pressure(
+            dataclasses.replace(traj, increments=2.0 * traj.increments), parts.noise_shape)
+        assert all(np.array_equal(d, 2.0 * p) for d, p in zip(doubled, parts.pi_phi))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def _bump(points):
