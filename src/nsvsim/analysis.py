@@ -8,7 +8,7 @@ over paths in index order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -299,7 +299,6 @@ class TwinReport:
     delta0: float                 # ||grad w(0)||_2, representative path
     gronwall_constant: float      # max over paths of sup_t phi E_w / ||grad w(0)||_2^2
     per_path_ratios: np.ndarray
-    weighted_gap_series: np.ndarray = field(default=None)
     bitwise_identical: bool | None = None
 
 
@@ -314,7 +313,6 @@ def twin_uniqueness(pairs, weight_constant: float) -> TwinReport:
     """
     ratios = []
     delta0 = 0.0
-    series_gap = None
     bitwise = True
     for path, (ta, tb) in enumerate(pairs):
         if ta.basis is not tb.basis or ta.basis.n != tb.basis.n:
@@ -332,16 +330,13 @@ def twin_uniqueness(pairs, weight_constant: float) -> TwinReport:
         gap0 = float(np.sum(ta.basis.k2 * w[0] ** 2))
         if gap0 == 0.0:
             raise ValidationError("perturbed twin run started from identical gradients")
-        weighted = phi * e_w
-        ratios.append(float(np.max(weighted)) / gap0)
+        ratios.append(float(np.max(phi * e_w)) / gap0)
         if path == 0:
             delta0 = float(np.sqrt(gap0))
-            series_gap = weighted
     ratios = np.asarray(ratios)
     return TwinReport(
         delta0=delta0,
         gronwall_constant=float(np.max(ratios)),
         per_path_ratios=ratios,
-        weighted_gap_series=series_gap,
         bitwise_identical=bitwise,
     )

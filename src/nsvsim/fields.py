@@ -2,23 +2,24 @@
 
 Velocity fields live either as grid samples or as a truncated table of
 Fourier coefficients indexed by wavevectors ``k`` with ``|k_x|, |k_y| <= k_max``.
+Every field is real, so its table is Hermitian, ``coeff(-k) = conj(coeff(k))``,
+and only its ky >= 0 half is kept, ``table[..., kx + K, ky]``: that is the one
+table format, and full tables exist only in the snapshot file.
 Differential operators act in coefficient space; nonlinear products are formed
 on the grid and truncated by the 2/3 rule.  One layout serves every pointwise
 operator, over any leading axes: vectors ``(..., 2, N, N)``, symmetric tensors
 ``(..., 3, N, N)`` of their xx, xy, yy entries, Jacobians ``(..., 2, 2, N, N)``,
-with ``2K+1, 2K+1`` for ``N, N`` in coefficient tables.  Operators reduce over
+with ``2K+1, K+1`` for ``N, N`` in coefficient tables.  Operators reduce over
 the component axis -3 or the trailing axes, never over axis 0.
 
-One transform pair, :func:`to_grid`/:func:`from_grid`, maps centered tables
-(..., 2K+1, 2K+1) to grid samples (..., N, N) and back over any leading axes,
-so a stack of rows takes one call.  Both are band-limited DFTs done as two
-matmuls by cached (N, K) matrices, and both keep only the ky >= 0 half:
-:func:`to_grid` assumes Hermitian tables (every real field's table is one)
-and :func:`from_grid` fills the ky < 0 half by conjugation.  One field costs
-O(N^2 K), against O(N^2 log N) for an FFT over the grid: faster at the narrow
-bands the Galerkin systems use (K = 3 at grid 32, K = 8 at grid 64) and at
-the pressure's K = N/3, about on par at full band on grid 64 (K = 31), and
-about 2x slower at full band on grid 128, where no experiment runs.
+One transform pair, :func:`to_grid`/:func:`from_grid`, maps tables to grid
+samples (..., N, N) and back over any leading axes, so a stack of rows takes
+one call.  Both are band-limited DFTs done as two matmuls by cached (N, K)
+matrices.  One field costs O(N^2 K), against O(N^2 log N) for an FFT over the
+grid: faster at the narrow bands the Galerkin systems use (K = 3 at grid 32,
+K = 8 at grid 64) and at the pressure's K = N/3, about on par at full band on
+grid 64 (K = 31), and about 2x slower at full band on grid 128, where no
+experiment runs.
 
 Conventions: ``u(x) = sum_k uhat(k) exp(i k.x)``, grid points ``x_j = 2 pi j / N``,
 L2 inner product ``(u, v) = 4 pi^2 sum_k uhat(k) . conj(vhat(k))``.
@@ -66,18 +67,17 @@ def mode_table(k_max: int) -> list[tuple[int, int]]:
 
 
 def wavenumbers(k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Centered wavenumber grids (kx varies along axis 0, ky along axis 1)."""
-    k = np.arange(-k_max, k_max + 1)
-    return k[:, None].astype(float), k[None, :].astype(float)
+    """Wavenumbers of a table: kx = -K..K along axis 0, ky = 0..K along axis 1."""
+    return (np.arange(-k_max, k_max + 1)[:, None].astype(float),
+            np.arange(k_max + 1)[None, :].astype(float))
 
 
 @dataclass
 class SpectralField:
     """Truncated Fourier representation of a real 2-component field.
 
-    ``coeffs[c, kx + k_max, ky + k_max]`` is the coefficient of component
-    ``c`` at wavevector ``(kx, ky)``.  Real-valuedness of the field is the
-    Hermitian symmetry ``coeffs[-k] == conj(coeffs[k])``.
+    ``coeffs[c, kx + k_max, ky]`` is the coefficient of component ``c`` at
+    wavevector ``(kx, ky)``, ky >= 0: the table's half, (2, 2K+1, K+1).
     """
 
     coeffs: np.ndarray
@@ -85,21 +85,21 @@ class SpectralField:
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.ndim != 3 or self.coeffs.shape[0] != 2:
-            raise ValidationError(f"coeffs must have shape (2, 2K+1, 2K+1), got {self.coeffs.shape}")
-        if self.coeffs.shape[1] != self.coeffs.shape[2] or self.coeffs.shape[1] % 2 == 0:
-            raise ValidationError(f"coeffs must have shape (2, 2K+1, 2K+1), got {self.coeffs.shape}")
+        shape = self.coeffs.shape
+        if len(shape) != 3 or shape[0] != 2 or shape[1] != 2 * shape[2] - 1:
+            raise ValidationError(f"coeffs must have shape (2, 2K+1, K+1), got {self.coeffs.shape}")
         _check_grid(self.grid_size, self.k_max)
 
     @property
     def k_max(self) -> int:
-        return (self.coeffs.shape[1] - 1) // 2
+        return self.coeffs.shape[-1] - 1
 
 
 def hermitian_error(f: SpectralField) -> float:
-    """Max deviation from coeff(-k) = conj(coeff(k)), relative to the field scale."""
-    c = f.coeffs
-    err = np.max(np.abs(c - np.conj(c[:, ::-1, ::-1])))
+    """Max deviation from coeff(-k) = conj(coeff(k)) over the ky = 0 column,
+    the only entries of a table with both k and -k, relative to the field scale."""
+    c = f.coeffs[:, :, 0]
+    err = np.max(np.abs(c - np.conj(c[:, ::-1])))
     scale = max(np.max(np.abs(c)), 1e-300)
     return float(err / scale)
 
@@ -143,47 +143,39 @@ def _band_dft(grid_size: int, k_max: int) -> tuple:
 
 
 def to_grid(table: np.ndarray, grid_size: int) -> np.ndarray:
-    """Grid samples (..., N, N) of real fields from their centered coefficient
-    tables (..., 2K+1, 2K+1), over any leading axes: a complex matmul over kx
-    of the K+1 columns ky >= 0, then a real matmul over ky.  Only that half
-    is read: the tables must be Hermitian, ``table[-k] == conj(table[k])``, as
-    every table of a real field is.  Cost O(N^2 K) per field; each table of a
-    stack goes through matmuls of its own fixed shape, so its samples are bit
-    for bit those of its own call."""
-    return _half_to_grid(table[..., (table.shape[-1] - 1) // 2:], grid_size)
-
-
-def _half_to_grid(half: np.ndarray, grid_size: int) -> np.ndarray:
-    """:func:`to_grid` of tables given by their ky >= 0 halves (..., 2K+1, K+1)."""
-    k = half.shape[-1] - 1
+    """Grid samples (..., N, N) of real fields from their tables
+    (..., 2K+1, K+1), over any leading axes: a complex matmul over kx, then a
+    real matmul over ky that counts each ky > 0 column twice, once for its
+    conjugate.  Cost O(N^2 K) per field; each table of a stack goes through
+    matmuls of its own fixed shape, so its samples are bit for bit those of
+    its own call."""
+    if np.ndim(table) < 2 or table.shape[-2] != 2 * table.shape[-1] - 1:
+        raise ValidationError(f"expected ky >= 0 half tables (..., 2K+1, K+1), got {np.shape(table)}")
+    k = table.shape[-1] - 1
     _check_grid(grid_size, k)
     ex, ey, _, _ = _band_dft(grid_size, k)
-    return (ex @ half).view(float) @ ey
+    return (ex @ table).view(float) @ ey
 
 
 def from_grid(v: np.ndarray, k_max: int) -> np.ndarray:
-    """Centered coefficient tables (..., 2K+1, 2K+1), K = ``k_max``, of real
-    grid fields (..., N, N), over any leading axes: a real matmul over y onto
-    the K+1 columns 0 <= ky <= K, then a complex matmul over x; the ky < 0
-    half is filled by conjugation.  Cost O(N^2 K) per field; each field of a
-    stack goes through matmuls of its own fixed shape, so its table is bit
-    for bit that of its own call."""
+    """Tables (..., 2K+1, K+1), K = ``k_max``, of real grid fields
+    (..., N, N), over any leading axes: a real matmul over y onto the columns
+    ky = 0..K, then a complex matmul over x.  Cost O(N^2 K) per field; each
+    field of a stack goes through matmuls of its own fixed shape, so its
+    table is bit for bit that of its own call."""
     v = np.asarray(v, dtype=float)
     if v.ndim < 2 or v.shape[-1] != v.shape[-2]:
         raise ValidationError(f"expected grid fields of shape (..., N, N), got {v.shape}")
     n = v.shape[-1]
     _check_grid(n, k_max)
     _, _, fx, fy = _band_dft(n, k_max)
-    table = np.empty(v.shape[:-2] + (2 * k_max + 1, 2 * k_max + 1), dtype=complex)
-    table[..., k_max:] = fx @ (v @ fy).view(complex)
-    table[..., :k_max] = np.conj(table[..., ::-1, :k_max:-1])
-    return table
+    return fx @ (v @ fy).view(complex)
 
 
 def gradient_table(coeffs: np.ndarray) -> np.ndarray:
-    """Jacobian tables (..., 2, 2, 2K+1, 2K+1), ``out[..., i, j] = i k_i coeffs[..., j]``,
-    of vector tables (..., 2, 2K+1, 2K+1)."""
-    kx, ky = wavenumbers((coeffs.shape[-1] - 1) // 2)
+    """Jacobian tables (..., 2, 2, 2K+1, K+1), ``out[..., i, j] = i k_i coeffs[..., j]``,
+    of vector tables (..., 2, 2K+1, K+1)."""
+    kx, ky = wavenumbers(coeffs.shape[-1] - 1)
     return np.stack([1j * kx * coeffs, 1j * ky * coeffs], axis=-4)
 
 
@@ -193,9 +185,9 @@ def gradient(f: SpectralField) -> np.ndarray:
 
 
 def tensor_divergence(t: np.ndarray) -> np.ndarray:
-    """Coefficient table (..., 2, 2K+1, 2K+1) of div T for the tables
-    (..., 3, 2K+1, 2K+1) of a symmetric tensor's xx, xy and yy entries."""
-    kx, ky = wavenumbers((t.shape[-1] - 1) // 2)
+    """Tables (..., 2, 2K+1, K+1) of div T for the tables (..., 3, 2K+1, K+1)
+    of a symmetric tensor's xx, xy and yy entries."""
+    kx, ky = wavenumbers(t.shape[-1] - 1)
     xx, xy, yy = t[..., 0, :, :], t[..., 1, :, :], t[..., 2, :, :]
     return np.stack([1j * (kx * xx + ky * xy), 1j * (kx * xy + ky * yy)], axis=-3)
 
@@ -235,27 +227,34 @@ def quad_weight(grid_size: int) -> float:
 
 
 def grad_l2_norm(f: SpectralField) -> float:
+    """||grad u||_2 by Parseval; each ky > 0 entry stands for itself and its conjugate."""
     kx, ky = wavenumbers(f.k_max)
-    k2 = kx * kx + ky * ky
-    return float(np.sqrt(AREA * np.sum(k2[None, :, :] * np.abs(f.coeffs) ** 2)))
+    weight = (kx * kx + ky * ky) * np.where(ky > 0, 2.0, 1.0)
+    return float(np.sqrt(AREA * np.sum(weight * np.abs(f.coeffs) ** 2)))
 
 
 def save_field(path, f: SpectralField) -> None:
     """Write the snapshot format: magic, u32 version, u32 N, u32 K, then per
-    mode in canonical order two (re, im) f64 pairs (components interleaved)."""
+    mode of the full table in canonical order two (re, im) f64 pairs
+    (components interleaved).  A ky < 0 mode is the conjugate of its -k
+    entry, its imaginary part written 0.0 - imag so that zeros stay +0.0."""
     k = f.k_max
+    kx, ky = np.array(mode_table(k)).T
+    flip = ky < 0
+    c = f.coeffs[:, np.where(flip, -kx, kx) + k, np.abs(ky)].T  # (modes, 2)
+    out = np.empty(c.shape + (2,), dtype="<f8")
+    out[..., 0] = c.real
+    out[..., 1] = np.where(flip[:, None], 0.0 - c.imag, c.imag)
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(struct.pack("<III", SNAPSHOT_VERSION, f.grid_size, k))
-        out = np.empty((len(mode_table(k)), 2, 2), dtype="<f8")
-        for i, (kx, ky) in enumerate(mode_table(k)):
-            c = f.coeffs[:, kx + k, ky + k]
-            out[i, :, 0] = c.real
-            out[i, :, 1] = c.imag
         fh.write(out.tobytes())
 
 
 def load_field(path) -> SpectralField:
+    """Read a snapshot written by :func:`save_field`.  Its table must be
+    Hermitian to 1e-12 of its largest entry, since only the ky >= 0 half is
+    kept: a table that is not would lose its ky < 0 entries unseen."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != SNAPSHOT_MAGIC:
@@ -272,9 +271,13 @@ def load_field(path) -> SpectralField:
         raise ValidationError(
             f"snapshot payload is {len(payload)} bytes, K={k} needs {n_modes * 32}"
         )
-    table = mode_table(k)
+    kx, ky = np.array(mode_table(k)).T
     raw = np.frombuffer(payload, dtype="<f8").reshape(n_modes, 2, 2)
-    coeffs = np.zeros((2, 2 * k + 1, 2 * k + 1), dtype=complex)
-    for i, (kx, ky) in enumerate(table):
-        coeffs[:, kx + k, ky + k] = raw[i, :, 0] + 1j * raw[i, :, 1]
-    return SpectralField(coeffs, int(n))
+    table = np.zeros((2, 2 * k + 1, 2 * k + 1), dtype=complex)
+    table[:, kx + k, ky + k] = (raw[:, :, 0] + 1j * raw[:, :, 1]).T
+    if not np.isfinite(table).all():
+        raise ValidationError("snapshot holds a nonfinite coefficient")
+    defect = np.max(np.abs(table - np.conj(table[:, ::-1, ::-1])))
+    if defect > 1e-12 * np.max(np.abs(table)):
+        raise ValidationError(f"snapshot is not the table of a real field: defect {defect:.3e}")
+    return SpectralField(np.ascontiguousarray(table[:, :, k:]), int(n))

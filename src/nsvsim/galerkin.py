@@ -120,39 +120,43 @@ class DivFreeBasis:
             pol[row, comp] = 1.0
         self.pol = pol
 
-        # Scatter weights for the +k and -k coefficient images.
+        # Scatter weights of the +k and -k images, each with the modes whose
+        # image falls in the ky >= 0 half, and its (row, column) there.
         w_plus = np.where(
             self.phase == _COS, 0.5 * _AMP + 0j,
             np.where(self.phase == _SIN, -0.5j * _AMP, _MEAN_AMP + 0j),
         )
-        self._w_plus = w_plus
-        self._w_minus = np.where(self.phase == _MEAN, 0.0, np.conj(w_plus))
-        k = self.k_max
-        self._rows_p = self.kx + k
-        self._cols_p = self.ky + k
-        self._rows_m = k - self.kx
-        self._cols_m = k - self.ky
+        w_minus = np.where(self.phase == _MEAN, 0.0, np.conj(w_plus))
+        self._images = []
+        for sign, w, keep in ((1, w_plus, self.ky >= 0), (-1, w_minus, self.ky <= 0)):
+            m = np.flatnonzero(keep)
+            self._images.append((m, w[m], pol.T[:, m], sign * self.kx[m] + self.k_max, sign * self.ky[m]))
+        # gather reads a mode with ky < 0 at -k, conjugated
+        self._conj = self.ky < 0
+        self._gather_kx = np.where(self._conj, -self.kx, self.kx)
 
     def mass_multipliers(self, kappa: float) -> np.ndarray:
         return 1.0 + kappa * self.k2
 
     def scatter(self, c: np.ndarray) -> np.ndarray:
-        """Coefficients (..., n) -> vector tables (..., 2, 2K+1, 2K+1), K = ``k_max``,
+        """Coefficients (..., n) -> vector tables (..., 2, 2K+1, K+1), K = ``k_max``,
         of u = sum_j c_j psi_j."""
         c = np.asarray(c, dtype=float)[..., None, :]
         k = self.k_max
-        coeffs = np.zeros(c.shape[:-2] + (2, 2 * k + 1, 2 * k + 1), dtype=complex)
-        np.add.at(coeffs, (..., self._rows_p, self._cols_p), c * self._w_plus * self.pol.T)
-        np.add.at(coeffs, (..., self._rows_m, self._cols_m), c * self._w_minus * self.pol.T)
+        coeffs = np.zeros(c.shape[:-2] + (2, 2 * k + 1, k + 1), dtype=complex)
+        for modes, w, pol, rows, cols in self._images:
+            # grouped (c * w) * pol: c * (w * pol) rounds differently
+            np.add.at(coeffs, (..., rows, cols), c[..., modes] * w * pol)
         return coeffs
 
     def gather(self, coeffs: np.ndarray) -> np.ndarray:
         """L2 pairings (f, psi_j), shape (..., n), for the vector tables
-        (..., 2, 2K'+1, 2K'+1) of f, K' >= ``k_max``; the orthogonal projection."""
-        off = (coeffs.shape[-1] - 1) // 2 - self.k_max
-        if off < 0:
+        (..., 2, 2K'+1, K'+1) of f, K' >= ``k_max``; the orthogonal projection."""
+        k = coeffs.shape[-1] - 1
+        if k < self.k_max:
             raise ValidationError("field truncation too small for this basis")
-        vals = coeffs[..., self._rows_p + off, self._cols_p + off]
+        vals = coeffs[..., self._gather_kx + k, np.abs(self.ky)]
+        vals = np.where(self._conj, np.conj(vals), vals)
         z = self.pol[:, 0] * vals[..., 0, :] + self.pol[:, 1] * vals[..., 1, :]
         amp = 2.0 * np.sqrt(2.0) * np.pi
         # C order: over a stack, the fancy index leaves the mode axis outermost
@@ -202,7 +206,7 @@ class PointwiseTerms:
     @classmethod
     def at(cls, u: np.ndarray, grid_size: int, params: RheologyParams, noise: NoiseModel,
            convection: bool) -> "PointwiseTerms":
-        """The grid fields of the velocity tables ``u`` (..., 2, 2K+1, 2K+1)."""
+        """The grid fields of the velocity tables ``u`` (..., 2, 2K+1, K+1)."""
         rows = to_grid(np.concatenate([u[..., None, :, :, :], fields.gradient_table(u)], axis=-4),
                        grid_size)
         u_grid, jac = rows[..., 0, :, :, :], rows[..., 1:, :, :, :]
@@ -223,7 +227,7 @@ class PointwiseTerms:
         )
 
     def drift_tables(self, k_max: int) -> tuple:
-        """Tables (drift, shape), each (..., 2, 2K+1, 2K+1) with K = ``k_max``,
+        """Tables (drift, shape), each (..., 2, 2K+1, K+1) with K = ``k_max``,
         of the drift source div(nu A - u x u) - alpha |u|^(q-2) u and of
         shape(u), by one forward transform of the flux, the damping term and
         the noise shape; ``shape`` is None with the noise off."""

@@ -9,10 +9,8 @@ harmonic part is identically zero once means are removed, which the
 decomposition asserts rather than assumes.  :func:`decompose_pressure`
 evaluates each slice's sources once and keeps the state-only tables on
 :class:`PressureParts`, which the momentum check and a rerun of the
-stochastic part under other increments read.  Every table of a real field is
-Hermitian, so the lifts, the accumulated sources and the kept tables hold
-only the ky >= 0 half, the half the grid transform reads.  The pass keeps
-four (S+1, N, N) grid arrays and two half tables; the harmonic part is
+stochastic part under other increments read.  The pass keeps four
+(S+1, N, N) grid arrays and two (S+1) stacks of tables; the harmonic part is
 reduced to its per-slice max as it is formed.  The square-domain solver
 exercises the bounded-domain right inverse of the divergence that the torus
 cannot.
@@ -27,23 +25,17 @@ import numpy as np
 
 from . import fields
 from .errors import ValidationError
-from .fields import _half_to_grid, from_grid, quad_weight
+from .fields import from_grid, quad_weight, to_grid
 from .galerkin import PointwiseTerms, Trajectory, forcing_at
 
 
-def _half_wavenumbers(k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """kx (2K+1, 1) and the ky >= 0 half (1, K+1) of the centered wavenumbers."""
-    kx, ky = fields.wavenumbers(k_max)
-    return kx, ky[:, k_max:]
-
-
 def _lift(v: np.ndarray, grid_size: int) -> np.ndarray:
-    """Mean-zero grid solutions (..., N, N) of laplace(pi) = div v, for the
-    ky >= 0 halves (..., 2, 2K+1, K+1) of centered vector coefficient tables v."""
-    kx, ky = _half_wavenumbers(v.shape[-1] - 1)
+    """Mean-zero grid solutions (..., N, N) of laplace(pi) = div v, for vector
+    coefficient tables v (..., 2, 2K+1, K+1)."""
+    kx, ky = fields.wavenumbers(v.shape[-1] - 1)
     k2 = kx * kx + ky * ky
     div = 1j * (kx * v[..., 0, :, :] + ky * v[..., 1, :, :])
-    return _half_to_grid(np.where(k2 > 0, -div / np.where(k2 > 0, k2, 1.0), 0.0), grid_size)
+    return to_grid(np.where(k2 > 0, -div / np.where(k2 > 0, k2, 1.0), 0.0), grid_size)
 
 
 def recover_pressure(H: np.ndarray) -> np.ndarray:
@@ -51,7 +43,7 @@ def recover_pressure(H: np.ndarray) -> np.ndarray:
     symmetric tensor fields H of shape (..., 3, N, N)."""
     n = H.shape[-1]
     k_max = (n - 2) // 2
-    return _lift(fields.tensor_divergence(from_grid(H, k_max))[..., k_max:], n)
+    return _lift(fields.tensor_divergence(from_grid(H, k_max)), n)
 
 
 @dataclass
@@ -63,10 +55,10 @@ class PressureParts:
     time integral plus the stochastic part ``pi_phi`` recombines to the total;
     the leftover harmonic part is identically zero on the torus, and only its
     per-slice max ``harmonic_max`` is kept.  Every slice is mean-zero.
-    ``drift_div`` and ``noise_shape`` hold, per slice, the ky >= 0 halves of
-    the centered coefficient tables of the drift flux divergence
-    div(nu A - u x u) + f - alpha a(u) and of shape(u); they do not involve
-    the increments, so they stay valid under ``replace(traj, increments=...)``.
+    ``drift_div`` and ``noise_shape`` hold, per slice, the coefficient tables
+    of the drift flux divergence div(nu A - u x u) + f - alpha a(u) and of
+    shape(u); they do not involve the increments, so they stay valid under
+    ``replace(traj, increments=...)``.
     """
 
     times: np.ndarray
@@ -76,15 +68,15 @@ class PressureParts:
     pi_total: np.ndarray   # (S+1, N, N) independently accumulated pressure
     recombination_residual: np.ndarray  # (S+1,) L2 defect per slice
     harmonic_max: np.ndarray  # (S+1,) max |pi_h| of the harmonic remainder per slice
-    drift_div: np.ndarray    # (S+1, 2, 2K+1, K+1) drift flux divergence, ky >= 0 half
-    noise_shape: np.ndarray  # (S+1, 2, 2K+1, K+1) shape(u), ky >= 0 half; zero with the noise off
+    drift_div: np.ndarray    # (S+1, 2, 2K+1, K+1) drift flux divergence
+    noise_shape: np.ndarray  # (S+1, 2, 2K+1, K+1) shape(u); zero with the noise off
 
     def max_residual(self) -> float:
         return float(np.max(self.recombination_residual))
 
 
 def _slice_sources(traj: Trajectory, i: int, k_max: int):
-    """Coefficient tables of the slice-i pressure sources, as ky >= 0 halves.
+    """Coefficient tables of the slice-i pressure sources.
 
     Returns (div(nu A), drift + f, shape(u) or None with the noise off), with
     the drift kernel's own tables (:meth:`PointwiseTerms.drift_tables`);
@@ -101,14 +93,13 @@ def _slice_sources(traj: Trajectory, i: int, k_max: int):
     fc = forcing_at(traj.forcing, i)
     if np.any(fc):
         off = basis.k_max
-        sl = slice(k_max - off, k_max + off + 1)
-        drift[..., sl, sl] += basis.scatter(fc)
-    return stress[..., k_max:], drift[..., k_max:], None if shape is None else shape[..., k_max:]
+        drift[..., k_max - off:k_max + off + 1, :off + 1] += basis.scatter(fc)
+    return stress, drift, shape
 
 
 def stochastic_pressure(traj: Trajectory, noise_shape: np.ndarray):
     """Yield the stochastic part pi_phi slice by slice, S+1 grids (N, N): the
-    lift of the noise accumulated from the recorded shape(u) half tables and
+    lift of the noise accumulated from the recorded shape(u) tables and
     ``traj.increments``.  Only the running sum and one slice are held."""
     n = traj.basis.grid_size
     yield np.zeros((n, n))
@@ -180,16 +171,13 @@ def momentum_gradient_residual(traj: Trajectory, parts: PressureParts) -> float:
     For every retained wavevector and every slice, compares the divergence of
     the accumulated sources against the Laplacian of the recovered total
     pressure (the mass and solenoidal terms drop out against gradient modes).
-    The sources are the per-slice half tables recorded on ``parts``; their
-    time integral is accumulated here from ``traj.dt`` and
-    ``traj.increments``, independently of the bookkeeping inside
-    :func:`decompose_pressure`, so a corrupted ``pi_total`` slice shows.  The
-    ky < 0 entries of every full table are exact conjugates of ky > 0 ones,
-    with equal moduli, so the max over the ky >= 0 half is the max over all
-    retained wavevectors.
+    The sources are the per-slice tables recorded on ``parts``; their time
+    integral is accumulated here from ``traj.dt`` and ``traj.increments``,
+    independently of the bookkeeping inside :func:`decompose_pressure`, so a
+    corrupted ``pi_total`` slice shows.
     """
     k_max = parts.drift_div.shape[-1] - 1
-    kx, ky = _half_wavenumbers(k_max)
+    kx, ky = fields.wavenumbers(k_max)
     k2 = kx * kx + ky * ky
     etas = traj.etas()
 
@@ -197,7 +185,7 @@ def momentum_gradient_residual(traj: Trajectory, parts: PressureParts) -> float:
     worst = 0.0
     for i in range(traj.n_steps + 1):
         # identity: |k|^2 pi_hat = -i k . F_hat for the accumulated sources F
-        pi_hat = from_grid(parts.pi_total[i], k_max)[:, k_max:]
+        pi_hat = from_grid(parts.pi_total[i], k_max)
         defect = 1j * (kx * acc[0] + ky * acc[1]) + k2 * pi_hat
         scale = max(float(np.max(np.abs(acc))), 1e-300)
         worst = max(worst, float(np.max(np.abs(defect))) / scale)

@@ -202,11 +202,11 @@ def test_criterion_08_fails_on_a_nonlinear_stochastic_pressure(tmp_path, monkeyp
 def test_criterion_08_fails_on_a_transform_without_the_ky_doubling(tmp_path, monkeypatch):
     # the lift to the grid then counts each ky > 0 mode once, not with its
     # conjugate: the closed form's cos(2y) comes out at half its amplitude
-    def undoubled(half, grid_size):
-        return fields._half_to_grid(np.concatenate([half[..., :1], 0.5 * half[..., 1:]], axis=-1),
-                                    grid_size)
+    def undoubled(table, grid_size):
+        return fields.to_grid(np.concatenate([table[..., :1], 0.5 * table[..., 1:]], axis=-1),
+                              grid_size)
 
-    monkeypatch.setattr(pressure, "_half_to_grid", undoubled)
+    monkeypatch.setattr(pressure, "to_grid", undoubled)
     assert not criterion(run_criterion(8, tmp_path), "vortex-array pressure matches closed form").passed
 
 

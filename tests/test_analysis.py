@@ -325,11 +325,21 @@ class TestTwin:
         assert rep.bitwise_identical
         assert np.all(rep.per_path_ratios == 0.0)
 
+    @staticmethod
+    def _weighted_gap(ta, tb, weight_constant):
+        """phi(t) E_w(t) of one pair, with phi = exp(-C int ||grad u_b|| dt)."""
+        w = ta.coeffs - tb.coeffs
+        grad_u = np.sqrt(ta.basis.field_norms_sq(tb.coeffs)[1])
+        phi = np.exp(-weight_constant * np.concatenate([[0.0], np.cumsum(grad_u[:-1]) * ta.dt]))
+        return phi, ta.basis.energy(w, ta.params.kappa)
+
     def test_weight_in_unit_interval(self, small_basis):
         c1 = analysis.calibrate_ladyzhenskaya(small_basis, samples=16)
-        rep = analysis.twin_uniqueness(self._pairs(small_basis, 1e-3, 3), c1)
-        assert rep.weighted_gap_series is not None
-        assert np.all(rep.weighted_gap_series >= 0.0)
+        pairs = list(self._pairs(small_basis, 1e-3, 3))
+        rep = analysis.twin_uniqueness(pairs, c1)
+        phi, e_w = self._weighted_gap(*pairs[0], c1)
+        assert np.all((0.0 < phi) & (phi <= 1.0)) and phi[0] == 1.0
+        assert np.all(phi * e_w >= 0.0)
         assert rep.gronwall_constant > 0.0
 
     def test_delta_halving_approximately_linear(self, small_basis):
@@ -343,12 +353,14 @@ class TestTwin:
         assert 0.3 <= ratio <= 0.7
 
     def test_viscous_newtonian_decay(self, small_basis):
-        # noise off, p = 2: the gap decays and the weighted peak sits at t = 0
-        rep = analysis.twin_uniqueness(
-            self._pairs(small_basis, 1e-3, 1, noise=OFF), 0.5)
-        series = rep.weighted_gap_series
-        assert series[-1] < series[0]
-        assert np.argmax(series) == 0
+        # noise off, p = 2: the gap decays and the weighted peak sits at t = 0;
+        # phi <= 1, so E_w(T) < E_w(0) makes the weighted gap decay too
+        pairs = list(self._pairs(small_basis, 1e-3, 1, noise=OFF))
+        rep = analysis.twin_uniqueness(pairs, 0.5)
+        _, e_w = self._weighted_gap(*pairs[0], 0.5)
+        w0 = pairs[0][0].coeffs[0] - pairs[0][1].coeffs[0]
+        assert rep.per_path_ratios[0] == e_w[0] / np.sum(small_basis.k2 * w0**2)
+        assert e_w[-1] < e_w[0]
 
     def test_mismatched_span_rejected(self, small_basis):
         other = DivFreeBasis(16, 32)

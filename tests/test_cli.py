@@ -270,6 +270,24 @@ class TestExperiments:
         assert "forcing.path" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_non_hermitian_forcing_snapshot_exits_2(self, tmp_path, capsys):
+        # the (1, -1) entry is not the conjugate of (-1, 1): the snapshot is not
+        # the table of a real field, and its ky < 0 half would be lost unseen
+        snap = tmp_path / "forcing.bin"
+        basis = galerkin.DivFreeBasis(32, 32)
+        table = basis.scatter(0.1 * np.random.default_rng(5).standard_normal(basis.n))
+        fields.save_field(snap, fields.SpectralField(table, 32))
+        raw = bytearray(snap.read_bytes())
+        offset = 16 + 32 * fields.mode_table(basis.k_max).index((1, -1))
+        raw[offset:offset + 8] = (np.frombuffer(raw[offset:offset + 8], "<f8") + 0.05).tobytes()
+        snap.write_bytes(bytes(raw))
+        overrides = ["steps=4", "dt=0.005", "T=0.02", "forcing.kind=file", f"forcing.path={snap}"]
+        rc = cli.main(["simulate", *(a for ov in overrides for a in ("--override", ov)),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "forcing.path" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     FORCED = ["paths=3", "grid_n=16", "n_modes=8", "steps=4", "dt=0.005", "T=0.02", "ic.kind=random",
               "forcing.kind=files"]
 
@@ -562,9 +580,10 @@ class TestExperiments:
 
     @pytest.mark.parametrize("criterion, entries", [
         # u_x at k = (1, 0) and at its conjugate (-1, 0): real, but k.u != 0
-        ("reconstruction divergence-free", [(1, 0), (-1, 0)]),
-        # u_x at k = (0, 1) without its conjugate: solenoidal, but not real
-        ("reconstruction real-valued", [(0, 1)]),
+        ("reconstruction divergence-free", [(0, 1, 0), (0, -1, 0)]),
+        # u_y at k = (1, 0) without its conjugate (-1, 0): solenoidal, but not
+        # real; the ky = 0 column is the only place where a table holds both
+        ("reconstruction real-valued", [(1, 1, 0)]),
     ])
     def test_simulate_reconstruction_check_fails_on_a_corrupted_field(
             self, criterion, entries, tmp_path, monkeypatch):
@@ -572,8 +591,8 @@ class TestExperiments:
 
         def corrupted(traj, i):
             f = field_at(traj, i)
-            for kx, ky in entries:
-                f.coeffs[0, f.k_max + kx, f.k_max + ky] += 1.0
+            for comp, kx, ky in entries:
+                f.coeffs[comp, f.k_max + kx, ky] += 1.0
             return f
 
         monkeypatch.setattr(galerkin.Trajectory, "field_at", corrupted)

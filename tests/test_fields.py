@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from nsvsim import fields
 from nsvsim.errors import ConfigurationError, ValidationError
+from nsvsim.galerkin import DivFreeBasis
 
-from conftest import l2_norm, random_divfree, random_hermitian_coeffs, torus_grid, zero_field
+from conftest import full_scatter, full_table, l2_norm, random_divfree, random_hermitian_coeffs, torus_grid, zero_field
 
 
 class TestTransforms:
@@ -19,8 +20,7 @@ class TestTransforms:
     def test_single_mode_is_transform_eigenfunction(self):
         # u = (sin y, 0) samples to sin(y_j) and comes back as the same mode
         f = zero_field(2, 16)
-        f.coeffs[0, 2, 3] = -0.5j
-        f.coeffs[0, 2, 1] = 0.5j
+        f.coeffs[0, 2, 1] = -0.5j  # k = (0, 1); (0, -1) is its conjugate
         g = fields.to_grid(f.coeffs, f.grid_size)
         _, yy = torus_grid(16)
         assert np.allclose(g[0], np.sin(yy), atol=1e-14)
@@ -43,11 +43,11 @@ class TestTransforms:
         tables = np.stack([random_hermitian_coeffs(k_max, seed) for seed in range(2)])
         idx = np.arange(-k_max, k_max + 1) % n
         full = np.zeros(tables.shape[:-2] + (n, n), dtype=complex)
-        full[..., idx[:, None], idx[None, :]] = tables
+        full[..., idx[:, None], idx[None, :]] = full_table(tables)
         ref_grid = np.fft.ifft2(full, norm="forward").real
         grids = fields.to_grid(tables, n)
         assert np.max(np.abs(grids - ref_grid)) <= 1e-14 * np.max(np.abs(ref_grid))
-        ref_table = np.fft.fft2(ref_grid, norm="forward")[..., idx[:, None], idx[None, :]]
+        ref_table = np.fft.fft2(ref_grid, norm="forward")[..., idx[:, None], np.arange(k_max + 1)]
         back = fields.from_grid(ref_grid, k_max)
         assert np.max(np.abs(back - ref_table)) <= 1e-14 * np.max(np.abs(ref_table))
 
@@ -56,7 +56,7 @@ class TestTransforms:
         # u = (cos(K x - K y), 0) at K = N/2 - 1, the widest band the grid holds
         k_max = n // 2 - 1
         f = zero_field(k_max, n)
-        f.coeffs[0, -1, 0] = f.coeffs[0, 0, -1] = 0.5
+        f.coeffs[0, 0, -1] = 0.5  # k = (-K, K); (K, -K) is its conjugate
         g = fields.to_grid(f.coeffs, n)
         j = np.arange(n)
         expected = np.cos(2.0 * np.pi * (k_max * (j[:, None] - j[None, :]) % n) / n)
@@ -66,7 +66,7 @@ class TestTransforms:
 
     def test_stacked_transforms_equal_per_row_calls_bitwise(self):
         for n, k_max in [(32, 5), (64, 31)]:
-            tables = np.stack([random_hermitian_coeffs(k_max, seed) for seed in range(3)])  # (3, 2, 2K+1, 2K+1)
+            tables = np.stack([random_hermitian_coeffs(k_max, seed) for seed in range(3)])  # (3, 2, 2K+1, K+1)
             grids = fields.to_grid(tables, n)
             back = fields.from_grid(grids, k_max)
             assert grids.shape == (3, 2, n, n) and back.shape == tables.shape
@@ -95,7 +95,25 @@ class TestTransforms:
     def test_hermitian_and_mean_flow(self):
         f = fields.SpectralField(random_hermitian_coeffs(3, 5), 16)
         assert fields.hermitian_error(f) == 0.0
-        assert np.all(f.coeffs[:, 3, 3].imag == 0.0)  # the mean flow is real
+        assert np.all(f.coeffs[:, 3, 0].imag == 0.0)  # the mean flow is real
+
+    def test_hermitian_error_reads_the_ky_zero_column(self):
+        # only the ky = 0 column holds both k and -k: an entry there without
+        # its conjugate breaks the symmetry, an entry at ky > 0 cannot
+        f = fields.SpectralField(random_hermitian_coeffs(3, 5), 16)
+        f.coeffs[1, 4, 2] += 1.0
+        assert fields.hermitian_error(f) == 0.0
+        f.coeffs[1, 4, 0] += 1.0  # k = (1, 0), not (-1, 0)
+        assert fields.hermitian_error(f) > 0.1
+
+    @pytest.mark.parametrize("shape", [(2, 7, 7), (7, 7), (2, 7, 3), (2, 8, 4), (4,)])
+    def test_only_ky_half_tables_accepted(self, shape):
+        # a full (2K+1, 2K+1) table, or any other shape, names the one format
+        with pytest.raises(ValidationError, match=r"\(\.\.\., 2K\+1, K\+1\)"):
+            fields.to_grid(np.zeros(shape, dtype=complex), 16)
+        if len(shape) == 3:
+            with pytest.raises(ValidationError, match=r"\(2, 2K\+1, K\+1\)"):
+                fields.SpectralField(np.zeros(shape, dtype=complex), 16)
 
 
 class TestSymGradient:
@@ -123,8 +141,7 @@ class TestSymGradient:
 
     def test_shear_closed_form(self):
         f = zero_field(2, 32)
-        f.coeffs[0, 2, 3] = -0.5j
-        f.coeffs[0, 2, 1] = 0.5j
+        f.coeffs[0, 2, 1] = -0.5j  # u = (sin y, 0)
         d = fields.sym_gradient(fields.gradient(f))
         _, yy = torus_grid(32)
         assert np.allclose(d[1], 0.5 * np.cos(yy), atol=1e-13)
@@ -178,8 +195,7 @@ class TestLeray:
 class TestNorms:
     def test_shear_closed_forms(self):
         f = zero_field(2, 32)
-        f.coeffs[0, 2, 3] = -0.5j
-        f.coeffs[0, 2, 1] = 0.5j
+        f.coeffs[0, 2, 1] = -0.5j  # u = (sin y, 0)
         assert l2_norm(f) ** 2 == pytest.approx(2.0 * np.pi**2, rel=1e-13)
         assert fields.grad_l2_norm(f) ** 2 == pytest.approx(2.0 * np.pi**2, rel=1e-13)
         # quadrature route agrees with the Parseval route at p = 2
@@ -234,6 +250,39 @@ class TestSnapshots:
         g = fields.load_field(path)
         assert g.grid_size == 16
         assert np.array_equal(g.coeffs, f.coeffs)
+
+    def test_rewrite_is_byte_identical_to_the_full_table_writer(self, tmp_path):
+        # 31 modes on grid 32 hold ky < 0 representatives; the file lists every
+        # mode of the full table, each ky < 0 one as the conjugate of its -k
+        # entry, and an empty cell as +0.0, as a writer of full tables does
+        basis = DivFreeBasis(31, 32)
+        assert np.any(basis.ky < 0)
+        c = np.random.default_rng(3).standard_normal(basis.n)
+        first, again, ref = (tmp_path / name for name in ("first.bin", "again.bin", "ref.bin"))
+        fields.save_field(first, fields.SpectralField(basis.scatter(c), 32))
+        fields.save_field(again, fields.load_field(first))
+        assert again.read_bytes() == first.read_bytes()
+        full, k = full_scatter(basis, c), basis.k_max
+        values = np.empty((len(fields.mode_table(k)), 2, 2), dtype="<f8")
+        for i, (kx, ky) in enumerate(fields.mode_table(k)):
+            values[i, :, 0] = full[:, kx + k, ky + k].real
+            values[i, :, 1] = full[:, kx + k, ky + k].imag
+        ref.write_bytes(b"NSVF" + np.array([1, 32, k], dtype="<u4").tobytes() + values.tobytes())
+        assert first.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("mode, bump", [((1, -1), 1e-6), ((1, -1), np.nan), ((1, 1), np.inf)])
+    def test_non_hermitian_snapshot_rejected(self, tmp_path, mode, bump):
+        # the (1, -1) entry is not kept in memory, so a file where it is not
+        # the conjugate of (-1, 1) cannot be read as the table of a real field;
+        # nor can one with a nonfinite entry
+        path = tmp_path / "field.bin"
+        fields.save_field(path, fields.SpectralField(random_hermitian_coeffs(2, 4), 16))
+        raw = bytearray(path.read_bytes())
+        offset = 16 + 32 * fields.mode_table(2).index(mode)
+        raw[offset:offset + 8] = (np.frombuffer(raw[offset:offset + 8], "<f8") + bump).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValidationError, match="real field|nonfinite"):
+            fields.load_field(path)
 
     def test_header_layout(self, tmp_path):
         f = zero_field(2, 16)

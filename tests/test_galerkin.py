@@ -19,7 +19,7 @@ from nsvsim.galerkin import (
 from nsvsim.noise import NoiseModel
 from nsvsim.rheology import RheologyParams, power_law_stress, stabilizer
 
-from conftest import l2_norm, torus_grid
+from conftest import full_scatter, full_table, l2_norm, torus_grid
 
 OFF = NoiseModel("off", 0.0, 0)
 
@@ -83,6 +83,25 @@ class TestBasis:
         assert np.max(np.abs(small_basis.gather(proj.coeffs) - c)) < 1e-12
         assert l2_norm(proj) <= l2_norm(big) * (1 + 1e-12)
         assert fields.grad_l2_norm(proj) <= fields.grad_l2_norm(big) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("n_modes", [31, 32])
+    def test_scatter_and_gather_match_full_table_references(self, n_modes, rng):
+        # bases with ky < 0 representatives, whose +k image lies outside the
+        # ky >= 0 half: scatter equals the half of a full-table scatter, and
+        # gather of a stack of tables, of the basis's own K and of a wider
+        # one, equals the pairings read from the conjugate-filled full tables
+        basis = DivFreeBasis(n_modes, 32)
+        assert np.any(basis.ky < 0)
+        c = rng.standard_normal((3, basis.n))
+        assert np.array_equal(basis.scatter(c), full_scatter(basis, c)[..., basis.k_max:])
+        amp = 2.0 * np.sqrt(2.0) * np.pi
+        for k in (basis.k_max, 9):
+            tables = fields.from_grid(rng.standard_normal((3, 2, 32, 32)), k)
+            vals = full_table(tables)[..., basis.kx + k, basis.ky + k]
+            z = basis.pol[:, 0] * vals[..., 0, :] + basis.pol[:, 1] * vals[..., 1, :]
+            ref = np.where(basis.phase == 0, amp * z.real,
+                           np.where(basis.phase == 1, -amp * z.imag, 2.0 * np.pi * z.real))
+            assert np.array_equal(basis.gather(tables), ref)
 
     def test_mode_count_limited_by_grid(self):
         with pytest.raises(ConfigurationError):
