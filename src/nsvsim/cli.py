@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+import typing
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -32,17 +33,6 @@ from .galerkin import (
 )
 from .noise import FAMILIES as NOISE_FAMILIES, NoiseModel, verify_noise_conditions
 from .rheology import RheologyParams, monotonicity_sweep
-
-EXPERIMENTS = (
-    "simulate",
-    "energy-audit",
-    "moments",
-    "uniqueness",
-    "alpha-sweep",
-    "pressure",
-    "propcheck",
-    "bogovskii",
-)
 
 IC_KINDS = ("zero", "shear", "taylor_green", "random")
 FORCING_KINDS = ("zero", "file", "files")
@@ -77,7 +67,7 @@ class SimConfig:
 
     def validate(self) -> None:
         # RheologyParams carries the constitutive invariants and their messages.
-        RheologyParams(p=self.p, q=self.q, nu=self.nu, kappa=self.kappa, alpha=self.alpha)
+        self.rheology()
         if not 0 <= self.steps <= 2**53:
             raise ConfigurationError(f"steps={self.steps} must lie in [0, 2**53]")
         if self.gamma < 2.0:
@@ -88,17 +78,12 @@ class SimConfig:
             raise ConfigurationError(
                 f"steps*dt = {self.steps * self.dt!r} must equal T = {self.T!r} to 1e-12"
             )
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigurationError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
-        if self.ic_kind not in IC_KINDS:
-            raise ConfigurationError(f"unknown ic.kind {self.ic_kind!r}; choose from {IC_KINDS}")
-        if self.forcing_kind not in FORCING_KINDS:
-            raise ConfigurationError(
-                f"unknown forcing.kind {self.forcing_kind!r}; choose from {FORCING_KINDS}"
-            )
-        if self.noise_family not in NOISE_FAMILIES:
-            raise ConfigurationError(
-                f"unknown noise.family {self.noise_family!r}; choose from {NOISE_FAMILIES}")
+        for key, value, choices in (("experiment", self.experiment, EXPERIMENTS),
+                                    ("ic.kind", self.ic_kind, IC_KINDS),
+                                    ("forcing.kind", self.forcing_kind, FORCING_KINDS),
+                                    ("noise.family", self.noise_family, NOISE_FAMILIES)):
+            if value not in choices:
+                raise ConfigurationError(f"unknown {key} {value!r}; choose from {choices}")
         if self.paths < 1:
             raise ConfigurationError("paths must be >= 1")
         for key, value in (("ic.energy", self.ic_energy), ("monitor.threshold", self.monitor_threshold),
@@ -138,31 +123,12 @@ class SimConfig:
         return DivFreeBasis(self.n_modes, self.grid_n, include_mean=not self.pin_mean)
 
 
+# Each field is one config key of its annotated type: the field name, with the
+# first "_" a "." in the dotted sections.
+_SECTIONS = ("noise", "ic", "forcing", "monitor")
 _KEY_MAP = {
-    "p": ("p", float),
-    "q": ("q", float),
-    "nu": ("nu", float),
-    "kappa": ("kappa", float),
-    "alpha": ("alpha", float),
-    "n_modes": ("n_modes", int),
-    "grid_n": ("grid_n", int),
-    "steps": ("steps", int),
-    "dt": ("dt", float),
-    "T": ("T", float),
-    "seed": ("seed", int),
-    "paths": ("paths", int),
-    "gamma": ("gamma", float),
-    "noise.family": ("noise_family", str),
-    "noise.amplitude": ("noise_amplitude", float),
-    "noise.modes": ("noise_modes", int),
-    "ic.kind": ("ic_kind", str),
-    "ic.energy": ("ic_energy", float),
-    "forcing.kind": ("forcing_kind", str),
-    "forcing.path": ("forcing_path", str),
-    "experiment": ("experiment", str),
-    "pin_mean": ("pin_mean", bool),
-    "convection": ("convection", bool),
-    "monitor.threshold": ("monitor_threshold", float),
+    (attr.replace("_", ".", 1) if attr.split("_")[0] in _SECTIONS else attr): (attr, typ)
+    for attr, typ in typing.get_type_hints(SimConfig).items()
 }
 
 
@@ -719,6 +685,7 @@ _DISPATCH = {
     "propcheck": _experiment_propcheck,
     "bogovskii": _experiment_bogovskii,
 }
+EXPERIMENTS = tuple(_DISPATCH)
 
 
 def run_experiment(cfg: SimConfig, out_dir: str) -> RunReport:

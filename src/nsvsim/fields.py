@@ -252,7 +252,8 @@ def save_field(path, f: SpectralField) -> None:
 
 
 def load_field(path) -> SpectralField:
-    """Read a snapshot written by :func:`save_field`.  Its table must be
+    """Read a snapshot written by :func:`save_field`; a file that is not one,
+    a bad header grid included, raises ValidationError.  Its table must be
     Hermitian to 1e-12 of its largest entry, since only the ky >= 0 half is
     kept: a table that is not would lose its ky < 0 entries unseen."""
     with open(path, "rb") as fh:
@@ -265,6 +266,10 @@ def load_field(path) -> SpectralField:
         version, n, k = struct.unpack("<III", header)
         if version != SNAPSHOT_VERSION:
             raise ValidationError(f"unsupported snapshot version {version}")
+        try:
+            _check_grid(n, k)
+        except ConfigurationError as exc:
+            raise ValidationError(f"bad snapshot header: {exc}") from None
         payload = fh.read()
     n_modes = (2 * k + 1) ** 2  # len(mode_table(k)), known before building the table
     if len(payload) != n_modes * 32:

@@ -187,6 +187,11 @@ def forcing_at(forcing: np.ndarray, step):
     return forcing if forcing.ndim == 1 else forcing[np.minimum(step, forcing.shape[0] - 1)]
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a . b over the last axis, each row rounded as ``np.dot`` rounds it."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 @dataclass
 class PointwiseTerms:
     """Grid fields of a state, or of a stack of states along the leading axes
@@ -481,11 +486,9 @@ def run(
                         f"dt*max|u|*k_max = {cfl:.3g} > 0.5: explicit convection may be unstable",
                         stacklevel=2,
                     )
-        # c.s per row, as in a run of that row alone: np.dot on contiguous rows
-        # rounds as it does on the row's own arrays
+        # c.s per row, rounded as in a run of that row alone
         record[:, rows, i] = (terms.dissipation_p, terms.grad_p, terms.damping_q,
-                              np.sum(terms.s * terms.s / mass, axis=-1),
-                              [np.dot(cj, sj) for cj, sj in zip(c, terms.s)])
+                              np.sum(terms.s * terms.s / mass, axis=-1), row_dot(c, terms.s))
         tripped = np.zeros(len(rows), dtype=bool)
         if grad_threshold > 0:
             tripped = np.sqrt(basis.field_norms_sq(c)[1]) >= grad_threshold
@@ -503,7 +506,7 @@ def run(
         db = np.array([draw(row, i) for row in rows])
         rhs = terms.b[going] * dt
         if noise.active:
-            rhs = rhs + terms.s[going] * np.array([np.dot(scales, d) for d in db])[:, None]
+            rhs = rhs + terms.s[going] * row_dot(db, scales)[:, None]
         c = c[going] + rhs / mass
         finite = np.all(np.isfinite(c), axis=-1)
         for row in rows[~finite]:

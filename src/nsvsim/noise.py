@@ -94,11 +94,9 @@ class NoiseConditionReport:
     passed: bool
 
 
-def verify_noise_conditions(
-    model: NoiseModel, samples: int, seed: int = 0, tol: float = 1e-9
-) -> NoiseConditionReport:
+def verify_noise_conditions(model: NoiseModel, samples: int, seed: int = 0) -> NoiseConditionReport:
     """Empirically tighten the growth/Lipschitz/decay constants over random points
-    and compare against the analytic ones."""
+    and compare against the analytic ones, each allowed a slack of 1e-9."""
     if samples < 1:
         raise ValidationError("need at least one sample")
     if not model.active:
@@ -124,9 +122,9 @@ def verify_noise_conditions(
     # sup_k k^2 |phi_k|^2 = amplitude^2 |shape|^2 attained at k = 1
     C_emp = float(np.max(model.amplitude**2 * mag_xi**2 / (1.0 + norm_xi**2)))
     passed = (
-        K_emp <= model.growth_const + tol
-        and L_emp <= model.lipschitz_const + tol
-        and C_emp <= model.decay_const + tol
+        K_emp <= model.growth_const + 1e-9
+        and L_emp <= model.lipschitz_const + 1e-9
+        and C_emp <= model.decay_const + 1e-9
     )
     return NoiseConditionReport(
         K_emp, L_emp, C_emp,

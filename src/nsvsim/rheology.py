@@ -106,14 +106,14 @@ def _as_sym(m) -> np.ndarray:
     return np.stack([m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]], axis=-1)[..., None, None]
 
 
-def monotonicity_gap(M, N, p: float, tol: float = 1e-12) -> MonotonicityReport:
+def monotonicity_gap(M, N, p: float) -> MonotonicityReport:
     """Evaluate the p-regime monotonicity inequality for symmetric pairs, given
     as stacks (..., 2, 2) of matrices.
 
     For p >= 2:      2^(1-p) |M-N|^p  <=  (A(M) - A(N)) : (M - N)
     For 1 < p < 2:   (p-1) |M-N|^2    <=  (A(M) - A(N)) : (M - N) * (|M|^p + |N|^p)^((2-p)/p)
 
-    where A(T) = |T|^(p-2) T.  Reports rhs >= lhs - tol * scale and the plain
+    where A(T) = |T|^(p-2) T.  Reports rhs >= lhs - 1e-12 * scale and the plain
     monotonicity product.
     """
     if not 1.0 < p < np.inf:
@@ -130,19 +130,18 @@ def monotonicity_gap(M, N, p: float, tol: float = 1e-12) -> MonotonicityReport:
         rhs = product * (mod_m**p + mod_n**p) ** ((2.0 - p) / p)
     scale = np.maximum(np.maximum(1.0, mod_m), mod_n) ** p
     return MonotonicityReport(lhs=lhs, rhs=rhs, product=product, scale=scale,
-                              holds=rhs >= lhs - tol * scale)
+                              holds=rhs >= lhs - 1e-12 * scale)
 
 
-def monotonicity_sweep(
-    p: float, samples: int, seed: int = 0, entry_range: float = 5.0
-) -> tuple[int, float]:
-    """Brute-force sweep over random symmetric pairs; returns (violations, worst margin).
+def monotonicity_sweep(p: float, samples: int, seed: int = 0) -> tuple[int, float]:
+    """Brute-force sweep over random symmetric pairs, entries uniform in [-5, 5];
+    returns (violations, worst margin).
 
     Margin is min((rhs - lhs) / scale); nonnegative means zero violations.
     The plain monotonicity product is checked for nonnegativity as well.
     """
     rng = np.random.default_rng(seed)
-    ab = rng.uniform(-entry_range, entry_range, size=(samples, 2, 2, 2))
+    ab = rng.uniform(-5.0, 5.0, size=(samples, 2, 2, 2))
     ab += np.swapaxes(ab, -1, -2)
     ab *= 0.5
     rep = monotonicity_gap(ab[:, 0], ab[:, 1], p)

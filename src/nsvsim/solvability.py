@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .galerkin import DivFreeBasis, assemble_drift_terms
+from .galerkin import DivFreeBasis, assemble_drift_terms, row_dot
 from .noise import NoiseModel
 from .rheology import RheologyParams
 
@@ -29,9 +29,8 @@ _UNIF_AMP = 1.0 / (np.pi * np.sqrt(2.0))  # sup-norm of a unit basis field
 
 @dataclass(frozen=True)
 class SolvabilityReport:
-    worst_margin: float       # min over samples of envelope - lhs, relative
-    fitted_constant: float    # tightest constant observed
-    envelope_constant: float  # explicit analytic envelope
+    worst_margin: float     # min over samples of envelope - lhs, relative
+    fitted_constant: float  # tightest constant observed
     passed: bool
 
 
@@ -41,19 +40,13 @@ def _random_ball(rng: np.ndarray, n: int, radius: float) -> np.ndarray:
     return v
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a . b over the last axis, each row rounded as ``np.dot`` rounds it."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _report(margins: np.ndarray, fitted: np.ndarray, envelope: float) -> SolvabilityReport:
+def _report(margins: np.ndarray, fitted: np.ndarray) -> SolvabilityReport:
     """Worst margin and tightest constant over the samples; a NaN or infinite
     margin fails the check."""
     worst = float(np.min(margins, initial=np.inf))
     return SolvabilityReport(
         worst_margin=worst,
         fitted_constant=float(np.max(fitted, initial=0.0)),
-        envelope_constant=float(envelope),
         passed=bool(np.all(np.isfinite(margins)) and worst >= -1e-8),
     )
 
@@ -89,11 +82,11 @@ def check_weak_monotonicity(
     dw = pairs[:, 0] - pairs[:, 1]
     norm_sq = np.sum(dw * dw, axis=-1)
     # ||G(u) - G(v)||_F^2 = S ||P shape(u) - P shape(v)||_2^2 for the separable family
-    lhs = (_row_dot(terms.b[:, 0] - terms.b[:, 1], dw)
+    lhs = (row_dot(terms.b[:, 0] - terms.b[:, 1], dw)
            + model.trace_const * np.sum((terms.s[:, 0] - terms.s[:, 1]) ** 2, axis=-1))
     keep = norm_sq != 0.0
     lhs, norm_sq = lhs[keep], norm_sq[keep]
-    return _report((envelope * norm_sq - lhs) / np.maximum(norm_sq, 1e-300), lhs / norm_sq, envelope)
+    return _report((envelope * norm_sq - lhs) / np.maximum(norm_sq, 1e-300), lhs / norm_sq)
 
 
 def check_coercivity(
@@ -125,6 +118,6 @@ def check_coercivity(
     cu = np.array(states)
     terms = assemble_drift_terms(basis, cu, f_coeffs, params, model, convection)
     # ||G(u)||_F^2 = S ||P shape(u)||_2^2 for the separable family
-    lhs = _row_dot(terms.b, cu) + model.trace_const * np.sum(terms.s * terms.s, axis=-1)
+    lhs = row_dot(terms.b, cu) + model.trace_const * np.sum(terms.s * terms.s, axis=-1)
     rhs_norm = (1.0 + f_norm) * (1.0 + np.sum(cu * cu, axis=-1))
-    return _report((envelope * rhs_norm - lhs) / rhs_norm, lhs / rhs_norm, envelope)
+    return _report((envelope * rhs_norm - lhs) / rhs_norm, lhs / rhs_norm)

@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 import weakref
 
 import numpy as np
@@ -160,6 +161,29 @@ class TestParseConfig:
             named = [k for k, _ in pairs if re.search(rf"(?<![\w.]){re.escape(k)}(?![\w.])", str(exc))]
             assert named, f"{exc} names none of {[k for k, _ in pairs]}"
 
+    def test_config_keys_are_pinned(self):
+        # the keys derive from the SimConfig fields, so renaming a field would
+        # rename its key; this list is the user-facing surface
+        assert sorted(cli._KEY_MAP) == [
+            "T", "alpha", "convection", "dt", "experiment", "forcing.kind", "forcing.path",
+            "gamma", "grid_n", "ic.energy", "ic.kind", "kappa", "monitor.threshold",
+            "n_modes", "noise.amplitude", "noise.family", "noise.modes", "nu", "p", "paths",
+            "pin_mean", "q", "seed", "steps",
+        ]
+
+    def test_config_echo_round_trips(self, tmp_path):
+        # a non-default value of every type: float, int, str and bool
+        cfg = cli.parse_config(None, [
+            "p=2.5", "nu=0.1", "n_modes=16", "grid_n=16", "steps=10", "dt=0.005", "T=0.05",
+            "noise.family=saturating", "noise.amplitude=0.25", "ic.kind=random",
+            "experiment=moments", "paths=3", "pin_mean=true", "convection=false",
+            "monitor.threshold=3.5",
+        ])
+        assert cfg != cli.SimConfig()
+        path = tmp_path / "echo.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in cli.config_echo(cfg).items()))
+        assert cli.parse_config(str(path)) == cfg
+
 
 class TestInitialConditions:
     def test_presets(self):
@@ -236,12 +260,22 @@ class TestExperiments:
         ])
         assert np.max(np.abs(cli.forcing_coefficients(cfg2, cfg2.basis()))) > 0.0
 
-    @pytest.mark.parametrize("kind", ["missing", "directory", "empty glob", "corrupt"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "empty glob", "corrupt",
+                                      "header grid 48", "header grid 8 at K 10"])
     def test_unreadable_forcing_file_exits_2(self, kind, tmp_path, capsys):
         path = tmp_path if kind == "directory" else tmp_path / "absent.bin"
         if kind == "corrupt":
             path = tmp_path / "bad.bin"
             path.write_text("garbage text\n")   # 13 bytes, no snapshot magic
+        if kind.startswith("header"):
+            # a snapshot whose header N is not a grid for its K: not a power of
+            # two, or below 2K + 2
+            path = tmp_path / "grid.bin"
+            k_max, n = (2, 48) if kind == "header grid 48" else (10, 8)
+            fields.save_field(path, zero_field(k_max, 32))
+            data = bytearray(path.read_bytes())
+            struct.pack_into("<I", data, 8, n)
+            path.write_bytes(bytes(data))
         forcing_kind = "files" if kind == "empty glob" else "file"
         overrides = ["steps=10", "dt=0.005", "T=0.05", f"forcing.kind={forcing_kind}", f"forcing.path={path}"]
         cfg = cli.parse_config(None, overrides)
@@ -254,6 +288,8 @@ class TestExperiments:
         assert "forcing.path" in err
         if kind == "corrupt":
             assert str(path) in err and "bad snapshot magic" in err
+        if kind.startswith("header"):
+            assert str(path) in err and "bad snapshot header" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("experiment, n_modes", [("simulate", 32), ("moments", 8)])
