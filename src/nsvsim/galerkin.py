@@ -15,15 +15,15 @@ its Jacobian on the grid by one inverse transform, then D(u), the stress A,
 the flux nu A - u x u, the damping term and the noise shape; one forward
 transform gives the drift source and the shape table, which the kernel and
 the pressure both read.  The kernel projects those to the drift ``b`` and
-the noise projection ``s`` and integrates the quadrature scalars
-||D u||_p^p, ||grad u||_p^p and ||u||_q^q.
+the noise projection ``s`` and forms the state's :class:`StateRecord`, the
+one declaration of the columns that the stepper records.
 
 A :class:`GalerkinState` is what a path starts from: its initial
 coefficients, the system it solves and its (seed, path) noise lineage.
 :func:`run` steps a stack of states of one system, each on its own lineage,
 so that every row is bit for bit its own run; a single state is a stack of
 one.  It allocates the stack's record once (coefficients, increments,
-the kernel's state-only outputs and the times), evaluates the kernel once
+every :class:`StateRecord` column and the times), evaluates the kernel once
 per step on the running rows' coefficients and writes each step's column in
 place.  A row leaves the stack on its own, with a :class:`Trajectory` of
 views of its own prefix of the record, which every audit reads: a row that
@@ -39,6 +39,7 @@ describes whatever trajectory and parameters it is handed.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from collections.abc import Sequence
@@ -245,15 +246,25 @@ class PointwiseTerms:
 
 
 @dataclass
-class DriftTerms:
-    """Output of the drift kernel at a state, or at each state of a stack of
-    states with leading shape ``...``."""
+class StateRecord:
+    """The kernel's outputs that :func:`run` records at each stored state, of
+    the stack's leading shape ``...``: a column is one field here and its
+    expression in ``_evaluate``.  s is the noise projection, M = 1 + kappa |k|^2."""
 
-    b: np.ndarray              # (..., n) drift coefficients
-    s: np.ndarray              # (..., n) noise projection (shape(u), psi_j); zero with the noise off
     dissipation_p: np.ndarray  # (...) ||D(u)||_p^p by grid quadrature
     grad_p: np.ndarray         # (...) ||grad u||_p^p by grid quadrature
     damping_q: np.ndarray      # (...) ||u||_q^q by grid quadrature
+    noise_mass_sq: np.ndarray  # (...) s.(s/M)
+    c_dot_s: np.ndarray        # (...) c.s, each row rounded as in its own call
+
+
+@dataclass
+class DriftTerms(StateRecord):
+    """Output of the drift kernel at a state, or at each state of a stack of
+    states with leading shape ``...``: the record and the step's terms."""
+
+    b: np.ndarray              # (..., n) drift coefficients
+    s: np.ndarray              # (..., n) noise projection (shape(u), psi_j); zero with the noise off
     max_speed: np.ndarray      # (...) max |u| over the grid
 
 
@@ -280,8 +291,8 @@ def assemble_drift_terms(
     drift source of :meth:`PointwiseTerms.drift_tables`, that is (f,psi_j)
     + (u x u : grad psi_j) - nu (A(u) : D(psi_j)) - alpha (a(u), psi_j), the
     noise projection s_j = (shape(u), psi_j), so that phi_k(u) projects to
-    scale_k * s, and the quadrature scalars of the energy functionals, all from
-    one pointwise stage.  ``c`` holds the coefficients of one state (n,) or of
+    scale_k * s, and the :class:`StateRecord` columns, all from one
+    pointwise stage.  ``c`` holds the coefficients of one state (n,) or of
     a stack of states (..., n), and ``f_coeffs`` broadcasts against it; every
     output has the stack's leading shape.  A stack is evaluated in chunks of
     at most :func:`states_per_call` states, and each state's outputs are bit
@@ -291,18 +302,17 @@ def assemble_drift_terms(
     lead = c.shape[:-1]
     states = math.prod(lead)
     per_call = states_per_call(basis.grid_size)
-    if 0 < states <= per_call:
+    if states <= per_call:
         return _evaluate(basis, c, f, params, noise, convection)
     c = c.reshape(states, basis.n)
     f = np.broadcast_to(f, lead + (basis.n,)).reshape(states, basis.n)
-    out = DriftTerms(*(np.empty((states, basis.n)) for _ in range(2)),
-                     *(np.empty(states) for _ in range(4)))
     for i in range(0, states, per_call):
-        part = _evaluate(basis, c[i:i + per_call], f[i:i + per_call], params, noise, convection)
-        for name, value in vars(part).items():
-            getattr(out, name)[i:i + per_call] = value
-    return DriftTerms(**{name: value.reshape(lead + value.shape[1:])
-                         for name, value in vars(out).items()})
+        part = vars(_evaluate(basis, c[i:i + per_call], f[i:i + per_call], params, noise, convection))
+        if i == 0:  # preallocated in the first chunk's shapes: concatenated chunks raise peak memory
+            out = {name: np.empty((states,) + value.shape[1:]) for name, value in part.items()}
+        for name, value in part.items():
+            out[name][i:i + per_call] = value
+    return DriftTerms(**{name: value.reshape(lead + value.shape[1:]) for name, value in out.items()})
 
 
 def _evaluate(basis: DivFreeBasis, c: np.ndarray, f: np.ndarray, params: RheologyParams,
@@ -316,11 +326,13 @@ def _evaluate(basis: DivFreeBasis, c: np.ndarray, f: np.ndarray, params: Rheolog
     w = quad_weight(basis.grid_size)
     speed = np.sqrt((pw.u**2).sum(axis=-3))
     return DriftTerms(
-        b=b,
-        s=s,
         dissipation_p=(fields.sym_modulus(pw.d) ** params.p).sum(axis=(-2, -1)) * w,
         grad_p=(np.sqrt((pw.jac**2).sum(axis=(-4, -3))) ** params.p).sum(axis=(-2, -1)) * w,
         damping_q=(speed**params.q).sum(axis=(-2, -1)) * w,
+        noise_mass_sq=(s * s / basis.mass_multipliers(params.kappa)).sum(axis=-1),
+        c_dot_s=row_dot(c, s),
+        b=b,
+        s=s,
         max_speed=speed.max(axis=(-2, -1)),
     )
 
@@ -349,32 +361,24 @@ class GalerkinState:
 
 
 @dataclass
-class Trajectory:
+class Trajectory(StateRecord):
     """A realized path plus the drift kernel's record at each of its states.
 
     ``coeffs`` (S+1 states) and ``increments`` (S steps of raw Gaussian draws)
-    reproduce the path.  For every stored state i, the final one included,
-    ``run`` keeps the kernel's state-only outputs: the quadrature scalars
-    ``dissipation_p``, ``grad_p`` and ``damping_q``, and with s the noise
-    projection and M the mass multipliers, ``noise_mass_sq = s.(s/M)`` and
-    ``c_dot_s = c.s``.  The ledger, the trajectory CSV, the moment functionals
-    and the damping sweep are array reductions over this record; the terms
-    that involve the increments (:meth:`etas`, the martingale) are formed from
-    ``increments``, so the record stays valid under
-    ``replace(traj, increments=...)``.  Replacing ``coeffs`` or ``params``
-    leaves it stale: ``analysis.weak_form_residual`` and the pressure
-    decomposition recompute from ``coeffs`` and ``params`` on purpose, since
-    they are the independent checks of a stored path.
+    reproduce the path; ``run`` keeps every :class:`StateRecord` column at
+    each stored state, the final one included.  The ledger, the trajectory
+    CSV, the moment functionals and the damping sweep are array reductions
+    over this record; the terms that involve the increments (:meth:`etas`,
+    the martingale) are formed from ``increments``, so the record stays valid
+    under ``replace(traj, increments=...)``.  Replacing ``coeffs`` or
+    ``params`` leaves it stale: ``analysis.weak_form_residual`` and the
+    pressure decomposition recompute from ``coeffs`` and ``params`` on
+    purpose, since they are the independent checks of a stored path.
     """
 
     times: np.ndarray          # (S+1,)
     coeffs: np.ndarray         # (S+1, n)
     increments: np.ndarray     # (S, n_w)
-    dissipation_p: np.ndarray  # (S+1,) ||D(u_i)||_p^p
-    grad_p: np.ndarray         # (S+1,) ||grad u_i||_p^p
-    damping_q: np.ndarray      # (S+1,) ||u_i||_q^q
-    noise_mass_sq: np.ndarray  # (S+1,) s_i . (s_i / M)
-    c_dot_s: np.ndarray        # (S+1,) c_i . s_i
     basis: DivFreeBasis
     params: RheologyParams
     noise: NoiseModel
@@ -394,9 +398,9 @@ class Trajectory:
         return self.basis.energy(self.coeffs, self.params.kappa)
 
     def etas(self) -> np.ndarray:
-        """Per-step scalar noise increments eta_i = sum_k scale_k dW_k, (S,);
-        zero with the noise off."""
-        return self.increments @ self.noise.mode_scales()
+        """Per-step noise scalars eta_i = sum_k scale_k dW_k, (S,), each rounded
+        as in its step of :func:`run`; zero with the noise off."""
+        return row_dot(self.increments, self.noise.mode_scales())
 
 
 class Paths(list):
@@ -458,7 +462,7 @@ def run(
     # the stack's record, written in place: a row's Trajectory views its prefix
     coeffs = np.empty((len(states), n_steps + 1, basis.n))
     incs = np.empty((len(states), n_steps, noise.n_w))
-    record = np.empty((5, len(states), n_steps + 1))  # the five record scalars, in field order
+    record = {f.name: np.empty((len(states), n_steps + 1)) for f in dataclasses.fields(StateRecord)}
     times = np.concatenate([[0.0], np.cumsum(np.full(n_steps, dt))])  # t += dt, step by step
     times.flags.writeable = False  # shared by every row
     coeffs[:, 0] = [st.c for st in states]
@@ -486,16 +490,16 @@ def run(
                         f"dt*max|u|*k_max = {cfl:.3g} > 0.5: explicit convection may be unstable",
                         stacklevel=2,
                     )
-        # c.s per row, rounded as in a run of that row alone
-        record[:, rows, i] = (terms.dissipation_p, terms.grad_p, terms.damping_q,
-                              np.sum(terms.s * terms.s / mass, axis=-1), row_dot(c, terms.s))
+        for name, column in record.items():
+            column[rows, i] = getattr(terms, name)
         tripped = np.zeros(len(rows), dtype=bool)
         if grad_threshold > 0:
             tripped = np.sqrt(basis.field_norms_sq(c)[1]) >= grad_threshold
         for row, trip in zip(rows, tripped):
             if trip or i == n_steps:
                 out[row] = Trajectory(
-                    times[: i + 1], coeffs[row, : i + 1], incs[row, :i], *record[:, row, : i + 1],
+                    **{name: column[row, : i + 1] for name, column in record.items()},
+                    times=times[: i + 1], coeffs=coeffs[row, : i + 1], increments=incs[row, :i],
                     basis=basis, params=params, noise=noise, dt=dt, forcing=first.forcing,
                     convection=first.convection, tripped_at=float(times[i]) if trip else None,
                 )

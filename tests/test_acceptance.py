@@ -275,7 +275,8 @@ def test_criterion_12_reproducibility(tmp_path):
         return dict(zip(order, run(states, cfg.T) if stacked else [run([st], cfg.T)[0] for st in states]))
 
     forward = trajectories(range(cfg.paths))
-    arrays = ("coeffs", "increments", "dissipation_p", "grad_p", "damping_q", "noise_mass_sq", "c_dot_s")
+    arrays = ("times", "coeffs", "increments",
+              *(field.name for field in dataclasses.fields(galerkin.StateRecord)))
 
     def same_as_forward(other):
         return all(np.array_equal(getattr(forward[i], name), getattr(other[i], name))

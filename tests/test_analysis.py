@@ -36,17 +36,22 @@ class TestEnergyAudit:
         assert len(ledger.residual) == traj.n_steps
 
     def test_ledger_reads_the_kernel_record(self, small_basis):
-        # state columns equal, bitwise, the kernel recomputed at each stored state
+        # every declared record column, and the ledger's state columns, equal
+        # bitwise the kernel recomputed at each stored state, the final one
+        # included; the martingale reads the stepper's row-wise eta
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
         model = NoiseModel("linear", 0.5, 6)
         traj = run([make_state(small_basis, smooth_coeffs(small_basis), params, model)], 0.02)[0]
         ledger = analysis.ledger_from_trajectory(traj)
         mass = small_basis.mass_multipliers(params.kappa)
-        eta = traj.increments @ model.mode_scales()
-        for i in range(traj.n_steps):
-            c = traj.coeffs[i]
+        eta = galerkin.row_dot(traj.increments, model.mode_scales())
+        for i, c in enumerate(traj.coeffs):
             t = assemble_drift_terms(
                 small_basis, c, traj.forcing, params, model)
+            for field in dataclasses.fields(galerkin.StateRecord):
+                assert np.array_equal(getattr(traj, field.name)[i], getattr(t, field.name)), (field.name, i)
+            if i == traj.n_steps:
+                break
             assert ledger.dissipation[i] == 2.0 * params.nu * t.dissipation_p * traj.dt
             assert ledger.damping[i] == 2.0 * params.alpha * t.damping_q * traj.dt
             assert ledger.ito_trace[i] == (

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import pathlib
 import sys
 import warnings
@@ -356,7 +357,7 @@ class TestDrift:
             stacked = assemble_drift_terms(small_basis, c, forcing, params, noise, convection)
             single = [assemble_drift_terms(small_basis, ci, fi, params, noise, convection)
                       for ci, fi in zip(c.reshape(-1, n), np.broadcast_to(forcing, c.shape).reshape(-1, n))]
-            for name in ("b", "s", "dissipation_p", "grad_p", "damping_q", "max_speed"):
+            for name in (field.name for field in dataclasses.fields(galerkin.DriftTerms)):
                 rows = [getattr(t, name) for t in single]
                 expected = np.reshape(rows, c.shape[:-1] + np.shape(rows[0]))
                 assert np.array_equal(getattr(stacked, name), expected), name
@@ -364,7 +365,9 @@ class TestDrift:
                 assert stacked.s.shape == c.shape and np.all(stacked.s == 0.0)
         empty = assemble_drift_terms(small_basis, np.zeros((0, n)), f, params, noise, convection)
         assert empty.b.shape == empty.s.shape == (0, n)
-        assert empty.dissipation_p.shape == empty.max_speed.shape == (0,)
+        assert empty.max_speed.shape == (0,)
+        for field in dataclasses.fields(galerkin.StateRecord):
+            assert getattr(empty, field.name).shape == (0,), field.name
 
 
 class TestStep:
@@ -486,11 +489,31 @@ class TestRun:
                         noise=NoiseModel("linear", 0.5, 6), master_seed=9, path=2)
         traj = run([st], 0.02)[0]
         replay = run([st], 0.02, increments=traj.increments[None])[0]
-        for name in ("times", "coeffs", "increments", "dissipation_p", "grad_p", "damping_q",
-                     "noise_mass_sq", "c_dot_s"):
+        for name in RECORD:
             assert np.array_equal(getattr(replay, name), getattr(traj, name)), name
         with pytest.raises(ValidationError, match="shorter"):
             run([st], 0.02, increments=traj.increments[None, :-1])
+
+    def test_etas_are_the_steps_own(self):
+        # every stored step is the Euler-Maruyama update with traj.etas()'s eta,
+        # bit for bit, so the ledger, the weak-form residual and the pressure
+        # read the eta that the stepper used; criterion 05's config, where a
+        # matrix-vector eta rounds differently in 56 of the 100 steps and 17
+        # of those steps do not reproduce
+        from nsvsim import cli
+
+        cfg = cli.parse_config(None, ["seed=12345", "ic.kind=random", "nu=0.5", "p=2.5",
+                                      "noise.family=linear", "noise.amplitude=0.5", "noise.modes=8",
+                                      "steps=100", "dt=0.0025", "T=0.25"])
+        basis = cfg.basis()
+        traj = run([cli.make_state(cfg, basis, 0, cli.forcing_coefficients(cfg, basis))], cfg.T)[0]
+        terms = assemble_drift_terms(basis, traj.coeffs[:-1], galerkin.forcing_at(traj.forcing, np.arange(100)),
+                                     traj.params, traj.noise)
+        eta = traj.etas()
+        assert traj.n_steps == 100 and np.all(eta != 0.0)
+        mass = basis.mass_multipliers(traj.params.kappa)
+        stepped = traj.coeffs[:-1] + (terms.b * traj.dt + terms.s * eta[:, None]) / mass
+        assert [i for i in range(100) if not np.array_equal(stepped[i], traj.coeffs[i + 1])] == []
 
     def test_forcing_balances_dissipation(self, small_basis):
         # forcing equal to the dissipative drift freezes the single-mode state
@@ -503,8 +526,8 @@ class TestRun:
         assert np.max(np.abs(traj.coeffs[-1] - c)) < 1e-10
 
 
-RECORD = ("times", "coeffs", "increments", "dissipation_p", "grad_p", "damping_q", "noise_mass_sq",
-          "c_dot_s")
+RECORD = ("times", "coeffs", "increments",
+          *(field.name for field in dataclasses.fields(galerkin.StateRecord)))
 
 
 def assert_same_path(stacked, single):
