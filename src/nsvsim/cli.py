@@ -31,7 +31,7 @@ from .galerkin import (
     states_per_call,
     trajectory_csv,
 )
-from .noise import FAMILIES as NOISE_FAMILIES, NoiseModel, verify_noise_conditions
+from .noise import FAMILIES as NOISE_FAMILIES, NoiseModel, keyed_normals, verify_noise_conditions
 from .rheology import RheologyParams, monotonicity_sweep
 
 IC_KINDS = ("zero", "shear", "taylor_green", "random")
@@ -201,11 +201,10 @@ def initial_coefficients(cfg: SimConfig, basis: DivFreeBasis, path: int = 0) -> 
         # random: one draw per mode, keyed by the mode identity rather than its
         # position, so enlarging the span extends the same underlying field
         # instead of redrawing it (resolution studies rely on this)
-        c = np.empty(basis.n)
-        for j in range(basis.n):
-            key = [cfg.seed, path, int(basis.kx[j]) + 2**20,
-                   int(basis.ky[j]) + 2**20, int(basis.phase[j])]
-            c[j] = np.random.default_rng(key).standard_normal()
+        keys = np.empty((basis.n, 5), dtype=np.uint64)
+        keys[:, 0], keys[:, 1] = cfg.seed, path
+        keys[:, 2], keys[:, 3], keys[:, 4] = basis.kx + 2**20, basis.ky + 2**20, basis.phase
+        c = keyed_normals(keys, 1)[:, 0]
         c *= (1.0 + basis.k2) ** -2.0
         c[basis.k2 == 0] = 0.0
     if cfg.ic_energy > 0:

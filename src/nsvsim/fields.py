@@ -142,19 +142,19 @@ def _band_dft(grid_size: int, k_max: int) -> tuple:
     return ex, ey, fx, fy
 
 
-def to_grid(table: np.ndarray, grid_size: int) -> np.ndarray:
+def to_grid(table: np.ndarray, grid_size: int, out: np.ndarray | None = None) -> np.ndarray:
     """Grid samples (..., N, N) of real fields from their tables
     (..., 2K+1, K+1), over any leading axes: a complex matmul over kx, then a
     real matmul over ky that counts each ky > 0 column twice, once for its
     conjugate.  Cost O(N^2 K) per field; each table of a stack goes through
     matmuls of its own fixed shape, so its samples are bit for bit those of
-    its own call."""
+    its own call.  As in NumPy, ``out`` is an array to write the samples to."""
     if np.ndim(table) < 2 or table.shape[-2] != 2 * table.shape[-1] - 1:
         raise ValidationError(f"expected ky >= 0 half tables (..., 2K+1, K+1), got {np.shape(table)}")
     k = table.shape[-1] - 1
     _check_grid(grid_size, k)
     ex, ey, _, _ = _band_dft(grid_size, k)
-    return (ex @ table).view(float) @ ey
+    return np.matmul((ex @ table).view(float), ey, out=out)
 
 
 def from_grid(v: np.ndarray, k_max: int) -> np.ndarray:
@@ -192,11 +192,12 @@ def tensor_divergence(t: np.ndarray) -> np.ndarray:
     return np.stack([1j * (kx * xx + ky * xy), 1j * (kx * xy + ky * yy)], axis=-3)
 
 
-def sym_gradient(jac: np.ndarray) -> np.ndarray:
+def sym_gradient(jac: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Symmetric part D = (J + J^T) / 2 of Jacobians J[..., i, j] = d_i u_j of
-    shape (..., 2, 2, N, N), as the (..., 3, N, N) stack of its xx, xy, yy entries."""
+    shape (..., 2, 2, N, N), as the (..., 3, N, N) stack of its xx, xy, yy
+    entries, written to ``out`` if given, as in NumPy."""
     return np.stack([jac[..., 0, 0, :, :], 0.5 * (jac[..., 1, 0, :, :] + jac[..., 0, 1, :, :]),
-                     jac[..., 1, 1, :, :]], axis=-3)
+                     jac[..., 1, 1, :, :]], axis=-3, out=out)
 
 
 def sym_contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -14,16 +14,21 @@ grid size.  Its pointwise stage (:class:`PointwiseTerms`) forms u and
 its Jacobian on the grid by one inverse transform, then D(u), the stress A,
 the flux nu A - u x u, the damping term and the noise shape; one forward
 transform gives the drift source and the shape table, which the kernel and
-the pressure both read.  The kernel projects those to the drift ``b`` and
-the noise projection ``s`` and forms the state's :class:`StateRecord`, the
-one declaration of the columns that the stepper records.
+the pressure both read.  The stage writes its grid fields into work arrays
+held per grid and source count and reused by every evaluation, the flux
+and vector terms straight into the rows that the forward transform reads;
+nothing the kernel returns views them.  The kernel projects the tables to
+the drift ``b`` and the noise projection ``s`` and forms the state's
+:class:`StateRecord`, the one declaration of the columns that the stepper
+records.
 
 A :class:`GalerkinState` is what a path starts from: its initial
 coefficients, the system it solves and its (seed, path) noise lineage.
 :func:`run` steps a stack of states of one system, each on its own lineage,
 so that every row is bit for bit its own run; a single state is a stack of
 one.  It allocates the stack's record once (coefficients, increments,
-every :class:`StateRecord` column and the times), evaluates the kernel once
+every :class:`StateRecord` column and the times), draws every increment of
+the stack in one call before the first step, evaluates the kernel once
 per step on the running rows' coefficients and writes each step's column in
 place.  A row leaves the stack on its own, with a :class:`Trajectory` of
 views of its own prefix of the record, which every audit reads: a row that
@@ -193,18 +198,43 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+_WORK: dict = {}  # (grid_size, source rows) -> work arrays of the largest chunk so far
+
+
+def _work_arrays(states: int, grid_size: int, sources: int) -> tuple:
+    """The pointwise stage's work arrays for a chunk of ``states`` states on
+    an N-grid: the inverse transform's rows (states, 3, 2, N, N), u and its
+    Jacobian; D(u) and the stress, (states, 3, N, N) each; and the forward
+    transform's rows (states, ``sources``, N, N).  They are leading slices of
+    one set per grid and source count, sized for the largest chunk so far,
+    so that a stack's last, shorter chunk and a single state reuse it and no
+    evaluation maps fresh pages for them, whatever the allocator does."""
+    held = _WORK.get((grid_size, sources))
+    if held is None or len(held[0]) < states:
+        n = grid_size
+        held = _WORK[grid_size, sources] = (
+            np.empty((states, 3, 2, n, n)), np.empty((states, 3, n, n)), np.empty((states, 3, n, n)),
+            np.empty((states, sources, n, n)))
+    return tuple(a[:states] for a in held)
+
+
 @dataclass
 class PointwiseTerms:
     """Grid fields of a state, or of a stack of states along the leading axes
     ``...``: the pointwise stage of the drift kernel, also read by the
     pressure sources.  Terms that are switched off are None.  The drift's nu
     and signs are applied here only: in the flux and in :meth:`drift_tables`,
-    the one drift source."""
+    the one drift source.  Every grid field but ``d_modulus`` views the
+    stage's work arrays, which the next evaluation on the same grid and
+    source count overwrites: read them before it, and evaluate from one
+    thread at a time."""
 
     u: np.ndarray                   # (..., 2, N, N) velocity samples
     jac: np.ndarray                 # (..., 2, 2, N, N) Jacobian J[i, j] = d_i u_j
     d: np.ndarray                   # (..., 3, N, N) D(u) = (J + J^T) / 2
+    d_modulus: np.ndarray           # (..., N, N) |D(u)|, read by the stress and the dissipation
     stress: np.ndarray              # (..., 3, N, N) A = |D|^(p-2) D, without the factor nu
+    sources: np.ndarray             # (..., 3|5|7, N, N) the rows of flux, damping and noise_shape
     flux: np.ndarray                # (..., 3, N, N) nu A - u x u; nu A with convection off
     damping: np.ndarray | None      # (..., 2, N, N) alpha |u|^(q-2) u; None when alpha = 0
     noise_shape: np.ndarray | None  # (..., 2, N, N) shape(u); None when the noise is off
@@ -213,32 +243,36 @@ class PointwiseTerms:
     def at(cls, u: np.ndarray, grid_size: int, params: RheologyParams, noise: NoiseModel,
            convection: bool) -> "PointwiseTerms":
         """The grid fields of the velocity tables ``u`` (..., 2, 2K+1, K+1)."""
-        rows = to_grid(np.concatenate([u[..., None, :, :, :], fields.gradient_table(u)], axis=-4),
-                       grid_size)
+        lead = u.shape[:-3]
+        rows, d, stress, sources = (a.reshape(lead + a.shape[1:]) for a in _work_arrays(
+            math.prod(lead), grid_size, 3 + 2 * (params.alpha > 0) + 2 * noise.active))
+        to_grid(np.concatenate([u[..., None, :, :, :], fields.gradient_table(u)], axis=-4), grid_size,
+                out=rows)
         u_grid, jac = rows[..., 0, :, :, :], rows[..., 1:, :, :, :]
-        d = fields.sym_gradient(jac)
-        stress = power_law_stress(d, params.p)
-        flux = params.nu * stress
+        damping = noise_shape = None
+        if params.alpha > 0:
+            damping = stabilizer(u_grid, params, out=sources[..., 3:5, :, :])
+        if noise.active:
+            noise_shape = sources[..., -2:, :, :]
+            noise_shape[...] = noise.shape(u_grid)
+        d = fields.sym_gradient(jac, out=d)
+        d_modulus = fields.sym_modulus(d)
+        stress = power_law_stress(d, params.p, out=stress, modulus=d_modulus)
+        flux = np.multiply(params.nu, stress, out=sources[..., :3, :, :])
         if convection:
             u0, u1 = u_grid[..., 0, :, :], u_grid[..., 1, :, :]
-            flux -= np.stack([u0 * u0, u0 * u1, u1 * u1], axis=-3)
-        return cls(
-            u=u_grid,
-            jac=jac,
-            d=d,
-            stress=stress,
-            flux=flux,
-            damping=stabilizer(u_grid, params) if params.alpha > 0 else None,
-            noise_shape=noise.shape(u_grid) if noise.active else None,
-        )
+            flux[..., 0, :, :] -= u0 * u0
+            flux[..., 1, :, :] -= u0 * u1
+            flux[..., 2, :, :] -= u1 * u1
+        return cls(u=u_grid, jac=jac, d=d, d_modulus=d_modulus, stress=stress, sources=sources,
+                   flux=flux, damping=damping, noise_shape=noise_shape)
 
     def drift_tables(self, k_max: int) -> tuple:
         """Tables (drift, shape), each (..., 2, 2K+1, K+1) with K = ``k_max``,
         of the drift source div(nu A - u x u) - alpha |u|^(q-2) u and of
         shape(u), by one forward transform of the flux, the damping term and
         the noise shape; ``shape`` is None with the noise off."""
-        vectors = [v for v in (self.damping, self.noise_shape) if v is not None]
-        tables = from_grid(np.concatenate([self.flux, *vectors], axis=-3), k_max)
+        tables = from_grid(self.sources, k_max)
         drift = fields.tensor_divergence(tables[..., :3, :, :])
         if self.damping is not None:
             drift -= tables[..., 3:5, :, :]
@@ -268,14 +302,15 @@ class DriftTerms(StateRecord):
     max_speed: np.ndarray      # (...) max |u| over the grid
 
 
-# Grid points per kernel evaluation of a stack.  Larger chunks gain little
-# time and raise peak memory with every state added.
-_STACK_POINTS = 4 * 32**2
+# Grid points per kernel evaluation of a stack.  Larger chunks cut the
+# per-call overhead further but raise peak memory with every state added.
+_STACK_POINTS = 8 * 32**2
 
 
 def states_per_call(grid_size: int) -> int:
-    """States per kernel evaluation of a stack on this grid: 4 at grid 32, 1
-    from grid 64 up.  The experiments run their paths in stacks of this many."""
+    """States per kernel evaluation of a stack on this grid: 8 at grid 32, 2
+    at grid 64, 1 from grid 128 up.  The experiments run their paths in
+    stacks of this many."""
     return max(1, _STACK_POINTS // grid_size**2)
 
 
@@ -315,6 +350,15 @@ def assemble_drift_terms(
     return DriftTerms(**{name: value.reshape(lead + value.shape[1:]) for name, value in out.items()})
 
 
+def _modulus(v: np.ndarray) -> np.ndarray:
+    """Pointwise sqrt(sum_i v_i^2) over the component axis -3 of grid
+    samples (..., m, N, N), summed one component at a time in place."""
+    out = np.square(v[..., 0, :, :])
+    for i in range(1, v.shape[-3]):
+        out += np.square(v[..., i, :, :])
+    return np.sqrt(out, out=out)
+
+
 def _evaluate(basis: DivFreeBasis, c: np.ndarray, f: np.ndarray, params: RheologyParams,
               noise: NoiseModel, convection: bool) -> DriftTerms:
     """The kernel at a state or at one chunk of a stack, by one pointwise stage."""
@@ -324,10 +368,12 @@ def _evaluate(basis: DivFreeBasis, c: np.ndarray, f: np.ndarray, params: Rheolog
     b = f + pairings[..., 0, :]
     s = np.zeros_like(b) if shape is None else pairings[..., 1, :]
     w = quad_weight(basis.grid_size)
-    speed = np.sqrt((pw.u**2).sum(axis=-3))
+    # one quadrature at a time, so that at most two grid temporaries per state are alive
+    dissipation_p = (pw.d_modulus ** params.p).sum(axis=(-2, -1)) * w
+    speed, grad = _modulus(pw.u), _modulus(pw.jac.reshape(pw.jac.shape[:-4] + (4,) + pw.jac.shape[-2:]))
     return DriftTerms(
-        dissipation_p=(fields.sym_modulus(pw.d) ** params.p).sum(axis=(-2, -1)) * w,
-        grad_p=(np.sqrt((pw.jac**2).sum(axis=(-4, -3))) ** params.p).sum(axis=(-2, -1)) * w,
+        dissipation_p=dissipation_p,
+        grad_p=(grad ** params.p).sum(axis=(-2, -1)) * w,
         damping_q=(speed**params.q).sum(axis=(-2, -1)) * w,
         noise_mass_sq=(s * s / basis.mass_multipliers(params.kappa)).sum(axis=-1),
         c_dot_s=row_dot(c, s),
@@ -423,15 +469,17 @@ def run(
     Euler-Maruyama: exact diagonal mass solve, explicit drift, explicit noise
     increment.  The states share basis, params, noise, dt, forcing and
     convection; each draws its increments from its own (seed, path) lineage,
-    so each row is bit for bit its own run, and a single state is a stack of
-    one.  Each step evaluates the drift kernel once on the stack, once per
-    stored state of every row.  A row leaves the stack on its own: at a
+    all of the stack's steps in one call before the first step, so each row
+    is bit for bit its own run, and a single state is a stack of one.  Each
+    step evaluates the drift kernel once on the stack, once per stored state
+    of every row.  A row leaves the stack on its own: at a
     nonfinite state, as the DivergenceError of that step, or with
     ``grad_threshold`` > 0 at its first state with ||grad u||_2 >=
     ``grad_threshold``, whose time it records as ``tripped_at``.  Each
     row's Trajectory views its own prefix of the stack's record, so the rows
     share no writable element; ``times`` is shared and read-only.  Pass
-    ``increments`` (states, steps, n_w) to drive runs with matched noise."""
+    ``increments`` (states, >= steps, >= n_w) to drive runs with matched
+    noise; any other shape is a ValidationError before the first step."""
     states = list(states)
     if not states:
         raise ValidationError("run needs at least one state")
@@ -451,30 +499,30 @@ def run(
     n_steps = int(round(T / dt)) if T > 0 else 0
     if abs(n_steps * dt - T) > 1e-12 * max(1.0, abs(T)):
         raise ValidationError(f"T={T} is not an integer number of steps of dt={dt}")
-    if increments is not None and (np.ndim(increments) != 3 or len(increments) != len(states)):
-        raise ValidationError("supplied increments need the shape (states, steps, n_w)")
-    if increments is not None and increments.shape[1] < n_steps:
-        raise ValidationError("supplied increment array shorter than the run")
-
     basis, params, noise = first.basis, first.params, first.noise
+    given = None if increments is None else np.shape(increments)
+    if given is not None and (len(given) != 3 or given[0] != len(states)):
+        raise ValidationError(f"supplied increments have the shape {given}, need (states, steps, n_w) "
+                              f"with {len(states)} states")
+    if given is not None and (given[1] < n_steps or given[2] < noise.n_w):
+        raise ValidationError(f"supplied increments of shape {given} are shorter than the run's "
+                              f"{n_steps} steps of {noise.n_w} noise modes")
     mass = basis.mass_multipliers(params.kappa)
     scales = noise.mode_scales()
     # the stack's record, written in place: a row's Trajectory views its prefix
     coeffs = np.empty((len(states), n_steps + 1, basis.n))
-    incs = np.empty((len(states), n_steps, noise.n_w))
+    if increments is not None:
+        incs = np.asarray(increments, dtype=float)[:, :n_steps, :noise.n_w].copy()
+    elif noise.active:  # every step of every row, drawn at once
+        incs = sample_increment([(st.master_seed, st.path) for st in states], n_steps, dt, noise.n_w)
+    else:
+        incs = np.zeros((len(states), n_steps, noise.n_w))
     record = {f.name: np.empty((len(states), n_steps + 1)) for f in dataclasses.fields(StateRecord)}
     times = np.concatenate([[0.0], np.cumsum(np.full(n_steps, dt))])  # t += dt, step by step
     times.flags.writeable = False  # shared by every row
     coeffs[:, 0] = [st.c for st in states]
     rows = np.arange(len(states))  # the stack's rows still running
     out = Paths([None] * len(states))
-
-    def draw(row: int, i: int) -> np.ndarray:
-        if increments is not None:
-            return np.asarray(increments[row, i, : noise.n_w], dtype=float)
-        if noise.active:
-            return sample_increment(states[row].master_seed, states[row].path, i, dt, noise.n_w)
-        return np.zeros(noise.n_w)
 
     # One kernel evaluation per step: it drives the step out of each row's
     # state and gives that state's record column, the final state's included.
@@ -507,17 +555,15 @@ def run(
         rows = rows[going]
         if i == n_steps or not rows.size:
             break
-        db = np.array([draw(row, i) for row in rows])
         rhs = terms.b[going] * dt
         if noise.active:
-            rhs = rhs + terms.s[going] * row_dot(db, scales)[:, None]
+            rhs = rhs + terms.s[going] * row_dot(incs[rows, i], scales)[:, None]
         c = c[going] + rhs / mass
         finite = np.all(np.isfinite(c), axis=-1)
         for row in rows[~finite]:
             out[row] = DivergenceError(i, states[row].path)
         rows = rows[finite]
         coeffs[rows, i + 1] = c[finite]
-        incs[rows, i] = db[finite]
         if not rows.size:
             break
     return out

@@ -69,18 +69,21 @@ def _power_modulus(mod: np.ndarray, expo: float) -> np.ndarray:
     return out
 
 
-def power_law_stress(D: np.ndarray, p: float) -> np.ndarray:
+def power_law_stress(D: np.ndarray, p: float, out: np.ndarray | None = None,
+                     modulus: np.ndarray | None = None) -> np.ndarray:
     """Pointwise stress A = |D|^(p-2) D of symmetric tensors D (..., 3, N, N);
-    A = 0 wherever |D| = 0."""
-    w = _power_modulus(sym_modulus(D), p - 2.0)
-    return w[..., None, :, :] * D
+    A = 0 wherever |D| = 0.  Written to ``out`` if given, as in NumPy;
+    ``modulus`` is |D| (..., N, N) when the caller has formed it already."""
+    w = _power_modulus(sym_modulus(D) if modulus is None else modulus, p - 2.0)
+    return np.multiply(w[..., None, :, :], D, out=out)
 
 
-def stabilizer(u: np.ndarray, params: RheologyParams) -> np.ndarray:
-    """Pointwise damping alpha |u|^(q-2) u on grid samples (..., 2, N, N)."""
+def stabilizer(u: np.ndarray, params: RheologyParams, out: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise damping alpha |u|^(q-2) u on grid samples (..., 2, N, N),
+    written to ``out`` if given, as in NumPy."""
     speed = np.sqrt(np.sum(np.asarray(u, dtype=float) ** 2, axis=-3))
     w = _power_modulus(speed, params.q - 2.0)
-    return params.alpha * w[..., None, :, :] * u
+    return np.multiply(params.alpha * w[..., None, :, :], u, out=out)
 
 
 @dataclass(frozen=True)

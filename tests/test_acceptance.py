@@ -94,7 +94,7 @@ def test_criterion_01_fails_on_a_sign_flipped_stress(tmp_path, monkeypatch):
 
 def test_criterion_02_fails_on_a_doubled_symmetric_gradient(tmp_path, monkeypatch):
     sym_gradient = fields.sym_gradient
-    monkeypatch.setattr(fields, "sym_gradient", lambda jac: 2.0 * sym_gradient(jac))
+    monkeypatch.setattr(fields, "sym_gradient", lambda jac, out=None: 2.0 * sym_gradient(jac))
     rep = run_criterion(1, tmp_path)
     assert not criterion(rep, "symmetric-gradient identity on 100 random solenoidal fields").passed
     with pytest.raises(AssertionError, match="symmetric-gradient identity .*: worst relative error = 3.000e"):
@@ -293,11 +293,12 @@ def test_criterion_12_reproducibility(tmp_path):
 
 
 def test_criterion_12_fails_on_a_shared_generator(tmp_path, monkeypatch, capsys):
-    # one generator for every path: a path's draws depend on the paths run before it
+    # one generator for every path: a path's draws depend on the paths run
+    # before it, and on its row in the stack
     shared = np.random.default_rng(2026)
 
-    def draw(master_seed, path, step, dt, n_w):
-        return shared.standard_normal(n_w) * np.sqrt(dt)
+    def draw(lineages, n_steps, dt, n_w):
+        return shared.standard_normal((len(lineages), n_steps, n_w)) * np.sqrt(dt)
 
     monkeypatch.setattr(galerkin, "sample_increment", draw)
     with pytest.raises(AssertionError):

@@ -165,7 +165,7 @@ class TestWeakForm:
         # a kernel whose stress turns NaN after the run: the residual is NaN,
         # so no bound on it can pass
         traj = self._traj(small_basis)
-        monkeypatch.setattr(galerkin, "power_law_stress", lambda d, p: np.full_like(d, np.nan))
+        monkeypatch.setattr(galerkin, "power_law_stress", lambda d, p, **_: np.full_like(d, np.nan))
         residual = analysis.weak_form_residual(traj, np.eye(small_basis.n))
         assert np.isnan(residual) and not residual <= 1e-9
 

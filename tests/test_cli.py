@@ -359,8 +359,9 @@ class TestExperiments:
 
     def test_simulate_drops_every_path_but_the_first(self, tmp_path, monkeypatch):
         # path 0 feeds the outputs; the paths run in stacks of one kernel
-        # chunk, 4 at grid 32, and any other path's trajectory is gone before
-        # the next stack starts
+        # chunk, and any other path's trajectory is gone before the next
+        # stack starts
+        per_call = galerkin.states_per_call(32)
         original = cli.run
         refs = {}
         alive_at_start = {}
@@ -373,12 +374,12 @@ class TestExperiments:
 
         monkeypatch.setattr(cli, "run", tracked)
         cfg = cli.parse_config(None, [
-            "experiment=simulate", "paths=9", "ic.kind=random", "grid_n=32", "n_modes=16",
-            "steps=4", "dt=0.005", "T=0.02",
+            "experiment=simulate", f"paths={2 * per_call + 1}", "ic.kind=random", "grid_n=32",
+            "n_modes=16", "steps=4", "dt=0.005", "T=0.02",
         ])
         report = cli.run_experiment(cfg, str(tmp_path))
         assert report.passed
-        assert alive_at_start == {0: [], 4: [0], 8: [0]}
+        assert alive_at_start == {0: [], per_call: [0], 2 * per_call: [0]}
 
     def test_propcheck_samples_the_configured_convection(self, tmp_path):
         # without convection the sampled drift and the envelope both lose the
@@ -402,7 +403,7 @@ class TestExperiments:
         # convective part of the monotonicity envelope covers that, so that
         # criterion is checked with convection off
         stress = galerkin.power_law_stress
-        monkeypatch.setattr(galerkin, "power_law_stress", lambda d, p: -stress(d, p))
+        monkeypatch.setattr(galerkin, "power_law_stress", lambda d, p, **kw: -stress(d, p, **kw))
         cfg = cli.parse_config(None, [
             "experiment=propcheck", f"convection={convection}", "grid_n=16", "n_modes=16"])
         report = cli.run_experiment(cfg, str(tmp_path))

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import pathlib
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -344,8 +345,8 @@ class TestDrift:
     ])
     def test_stacked_states_match_single_calls(self, small_basis, p, q, alpha, family, convection):
         # a stack gives each state's outputs bit for bit, in one chunk or in
-        # several (4 states per chunk at grid 32): 5 states under one forcing,
-        # and a (3, 3) stack under per-state forcing
+        # several (8 states per chunk at grid 32): 5 states under one forcing
+        # in one chunk, and a (3, 3) stack under per-state forcing in two
         params = RheologyParams(p=p, q=q, nu=0.5, kappa=0.5, alpha=alpha)
         noise = NoiseModel(family, 0.5 if family != "off" else 0.0, 4 if family != "off" else 0)
         n = small_basis.n
@@ -368,6 +369,53 @@ class TestDrift:
         assert empty.max_speed.shape == (0,)
         for field in dataclasses.fields(galerkin.StateRecord):
             assert getattr(empty, field.name).shape == (0,), field.name
+
+    def test_chunk_memory_is_the_held_work_arrays(self, small_basis, monkeypatch):
+        # Traced peak of one grid-32 chunk, with damping and saturating noise
+        # on.  The stage holds, per state, u and its Jacobian (6 N^2 doubles),
+        # D(u) and the stress (3 each) and the source rows (7): 19 N^2.  Its
+        # temporaries are single components (moduli, squares, a product) and
+        # the saturating shape, 6 N^2 at most, and coefficient tables.  So a
+        # first call peaks below 27 N^2 doubles per state and a repeat call,
+        # which reuses the held arrays, below 8 N^2; without work arrays a
+        # 4-state chunk peaked at 28 N^2 per state on every call.
+        monkeypatch.setattr(galerkin, "_WORK", {})
+        params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
+        noise = NoiseModel("saturating", 0.5, 4)
+        n = small_basis.grid_size
+        states = galerkin.states_per_call(n)
+        c = np.stack([smooth_random_coeffs(small_basis, seed=s) for s in range(states)])
+        f = np.zeros(small_basis.n)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                assemble_drift_terms(small_basis, c, f, params, noise)
+                peaks.append((tracemalloc.get_traced_memory()[1] - start) / (8 * n * n * states))
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] < 27 and peaks[1] < 8, peaks
+
+    def test_outputs_share_no_memory(self, small_basis):
+        # the kernel's outputs are its own: a second call at the same chunk
+        # shape reuses the work arrays but leaves the first call's outputs as
+        # they were, and no output views a work array
+        params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
+        noise = NoiseModel("linear", 0.5, 4)
+        states = galerkin.states_per_call(small_basis.grid_size)
+        c = np.stack([smooth_random_coeffs(small_basis, seed=s) for s in range(2 * states)])
+        f = np.zeros(small_basis.n)
+        first = assemble_drift_terms(small_basis, c[:states], f, params, noise)
+        kept = {name: value.copy() for name, value in vars(first).items()}
+        second = assemble_drift_terms(small_basis, c[states:], f, params, noise)
+        work = [a for held in galerkin._WORK.values() for a in held]
+        for name, value in vars(first).items():
+            assert np.array_equal(value, kept[name]), name
+            assert not np.array_equal(value, getattr(second, name)), name
+            for other in (*vars(second).values(), *work):
+                assert not np.shares_memory(value, other), name
 
 
 class TestStep:
@@ -494,6 +542,17 @@ class TestRun:
         with pytest.raises(ValidationError, match="shorter"):
             run([st], 0.02, increments=traj.increments[None, :-1])
 
+    def test_supplied_increments_checked_before_the_first_step(self, small_basis):
+        # too few noise modes, or a row per state missing, is a ValidationError
+        # that names the shape, raised before any step is taken
+        params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5)
+        st = make_state(small_basis, smooth_random_coeffs(small_basis), params,
+                        noise=NoiseModel("linear", 0.5, 8))
+        with pytest.raises(ValidationError, match=r"\(1, 10, 3\)"):
+            run([st], 10 * st.dt, increments=np.zeros((1, 10, 3)))
+        with pytest.raises(ValidationError, match=r"\(2, 10, 8\)"):
+            run([st], 10 * st.dt, increments=np.zeros((2, 10, 8)))
+
     def test_etas_are_the_steps_own(self):
         # every stored step is the Euler-Maruyama update with traj.etas()'s eta,
         # bit for bit, so the ledger, the weak-form residual and the pressure
@@ -553,8 +612,8 @@ class TestStack:
     @pytest.mark.parametrize("family", ["linear", "saturating"])
     @pytest.mark.parametrize("k", [1, 3, 4, 5, 9])
     def test_rows_equal_their_own_runs(self, grid, n_modes, family, k):
-        # at grid 32 the kernel evaluates 4 states per call, so 5 and 9 rows
-        # cross its chunk boundary
+        # at grid 32 the kernel evaluates 8 states per call, so 9 rows cross
+        # its chunk boundary
         states = self.states(DivFreeBasis(n_modes, grid), k, family)
         stack = run(states, 8 * 2.5e-3)
         assert len(stack) == k and stack.n_steps == 8 * k

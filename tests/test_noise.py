@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsvsim.errors import ValidationError
-from nsvsim.noise import BASEL, NoiseModel, sample_increment, verify_noise_conditions
+from nsvsim.noise import BASEL, NoiseModel, keyed_normals, sample_increment, verify_noise_conditions
 
 
 class TestModel:
@@ -85,31 +87,68 @@ class TestConditions:
 
 class TestIncrements:
     def test_determinism(self):
-        a = sample_increment(42, 3, 17, 0.01, 6)
-        b = sample_increment(42, 3, 17, 0.01, 6)
+        a = sample_increment([(42, 3)], 18, 0.01, 6)
+        b = sample_increment([(42, 3)], 18, 0.01, 6)
         assert np.array_equal(a, b)
 
     def test_distinct_lineages_differ(self):
-        a = sample_increment(42, 3, 17, 0.01, 6)
-        b = sample_increment(42, 3, 18, 0.01, 6)
-        c = sample_increment(42, 4, 17, 0.01, 6)
+        inc = sample_increment([(42, 3), (42, 4)], 19, 0.01, 6)
+        a, b, c = inc[0, 17], inc[0, 18], inc[1, 17]
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_row_is_its_own_lineage(self):
+        # each (path, step) draw is default_rng([seed, path, step]) scaled by
+        # sqrt(dt), whatever else the stack holds
+        dt, lineages = 0.01, [(42, 3), (2**32, 0), (42, 3)]
+        inc = sample_increment(lineages, 5, dt, 4)
+        assert inc.shape == (3, 5, 4)
+        for row, (seed, path) in enumerate(lineages):
+            for step in range(5):
+                expected = np.random.default_rng([seed, path, step]).standard_normal(4) * np.sqrt(dt)
+                assert np.array_equal(inc[row, step], expected)
+
     def test_empty_increment(self):
-        inc = sample_increment(1, 0, 0, 0.5, 0)
-        assert inc.shape == (0,)
+        inc = sample_increment([(1, 0)], 1, 0.5, 0)
+        assert inc.shape == (1, 1, 0)
 
     def test_dt_validation(self):
         with pytest.raises(ValidationError):
-            sample_increment(1, 0, 0, 0.0, 4)
+            sample_increment([(1, 0)], 1, 0.0, 4)
+
+    def test_negative_lineage_rejected(self):
+        with pytest.raises(ValidationError, match="2\\*\\*64"):
+            sample_increment([(1, -1)], 1, 0.5, 4)
 
     def test_variance_law_of_large_numbers(self):
         dt = 0.003
-        draws = np.array([sample_increment(9, 0, s, dt, 1)[0] for s in range(100_000)])
+        draws = sample_increment([(9, 0)], 100_000, dt, 1)[0, :, 0]
         var = np.var(draws / np.sqrt(dt))
         assert 0.99 <= var <= 1.01
         assert abs(np.mean(draws)) < 5e-4
+
+
+SEEDS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1])  # one and two entropy words
+WORDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), entries=st.sampled_from([3, 5]), n=st.integers(0, 16))
+def test_keyed_normals_are_default_rng_draws(data, entries, n):
+    # 3-entry step keys (seed, path, step) and 5-entry initial-condition
+    # keys (seed, path, kx, ky, phase), several of them in one call, each row
+    # bit for bit its own default_rng(key).standard_normal(n)
+    keys = data.draw(st.lists(st.tuples(SEEDS, *[WORDS] * (entries - 1)), min_size=1, max_size=4))
+    out = keyed_normals(keys, n)
+    assert out.shape == (len(keys), n)
+    for key, row in zip(keys, out):
+        assert np.array_equal(row, np.random.default_rng(list(key)).standard_normal(n))
+
+
+def test_keyed_normals_reject_bad_keys():
+    for bad in ([[-1, 0]], [[2**64, 0]], [1, 2], np.zeros((3, 0), dtype=int)):
+        with pytest.raises(ValidationError):
+            keyed_normals(bad, 2)
 
 
 def test_ito_trace_envelope():
