@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fields import quad_weight, to_grid
+from .fields import modulus, quad_weight, to_grid
 from .galerkin import DivFreeBasis, Trajectory, assemble_drift_terms, forcing_at
 from .noise import NoiseModel
 
@@ -273,17 +273,16 @@ def alpha_sweep(ref: Trajectory, trajs) -> list[AlphaSweepRow]:
 # ---------------------------------------------------------------------------
 # Twin-path uniqueness
 
-def calibrate_ladyzhenskaya(basis: DivFreeBasis, samples: int = 64) -> float:
-    """Empirical constant C with ||w||_4^2 <= C ||w||_2 ||grad w||_2 over random
-    mean-zero divergence-free fields in the span (2D Ladyzhenskaya inequality),
-    drawn from the fixed seed 2024."""
+def calibrate_ladyzhenskaya(basis: DivFreeBasis) -> float:
+    """Empirical constant C with ||w||_4^2 <= C ||w||_2 ||grad w||_2 over 64
+    random mean-zero divergence-free fields in the span (2D Ladyzhenskaya
+    inequality), drawn from the fixed seed 2024."""
     rng = np.random.default_rng(2024)
-    c = np.empty((samples, basis.n))
+    c = np.empty((64, basis.n))
     for row in c:
         row[:] = rng.standard_normal(basis.n) * (1.0 + basis.k2) ** -rng.uniform(0.0, 1.5)
     c[:, basis.k2 == 0] = 0.0
-    g = to_grid(basis.scatter(c), basis.grid_size)
-    speed = np.sqrt(np.sum(g**2, axis=-3))
+    speed = modulus(to_grid(basis.scatter(c), basis.grid_size))
     l4sq = (np.sum(speed**4, axis=(-2, -1)) * quad_weight(basis.grid_size)) ** 0.5
     l2, g2 = basis.field_norms_sq(c)
     denom = np.sqrt(l2) * np.sqrt(g2)
@@ -314,7 +313,7 @@ def twin_uniqueness(pairs, weight_constant: float) -> TwinReport:
     delta0 = 0.0
     bitwise = True
     for path, (ta, tb) in enumerate(pairs):
-        if ta.basis is not tb.basis or ta.basis.n != tb.basis.n:
+        if ta.basis is not tb.basis:
             raise ValidationError("twin states must share the Galerkin span")
         if not np.array_equal(ta.increments, tb.increments):
             raise ValidationError("twin runs must share their noise increments")

@@ -207,6 +207,16 @@ def sym_contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             + a[..., 2, :, :] * b[..., 2, :, :])
 
 
+def modulus(v: np.ndarray) -> np.ndarray:
+    """Pointwise modulus sqrt(sum_i v_i^2) over the component axis -3 of grid
+    samples (..., m, N, N), summed one component at a time in place: |u| of
+    velocities (m = 2), |grad u| of Jacobians flattened to m = 4."""
+    out = np.square(v[..., 0, :, :])
+    for i in range(1, v.shape[-3]):
+        out += np.square(v[..., i, :, :])
+    return np.sqrt(out, out=out)
+
+
 def sym_modulus(t: np.ndarray) -> np.ndarray:
     """Pointwise Frobenius modulus |T| = sqrt(T11^2 + 2 T12^2 + T22^2) of
     symmetric tensors (..., 3, N, N)."""

@@ -10,17 +10,18 @@ the discrete energy identities of the audits exact.
 
 :func:`assemble_drift_terms` is the one drift kernel: it takes a state's
 coefficients, or a stack of them, which it evaluates in chunks of bounded
-grid size.  Its pointwise stage (:class:`PointwiseTerms`) forms u and
-its Jacobian on the grid by one inverse transform, then D(u), the stress A,
-the flux nu A - u x u, the damping term and the noise shape; one forward
-transform gives the drift source and the shape table, which the kernel and
-the pressure both read.  The stage writes its grid fields into work arrays
-held per grid and source count and reused by every evaluation, the flux
-and vector terms straight into the rows that the forward transform reads;
-nothing the kernel returns views them.  The kernel projects the tables to
-the drift ``b`` and the noise projection ``s`` and forms the state's
-:class:`StateRecord`, the one declaration of the columns that the stepper
-records.
+grid size.  Its pointwise stage (:class:`PointwiseTerms`) forms u and its
+Jacobian on the grid by one inverse transform, D(u), each modulus once
+(|u|, |grad u|, |D(u)|) for every map and quadrature that scales by it,
+the stress A, the flux nu A - u x u, the damping term and the noise shape;
+one forward transform gives the drift source and the shape table, which
+the kernel and the pressure both read.  The stage writes its other grid
+fields into work arrays held per grid and source count and reused by
+every evaluation, the flux and vector terms straight into the rows that
+the forward transform reads; nothing the kernel returns views them.  The
+kernel projects the tables to the drift ``b`` and the noise projection
+``s`` and forms the state's :class:`StateRecord`, the one declaration of
+the columns that the stepper records.
 
 A :class:`GalerkinState` is what a path starts from: its initial
 coefficients, the system it solves and its (seed, path) noise lineage.
@@ -28,18 +29,19 @@ coefficients, the system it solves and its (seed, path) noise lineage.
 so that every row is bit for bit its own run; a single state is a stack of
 one.  It allocates the stack's record once (coefficients, increments,
 every :class:`StateRecord` column and the times), draws every increment of
-the stack in one call before the first step, evaluates the kernel once
-per step on the running rows' coefficients and writes each step's column in
-place.  A row leaves the stack on its own, with a :class:`Trajectory` of
-views of its own prefix of the record, which every audit reads: a row that
-diverges as its :class:`DivergenceError`, and a row stopped by the gradient
-threshold with its stopping time as ``tripped_at``.  The experiments feed
-it stacks of :func:`states_per_call` paths, one kernel chunk.  Two passes
-recompute from the stored coefficients on purpose:
-``analysis.weak_form_residual`` is the independent check that catches a
-corrupted state, and the pressure decomposition takes its tables from the
-pointwise stage at ``traj.coeffs`` under ``traj.params``, so that it
-describes whatever trajectory and parameters it is handed.
+the stack in one call before the first step, once per distinct lineage,
+evaluates the kernel once per step on the running rows' coefficients and
+writes each step's column in place.  A row leaves the stack on its own,
+with a :class:`Trajectory` of views of its own prefix of the record, which
+every audit reads: a row that diverges as its :class:`DivergenceError`,
+and a row stopped by the gradient threshold with its stopping time as
+``tripped_at``.  The experiments feed it stacks of :func:`states_per_call`
+paths, one kernel chunk.  Two passes recompute from the stored
+coefficients on purpose: ``analysis.weak_form_residual`` is the
+independent check that catches a corrupted state, and the pressure
+decomposition takes its tables from the pointwise stage at ``traj.coeffs``
+under ``traj.params``, so that it describes whatever trajectory and
+parameters it is handed.
 """
 
 from __future__ import annotations
@@ -223,19 +225,18 @@ class PointwiseTerms:
     """Grid fields of a state, or of a stack of states along the leading axes
     ``...``: the pointwise stage of the drift kernel, also read by the
     pressure sources.  Terms that are switched off are None.  The drift's nu
-    and signs are applied here only: in the flux and in :meth:`drift_tables`,
-    the one drift source.  Every grid field but ``d_modulus`` views the
+    and signs are applied here only: in the flux rows of ``sources`` and in
+    :meth:`drift_tables`, the one drift source.  The three moduli are formed
+    once each, here, and are fresh arrays; every other grid field views the
     stage's work arrays, which the next evaluation on the same grid and
     source count overwrites: read them before it, and evaluate from one
     thread at a time."""
 
-    u: np.ndarray                   # (..., 2, N, N) velocity samples
-    jac: np.ndarray                 # (..., 2, 2, N, N) Jacobian J[i, j] = d_i u_j
-    d: np.ndarray                   # (..., 3, N, N) D(u) = (J + J^T) / 2
+    speed: np.ndarray               # (..., N, N) |u|: the damping, the noise shape, max |u|, ||u||_q^q
+    grad_modulus: np.ndarray        # (..., N, N) |grad u|, read by ||grad u||_p^p
     d_modulus: np.ndarray           # (..., N, N) |D(u)|, read by the stress and the dissipation
     stress: np.ndarray              # (..., 3, N, N) A = |D|^(p-2) D, without the factor nu
-    sources: np.ndarray             # (..., 3|5|7, N, N) the rows of flux, damping and noise_shape
-    flux: np.ndarray                # (..., 3, N, N) nu A - u x u; nu A with convection off
+    sources: np.ndarray             # (..., 3|5|7, N, N) rows: flux nu A - u x u, damping, noise_shape
     damping: np.ndarray | None      # (..., 2, N, N) alpha |u|^(q-2) u; None when alpha = 0
     noise_shape: np.ndarray | None  # (..., 2, N, N) shape(u); None when the noise is off
 
@@ -249,23 +250,24 @@ class PointwiseTerms:
         to_grid(np.concatenate([u[..., None, :, :, :], fields.gradient_table(u)], axis=-4), grid_size,
                 out=rows)
         u_grid, jac = rows[..., 0, :, :, :], rows[..., 1:, :, :, :]
+        speed = fields.modulus(u_grid)
         damping = noise_shape = None
         if params.alpha > 0:
-            damping = stabilizer(u_grid, params, out=sources[..., 3:5, :, :])
+            damping = stabilizer(u_grid, speed, params, out=sources[..., 3:5, :, :])
         if noise.active:
             noise_shape = sources[..., -2:, :, :]
-            noise_shape[...] = noise.shape(u_grid)
+            noise_shape[...] = noise.shape(u_grid, speed)
         d = fields.sym_gradient(jac, out=d)
         d_modulus = fields.sym_modulus(d)
-        stress = power_law_stress(d, params.p, out=stress, modulus=d_modulus)
+        stress = power_law_stress(d, d_modulus, params.p, out=stress)
         flux = np.multiply(params.nu, stress, out=sources[..., :3, :, :])
         if convection:
             u0, u1 = u_grid[..., 0, :, :], u_grid[..., 1, :, :]
             flux[..., 0, :, :] -= u0 * u0
             flux[..., 1, :, :] -= u0 * u1
             flux[..., 2, :, :] -= u1 * u1
-        return cls(u=u_grid, jac=jac, d=d, d_modulus=d_modulus, stress=stress, sources=sources,
-                   flux=flux, damping=damping, noise_shape=noise_shape)
+        return cls(speed=speed, grad_modulus=fields.modulus(jac.reshape(lead + (4,) + jac.shape[-2:])),
+                   d_modulus=d_modulus, stress=stress, sources=sources, damping=damping, noise_shape=noise_shape)
 
     def drift_tables(self, k_max: int) -> tuple:
         """Tables (drift, shape), each (..., 2, 2K+1, K+1) with K = ``k_max``,
@@ -350,15 +352,6 @@ def assemble_drift_terms(
     return DriftTerms(**{name: value.reshape(lead + value.shape[1:]) for name, value in out.items()})
 
 
-def _modulus(v: np.ndarray) -> np.ndarray:
-    """Pointwise sqrt(sum_i v_i^2) over the component axis -3 of grid
-    samples (..., m, N, N), summed one component at a time in place."""
-    out = np.square(v[..., 0, :, :])
-    for i in range(1, v.shape[-3]):
-        out += np.square(v[..., i, :, :])
-    return np.sqrt(out, out=out)
-
-
 def _evaluate(basis: DivFreeBasis, c: np.ndarray, f: np.ndarray, params: RheologyParams,
               noise: NoiseModel, convection: bool) -> DriftTerms:
     """The kernel at a state or at one chunk of a stack, by one pointwise stage."""
@@ -368,18 +361,15 @@ def _evaluate(basis: DivFreeBasis, c: np.ndarray, f: np.ndarray, params: Rheolog
     b = f + pairings[..., 0, :]
     s = np.zeros_like(b) if shape is None else pairings[..., 1, :]
     w = quad_weight(basis.grid_size)
-    # one quadrature at a time, so that at most two grid temporaries per state are alive
-    dissipation_p = (pw.d_modulus ** params.p).sum(axis=(-2, -1)) * w
-    speed, grad = _modulus(pw.u), _modulus(pw.jac.reshape(pw.jac.shape[:-4] + (4,) + pw.jac.shape[-2:]))
     return DriftTerms(
-        dissipation_p=dissipation_p,
-        grad_p=(grad ** params.p).sum(axis=(-2, -1)) * w,
-        damping_q=(speed**params.q).sum(axis=(-2, -1)) * w,
+        dissipation_p=(pw.d_modulus ** params.p).sum(axis=(-2, -1)) * w,
+        grad_p=(pw.grad_modulus ** params.p).sum(axis=(-2, -1)) * w,
+        damping_q=(pw.speed**params.q).sum(axis=(-2, -1)) * w,
         noise_mass_sq=(s * s / basis.mass_multipliers(params.kappa)).sum(axis=-1),
         c_dot_s=row_dot(c, s),
         b=b,
         s=s,
-        max_speed=speed.max(axis=(-2, -1)),
+        max_speed=pw.speed.max(axis=(-2, -1)),
     )
 
 
@@ -513,8 +503,10 @@ def run(
     coeffs = np.empty((len(states), n_steps + 1, basis.n))
     if increments is not None:
         incs = np.asarray(increments, dtype=float)[:, :n_steps, :noise.n_w].copy()
-    elif noise.active:  # every step of every row, drawn at once
-        incs = sample_increment([(st.master_seed, st.path) for st in states], n_steps, dt, noise.n_w)
+    elif noise.active:  # every step of each distinct lineage drawn at once, copied to its rows
+        lineages = [(st.master_seed, st.path) for st in states]
+        distinct = {lineage: j for j, lineage in enumerate(dict.fromkeys(lineages))}
+        incs = sample_increment(list(distinct), n_steps, dt, noise.n_w)[[distinct[x] for x in lineages]]
     else:
         incs = np.zeros((len(states), n_steps, noise.n_w))
     record = {f.name: np.empty((len(states), n_steps + 1)) for f in dataclasses.fields(StateRecord)}

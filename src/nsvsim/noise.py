@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .fields import modulus
 
 FAMILIES = ("linear", "saturating", "off")
 
@@ -77,15 +78,14 @@ class NoiseModel:
         k = np.arange(1, self.n_w + 1, dtype=float)
         return self.amplitude / (k * k)
 
-    def shape(self, u: np.ndarray) -> np.ndarray:
+    def shape(self, u: np.ndarray, speed: np.ndarray) -> np.ndarray:
         """The amplitude-one pointwise profile shared by every mode, on grid
-        samples (..., 2, N, N)."""
+        samples (..., 2, N, N) of modulus ``speed`` (..., N, N)."""
         u = np.asarray(u, dtype=float)
         if self.family == "linear":
             return u
         if self.family == "saturating":
-            speed = np.sqrt(np.sum(u**2, axis=-3, keepdims=True))
-            return u / (1.0 + speed)
+            return u / (1.0 + speed[..., None, :, :])
         return np.zeros_like(u)
 
 
@@ -114,14 +114,11 @@ def verify_noise_conditions(model: NoiseModel, samples: int, seed: int = 0) -> N
     xi = (rng.standard_normal((samples, 2)) * scales[:, None])[..., None, None]
     zeta = (rng.standard_normal((samples, 2)) * scales[::-1, None])[..., None, None]
     s2 = float(np.sum(model.mode_scales()))  # partial sum of the envelope
-
-    def modulus(v):
-        return np.linalg.norm(v, axis=-3)
-
-    pxi = model.shape(xi)
-    mag_xi, norm_xi = modulus(pxi), modulus(xi)
+    norm_xi = modulus(xi)
+    pxi = model.shape(xi, norm_xi)
+    mag_xi = modulus(pxi)
     K_emp = float(np.max(s2 * mag_xi / (1.0 + norm_xi)))
-    diff = modulus(pxi - model.shape(zeta))
+    diff = modulus(pxi - model.shape(zeta, modulus(zeta)))
     gap = modulus(xi - zeta)
     ok = gap > 0
     L_emp = float(np.max(s2 * diff[ok] / gap[ok]))

@@ -222,9 +222,9 @@ BUMP_CENTER = np.array([0.5, 0.5])
 BUMP_RADIUS = 0.25
 
 
-def _bump_normalization(nodes: int = 400) -> float:
-    """Unit-integral constant of the radial C-infinity bump, by polar quadrature."""
-    s, w = np.polynomial.legendre.leggauss(nodes)
+def _bump_normalization() -> float:
+    """Unit-integral constant of the radial C-infinity bump, by 400-node polar quadrature."""
+    s, w = np.polynomial.legendre.leggauss(400)
     r = 0.5 * (s + 1.0)
     wr = 0.5 * w
     vals = np.exp(-1.0 / (1.0 - r**2)) * r

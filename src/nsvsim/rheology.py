@@ -3,10 +3,11 @@
 The stress is ``|D|^(p-2) D`` with the Frobenius modulus; the damping term is
 ``|u|^(q-2) u``.  Both act pointwise on the layout of :mod:`nsvsim.fields`,
 over any leading axes: symmetric tensors ``(..., 3, N, N)``, vectors
-``(..., 2, N, N)``.  Both extend continuously by zero where the modulus vanishes,
-which is the only sensible convention for p < 2 (the operators appear only
-inside integrals and are never differentiated by the time stepper, so no
-epsilon-regularization is added).
+``(..., 2, N, N)``, and take the modulus they scale by, ``(..., N, N)``,
+which the caller forms once.  Both extend continuously by zero where the
+modulus vanishes, which is the only sensible convention for p < 2 (the
+operators appear only inside integrals and are never differentiated by the
+time stepper, so no epsilon-regularization is added).
 """
 
 from __future__ import annotations
@@ -69,19 +70,19 @@ def _power_modulus(mod: np.ndarray, expo: float) -> np.ndarray:
     return out
 
 
-def power_law_stress(D: np.ndarray, p: float, out: np.ndarray | None = None,
-                     modulus: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise stress A = |D|^(p-2) D of symmetric tensors D (..., 3, N, N);
-    A = 0 wherever |D| = 0.  Written to ``out`` if given, as in NumPy;
-    ``modulus`` is |D| (..., N, N) when the caller has formed it already."""
-    w = _power_modulus(sym_modulus(D) if modulus is None else modulus, p - 2.0)
+def power_law_stress(D: np.ndarray, d_modulus: np.ndarray, p: float,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise stress A = |D|^(p-2) D of symmetric tensors D (..., 3, N, N),
+    given ``d_modulus`` = |D| (..., N, N); A = 0 wherever |D| = 0.  Written
+    to ``out`` if given, as in NumPy."""
+    w = _power_modulus(d_modulus, p - 2.0)
     return np.multiply(w[..., None, :, :], D, out=out)
 
 
-def stabilizer(u: np.ndarray, params: RheologyParams, out: np.ndarray | None = None) -> np.ndarray:
+def stabilizer(u: np.ndarray, speed: np.ndarray, params: RheologyParams,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Pointwise damping alpha |u|^(q-2) u on grid samples (..., 2, N, N),
-    written to ``out`` if given, as in NumPy."""
-    speed = np.sqrt(np.sum(np.asarray(u, dtype=float) ** 2, axis=-3))
+    given ``speed`` = |u| (..., N, N); written to ``out`` if given, as in NumPy."""
     w = _power_modulus(speed, params.q - 2.0)
     return np.multiply(params.alpha * w[..., None, :, :], u, out=out)
 
@@ -123,8 +124,9 @@ def monotonicity_gap(M, N, p: float) -> MonotonicityReport:
         raise ValidationError(f"p={p} outside (1, inf)")
     m, n = _as_sym(M), _as_sym(N)
     diff = m - n
-    product = sym_contract(power_law_stress(m, p) - power_law_stress(n, p), diff)[..., 0, 0]
-    mod_m, mod_n, mod_d = (sym_modulus(t)[..., 0, 0] for t in (m, n, diff))
+    mod_m, mod_n, mod_d = (sym_modulus(t) for t in (m, n, diff))
+    product = sym_contract(power_law_stress(m, mod_m, p) - power_law_stress(n, mod_n, p), diff)
+    product, mod_m, mod_n, mod_d = (t[..., 0, 0] for t in (product, mod_m, mod_n, mod_d))
     if p >= 2.0:
         lhs = 2.0 ** (1.0 - p) * mod_d**p
         rhs = product

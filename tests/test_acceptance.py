@@ -85,7 +85,7 @@ def test_criterion_02_korn_identity(propcheck):
 
 def test_criterion_01_fails_on_a_sign_flipped_stress(tmp_path, monkeypatch):
     stress = rheology.power_law_stress
-    monkeypatch.setattr(rheology, "power_law_stress", lambda d, p: -stress(d, p))
+    monkeypatch.setattr(rheology, "power_law_stress", lambda d, d_modulus, p: -stress(d, d_modulus, p))
     rep = run_criterion(1, tmp_path)
     assert not any(c.passed for c in rep.criteria if c.name.startswith("shear-rate inequalities"))
     with pytest.raises(AssertionError, match="criterion 1 failed: shear-rate inequalities hold at p = 1.2"):
@@ -102,32 +102,21 @@ def test_criterion_02_fails_on_a_doubled_symmetric_gradient(tmp_path, monkeypatc
 
 
 def euler_voigt_conservation() -> tuple:
-    """Criterion 03's two legs: (shear drift, shear ok, halving ratio, ratio ok)."""
-    base = [
-        "nu=0", "alpha=0", "noise.family=off", "kappa=0.5",
-        "steps=125", "dt=0.002", "T=0.25",
-    ]
-    # steady shear: drift vanishes identically, so the drift test is the bound
-    st = state_from(base + ["ic.kind=shear"])
-    traj = run([st], 0.25)[0]
-    e = traj.energies()
-    shear_drift = abs(e[-1] - e[0]) / e[0]
-
-    # first-order convergence on a non-steady field
+    """Criterion 03: the inviscid energy drift of a non-steady field halves
+    with dt, first-order convergence to exact conservation; returns (halving
+    ratio, ratio ok)."""
+    base = ["nu=0", "alpha=0", "noise.family=off", "kappa=0.5", "ic.kind=random"]
     errs = []
     for steps, dt in ((125, 0.002), (250, 0.001)):
-        st = state_from(base[:-3] + [f"steps={steps}", f"dt={dt}", "T=0.25", "ic.kind=random"])
-        e = run([st], 0.25)[0].energies()
+        e = run([state_from(base + [f"steps={steps}", f"dt={dt}", "T=0.25"])], 0.25)[0].energies()
         errs.append(abs(e[-1] - e[0]) / e[0])
     ratio = errs[1] / errs[0]
-    return shear_drift, shear_drift < 10.0 * 0.002, ratio, 0.4 <= ratio <= 0.6
+    return ratio, 0.4 <= ratio <= 0.6
 
 
 def test_criterion_03_euler_voigt_conservation():
-    shear_drift, shear_ok, ratio, ratio_ok = euler_voigt_conservation()
-    passed = shear_ok and ratio_ok
-    report(3, passed,
-           f"shear drift {shear_drift:.3e} < {10 * 0.002:.0e}; halving ratio {ratio:.3f} in [0.4, 0.6]")
+    ratio, passed = euler_voigt_conservation()
+    report(3, passed, f"halving ratio {ratio:.3f} in [0.4, 0.6]")
     assert passed
 
 
@@ -136,19 +125,19 @@ def test_criterion_03_fails_on_a_convection_that_does_not_conserve_energy(monkey
     # energy drift that dt-halving leaves as it is.  (Scaling an entry of
     # u x u would not do: for divergence-free u each entry's work is the
     # integral of a derivative, zero to roundoff.)  The break's work is
-    # -int u_x^2 d_x u_y, which vanishes on the steady shear (u_y = 0), so it
-    # cannot reach that leg.
+    # -int u_x^2 d_x u_y.
     original = galerkin.PointwiseTerms.at
 
     def slipped_xy_flux(u, grid_size, params, noise, convection):
         pw = original(u, grid_size, params, noise, convection)
-        u0, u1 = pw.u[..., 0, :, :], pw.u[..., 1, :, :]
-        pw.flux[..., 1, :, :] += u0 * u1 - u0 * u0
+        u_grid = fields.to_grid(u, grid_size)
+        u0, u1 = u_grid[..., 0, :, :], u_grid[..., 1, :, :]
+        pw.sources[..., 1, :, :] += u0 * u1 - u0 * u0
         return pw
 
     monkeypatch.setattr(galerkin.PointwiseTerms, "at", staticmethod(slipped_xy_flux))
-    _, shear_ok, ratio, ratio_ok = euler_voigt_conservation()
-    assert shear_ok and not ratio_ok, ratio
+    ratio, passed = euler_voigt_conservation()
+    assert not passed, ratio
 
 
 def test_criterion_04_deterministic_energy_law(tmp_path):

@@ -403,7 +403,7 @@ class TestExperiments:
         # convective part of the monotonicity envelope covers that, so that
         # criterion is checked with convection off
         stress = galerkin.power_law_stress
-        monkeypatch.setattr(galerkin, "power_law_stress", lambda d, p, **kw: -stress(d, p, **kw))
+        monkeypatch.setattr(galerkin, "power_law_stress", lambda *args, **kw: -stress(*args, **kw))
         cfg = cli.parse_config(None, [
             "experiment=propcheck", f"convection={convection}", "grid_n=16", "n_modes=16"])
         report = cli.run_experiment(cfg, str(tmp_path))

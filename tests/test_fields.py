@@ -192,6 +192,24 @@ class TestLeray:
         assert np.max(np.abs(p2.coeffs - p1.coeffs)) < 1e-14 * max(np.max(np.abs(p1.coeffs)), 1.0)
 
 
+class TestModulus:
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("shape", [(10000, 1, 1), (4, 8, 8), (2, 3, 16, 16), (2, 64, 64)])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_the_one_vector_modulus(self, m, shape, scale):
+        # over leading axes each slice is its own call, and the in-place
+        # component sum is bit for bit NumPy's sum over axis -3
+        lead, grid = shape[:-2], shape[-2:]
+        v = scale * np.random.default_rng(m).standard_normal(lead + (m,) + grid)
+        mod = fields.modulus(v)
+        assert mod.shape == shape
+        assert np.array_equal(mod, np.sqrt(np.sum(v**2, axis=-3)))
+        for i in range(lead[0] if lead else 0):
+            assert np.array_equal(mod[i], fields.modulus(v[i]))
+        if m == 2:
+            assert np.array_equal(mod, np.linalg.norm(v, axis=-3))
+
+
 class TestNorms:
     def test_shear_closed_forms(self):
         f = zero_field(2, 32)

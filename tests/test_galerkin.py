@@ -251,7 +251,7 @@ class TestDrift:
         for i in range(len(c)):
             assert np.array_equal(tables[i], small_basis.scatter(c[i]))
             one = PointwiseTerms.at(tables[i], small_basis.grid_size, params, model, convection)
-            for name in ("u", "jac", "d", "stress", "flux", "damping", "noise_shape"):
+            for name in (field.name for field in dataclasses.fields(PointwiseTerms)):
                 stacked, single = getattr(pw, name), getattr(one, name)
                 assert (stacked is None) == (single is None)
                 assert single is None or np.array_equal(stacked[i], single)
@@ -279,20 +279,20 @@ class TestDrift:
             u = fields.to_grid(tables, n)
             d = fields.sym_gradient(fields.to_grid(fields.gradient_table(tables), n))
             expected = params.nu * fields.tensor_divergence(
-                fields.from_grid(power_law_stress(d, params.p), k))
+                fields.from_grid(power_law_stress(d, fields.sym_modulus(d), params.p), k))
             if convection:
                 u0, u1 = u[..., 0, :, :], u[..., 1, :, :]
                 expected -= fields.tensor_divergence(
                     fields.from_grid(np.stack([u0 * u0, u0 * u1, u1 * u1], axis=-3), k))
             if alpha > 0:
-                expected -= fields.from_grid(stabilizer(u, params), k)
+                expected -= fields.from_grid(stabilizer(u, fields.modulus(u), params), k)
             drift, shape = PointwiseTerms.at(tables, n, params, model, convection).drift_tables(k)
             assert drift.shape == expected.shape
             assert np.max(np.abs(drift - expected)) <= 1e-13 * np.max(np.abs(expected))
             if family == "off":
                 assert shape is None
             else:
-                ref = fields.from_grid(model.shape(u), k)
+                ref = fields.from_grid(model.shape(u, fields.modulus(u)), k)
                 assert np.max(np.abs(shape - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("alpha,family", [
@@ -337,6 +337,21 @@ class TestDrift:
             NoiseModel("saturating", 0.5, 4), convection=True)
         assert calls == ["to_grid", "from_grid"]
         assert np.any(terms.s != 0.0)  # the noise projection was formed
+
+    def test_one_modulus_of_u_and_of_its_gradient_per_evaluation(self, small_basis, monkeypatch):
+        # the damping, the saturating shape, max |u| and ||u||_q^q share one
+        # |u|, and ||grad u||_p^p reads one |grad u|
+        original, moduli = fields.modulus, []
+
+        def counted(v):
+            moduli.append(v.shape[-3])
+            return original(v)
+
+        monkeypatch.setattr(fields, "modulus", counted)
+        params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
+        assemble_drift_terms(small_basis, smooth_random_coeffs(small_basis), np.zeros(small_basis.n), params,
+                             NoiseModel("saturating", 0.5, 4))
+        assert moduli == [2, 4]
 
     @pytest.mark.parametrize("p,q,alpha,family,convection", [
         (2.5, 4.0, 0.0, "linear", True),
@@ -675,6 +690,30 @@ class TestStack:
             for cfl in (0.05 * float(assemble_drift_terms(small_basis, st.c, st.forcing, params, OFF).max_speed)
                         * small_basis.k_max for st in (states[0], states[2]))]
 
+    def test_twins_draw_their_lineage_once(self, small_basis, monkeypatch):
+        # a state and its twin share one (seed, path) lineage: the stack draws
+        # it once, and each row still holds its own copy of its run's draws
+        states = self.states(small_basis, 2)
+        states[1] = GalerkinState(**{**vars(states[1]), "path": states[0].path})
+        original, drawn = galerkin.sample_increment, []
+
+        def counted(lineages, *args):
+            drawn.append(len(lineages))
+            return original(lineages, *args)
+
+        monkeypatch.setattr(galerkin, "sample_increment", counted)
+        stack = run(states, 0.02)
+        assert drawn == [1]
+        assert not np.shares_memory(stack[0].increments, stack[1].increments)
+        for st, traj in zip(states, stack):
+            assert_same_path(traj, run([st], 0.02)[0])
+
+    def test_a_negative_seed_rejected(self, small_basis):
+        states = self.states(small_basis, 2)
+        states[1] = GalerkinState(**{**vars(states[1]), "master_seed": -1})
+        with pytest.raises(ValidationError, match="noise keys"):
+            run(states, 0.02)
+
     def test_supplied_increments_reproduce_every_row(self, small_basis):
         states = self.states(small_basis, 5)
         stack = run(states, 0.02)
@@ -720,6 +759,16 @@ def test_every_public_definition_is_read_by_the_program():
               and node.name not in read]
     # criterion 10 has no experiment: the acceptance suite calls its check itself
     assert unread == ["analysis.weak_form_residual"]
+
+
+def test_every_pointwise_field_is_read_by_the_program():
+    # a field of the kernel's pointwise stage that no code in src/ reads as
+    # an attribute is a grid field formed for tests alone
+    root = pathlib.Path(__file__).resolve().parents[1]
+    read = {node.attr for path in (root / "src" / "nsvsim").glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert [f.name for f in dataclasses.fields(PointwiseTerms) if f.name not in read] == []
 
 
 def test_trajectory_csv_layout(tmp_path, small_basis):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsvsim.errors import ValidationError
+from nsvsim.fields import modulus
 from nsvsim.noise import BASEL, NoiseModel, keyed_normals, sample_increment, verify_noise_conditions
 
 
@@ -30,26 +31,28 @@ class TestPhiApply:
     def test_off_zero(self):
         m = NoiseModel("off", 0.0, 3)
         u = np.ones((2, 4, 4))
-        assert np.all(m.mode_scales()[0] * m.shape(u) == 0.0)
+        assert np.all(m.mode_scales()[0] * m.shape(u, modulus(u)) == 0.0)
 
     def test_linear_scalar_oracle(self):
         # c = 1, k = 2, u = (3, 0): phi = (3/4, 0)
         m = NoiseModel("linear", 1.0, 4)
-        out = m.mode_scales()[1] * m.shape(np.array([3.0, 0.0]))
-        assert out[0] == pytest.approx(0.75)
-        assert out[1] == 0.0
+        u = np.array([3.0, 0.0])[:, None, None]
+        out = m.mode_scales()[1] * m.shape(u, modulus(u))
+        assert out[0, 0, 0] == pytest.approx(0.75)
+        assert out[1, 0, 0] == 0.0
 
     def test_saturating_bounded(self):
         m = NoiseModel("saturating", 1.0, 4)
-        big = m.mode_scales()[0] * m.shape(np.array([1e9, 0.0])[:, None, None])
+        u = np.array([1e9, 0.0])[:, None, None]
+        big = m.mode_scales()[0] * m.shape(u, modulus(u))
         assert np.linalg.norm(big) <= 1.0 + 1e-9
 
     def test_saturating_stack_equals_single_fields(self):
         m = NoiseModel("saturating", 1.0, 4)
         u = np.random.default_rng(5).standard_normal((4, 2, 8, 8))
-        out = m.shape(u)
+        out = m.shape(u, modulus(u))
         for i in range(4):
-            assert np.array_equal(out[i], m.shape(u[i]))
+            assert np.array_equal(out[i], m.shape(u[i], modulus(u[i])))
 
 
 class TestConditions:
@@ -74,7 +77,7 @@ class TestConditions:
 
     def test_envelopes_fail_on_a_doubled_shape(self, monkeypatch):
         # the audit evaluates the shape the kernel applies, not a copy of it
-        monkeypatch.setattr(NoiseModel, "shape", lambda self, u: 2.0 * np.asarray(u))
+        monkeypatch.setattr(NoiseModel, "shape", lambda self, u, speed: 2.0 * np.asarray(u))
         rep = verify_noise_conditions(NoiseModel("linear", 1.0, 8), samples=1000, seed=3)
         assert not rep.passed
 
@@ -161,5 +164,5 @@ def test_ito_trace_envelope():
     u = np.random.default_rng(3).standard_normal((2, 8, 8))
     for fam in ("linear", "saturating"):
         mf = NoiseModel(fam, 0.5, 8)
-        lhs = sum(np.sum((mf.mode_scales()[k - 1] * mf.shape(u)) ** 2) for k in range(1, 9))
+        lhs = sum(np.sum((mf.mode_scales()[k - 1] * mf.shape(u, modulus(u))) ** 2) for k in range(1, 9))
         assert lhs <= mf.trace_const * np.sum(u**2) * (1 + 1e-12)

@@ -51,20 +51,20 @@ class TestStress:
     def test_newtonian_identity(self):
         d = _tensor((0.7, -0.3, 1.1))
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=1.0)
-        a = power_law_stress(d, params.p)
+        a = power_law_stress(d, fields.sym_modulus(d), params.p)
         assert np.array_equal(a[0], d[0]) and np.array_equal(a[1], d[1])
 
     def test_zero_convention_below_two(self):
         d = _tensor((0.0, 0.0, 0.0))
         params = RheologyParams(p=1.5, q=3.0, nu=1.0, kappa=1.0)
-        a = power_law_stress(d, params.p)
+        a = power_law_stress(d, fields.sym_modulus(d), params.p)
         assert np.all(a[0] == 0.0) and np.all(np.isfinite(a[0]))
 
     def test_diagonal_oracle_p3(self):
         # D = diag(1, -1): |D| = sqrt(2), A = sqrt(2) diag(1, -1)
         d = _tensor((1.0, 0.0, -1.0))
         params = RheologyParams(p=3.0, q=4.0, nu=1.0, kappa=1.0)
-        a = power_law_stress(d, params.p)
+        a = power_law_stress(d, fields.sym_modulus(d), params.p)
         assert a[0, 0, 0] == pytest.approx(np.sqrt(2.0), rel=1e-15)
         assert a[2, 0, 0] == pytest.approx(-np.sqrt(2.0), rel=1e-15)
 
@@ -79,8 +79,9 @@ class TestStress:
         m = rng.standard_normal((4, 4))
         d = np.stack([m, rng.standard_normal((4, 4)), -m])
         params = RheologyParams(p=p, q=6.0, nu=1.0, kappa=1.0)
-        a1 = power_law_stress(np.full((4, 4), lam) * d, params.p)
-        a0 = power_law_stress(d, params.p)
+        d1 = np.full((4, 4), lam) * d
+        a1 = power_law_stress(d1, fields.sym_modulus(d1), params.p)
+        a0 = power_law_stress(d, fields.sym_modulus(d), params.p)
         scale = lam ** (p - 1.0)
         for c0, c1 in zip(a0, a1):
             assert np.allclose(c1, scale * c0, rtol=1e-12, atol=1e-12)
@@ -90,9 +91,9 @@ class TestStress:
     def test_stack_equals_single_fields(self, p, rng):
         d = rng.standard_normal((4, 3, 8, 8))
         d[1, :, :2] = 0.0  # the zero convention inside a stack
-        a = power_law_stress(d, p)
+        a = power_law_stress(d, fields.sym_modulus(d), p)
         for i in range(4):
-            assert np.array_equal(a[i], power_law_stress(d[i], p))
+            assert np.array_equal(a[i], power_law_stress(d[i], fields.sym_modulus(d[i]), p))
 
 
 class TestStabilizer:
@@ -100,13 +101,14 @@ class TestStabilizer:
         params = RheologyParams(p=2.0, q=4.5, nu=1.0, kappa=1.0, alpha=0.5)
         u = rng.standard_normal((4, 2, 8, 8))
         u[2, :, 3:] = 0.0
-        out = stabilizer(u, params)
+        out = stabilizer(u, fields.modulus(u), params)
         for i in range(4):
-            assert np.array_equal(out[i], stabilizer(u[i], params))
+            assert np.array_equal(out[i], stabilizer(u[i], fields.modulus(u[i]), params))
 
     def test_zero(self):
         params = RheologyParams(p=2.0, q=4.0, nu=1.0, kappa=1.0, alpha=2.0)
-        out = stabilizer(np.zeros((2, 4, 4)), params)
+        u = np.zeros((2, 4, 4))
+        out = stabilizer(u, fields.modulus(u), params)
         assert np.all(out == 0.0)
 
     def test_q3_scalar(self):
@@ -115,7 +117,7 @@ class TestStabilizer:
         params = RheologyParams(p=3.0, q=3.0, nu=1.0, kappa=1.0, alpha=0.5)
         u = np.zeros((2, 1, 1))
         u[0] = 2.0
-        out = stabilizer(u, params)
+        out = stabilizer(u, fields.modulus(u), params)
         assert out[0, 0, 0] == pytest.approx(0.5 * 4.0)
         assert out[1, 0, 0] == 0.0
 
@@ -123,7 +125,7 @@ class TestStabilizer:
         # q = 4, u = (1, 1): |u|^2 = 2, a(u) = 2 (1, 1)
         params = RheologyParams(p=2.0, q=4.0, nu=1.0, kappa=1.0, alpha=1.0)
         u = np.ones((2, 1, 1))
-        out = stabilizer(u, params)
+        out = stabilizer(u, fields.modulus(u), params)
         assert out[0, 0, 0] == pytest.approx(2.0, rel=1e-15)
 
 
@@ -174,7 +176,8 @@ class TestMonotonicity:
             u = random_divfree(6, 32, seed)
             v = random_divfree(6, 32, seed + 100)
             du, dv = fields.sym_gradient(fields.gradient(u)), fields.sym_gradient(fields.gradient(v))
-            au, av = power_law_stress(du, params.p), power_law_stress(dv, params.p)
+            au = power_law_stress(du, fields.sym_modulus(du), params.p)
+            av = power_law_stress(dv, fields.sym_modulus(dv), params.p)
             gap = au - av
             dd = du - dv
             val = np.sum(fields.sym_contract(gap, dd)) * w

@@ -158,7 +158,7 @@ def test_stacked_samplers_match_per_sample_loop(basis, params, model, convection
 
 def test_nan_kernel_fails_both_samplers(monkeypatch):
     # a kernel whose stress is NaN gives NaN margins, which fail both checks
-    monkeypatch.setattr(galerkin, "power_law_stress", lambda d, p, **_: np.full_like(d, np.nan))
+    monkeypatch.setattr(galerkin, "power_law_stress", lambda d, d_modulus, p, **_: np.full_like(d, np.nan))
     small = DivFreeBasis(16, 16)
     mono = check_weak_monotonicity(small, PARAMS, OFF, 5.0, samples=20, seed=0)
     coer = check_coercivity(small, PARAMS, OFF, np.zeros(small.n), samples=20, seed=0)
