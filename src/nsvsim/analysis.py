@@ -33,7 +33,6 @@ class EnergyLedger:
     the O(dt^2) drift term of the explicit scheme.
     """
 
-    times: np.ndarray
     energy: np.ndarray
     d_energy: np.ndarray
     dissipation: np.ndarray
@@ -51,6 +50,11 @@ class EnergyLedger:
         )
         return float(np.max(np.abs(recomputed - self.residual), initial=0.0))
 
+    def energy_nonincreasing(self) -> bool:
+        """No step raises E by more than 1e-12 max(E(0), 1): the energy law of
+        the noise-off, f = 0 regime.  A ledger of no steps satisfies it."""
+        return not len(self.d_energy) or bool(np.all(self.d_energy <= 1e-12 * max(self.energy[0], 1.0)))
+
 
 def ledger_from_trajectory(traj: Trajectory) -> EnergyLedger:
     """Ledger rows as array reductions: the state terms at t_i come from the
@@ -67,7 +71,6 @@ def ledger_from_trajectory(traj: Trajectory) -> EnergyLedger:
 
     residual = d_energy + dissipation + damping - work - ito_trace - martingale
     return EnergyLedger(
-        times=traj.times[:-1],
         energy=energy[:-1],
         d_energy=d_energy,
         dissipation=dissipation,
@@ -77,32 +80,6 @@ def ledger_from_trajectory(traj: Trajectory) -> EnergyLedger:
         martingale=martingale,
         residual=residual,
     )
-
-
-def energy_audit(traj: Trajectory, refined: Trajectory | None = None) -> tuple[EnergyLedger, dict]:
-    """Ledger plus a summary: max |residual|, accumulated residual, whether the
-    energy is nonincreasing (meaningful for the noise-off, f=0 regime).
-
-    Passing a matching half-step trajectory as ``refined`` adds the observed
-    residual scaling ratio (0.5 for a first-order-consistent scheme).
-    """
-    ledger = ledger_from_trajectory(traj)
-    summary = {
-        "max_abs_residual": float(np.max(np.abs(ledger.residual), initial=0.0)),
-        "accumulated_residual": float(np.sum(ledger.residual)),
-        "bookkeeping_error": ledger.bookkeeping_error(),
-        "energy_nonincreasing": bool(np.all(ledger.d_energy <= 1e-12 * max(ledger.energy[0], 1.0)))
-        if len(ledger.d_energy)
-        else True,
-    }
-    if refined is not None:
-        if abs(refined.dt * 2.0 - traj.dt) > 1e-15 * traj.dt:
-            raise ValidationError("refined trajectory must halve the step size")
-        fine = ledger_from_trajectory(refined)
-        summary["residual_halving_ratio"] = float(
-            abs(np.sum(fine.residual)) / max(abs(np.sum(ledger.residual)), 1e-300)
-        )
-    return ledger, summary
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +98,9 @@ class MomentReport:
     grad_p_integral_se: float
     damping_integral: float      # alpha * mean of (int ||u||_q^q dt)^(gamma/2)
     damping_integral_se: float
-    bound: float | None = None
-    bound_rigorous: bool = False
-    passed: bool | None = None
+    bound: float
+    bound_rigorous: bool
+    passed: bool
 
     def __post_init__(self):
         if self.gamma < 2.0:
@@ -297,7 +274,7 @@ class TwinReport:
     delta0: float                 # ||grad w(0)||_2, representative path
     gronwall_constant: float      # max over paths of sup_t phi E_w / ||grad w(0)||_2^2
     per_path_ratios: np.ndarray
-    bitwise_identical: bool | None = None
+    bitwise_identical: bool
 
 
 def twin_uniqueness(pairs, weight_constant: float) -> TwinReport:

@@ -61,7 +61,7 @@ from .noise import NoiseModel, sample_increment
 from .rheology import RheologyParams, power_law_stress, stabilizer
 
 _COS, _SIN, _MEAN = 0, 1, 2
-_AMP = 1.0 / (np.pi * np.sqrt(2.0))  # L2-normalization of cos/sin basis fields
+_AMP = 1.0 / (np.pi * np.sqrt(2.0))  # L2-normalization of cos/sin basis fields, and their sup-norm
 _MEAN_AMP = 1.0 / (2.0 * np.pi)
 
 

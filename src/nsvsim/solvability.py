@@ -20,11 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .galerkin import DivFreeBasis, assemble_drift_terms, row_dot
+from .galerkin import _AMP, DivFreeBasis, assemble_drift_terms, row_dot
 from .noise import NoiseModel
 from .rheology import RheologyParams
-
-_UNIF_AMP = 1.0 / (np.pi * np.sqrt(2.0))  # sup-norm of a unit basis field
 
 
 @dataclass(frozen=True)
@@ -73,7 +71,7 @@ def check_weak_monotonicity(
         raise ValidationError("samples must be at least 1")
     rng = np.random.default_rng(seed)
     k_eff = float(np.sqrt(np.max(basis.k2))) if np.any(basis.k2 > 0) else 0.0
-    convective = 2.0 * radius * np.sqrt(basis.n) * _UNIF_AMP * k_eff if convection else 0.0
+    convective = 2.0 * radius * np.sqrt(basis.n) * _AMP * k_eff if convection else 0.0
     envelope = convective + model.trace_const
 
     # (samples, 2, n): the pair (u, v) of each sample

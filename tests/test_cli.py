@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import struct
@@ -128,6 +129,12 @@ class TestParseConfig:
         ("simulate", ["noise.amplitude=-1"]),
         ("simulate", ["noise.modes=-1"]),
         ("simulate", ["steps=0", "T=0", "dt=-1"]),
+        ("energy-audit", ["paths=2", "noise.family=linear", "noise.amplitude=0.5", "T=0", "steps=0"]),
+        ("moments", ["paths=2", "T=0", "steps=0"]),
+        ("uniqueness", ["paths=2", "T=0", "steps=0"]),
+        ("alpha-sweep", ["q=4", "T=0", "steps=0"]),
+        ("uniqueness", ["paths=2", "n_modes=2"]),
+        ("uniqueness", ["paths=2", "n_modes=1"]),
     ], ids=lambda v: ",".join(v) if isinstance(v, list) else v)
     def test_config_error_names_its_key_before_any_work(self, experiment, overrides, tmp_path, capsys):
         key = overrides[-1].split("=")[0]
@@ -136,6 +143,15 @@ class TestParseConfig:
         assert rc == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        ["experiment=simulate", "T=0", "steps=0"],
+        ["experiment=pressure", "T=0", "steps=0"],
+        ["experiment=uniqueness", "n_modes=3"],
+        ["experiment=uniqueness", "pin_mean=true", "n_modes=1"],
+    ], ids=",".join)
+    def test_the_bounds_admit_their_edge(self, overrides):
+        cli.parse_config(None, overrides)
 
     VALUES = st.one_of(
         st.text(max_size=12),
@@ -465,18 +481,31 @@ class TestExperiments:
 
     @pytest.mark.parametrize("ratio", [0.35, 0.65])
     def test_energy_audit_halving_ratio_gated_on_0_4_to_0_6(self, ratio, tmp_path, monkeypatch):
-        audit = cli.analysis.energy_audit
+        # the dt leg's residuals sum to 1 and the dt/2 leg's to ratio
+        original = cli.analysis.ledger_from_trajectory
 
-        def patched(traj, refined=None):
-            ledger, summary = audit(traj, refined)
-            if refined is not None:
-                summary["residual_halving_ratio"] = ratio
-            return ledger, summary
+        def patched(traj):
+            ledger = original(traj)
+            residual = np.zeros_like(ledger.residual)
+            residual[0] = ratio if traj.dt < 0.005 else 1.0
+            return dataclasses.replace(ledger, residual=residual)
 
-        monkeypatch.setattr(cli.analysis, "energy_audit", patched)
+        monkeypatch.setattr(cli.analysis, "ledger_from_trajectory", patched)
         report = cli.run_experiment(cli.parse_config(None, self.DETERMINISTIC_AUDIT), str(tmp_path))
         crit = next(c for c in report.criteria if c.name == "residual halves under dt-halving")
         assert not crit.passed and crit.details == f"ratio = {ratio:.4f} in [0.4, 0.6]"
+
+    def test_noise_off_energy_audit_forms_one_ledger_per_leg(self, tmp_path, monkeypatch):
+        original = cli.analysis.ledger_from_trajectory
+        steps = []
+
+        def counted(traj):
+            steps.append(traj.n_steps)
+            return original(traj)
+
+        monkeypatch.setattr(cli.analysis, "ledger_from_trajectory", counted)
+        cli.run_experiment(cli.parse_config(None, self.DETERMINISTIC_AUDIT), str(tmp_path))
+        assert sorted(steps) == [10, 20]
 
     def test_energy_audit_energy_law_checks_the_fine_leg(self, tmp_path, monkeypatch):
         # the dt/2 leg's last state gains energy; the dt leg is untouched
