@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .errors import ConfigurationError, DivergenceError, ValidationError
 from .fields import SpectralField
-from .galerkin import DivFreeBasis, GalerkinState, Trajectory
+from .galerkin import DivFreeBasis, System, Trajectory
 from .noise import NoiseModel
 from .rheology import RheologyParams
 
@@ -13,10 +13,10 @@ __all__ = [
     "ConfigurationError",
     "DivergenceError",
     "DivFreeBasis",
-    "GalerkinState",
     "NoiseModel",
     "RheologyParams",
     "SpectralField",
+    "System",
     "Trajectory",
     "ValidationError",
     "__version__",

@@ -59,12 +59,13 @@ class EnergyLedger:
 def ledger_from_trajectory(traj: Trajectory) -> EnergyLedger:
     """Ledger rows as array reductions: the state terms at t_i come from the
     kernel record of ``traj``, the noise increment eta_i from its increments."""
-    params, model, dt = traj.params, traj.noise, traj.dt
+    system = traj.system
+    params, model, dt = system.params, system.noise, system.dt
     energy = traj.energies()
     d_energy = np.diff(energy)
     dissipation = 2.0 * params.nu * traj.dissipation_p[:-1] * dt
     damping = 2.0 * params.alpha * traj.damping_q[:-1] * dt
-    forcing = forcing_at(traj.forcing, np.arange(traj.n_steps))
+    forcing = forcing_at(system.forcing, np.arange(traj.n_steps))
     work = 2.0 * np.sum(forcing * traj.coeffs[:-1], axis=1) * dt
     ito_trace = model.trace_const * traj.noise_mass_sq[:-1] * dt
     martingale = 2.0 * traj.c_dot_s[:-1] * traj.etas()
@@ -153,8 +154,8 @@ def moment_estimate(
     if M < 1:
         raise ValidationError("need at least one path")
     # per path: alpha, sup_t E, int ||grad u||_p^p dt and int ||u||_q^q dt
-    rows = [(traj.params.alpha, np.max(traj.energies()), np.sum(traj.grad_p[:-1] * traj.dt),
-             np.sum(traj.damping_q[:-1] * traj.dt)) for traj in trajs]
+    rows = [(traj.system.params.alpha, np.max(traj.energies()), np.sum(traj.grad_p[:-1] * traj.system.dt),
+             np.sum(traj.damping_q[:-1] * traj.system.dt)) for traj in trajs]
     if not rows:
         raise ValidationError("no finite trajectory to estimate from")
     if len(rows) > M:
@@ -197,12 +198,13 @@ def weak_form_residual(traj: Trajectory, test_coeffs: np.ndarray) -> float:
     """
     d = np.asarray(test_coeffs, dtype=float)
     steps = traj.n_steps
+    system = traj.system
     terms = assemble_drift_terms(
-        traj.basis, traj.coeffs[:-1], forcing_at(traj.forcing, np.arange(steps)), traj.params,
-        traj.noise, convection=traj.convection,
+        system.basis, traj.coeffs[:-1], forcing_at(system.forcing, np.arange(steps)), system.params,
+        system.noise, convection=system.convection,
     )
-    acc = np.cumsum((terms.b * traj.dt + terms.s * traj.etas()[:, None]) @ d.T, axis=0)   # (S, m)
-    lhs = traj.coeffs @ (traj.basis.mass_multipliers(traj.params.kappa) * d).T    # (S+1, m)
+    acc = np.cumsum((terms.b * system.dt + terms.s * traj.etas()[:, None]) @ d.T, axis=0)   # (S, m)
+    lhs = traj.coeffs @ (system.basis.mass_multipliers(system.params.kappa) * d).T    # (S+1, m)
     # running scale: the largest |lhs| and |acc| so far, and at least |lhs[0]|
     scale = np.maximum.accumulate(np.maximum(np.abs(lhs[1:]), np.abs(acc)), axis=0)
     scale = np.maximum(scale, np.maximum(np.abs(lhs[0]), 1e-300))
@@ -226,15 +228,15 @@ def alpha_sweep(ref: Trajectory, trajs) -> list[AlphaSweepRow]:
     alpha (read from each one's params), against the alpha = 0 reference
     ``ref`` run on matched noise."""
     def final_distance(a: Trajectory, b: Trajectory) -> float:
-        return float(np.sqrt(ref.basis.energy(a.coeffs[-1] - b.coeffs[-1], ref.params.kappa)))
+        return float(np.sqrt(ref.system.basis.energy(a.coeffs[-1] - b.coeffs[-1], ref.system.params.kappa)))
 
     rows = []
     prev = None
     for traj in trajs:
-        alpha = traj.params.alpha
-        if alpha <= 0 or (prev is not None and alpha > prev.params.alpha):
+        alpha = traj.system.params.alpha
+        if alpha <= 0 or (prev is not None and alpha > prev.system.params.alpha):
             raise ValidationError("alphas must be positive and decreasing")
-        damping = float(np.sum(traj.damping_q[:-1] * traj.dt))
+        damping = float(np.sum(traj.damping_q[:-1] * traj.system.dt))
         rows.append(
             AlphaSweepRow(
                 alpha=alpha,
@@ -290,7 +292,7 @@ def twin_uniqueness(pairs, weight_constant: float) -> TwinReport:
     delta0 = 0.0
     bitwise = True
     for path, (ta, tb) in enumerate(pairs):
-        if ta.basis is not tb.basis:
+        if ta.system.basis is not tb.system.basis:
             raise ValidationError("twin states must share the Galerkin span")
         if not np.array_equal(ta.increments, tb.increments):
             raise ValidationError("twin runs must share their noise increments")
@@ -299,10 +301,11 @@ def twin_uniqueness(pairs, weight_constant: float) -> TwinReport:
             continue
         bitwise = False
         w = ta.coeffs - tb.coeffs
-        e_w = ta.basis.energy(w, ta.params.kappa)
-        grad_u = np.sqrt(ta.basis.field_norms_sq(tb.coeffs)[1])
-        phi = np.exp(-weight_constant * np.concatenate([[0.0], np.cumsum(grad_u[:-1]) * ta.dt]))
-        gap0 = float(np.sum(ta.basis.k2 * w[0] ** 2))
+        basis = ta.system.basis
+        e_w = basis.energy(w, ta.system.params.kappa)
+        grad_u = np.sqrt(basis.field_norms_sq(tb.coeffs)[1])
+        phi = np.exp(-weight_constant * np.concatenate([[0.0], np.cumsum(grad_u[:-1]) * ta.system.dt]))
+        gap0 = float(np.sum(basis.k2 * w[0] ** 2))
         if gap0 == 0.0:
             raise ValidationError("perturbed twin run started from identical gradients")
         ratios.append(float(np.max(phi * e_w)) / gap0)

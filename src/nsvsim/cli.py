@@ -23,19 +23,14 @@ import numpy as np
 
 from . import __version__, analysis, fields, pressure, solvability
 from .errors import ConfigurationError, DivergenceError, ValidationError
-from .galerkin import (
-    DivFreeBasis,
-    GalerkinState,
-    basis_capacity,
-    run,
-    states_per_call,
-    trajectory_csv,
-)
+from .galerkin import DivFreeBasis, System, basis_capacity, run, states_per_call, trajectory_csv
 from .noise import FAMILIES as NOISE_FAMILIES, NoiseModel, keyed_normals, verify_noise_conditions
 from .rheology import RheologyParams, monotonicity_sweep
 
 IC_KINDS = ("zero", "shear", "taylor_green", "random")
 FORCING_KINDS = ("zero", "file", "files")
+# alpha-sweep's legs: the alpha = 0 reference, then alpha = 1/n toward it
+SWEEP_ALPHAS = (0.0, 0.25, 0.125, 0.0625, 0.03125)
 
 
 @dataclass
@@ -68,6 +63,8 @@ class SimConfig:
     def validate(self) -> None:
         # RheologyParams carries the constitutive invariants and their messages.
         self.rheology()
+        if self.experiment == "alpha-sweep":  # its damped legs, checked before the alpha = 0 leg runs
+            replace(self, alpha=max(SWEEP_ALPHAS)).rheology()
         if not 0 <= self.steps <= 2**53:
             raise ConfigurationError(f"steps={self.steps} must lie in [0, 2**53]")
         # on no step, the stepping experiments' criteria would pass vacuously
@@ -93,6 +90,9 @@ class SimConfig:
                            ("noise.amplitude", self.noise_amplitude), ("noise.modes", self.noise_modes)):
             if value < 0:
                 raise ConfigurationError(f"{key}={value} must be >= 0 (0 switches it off)")
+        if not math.isfinite(self.noise_amplitude * self.noise_amplitude):
+            raise ConfigurationError(f"noise.amplitude={self.noise_amplitude} must be at most "
+                                     f"sqrt(float max): the decay constant c^2 overflows")
         # the grid and the span are checked here, before any table is built
         if self.grid_n < 4 or self.grid_n & (self.grid_n - 1):
             raise ConfigurationError(f"grid_n={self.grid_n} must be a power of two >= 4")
@@ -127,6 +127,12 @@ class SimConfig:
 
     def basis(self) -> DivFreeBasis:
         return DivFreeBasis(self.n_modes, self.grid_n, include_mean=not self.pin_mean)
+
+    def system(self) -> System:
+        """The Galerkin system of this config; its forcing is read here, once per leg."""
+        basis = self.basis()
+        return System(basis, self.rheology(), self.noise_model(), self.dt, forcing_coefficients(self, basis),
+                      self.convection)
 
 
 # Each field is one config key of its annotated type: the field name, with the
@@ -247,36 +253,27 @@ def forcing_coefficients(cfg: SimConfig, basis: DivFreeBasis) -> np.ndarray:
     return np.stack([_forcing_snapshot(basis, p) for p in paths[: cfg.steps]])
 
 
-def _halved(cfg: SimConfig, forcing: np.ndarray) -> tuple:
-    """The dt/2 leg of ``cfg`` and its forcing: each per-step row of ``forcing``
-    is held for two fine steps, so both legs see the same forcing."""
-    fine = forcing if forcing.ndim == 1 else np.repeat(forcing, 2, axis=0)
-    return replace(cfg, dt=cfg.dt / 2.0, steps=cfg.steps * 2), fine
+def _halved(system: System) -> System:
+    """The dt/2 leg of ``system``: each per-step forcing row is held for two
+    fine steps, so both legs see the same forcing."""
+    f = system.forcing
+    return replace(system, dt=system.dt / 2.0, forcing=f if f.ndim == 1 else np.repeat(f, 2, axis=0))
 
 
-def make_state(cfg: SimConfig, basis: DivFreeBasis, path: int, forcing: np.ndarray) -> GalerkinState:
-    """Path ``path``'s initial state under ``forcing``, which each leg reads
-    once by :func:`forcing_coefficients`."""
-    return GalerkinState(
-        c=initial_coefficients(cfg, basis, path),
-        basis=basis,
-        params=cfg.rheology(),
-        noise=cfg.noise_model(),
-        dt=cfg.dt,
-        forcing=forcing,
-        master_seed=cfg.seed,
-        path=path,
-        convection=cfg.convection,
-    )
+def path_starts(cfg: SimConfig, basis: DivFreeBasis, paths) -> tuple:
+    """The initial coefficients (len(paths), n) of ``paths`` and their
+    (seed, path) noise lineages."""
+    c0 = np.array([initial_coefficients(cfg, basis, path) for path in paths])
+    return c0, [(cfg.seed, path) for path in paths]
 
 
-def _path_results(states: list[GalerkinState], T: float, **kwargs):
-    """Each state's result, a Trajectory or its DivergenceError, in order.
-    The states run to ``T`` as stacks of one kernel chunk, so memory holds
+def _path_results(system: System, c0: np.ndarray, lineages: list, T: float, **kwargs):
+    """Each path's result, a Trajectory or its DivergenceError, in order.
+    The paths run to ``T`` as stacks of one kernel chunk, so memory holds
     one chunk's trajectories at a time."""
-    per_call = states_per_call(states[0].basis.grid_size)
-    for start in range(0, len(states), per_call):
-        yield from run(states[start:start + per_call], T, **kwargs)
+    per_call = states_per_call(system.basis.grid_size)
+    for start in range(0, len(c0), per_call):
+        yield from run(system, c0[start:start + per_call], lineages[start:start + per_call], T, **kwargs)
 
 
 def _trajectory(result):
@@ -339,12 +336,11 @@ def _versions() -> dict:
 
 
 def _experiment_simulate(cfg: SimConfig, out_dir: str):
-    basis = cfg.basis()
-    forcing = forcing_coefficients(cfg, basis)
+    system = cfg.system()
 
     # path 0 feeds every output; each other path is checked for finite states and dropped
-    states = [make_state(cfg, basis, i, forcing) for i in range(cfg.paths)]
-    trajs = map(_trajectory, _path_results(states, cfg.T, grad_threshold=cfg.monitor_threshold))
+    c0, lineages = path_starts(cfg, system.basis, range(cfg.paths))
+    trajs = map(_trajectory, _path_results(system, c0, lineages, cfg.T, grad_threshold=cfg.monitor_threshold))
     traj = next(trajs)
     finite = [np.all(np.isfinite(traj.coeffs))]
     finite += map(lambda other: np.all(np.isfinite(other.coeffs)), trajs)
@@ -385,15 +381,14 @@ def _experiment_simulate(cfg: SimConfig, out_dir: str):
 
 
 def _experiment_audit(cfg: SimConfig, out_dir: str):
-    basis = cfg.basis()
-    forcing = forcing_coefficients(cfg, basis)
+    system = cfg.system()
     criteria = []
     metrics = {}
     artifacts = []
     if cfg.noise_model().active:
-        states = [make_state(cfg, basis, i, forcing) for i in range(cfg.paths)]
+        c0, lineages = path_starts(cfg, system.basis, range(cfg.paths))
         cum = np.stack([np.cumsum(analysis.ledger_from_trajectory(traj).residual)
-                        for traj in map(_trajectory, _path_results(states, cfg.T))])
+                        for traj in map(_trajectory, _path_results(system, c0, lineages, cfg.T))])
         mean = cum.mean(axis=0)
         se = cum.std(axis=0, ddof=1) / np.sqrt(cfg.paths)
         z = np.abs(mean) / np.maximum(se, 1e-300)
@@ -402,11 +397,12 @@ def _experiment_audit(cfg: SimConfig, out_dir: str):
             bool(np.all(z <= 3.0)), f"max |mean|/SE = {float(np.max(z)):.3f} over {cum.shape[1]} times"))
         metrics.update({"max_z": float(np.max(z)), "final_mean_residual": float(mean[-1]), "final_se": float(se[-1])})
     else:
-        def ledger(local_cfg: SimConfig, local_forcing: np.ndarray) -> analysis.EnergyLedger:
-            state = make_state(local_cfg, basis, 0, local_forcing)
-            return analysis.ledger_from_trajectory(_trajectory(run([state], local_cfg.T)[0]))
+        c0, lineages = path_starts(cfg, system.basis, [0])
 
-        fine, coarse = ledger(*_halved(cfg, forcing)), ledger(cfg, forcing)
+        def ledger(leg: System) -> analysis.EnergyLedger:
+            return analysis.ledger_from_trajectory(_trajectory(run(leg, c0, lineages, cfg.T)[0]))
+
+        fine, coarse = ledger(_halved(system)), ledger(system)
         accumulated = float(np.sum(coarse.residual))
         ratio = float(abs(np.sum(fine.residual)) / max(abs(accumulated), 1e-300))
         criteria.append(Criterion(
@@ -423,17 +419,17 @@ def _experiment_moments(cfg: SimConfig, out_dir: str):
     criteria = []
 
     def estimate(local_cfg: SimConfig) -> analysis.MomentReport:
-        basis = local_cfg.basis()
-        f = forcing_coefficients(local_cfg, basis)
-        states = [make_state(local_cfg, basis, i, f) for i in range(local_cfg.paths)]
-        e0 = basis.energy(states[0].c, local_cfg.kappa)
+        system = local_cfg.system()
+        f = system.forcing
+        c0, lineages = path_starts(local_cfg, system.basis, range(local_cfg.paths))
+        e0 = system.basis.energy(c0[0], local_cfg.kappa)
         f_int = float(np.sum(f**2)) * local_cfg.T if f.ndim == 1 else float(np.sum(f**2) * local_cfg.dt)
 
         def finite_paths():
             # the diverged paths are excluded; when every path diverged, the
             # lowest-index one's error is raised
             errors = []
-            for result in _path_results(states, local_cfg.T):
+            for result in _path_results(system, c0, lineages, local_cfg.T):
                 if isinstance(result, DivergenceError):
                     errors.append(result)
                 else:
@@ -486,29 +482,26 @@ def _experiment_moments(cfg: SimConfig, out_dir: str):
 
 
 def _experiment_uniqueness(cfg: SimConfig, out_dir: str):
-    basis = cfg.basis()
+    system = cfg.system()
+    basis = system.basis
     weight_c = analysis.calibrate_ladyzhenskaya(basis)
     delta = 1e-3
 
     first_wave = np.flatnonzero(basis.k2 > 0)[0]
+    c0, lineages = path_starts(cfg, basis, range(cfg.paths))
 
-    forcing = forcing_coefficients(cfg, basis)
-
-    def twins(local_cfg: SimConfig, forcing: np.ndarray, paths: int, perturb: float):
-        # each path's state, then its twin, which differs by perturb in the
+    def twins(leg: System, paths: int, perturb: float):
+        # each path's start, then its twin's, which differs by perturb in the
         # first wave mode; a twin in another stack draws the same lineage
-        states = []
-        for path in range(paths):
-            sa = make_state(local_cfg, basis, path, forcing)
-            cb = sa.c.copy()
-            cb[first_wave] += perturb
-            states += [sa, replace(sa, c=cb)]
-        trajs = map(_trajectory, _path_results(states, local_cfg.T))
+        pair_c0 = np.repeat(c0[:paths], 2, axis=0)
+        pair_c0[1::2, first_wave] += perturb
+        pair_lineages = [lineage for lineage in lineages[:paths] for _ in range(2)]
+        trajs = map(_trajectory, _path_results(leg, pair_c0, pair_lineages, cfg.T))
         return zip(trajs, trajs)
 
-    identical = analysis.twin_uniqueness(twins(cfg, forcing, min(cfg.paths, 8), 0.0), weight_c)
-    perturbed = analysis.twin_uniqueness(twins(cfg, forcing, cfg.paths, delta), weight_c)
-    perturbed_half = analysis.twin_uniqueness(twins(*_halved(cfg, forcing), cfg.paths, delta), weight_c)
+    identical = analysis.twin_uniqueness(twins(system, min(cfg.paths, 8), 0.0), weight_c)
+    perturbed = analysis.twin_uniqueness(twins(system, cfg.paths, delta), weight_c)
+    perturbed_half = analysis.twin_uniqueness(twins(_halved(system), cfg.paths, delta), weight_c)
 
     stability = perturbed_half.gronwall_constant / max(perturbed.gronwall_constant, 1e-300)
     criteria = [
@@ -529,12 +522,12 @@ def _experiment_uniqueness(cfg: SimConfig, out_dir: str):
 
 
 def _experiment_alpha_sweep(cfg: SimConfig, out_dir: str):
-    basis = cfg.basis()
-    forcing = forcing_coefficients(cfg, basis)
+    system = cfg.system()
+    c0, lineages = path_starts(cfg, system.basis, [0])
 
     # the first run is the alpha = 0 reference
-    trajs = (_trajectory(run([make_state(replace(cfg, alpha=alpha), basis, 0, forcing)], cfg.T)[0])
-             for alpha in (0.0, 0.25, 0.125, 0.0625, 0.03125))
+    legs = (replace(system, params=replace(system.params, alpha=alpha)) for alpha in SWEEP_ALPHAS)
+    trajs = (_trajectory(run(leg, c0, lineages, cfg.T)[0]) for leg in legs)
     rows = analysis.alpha_sweep(next(trajs), trajs)
     damping = [r.damping_integral for r in rows]
     dists = [r.distance_to_reference for r in rows]
@@ -559,8 +552,9 @@ def _experiment_pressure(cfg: SimConfig, out_dir: str):
     pi = pressure.recover_pressure(h)
     tg_err = float(np.max(np.abs(pi + 0.25 * (np.cos(2 * xx) + np.cos(2 * yy)))))
 
-    basis = cfg.basis()
-    traj = _trajectory(run([make_state(cfg, basis, 0, forcing_coefficients(cfg, basis))], cfg.T)[0])
+    system = cfg.system()
+    c0, lineages = path_starts(cfg, system.basis, [0])
+    traj = _trajectory(run(system, c0, lineages, cfg.T)[0])
     parts = pressure.decompose_pressure(traj)
     recon = parts.max_residual()
     mom = pressure.momentum_gradient_residual(traj, parts)

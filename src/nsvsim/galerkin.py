@@ -23,25 +23,26 @@ kernel projects the tables to the drift ``b`` and the noise projection
 ``s`` and forms the state's :class:`StateRecord`, the one declaration of
 the columns that the stepper records.
 
-A :class:`GalerkinState` is what a path starts from: its initial
-coefficients, the system it solves and its (seed, path) noise lineage.
-:func:`run` steps a stack of states of one system, each on its own lineage,
-so that every row is bit for bit its own run; a single state is a stack of
-one.  It allocates the stack's record once (coefficients, increments,
-every :class:`StateRecord` column and the times), draws every increment of
-the stack in one call before the first step, once per distinct lineage,
-evaluates the kernel once per step on the running rows' coefficients and
-writes each step's column in place.  A row leaves the stack on its own,
-with a :class:`Trajectory` of views of its own prefix of the record, which
-every audit reads: a row that diverges as its :class:`DivergenceError`,
-and a row stopped by the gradient threshold with its stopping time as
-``tripped_at``.  The experiments feed it stacks of :func:`states_per_call`
-paths, one kernel chunk.  Two passes recompute from the stored
-coefficients on purpose: ``analysis.weak_form_residual`` is the
+A :class:`System` is what every path of a stack solves: the basis, the
+rheology, the noise, the step, the forcing and the convection switch,
+declared once.  A path is its initial coefficients and its (seed, path)
+noise lineage.  :func:`run` steps a stack of paths of one system, each on
+its own lineage, so that every row is bit for bit its own run; a single path
+is a stack of one.  It allocates the stack's record once (coefficients,
+increments, every :class:`StateRecord` column and the times), draws every
+increment of the stack in one call before the first step, once per distinct
+lineage, evaluates the kernel once per step on the running rows'
+coefficients and writes each step's column in place.  A row leaves the
+stack on its own, with a :class:`Trajectory` of views of its own prefix of
+the record, which every audit reads: a row that diverges as its
+:class:`DivergenceError`, and a row stopped by the gradient threshold with
+its stopping time as ``tripped_at``.  The experiments feed it stacks of
+:func:`states_per_call` paths, one kernel chunk.  Two passes recompute from
+the stored coefficients on purpose: ``analysis.weak_form_residual`` is the
 independent check that catches a corrupted state, and the pressure
 decomposition takes its tables from the pointwise stage at ``traj.coeffs``
-under ``traj.params``, so that it describes whatever trajectory and
-parameters it is handed.
+under ``traj.system``, so that it describes whatever trajectory and system
+it is handed.
 """
 
 from __future__ import annotations
@@ -373,32 +374,26 @@ def _evaluate(basis: DivFreeBasis, c: np.ndarray, f: np.ndarray, params: Rheolog
     )
 
 
-@dataclass
-class GalerkinState:
-    """What a path starts from: its initial coefficients over the first n
-    basis modes, the system it solves, and its (seed, path) noise lineage."""
+@dataclass(frozen=True, eq=False)
+class System:
+    """The Galerkin system that every path of a stack solves."""
 
-    c: np.ndarray
     basis: DivFreeBasis
     params: RheologyParams
     noise: NoiseModel
     dt: float
     forcing: np.ndarray          # (n,) static or (steps, n) per-step coefficients
-    master_seed: int = 0
-    path: int = 0
-    convection: bool = True
+    convection: bool
 
     def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        if self.c.shape != (self.basis.n,):
-            raise ValidationError(f"coefficient vector has shape {self.c.shape}, expected ({self.basis.n},)")
         if self.dt <= 0:
             raise ValidationError(f"dt={self.dt} must be positive")
 
 
 @dataclass
 class Trajectory(StateRecord):
-    """A realized path plus the drift kernel's record at each of its states.
+    """A realized path of ``system`` plus the drift kernel's record at each of
+    its states.
 
     ``coeffs`` (S+1 states) and ``increments`` (S steps of raw Gaussian draws)
     reproduce the path; ``run`` keeps every :class:`StateRecord` column at
@@ -407,20 +402,16 @@ class Trajectory(StateRecord):
     over this record; the terms that involve the increments (:meth:`etas`,
     the martingale) are formed from ``increments``, so the record stays valid
     under ``replace(traj, increments=...)``.  Replacing ``coeffs`` or
-    ``params`` leaves it stale: ``analysis.weak_form_residual`` and the
-    pressure decomposition recompute from ``coeffs`` and ``params`` on
-    purpose, since they are the independent checks of a stored path.
+    ``system`` (``replace(traj, system=...)``) leaves it stale:
+    ``analysis.weak_form_residual`` and the pressure decomposition recompute
+    from ``coeffs`` and ``system`` on purpose, since they are the independent
+    checks of a stored path.
     """
 
     times: np.ndarray          # (S+1,)
     coeffs: np.ndarray         # (S+1, n)
     increments: np.ndarray     # (S, n_w)
-    basis: DivFreeBasis
-    params: RheologyParams
-    noise: NoiseModel
-    dt: float
-    forcing: np.ndarray
-    convection: bool
+    system: System
     tripped_at: float | None = None
 
     @property
@@ -428,19 +419,20 @@ class Trajectory(StateRecord):
         return len(self.times) - 1
 
     def field_at(self, i: int) -> SpectralField:
-        return SpectralField(self.basis.scatter(self.coeffs[i]), self.basis.grid_size)
+        basis = self.system.basis
+        return SpectralField(basis.scatter(self.coeffs[i]), basis.grid_size)
 
     def energies(self) -> np.ndarray:
-        return self.basis.energy(self.coeffs, self.params.kappa)
+        return self.system.basis.energy(self.coeffs, self.system.params.kappa)
 
     def etas(self) -> np.ndarray:
         """Per-step noise scalars eta_i = sum_k scale_k dW_k, (S,), each rounded
         as in its step of :func:`run`; zero with the noise off."""
-        return row_dot(self.increments, self.noise.mode_scales())
+        return row_dot(self.increments, self.system.noise.mode_scales())
 
 
 class Paths(list):
-    """What :func:`run` returns: for each state of the stack, in order, its
+    """What :func:`run` returns: for each path of the stack, in order, its
     :class:`Trajectory` or the :class:`DivergenceError` that ended it."""
 
     @property
@@ -450,78 +442,72 @@ class Paths(list):
 
 
 def run(
-    states: Sequence[GalerkinState],
+    system: System,
+    c0: np.ndarray,
+    lineages: Sequence[tuple[int, int]],
     T: float,
     grad_threshold: float = 0.0,
     increments: np.ndarray | None = None,
 ) -> Paths:
-    """Advance a stack of states from t = 0 to T by semi-implicit
+    """Advance a stack of paths of ``system`` from t = 0 to T by semi-implicit
     Euler-Maruyama: exact diagonal mass solve, explicit drift, explicit noise
-    increment.  The states share basis, params, noise, dt, forcing and
-    convection; each draws its increments from its own (seed, path) lineage,
-    all of the stack's steps in one call before the first step, so each row
-    is bit for bit its own run, and a single state is a stack of one.  Each
-    step evaluates the drift kernel once on the stack, once per stored state
-    of every row.  A row leaves the stack on its own: at a
-    nonfinite state, as the DivergenceError of that step, or with
+    increment.  Row r starts from ``c0[r]`` ((states, n) for states >= 1)
+    and draws its increments from the lineage ``lineages[r]``, a (seed, path)
+    pair; every step of each distinct lineage is drawn in one call before the
+    first step, so each row is bit for bit its own run, and a single path is
+    a stack of one.  Each step evaluates the drift kernel once on the stack,
+    once per stored state of every row.  A row leaves the stack on its own:
+    at a nonfinite state, as the DivergenceError of that step, or with
     ``grad_threshold`` > 0 at its first state with ||grad u||_2 >=
     ``grad_threshold``, whose time it records as ``tripped_at``.  Each
     row's Trajectory views its own prefix of the stack's record, so the rows
     share no writable element; ``times`` is shared and read-only.  Pass
     ``increments`` (states, >= steps, >= n_w) to drive runs with matched
     noise; any other shape is a ValidationError before the first step."""
-    states = list(states)
-    if not states:
-        raise ValidationError("run needs at least one state")
-    first = states[0]
-
-    def system(st: GalerkinState) -> tuple:
-        return (st.basis.n, st.basis.grid_size, st.basis.include_mean, st.params, st.noise, st.dt,
-                st.convection)
-
-    for st in states[1:]:
-        if system(st) != system(first) or not np.array_equal(st.forcing, first.forcing):
-            raise ValidationError(f"the state of path {st.path} does not share the stack's basis, "
-                                  "params, noise, dt, forcing and convection")
+    basis, params, noise, dt = system.basis, system.params, system.noise, system.dt
+    c0 = np.asarray(c0, dtype=float)
+    if c0.ndim != 2 or len(c0) < 1 or c0.shape[1] != basis.n:
+        raise ValidationError(f"initial coefficients have the shape {c0.shape}, "
+                              f"need (states >= 1, {basis.n})")
+    states = len(c0)
+    if len(lineages) != states:
+        raise ValidationError(f"{len(lineages)} noise lineages for a stack of {states} states")
     if T < 0:
         raise ValidationError(f"T={T} must be nonnegative")
-    dt = first.dt
     n_steps = int(round(T / dt)) if T > 0 else 0
     if abs(n_steps * dt - T) > 1e-12 * max(1.0, abs(T)):
         raise ValidationError(f"T={T} is not an integer number of steps of dt={dt}")
-    basis, params, noise = first.basis, first.params, first.noise
     given = None if increments is None else np.shape(increments)
-    if given is not None and (len(given) != 3 or given[0] != len(states)):
+    if given is not None and (len(given) != 3 or given[0] != states):
         raise ValidationError(f"supplied increments have the shape {given}, need (states, steps, n_w) "
-                              f"with {len(states)} states")
+                              f"with {states} states")
     if given is not None and (given[1] < n_steps or given[2] < noise.n_w):
         raise ValidationError(f"supplied increments of shape {given} are shorter than the run's "
                               f"{n_steps} steps of {noise.n_w} noise modes")
     mass = basis.mass_multipliers(params.kappa)
     scales = noise.mode_scales()
     # the stack's record, written in place: a row's Trajectory views its prefix
-    coeffs = np.empty((len(states), n_steps + 1, basis.n))
+    coeffs = np.empty((states, n_steps + 1, basis.n))
     if increments is not None:
         incs = np.asarray(increments, dtype=float)[:, :n_steps, :noise.n_w].copy()
     elif noise.active:  # every step of each distinct lineage drawn at once, copied to its rows
-        lineages = [(st.master_seed, st.path) for st in states]
         distinct = {lineage: j for j, lineage in enumerate(dict.fromkeys(lineages))}
         incs = sample_increment(list(distinct), n_steps, dt, noise.n_w)[[distinct[x] for x in lineages]]
     else:
-        incs = np.zeros((len(states), n_steps, noise.n_w))
-    record = {f.name: np.empty((len(states), n_steps + 1)) for f in dataclasses.fields(StateRecord)}
+        incs = np.zeros((states, n_steps, noise.n_w))
+    record = {f.name: np.empty((states, n_steps + 1)) for f in dataclasses.fields(StateRecord)}
     times = np.concatenate([[0.0], np.cumsum(np.full(n_steps, dt))])  # t += dt, step by step
     times.flags.writeable = False  # shared by every row
-    coeffs[:, 0] = [st.c for st in states]
-    rows = np.arange(len(states))  # the stack's rows still running
-    out = Paths([None] * len(states))
+    coeffs[:, 0] = c0
+    rows = np.arange(states)  # the stack's rows still running
+    out = Paths([None] * states)
 
     # One kernel evaluation per step: it drives the step out of each row's
     # state and gives that state's record column, the final state's included.
     for i in range(n_steps + 1):
         c = coeffs[rows, i]
         terms = assemble_drift_terms(
-            basis, c, forcing_at(first.forcing, i), params, noise, convection=first.convection,
+            basis, c, forcing_at(system.forcing, i), params, noise, convection=system.convection,
         )
         if i == 0:  # checked at the initial states only
             for cfl in dt * terms.max_speed * basis.k_max:
@@ -540,8 +526,7 @@ def run(
                 out[row] = Trajectory(
                     **{name: column[row, : i + 1] for name, column in record.items()},
                     times=times[: i + 1], coeffs=coeffs[row, : i + 1], increments=incs[row, :i],
-                    basis=basis, params=params, noise=noise, dt=dt, forcing=first.forcing,
-                    convection=first.convection, tripped_at=float(times[i]) if trip else None,
+                    system=system, tripped_at=float(times[i]) if trip else None,
                 )
         going = ~tripped
         rows = rows[going]
@@ -553,7 +538,7 @@ def run(
         c = c[going] + rhs / mass
         finite = np.all(np.isfinite(c), axis=-1)
         for row in rows[~finite]:
-            out[row] = DivergenceError(i, states[row].path)
+            out[row] = DivergenceError(i, lineages[row][1])
         rows = rows[finite]
         coeffs[rows, i + 1] = c[finite]
         if not rows.size:
@@ -565,10 +550,10 @@ def trajectory_csv(path, traj: Trajectory, ledger) -> None:
     """Per-state CSV: t, l2, grad_l2, lp_gradp, lq_q, energy, dissipation_acc,
     noise_trace_acc, tripped, read from the kernel record and from ``ledger``,
     the energy ledger of ``traj``.  Floats carry 17 significant digits."""
-    l2, g2 = traj.basis.field_norms_sq(traj.coeffs)
+    l2, g2 = traj.system.basis.field_norms_sq(traj.coeffs)
     columns = (
         traj.times, np.sqrt(l2), np.sqrt(g2), traj.grad_p, traj.damping_q,
-        l2 + traj.params.kappa * g2,
+        l2 + traj.system.params.kappa * g2,
         np.concatenate([[0.0], np.cumsum(ledger.dissipation)]),
         np.concatenate([[0.0], np.cumsum(ledger.ito_trace)]),
     )

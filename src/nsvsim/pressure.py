@@ -81,16 +81,17 @@ def _slice_sources(traj: Trajectory, i: int, k_max: int):
     Returns (div(nu A), drift + f, shape(u) or None with the noise off), with
     the drift kernel's own tables (:meth:`PointwiseTerms.drift_tables`);
     ``pi1`` lifts the first, ``pi2`` the second minus the first.  They are
-    evaluated at ``traj.coeffs[i]`` under ``traj.params`` rather than read from
-    the kernel record, so the decomposition follows whatever parameters the
+    evaluated at ``traj.coeffs[i]`` under ``traj.system`` rather than read
+    from the kernel record, so the decomposition follows whatever system the
     trajectory carries.
     """
-    basis = traj.basis
-    pw = PointwiseTerms.at(basis.scatter(traj.coeffs[i]), basis.grid_size, traj.params, traj.noise,
-                           traj.convection)
+    system = traj.system
+    basis = system.basis
+    pw = PointwiseTerms.at(basis.scatter(traj.coeffs[i]), basis.grid_size, system.params, system.noise,
+                           system.convection)
     drift, shape = pw.drift_tables(k_max)
-    stress = traj.params.nu * fields.tensor_divergence(from_grid(pw.stress, k_max))
-    fc = forcing_at(traj.forcing, i)
+    stress = system.params.nu * fields.tensor_divergence(from_grid(pw.stress, k_max))
+    fc = forcing_at(system.forcing, i)
     if np.any(fc):
         off = basis.k_max
         drift[..., k_max - off:k_max + off + 1, :off + 1] += basis.scatter(fc)
@@ -101,7 +102,7 @@ def stochastic_pressure(traj: Trajectory, noise_shape: np.ndarray):
     """Yield the stochastic part pi_phi slice by slice, S+1 grids (N, N): the
     lift of the noise accumulated from the recorded shape(u) tables and
     ``traj.increments``.  Only the running sum and one slice are held."""
-    n = traj.basis.grid_size
+    n = traj.system.basis.grid_size
     yield np.zeros((n, n))
     acc = np.zeros_like(noise_shape[0])
     for i, eta in enumerate(traj.etas()):
@@ -119,7 +120,7 @@ def decompose_pressure(traj: Trajectory) -> PressureParts:
     per slice.  Their agreement (linearity of the lift) is the recombination
     residual.
     """
-    n = traj.basis.grid_size
+    n = traj.system.basis.grid_size
     k_max = n // 3
     s_steps = traj.n_steps
     shape = (s_steps + 1, n, n)
@@ -138,7 +139,7 @@ def decompose_pressure(traj: Trajectory) -> PressureParts:
         if noise is not None:
             noise_shape[i] = noise
         if i < s_steps:
-            acc += drift_div[i] * traj.dt + etas[i] * noise_shape[i]
+            acc += drift_div[i] * traj.system.dt + etas[i] * noise_shape[i]
 
     pi_phi = np.empty(shape)
     residual = np.zeros(s_steps + 1)
@@ -150,7 +151,7 @@ def decompose_pressure(traj: Trajectory) -> PressureParts:
         pi_h = pi_total[i] - (phi + drift_int)
         residual[i] = float(np.sqrt(np.sum(pi_h ** 2) * w))
         harmonic_max[i] = np.max(np.abs(pi_h))
-        drift_int = drift_int + (pi1[i] + pi2[i]) * traj.dt
+        drift_int = drift_int + (pi1[i] + pi2[i]) * traj.system.dt
 
     return PressureParts(
         times=traj.times,
@@ -172,7 +173,7 @@ def momentum_gradient_residual(traj: Trajectory, parts: PressureParts) -> float:
     the accumulated sources against the Laplacian of the recovered total
     pressure (the mass and solenoidal terms drop out against gradient modes).
     The sources are the per-slice tables recorded on ``parts``; their time
-    integral is accumulated here from ``traj.dt`` and ``traj.increments``,
+    integral is accumulated here from ``traj.system.dt`` and ``traj.increments``,
     independently of the bookkeeping inside :func:`decompose_pressure`, so a
     corrupted ``pi_total`` slice shows.
     """
@@ -190,7 +191,7 @@ def momentum_gradient_residual(traj: Trajectory, parts: PressureParts) -> float:
         scale = max(float(np.max(np.abs(acc))), 1e-300)
         worst = max(worst, float(np.max(np.abs(defect))) / scale)
         if i < traj.n_steps:
-            acc += parts.drift_div[i] * traj.dt + etas[i] * parts.noise_shape[i]
+            acc += parts.drift_div[i] * traj.system.dt + etas[i] * parts.noise_shape[i]
     return worst
 
 

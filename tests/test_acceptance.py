@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from nsvsim import analysis, cli, fields, galerkin, pressure, rheology
-from nsvsim.galerkin import GalerkinState, run
+from nsvsim.galerkin import run
 
 pytestmark = pytest.mark.acceptance
 
@@ -44,10 +44,11 @@ def report(number: int, passed: bool, detail: str) -> None:
     print(f"[criterion {number:2d}] {'PASS' if passed else 'FAIL'} - {detail}")
 
 
-def state_from(overrides: list[str], path: int = 0) -> GalerkinState:
+def state_from(overrides: list[str], path: int = 0) -> tuple:
+    """(system, c0, lineages) of the config's path ``path``: run's arguments before T."""
     cfg = cli.parse_config(None, overrides)
-    basis = cfg.basis()
-    return cli.make_state(cfg, basis, path, cli.forcing_coefficients(cfg, basis))
+    system = cfg.system()
+    return (system, *cli.path_starts(cfg, system.basis, [path]))
 
 
 def run_criterion(number: int, out) -> cli.RunReport:
@@ -108,7 +109,7 @@ def euler_voigt_conservation() -> tuple:
     base = ["nu=0", "alpha=0", "noise.family=off", "kappa=0.5", "ic.kind=random"]
     errs = []
     for steps, dt in ((125, 0.002), (250, 0.001)):
-        e = run([state_from(base + [f"steps={steps}", f"dt={dt}", "T=0.25"])], 0.25)[0].energies()
+        e = run(*state_from(base + [f"steps={steps}", f"dt={dt}", "T=0.25"]), 0.25)[0].energies()
         errs.append(abs(e[-1] - e[0]) / e[0])
     ratio = errs[1] / errs[0]
     return ratio, 0.4 <= ratio <= 0.6
@@ -211,12 +212,12 @@ def test_criterion_09_fails_on_a_residual_that_does_not_fall(tmp_path, monkeypat
 
 
 def test_criterion_10_weak_form_residual():
-    traj = run([state_from([
+    traj = run(*state_from([
         "nu=0.5", "p=2.5", "q=4", "alpha=0.1", "noise.family=linear",
         "noise.amplitude=0.5", "noise.modes=6", "ic.kind=random",
         "steps=100", "dt=0.0025", "T=0.25",
-    ])], 0.25)[0]
-    basis = traj.basis
+    ]), 0.25)[0]
+    basis = traj.system.basis
     modes = np.eye(basis.n)
     base = analysis.weak_form_residual(traj, modes)
     coeffs = traj.coeffs.copy()
@@ -256,12 +257,13 @@ def test_criterion_12_reproducibility(tmp_path):
     # paths in reverse order from fresh states, one by one or as one stack,
     # changes no bit of any of them
     cfg = cli.parse_config(None, ["seed=2026", "paths=3", *CRITERION_12])
-    basis = cfg.basis()
-    forcing = cli.forcing_coefficients(cfg, basis)
+    system = cfg.system()
 
     def trajectories(order, stacked=False):
-        states = [cli.make_state(cfg, basis, i, forcing) for i in order]
-        return dict(zip(order, run(states, cfg.T) if stacked else [run([st], cfg.T)[0] for st in states]))
+        c0, lineages = cli.path_starts(cfg, system.basis, order)
+        if stacked:
+            return dict(zip(order, run(system, c0, lineages, cfg.T)))
+        return {i: run(system, c0[j:j + 1], lineages[j:j + 1], cfg.T)[0] for j, i in enumerate(order)}
 
     forward = trajectories(range(cfg.paths))
     arrays = ("times", "coeffs", "increments",

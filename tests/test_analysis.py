@@ -5,7 +5,7 @@ import pytest
 
 from nsvsim import analysis, cli, fields, galerkin
 from nsvsim.errors import DivergenceError, ValidationError
-from nsvsim.galerkin import DivFreeBasis, GalerkinState, assemble_drift_terms, run
+from nsvsim.galerkin import DivFreeBasis, System, assemble_drift_terms, run
 from nsvsim.noise import NoiseModel
 from nsvsim.rheology import RheologyParams
 
@@ -14,10 +14,10 @@ from conftest import torus_grid
 OFF = NoiseModel("off", 0.0, 0)
 
 
-def make_state(basis, c, params, noise=OFF, dt=1e-3, seed=11, path=0):
-    return GalerkinState(
-        c=np.asarray(c, float), basis=basis, params=params, noise=noise,
-        dt=dt, forcing=np.zeros(basis.n), master_seed=seed, path=path)
+def make_state(basis, c, params, noise=OFF, dt=1e-3, seed=11, path=0) -> tuple:
+    """(system, c0, lineages) of one path starting from ``c``: run's arguments before T."""
+    system = System(basis, params, noise, dt, np.zeros(basis.n), True)
+    return system, np.asarray(c, float)[None], [(seed, path)]
 
 
 def smooth_coeffs(basis, seed=7, kappa=0.5, energy=1.0):
@@ -30,7 +30,7 @@ class TestEnergyAudit:
     def test_bookkeeping_identity_exact(self, small_basis):
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
         model = NoiseModel("linear", 0.5, 6)
-        traj = run([make_state(small_basis, smooth_coeffs(small_basis), params, model)], 0.05)[0]
+        traj = run(*make_state(small_basis, smooth_coeffs(small_basis), params, model), 0.05)[0]
         ledger = analysis.ledger_from_trajectory(traj)
         assert ledger.bookkeeping_error() == 0.0
         assert len(ledger.residual) == traj.n_steps
@@ -41,50 +41,50 @@ class TestEnergyAudit:
         # included; the martingale reads the stepper's row-wise eta
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
         model = NoiseModel("linear", 0.5, 6)
-        traj = run([make_state(small_basis, smooth_coeffs(small_basis), params, model)], 0.02)[0]
+        traj = run(*make_state(small_basis, smooth_coeffs(small_basis), params, model), 0.02)[0]
         ledger = analysis.ledger_from_trajectory(traj)
         mass = small_basis.mass_multipliers(params.kappa)
         eta = galerkin.row_dot(traj.increments, model.mode_scales())
         for i, c in enumerate(traj.coeffs):
             t = assemble_drift_terms(
-                small_basis, c, traj.forcing, params, model)
+                small_basis, c, traj.system.forcing, params, model)
             for field in dataclasses.fields(galerkin.StateRecord):
                 assert np.array_equal(getattr(traj, field.name)[i], getattr(t, field.name)), (field.name, i)
             if i == traj.n_steps:
                 break
-            assert ledger.dissipation[i] == 2.0 * params.nu * t.dissipation_p * traj.dt
-            assert ledger.damping[i] == 2.0 * params.alpha * t.damping_q * traj.dt
+            assert ledger.dissipation[i] == 2.0 * params.nu * t.dissipation_p * traj.system.dt
+            assert ledger.damping[i] == 2.0 * params.alpha * t.damping_q * traj.system.dt
             assert ledger.ito_trace[i] == (
-                model.trace_const * float(np.sum(t.s * t.s / mass)) * traj.dt)
+                model.trace_const * float(np.sum(t.s * t.s / mass)) * traj.system.dt)
             assert ledger.martingale[i] == 2.0 * float(np.dot(c, t.s)) * eta[i]
 
     def test_euler_voigt_shear_conserves(self, small_basis):
         _, yy = torus_grid(small_basis.grid_size)
         c = small_basis.gather_grid(np.stack([np.sin(yy), np.zeros_like(yy)]))
         params = RheologyParams(p=2.0, q=3.0, nu=0.0, kappa=0.5)
-        traj = run([make_state(small_basis, c, params, dt=1e-2)], 0.5)[0]
+        traj = run(*make_state(small_basis, c, params, dt=1e-2), 0.5)[0]
         ledger = analysis.ledger_from_trajectory(traj)
         assert np.max(np.abs(ledger.d_energy)) < 1e-10 * ledger.energy[0]
 
     def test_viscous_residual_halves_with_dt(self, small_basis):
         params = RheologyParams(p=1.5, q=3.0, nu=1.0, kappa=0.5)
         c = smooth_coeffs(small_basis)
-        coarse = run([make_state(small_basis, c, params, dt=1e-3)], 0.2)[0]
-        fine = run([make_state(small_basis, c, params, dt=5e-4)], 0.2)[0]
+        coarse = run(*make_state(small_basis, c, params, dt=1e-3), 0.2)[0]
+        fine = run(*make_state(small_basis, c, params, dt=5e-4), 0.2)[0]
         coarse, fine = analysis.ledger_from_trajectory(coarse), analysis.ledger_from_trajectory(fine)
         assert coarse.energy_nonincreasing() and fine.energy_nonincreasing()
         assert np.sum(fine.residual) / np.sum(coarse.residual) == pytest.approx(0.5, abs=0.1)
 
     def test_energy_law_holds_on_no_step(self, small_basis):
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
-        traj = run([make_state(small_basis, smooth_coeffs(small_basis), params)], 0.0)[0]
+        traj = run(*make_state(small_basis, smooth_coeffs(small_basis), params), 0.0)[0]
         ledger = analysis.ledger_from_trajectory(traj)
         assert traj.n_steps == 0 and ledger.energy.size == 0
         assert ledger.energy_nonincreasing() is True
 
     def test_energy_law_sees_one_rising_step(self, small_basis):
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
-        traj = run([make_state(small_basis, smooth_coeffs(small_basis), params)], 0.01)[0]
+        traj = run(*make_state(small_basis, smooth_coeffs(small_basis), params), 0.01)[0]
         ledger = analysis.ledger_from_trajectory(traj)
         assert ledger.energy_nonincreasing() is True
         tolerance = 1e-12 * max(ledger.energy[0], 1.0)
@@ -99,7 +99,7 @@ class TestEnergyAudit:
         c = smooth_coeffs(small_basis)
         finals = []
         for path in range(60):
-            traj = run([make_state(small_basis, c, params, model, dt=2.5e-3, path=path)], 0.1)[0]
+            traj = run(*make_state(small_basis, c, params, model, dt=2.5e-3, path=path), 0.1)[0]
             finals.append(np.sum(analysis.ledger_from_trajectory(traj).residual))
         finals = np.asarray(finals)
         se = finals.std(ddof=1) / np.sqrt(len(finals))
@@ -110,7 +110,7 @@ class TestWeakForm:
     def _traj(self, small_basis, noise=True):
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
         model = NoiseModel("linear", 0.5, 6) if noise else OFF
-        return run([make_state(small_basis, smooth_coeffs(small_basis), params, model, dt=2e-3)], 0.05)[0]
+        return run(*make_state(small_basis, smooth_coeffs(small_basis), params, model, dt=2e-3), 0.05)[0]
 
     def test_scheme_satisfies_own_identity(self, small_basis):
         traj = self._traj(small_basis)
@@ -125,14 +125,14 @@ class TestWeakForm:
             "noise.amplitude=0.5", "noise.modes=6", "ic.kind=random",
             "steps=100", "dt=0.0025", "T=0.25", "convection=false",
         ])
-        basis = cfg.basis()
-        traj = run([cli.make_state(cfg, basis, 0, cli.forcing_coefficients(cfg, basis))], cfg.T)[0]
-        modes = np.eye(traj.basis.n)
+        system = cfg.system()
+        traj = run(system, *cli.path_starts(cfg, system.basis, [0]), cfg.T)[0]
+        modes = np.eye(traj.system.basis.n)
         assert analysis.weak_form_residual(traj, modes) <= 1e-9
 
     def test_zero_trajectory_zero_residual(self, small_basis):
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
-        traj = run([make_state(small_basis, np.zeros(small_basis.n), params)], 0.02)[0]
+        traj = run(*make_state(small_basis, np.zeros(small_basis.n), params), 0.02)[0]
         modes = np.eye(small_basis.n)[[0, 3, 7]]
         assert analysis.weak_form_residual(traj, modes) == 0.0
 
@@ -156,16 +156,16 @@ class TestWeakForm:
         coeffs[traj.n_steps // 2, 4] += 1e-3
         traj = dataclasses.replace(traj, coeffs=coeffs)
         modes = np.eye(small_basis.n)[[0, 4, 9]]
-        mass = small_basis.mass_multipliers(traj.params.kappa)
-        scales = traj.noise.mode_scales()
+        mass = small_basis.mass_multipliers(traj.system.params.kappa)
+        scales = traj.system.noise.mode_scales()
         worst = 0.0
         for d in modes:
             base = float(np.dot(mass * d, traj.coeffs[0]))
             acc, scale = 0.0, max(abs(base), 1e-300)
             for i in range(traj.n_steps):
-                t = assemble_drift_terms(small_basis, traj.coeffs[i], traj.forcing, traj.params,
-                                         traj.noise, traj.convection)
-                acc += float(np.dot(d, t.b * traj.dt + t.s * float(np.dot(scales, traj.increments[i]))))
+                t = assemble_drift_terms(small_basis, traj.coeffs[i], traj.system.forcing, traj.system.params,
+                                         traj.system.noise, traj.system.convection)
+                acc += float(np.dot(d, t.b * traj.system.dt + t.s * float(np.dot(scales, traj.increments[i]))))
                 lhs = float(np.dot(mass * d, traj.coeffs[i + 1]))
                 scale = max(scale, abs(lhs), abs(acc))
                 worst = max(worst, abs(lhs - base - acc) / scale)
@@ -182,8 +182,8 @@ class TestWeakForm:
 
     def test_zero_step_trajectory(self, small_basis):
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
-        traj = run([make_state(small_basis, smooth_coeffs(small_basis), params,
-                              NoiseModel("linear", 0.5, 6))], 0.0)[0]
+        traj = run(*make_state(small_basis, smooth_coeffs(small_basis), params,
+                              NoiseModel("linear", 0.5, 6)), 0.0)[0]
         assert traj.n_steps == 0
         assert analysis.weak_form_residual(traj, np.eye(small_basis.n)) == 0.0
 
@@ -193,7 +193,7 @@ class TestMoments:
         c = smooth_coeffs(small_basis)
 
         def run_path(path):
-            return run([make_state(small_basis, c, params, model, dt=dt, path=path)], T)[0]
+            return run(*make_state(small_basis, c, params, model, dt=dt, path=path), T)[0]
 
         return run_path, small_basis.energy(c, params.kappa)
 
@@ -238,8 +238,8 @@ class TestMoments:
                 import warnings
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    return run([st], 100.0)[0]
-            return run([make_state(small_basis, smooth_coeffs(small_basis), params, model)], 0.002)[0]
+                    return run(*st, 100.0)[0]
+            return run(*make_state(small_basis, smooth_coeffs(small_basis), params, model), 0.002)[0]
 
         def finite_paths():
             for path in range(3):
@@ -260,8 +260,8 @@ class TestAlphaSweep:
             params = RheologyParams(p=2.0, q=4.0, nu=0.5, kappa=0.5, alpha=alpha)
             return make_state(small_basis, c, params, dt=2.5e-3)
 
-        rows = analysis.alpha_sweep(run([state_for(0.0)], 0.05)[0],
-                                    (run([state_for(a)], 0.05)[0] for a in [0.25, 0.125, 0.0625, 0.03125]))
+        rows = analysis.alpha_sweep(run(*state_for(0.0), 0.05)[0],
+                                    (run(*state_for(a), 0.05)[0] for a in [0.25, 0.125, 0.0625, 0.03125]))
         damping = [r.damping_integral for r in rows]
         assert all(b < a for a, b in zip(damping, damping[1:]))
         dists = [r.distance_to_reference for r in rows]
@@ -276,17 +276,17 @@ class TestAlphaSweep:
             params = RheologyParams(p=2.0, q=4.0, nu=0.5, kappa=0.5, alpha=alpha)
             return make_state(small_basis, c, params, dt=2.5e-3)
 
-        rows = analysis.alpha_sweep(run([state_for(0.0)], 0.01)[0], [run([state_for(1e-12)], 0.01)[0]])
+        rows = analysis.alpha_sweep(run(*state_for(0.0), 0.01)[0], [run(*state_for(1e-12), 0.01)[0]])
         assert rows[0].damping_integral == pytest.approx(0.0, abs=1e-10)
         # and the ledger's damping column vanishes identically on the reference
-        ledger = analysis.ledger_from_trajectory(run([state_for(0.0)], 0.01)[0])
+        ledger = analysis.ledger_from_trajectory(run(*state_for(0.0), 0.01)[0])
         assert np.all(ledger.damping == 0.0)
 
     def test_validation(self, small_basis):
         c = smooth_coeffs(small_basis)
         ref, *trajs = (
-            run([make_state(small_basis, c, RheologyParams(p=2.0, q=4.0, nu=0.5, kappa=0.5, alpha=a),
-                           dt=2.5e-3)], 0.01)[0]
+            run(*make_state(small_basis, c, RheologyParams(p=2.0, q=4.0, nu=0.5, kappa=0.5, alpha=a),
+                           dt=2.5e-3), 0.01)[0]
             for a in (0.0, 0.1, 0.2))
         with pytest.raises(ValidationError):
             analysis.alpha_sweep(ref, trajs)
@@ -305,7 +305,7 @@ class TestMonotoneLimitShadow:
         for n_modes in (16, 32):
             basis = DivFreeBasis(n_modes, grid)
             c = smooth_coeffs(basis)
-            trajs[n_modes] = run([make_state(basis, c, params, model, dt=2.5e-3)], 0.05)[0]
+            trajs[n_modes] = run(*make_state(basis, c, params, model, dt=2.5e-3), 0.05)[0]
         t_small, t_big = trajs[16], trajs[32]
         w = fields.quad_weight(grid)
         total = 0.0
@@ -317,8 +317,8 @@ class TestMonotoneLimitShadow:
             av = power_law_stress(dv, fields.sym_modulus(dv), params.p)
             gap = au - av
             dd = du - dv
-            total += float(np.sum(fields.sym_contract(gap, dd)) * w) * t_small.dt
-            scale += float(np.sum(fields.sym_modulus(du) ** params.p) * w) * t_small.dt
+            total += float(np.sum(fields.sym_contract(gap, dd)) * w) * t_small.system.dt
+            scale += float(np.sum(fields.sym_modulus(du) ** params.p) * w) * t_small.system.dt
         assert total >= -1e-8 * max(scale, 1.0)
 
 
@@ -334,7 +334,7 @@ class TestTwin:
                 cb[int(np.flatnonzero(basis.k2 > 0)[0])] += perturb
             sb = make_state(basis, cb, params, model, dt=dt, seed=3,
                             path=path if path_b is None else path_b)
-            yield run([sa], T)[0], run([sb], T)[0]
+            yield run(*sa, T)[0], run(*sb, T)[0]
 
     def test_identical_initial_data_bitwise(self, small_basis):
         rep = analysis.twin_uniqueness(self._pairs(small_basis, 0.0, 4), 1.0)
@@ -345,9 +345,9 @@ class TestTwin:
     def _weighted_gap(ta, tb, weight_constant):
         """phi(t) E_w(t) of one pair, with phi = exp(-C int ||grad u_b|| dt)."""
         w = ta.coeffs - tb.coeffs
-        grad_u = np.sqrt(ta.basis.field_norms_sq(tb.coeffs)[1])
-        phi = np.exp(-weight_constant * np.concatenate([[0.0], np.cumsum(grad_u[:-1]) * ta.dt]))
-        return phi, ta.basis.energy(w, ta.params.kappa)
+        grad_u = np.sqrt(ta.system.basis.field_norms_sq(tb.coeffs)[1])
+        phi = np.exp(-weight_constant * np.concatenate([[0.0], np.cumsum(grad_u[:-1]) * ta.system.dt]))
+        return phi, ta.system.basis.energy(w, ta.system.params.kappa)
 
     def test_weight_in_unit_interval(self, small_basis):
         c1 = analysis.calibrate_ladyzhenskaya(small_basis)
@@ -383,8 +383,8 @@ class TestTwin:
         params = RheologyParams(p=2.0, q=3.0, nu=0.5, kappa=0.5)
 
         bad_pair = (
-            run([make_state(small_basis, smooth_coeffs(small_basis), params)], 0.01)[0],
-            run([make_state(other, smooth_coeffs(other), params)], 0.01)[0],
+            run(*make_state(small_basis, smooth_coeffs(small_basis), params), 0.01)[0],
+            run(*make_state(other, smooth_coeffs(other), params), 0.01)[0],
         )
         with pytest.raises(ValidationError, match="span"):
             analysis.twin_uniqueness([bad_pair], 1.0)

@@ -135,6 +135,9 @@ class TestParseConfig:
         ("alpha-sweep", ["q=4", "T=0", "steps=0"]),
         ("uniqueness", ["paths=2", "n_modes=2"]),
         ("uniqueness", ["paths=2", "n_modes=1"]),
+        # above sqrt(float max) the decay constant c^2 has no float value
+        ("propcheck", ["noise.family=linear", "noise.amplitude=1.35e154"]),
+        ("simulate", ["noise.family=linear", "noise.amplitude=1.35e154"]),
     ], ids=lambda v: ",".join(v) if isinstance(v, list) else v)
     def test_config_error_names_its_key_before_any_work(self, experiment, overrides, tmp_path, capsys):
         key = overrides[-1].split("=")[0]
@@ -149,9 +152,17 @@ class TestParseConfig:
         ["experiment=pressure", "T=0", "steps=0"],
         ["experiment=uniqueness", "n_modes=3"],
         ["experiment=uniqueness", "pin_mean=true", "n_modes=1"],
+        ["noise.family=linear", "noise.amplitude=1.3e154"],
+        ["experiment=alpha-sweep", "q=4"],
     ], ids=",".join)
     def test_the_bounds_admit_their_edge(self, overrides):
         cli.parse_config(None, overrides)
+
+    def test_alpha_sweep_checks_its_damped_legs_up_front(self):
+        # the sweep runs alpha > 0, which needs q >= max(2p', 3) = 4 at p = 2,
+        # whatever the config's own alpha: rejected before the alpha = 0 leg runs
+        with pytest.raises(ConfigurationError, match=r"^damping exponent q=3\.0 < max\(2p', 3\) = 4\.0"):
+            cli.parse_config(None, ["experiment=alpha-sweep"])
 
     VALUES = st.one_of(
         st.text(max_size=12),
@@ -360,9 +371,9 @@ class TestExperiments:
         forcing = write_forcing_snapshots(tmp_path, 4)
         original, seen = cli.run, {}
 
-        def recording(states, *args, **kwargs):
-            seen.update((st.dt, st.forcing) for st in states)
-            return original(states, *args, **kwargs)
+        def recording(system, *args, **kwargs):
+            seen[system.dt] = system.forcing
+            return original(system, *args, **kwargs)
 
         monkeypatch.setattr(cli, "run", recording)
         overrides = [*self.FORCED, f"forcing.path={forcing}"]
@@ -382,10 +393,10 @@ class TestExperiments:
         refs = {}
         alive_at_start = {}
 
-        def tracked(states, *args, **kwargs):
-            alive_at_start[states[0].path] = sorted(p for p, ref in refs.items() if ref() is not None)
-            results = original(states, *args, **kwargs)
-            refs.update((st.path, weakref.ref(traj)) for st, traj in zip(states, results))
+        def tracked(system, c0, lineages, *args, **kwargs):
+            alive_at_start[lineages[0][1]] = sorted(p for p, ref in refs.items() if ref() is not None)
+            results = original(system, c0, lineages, *args, **kwargs)
+            refs.update((path, weakref.ref(traj)) for (_, path), traj in zip(lineages, results))
             return results
 
         monkeypatch.setattr(cli, "run", tracked)
@@ -487,7 +498,7 @@ class TestExperiments:
         def patched(traj):
             ledger = original(traj)
             residual = np.zeros_like(ledger.residual)
-            residual[0] = ratio if traj.dt < 0.005 else 1.0
+            residual[0] = ratio if traj.system.dt < 0.005 else 1.0
             return dataclasses.replace(ledger, residual=residual)
 
         monkeypatch.setattr(cli.analysis, "ledger_from_trajectory", patched)
@@ -511,9 +522,9 @@ class TestExperiments:
         # the dt/2 leg's last state gains energy; the dt leg is untouched
         original = cli.run
 
-        def rising_fine_leg(states, T, **kwargs):
-            results = original(states, T, **kwargs)
-            if states[0].dt < 0.005:
+        def rising_fine_leg(system, c0, lineages, T, **kwargs):
+            results = original(system, c0, lineages, T, **kwargs)
+            if system.dt < 0.005:
                 results[0].coeffs[-1] *= 2.0
             return results
 
@@ -542,9 +553,9 @@ class TestExperiments:
     def test_moments_excluded_path_fails(self, tmp_path, capsys, monkeypatch):
         original = cli.run
 
-        def diverge_path_one(states, T, **kwargs):
-            results = original(states, T, **kwargs)
-            return [DivergenceError(3, 1) if st.path == 1 else traj for st, traj in zip(states, results)]
+        def diverge_path_one(system, c0, lineages, T, **kwargs):
+            results = original(system, c0, lineages, T, **kwargs)
+            return [DivergenceError(3, 1) if path == 1 else traj for (_, path), traj in zip(lineages, results)]
 
         monkeypatch.setattr(cli, "run", diverge_path_one)
         rc = cli.main([
@@ -602,9 +613,9 @@ class TestExperiments:
         # path of each stack diverges first; the report names path 0
         original = cli.run
 
-        def diverge_all(states, T, **kwargs):
-            original(states, T, **kwargs)
-            return [DivergenceError(10 - st.path, st.path) for st in states]
+        def diverge_all(system, c0, lineages, T, **kwargs):
+            original(system, c0, lineages, T, **kwargs)
+            return [DivergenceError(10 - path, path) for _, path in lineages]
 
         monkeypatch.setattr(cli, "run", diverge_all)
         cfg = cli.parse_config(None, [
@@ -620,10 +631,10 @@ class TestExperiments:
         # 0-7); its NaN ratio makes the Gronwall constant NaN at dt and dt/2
         original = cli.run
 
-        def nan_path_8(states, T, **kwargs):
-            results = original(states, T, **kwargs)
-            for st, traj in zip(states, results):
-                if st.path == 8:
+        def nan_path_8(system, c0, lineages, T, **kwargs):
+            results = original(system, c0, lineages, T, **kwargs)
+            for (_, path), traj in zip(lineages, results):
+                if path == 8:
                     traj.coeffs[-1] = np.nan
             return results
 

@@ -13,8 +13,8 @@ from nsvsim import analysis, fields, galerkin
 from nsvsim.errors import ConfigurationError, DivergenceError, ValidationError
 from nsvsim.galerkin import (
     DivFreeBasis,
-    GalerkinState,
     PointwiseTerms,
+    System,
     assemble_drift_terms,
     run,
     trajectory_csv,
@@ -57,11 +57,10 @@ def count_transforms(monkeypatch) -> list:
     return calls
 
 
-def make_state(basis, c, params, noise=OFF, dt=1e-3, **kw) -> GalerkinState:
-    return GalerkinState(
-        c=np.asarray(c, float), basis=basis, params=params, noise=noise,
-        dt=dt, forcing=np.zeros(basis.n), **kw,
-    )
+def make_state(basis, c, params, noise=OFF, dt=1e-3, seed=0, path=0, forcing=None, convection=True) -> tuple:
+    """(system, c0, lineages) of one path starting from ``c``: run's arguments before T."""
+    system = System(basis, params, noise, dt, np.zeros(basis.n) if forcing is None else forcing, convection)
+    return system, np.asarray(c, float)[None], [(seed, path)]
 
 
 class TestBasis:
@@ -320,7 +319,7 @@ class TestDrift:
         calls = count_transforms(monkeypatch)
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
         c = smooth_random_coeffs(small_basis)
-        run([make_state(small_basis, c, params, noise=NoiseModel("linear", 0.5, 4))], 0.005)
+        run(*make_state(small_basis, c, params, noise=NoiseModel("linear", 0.5, 4)), 0.005)
         assert calls == ["to_grid", "from_grid"] * 6
         terms = assemble_drift_terms(
             small_basis, c, np.zeros(small_basis.n), params, OFF)
@@ -438,13 +437,13 @@ class TestStep:
     def test_zero_state_forever(self, small_basis):
         params = RheologyParams(p=2.5, q=3.0, nu=1.0, kappa=0.5)
         st = make_state(small_basis, np.zeros(small_basis.n), params)
-        traj = run([st], 0.05)[0]
+        traj = run(*st, 0.05)[0]
         assert np.all(traj.coeffs == 0.0)
 
     def test_steady_euler_voigt_shear(self, small_basis):
         params = RheologyParams(p=2.0, q=3.0, nu=0.0, kappa=0.5)
         c = shear_coeffs(small_basis)
-        traj = run([make_state(small_basis, c, params, dt=1e-2)], 0.5)[0]
+        traj = run(*make_state(small_basis, c, params, dt=1e-2), 0.5)[0]
         assert np.max(np.abs(traj.coeffs - c[None, :])) < 1e-12
 
     def test_single_mode_decay_closed_form(self, small_basis):
@@ -457,7 +456,7 @@ class TestStep:
         errs = []
         for dt in (1e-3, 5e-4):
             st = make_state(small_basis, c, params, dt=dt, convection=False)
-            traj = run([st], T)[0]
+            traj = run(*st, T)[0]
             errs.append(abs(traj.coeffs[-1, j] - c[j] * np.exp(-rate * T)))
         assert errs[1] / errs[0] == pytest.approx(0.5, abs=0.05)
 
@@ -466,7 +465,7 @@ class TestStep:
         params = RheologyParams(p=2.0, q=3.0, nu=0.0, kappa=0.5)
         c = smooth_random_coeffs(small_basis)
         for dt in (2e-3, 1e-3):
-            traj = run([make_state(small_basis, c, params, dt=dt)], dt * 50)[0]
+            traj = run(*make_state(small_basis, c, params, dt=dt), dt * 50)[0]
             de = np.diff(traj.energies())
             assert np.max(de) < 50.0 * dt**2
 
@@ -476,7 +475,7 @@ class TestStep:
         st = make_state(small_basis, c, params, dt=10.0, path=3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            [err] = run([st], 100.0)
+            [err] = run(*st, 100.0)
         assert isinstance(err, DivergenceError)
         assert err.step >= 0 and err.path == 3
         assert str(err) == f"nonfinite state detected at step {err.step} of path 3"
@@ -485,14 +484,14 @@ class TestStep:
         params = RheologyParams(p=2.0, q=3.0, nu=0.0, kappa=0.5)
         c = 100.0 * shear_coeffs(small_basis)
         with pytest.warns(UserWarning, match="unstable"):
-            run([make_state(small_basis, c, params, dt=0.05)], 0.05)
+            run(*make_state(small_basis, c, params, dt=0.05), 0.05)
 
     def test_determinism_bitwise(self, small_basis):
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
         model = NoiseModel("linear", 0.5, 6)
         c = smooth_random_coeffs(small_basis)
-        t1 = run([make_state(small_basis, c, params, noise=model, master_seed=9, path=2)], 0.05)[0]
-        t2 = run([make_state(small_basis, c, params, noise=model, master_seed=9, path=2)], 0.05)[0]
+        t1 = run(*make_state(small_basis, c, params, noise=model, seed=9, path=2), 0.05)[0]
+        t2 = run(*make_state(small_basis, c, params, noise=model, seed=9, path=2), 0.05)[0]
         assert np.array_equal(t1.coeffs, t2.coeffs)
         assert np.array_equal(t1.increments, t2.increments)
 
@@ -501,20 +500,20 @@ class TestRun:
     def test_zero_horizon(self, small_basis):
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
         st = make_state(small_basis, shear_coeffs(small_basis), params)
-        traj = run([st], 0.0)[0]
+        traj = run(*st, 0.0)[0]
         assert traj.n_steps == 0
-        assert np.array_equal(traj.coeffs[0], st.c)
+        assert np.array_equal(traj.coeffs[0], st[1][0])
 
     def test_non_integer_horizon_rejected(self, small_basis):
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
         st = make_state(small_basis, shear_coeffs(small_basis), params, dt=1e-3)
         with pytest.raises(ValidationError):
-            run([st], 0.0105)
+            run(*st, 0.0105)
 
     def test_monitor_trips_immediately(self, small_basis):
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
         st = make_state(small_basis, shear_coeffs(small_basis), params)
-        traj = run([st], 0.1, grad_threshold=0.1)[0]
+        traj = run(*st, 0.1, grad_threshold=0.1)[0]
         assert traj.n_steps == 0
         assert traj.tripped_at == 0.0
 
@@ -522,7 +521,7 @@ class TestRun:
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
         c = shear_coeffs(small_basis)
         g0 = float(np.sqrt(np.sum(small_basis.k2 * c**2)))
-        traj = run([make_state(small_basis, c, params)], 0.1, grad_threshold=g0 * 1.0001)[0]
+        traj = run(*make_state(small_basis, c, params), 0.1, grad_threshold=g0 * 1.0001)[0]
         assert traj.tripped_at is None
         assert traj.n_steps == 100
 
@@ -530,13 +529,12 @@ class TestRun:
         # a forced shear grows from rest, so ||grad u|| rises at every step and
         # a threshold at step k's value stops the run there
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
-        st = GalerkinState(c=np.zeros(small_basis.n), basis=small_basis, params=params, noise=OFF,
-                           dt=1e-3, forcing=shear_coeffs(small_basis))
-        free = run([st], 0.02)[0]
+        st = make_state(small_basis, np.zeros(small_basis.n), params, forcing=shear_coeffs(small_basis))
+        free = run(*st, 0.02)[0]
         grads = np.sqrt(small_basis.field_norms_sq(free.coeffs)[1])
         assert np.all(np.diff(grads) > 0)
         k = 12
-        traj = run([st], 0.02, grad_threshold=grads[k])[0]
+        traj = run(*st, 0.02, grad_threshold=grads[k])[0]
         assert traj.n_steps == k
         assert traj.tripped_at == traj.times[-1] == free.times[k]
         assert np.array_equal(traj.coeffs, free.coeffs[: k + 1])
@@ -550,13 +548,13 @@ class TestRun:
     def test_supplied_increments_reproduce_the_path(self, small_basis):
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
         st = make_state(small_basis, smooth_random_coeffs(small_basis), params,
-                        noise=NoiseModel("linear", 0.5, 6), master_seed=9, path=2)
-        traj = run([st], 0.02)[0]
-        replay = run([st], 0.02, increments=traj.increments[None])[0]
+                        noise=NoiseModel("linear", 0.5, 6), seed=9, path=2)
+        traj = run(*st, 0.02)[0]
+        replay = run(*st, 0.02, increments=traj.increments[None])[0]
         for name in RECORD:
             assert np.array_equal(getattr(replay, name), getattr(traj, name)), name
         with pytest.raises(ValidationError, match="shorter"):
-            run([st], 0.02, increments=traj.increments[None, :-1])
+            run(*st, 0.02, increments=traj.increments[None, :-1])
 
     def test_supplied_increments_checked_before_the_first_step(self, small_basis):
         # too few noise modes, or a row per state missing, is a ValidationError
@@ -565,9 +563,9 @@ class TestRun:
         st = make_state(small_basis, smooth_random_coeffs(small_basis), params,
                         noise=NoiseModel("linear", 0.5, 8))
         with pytest.raises(ValidationError, match=r"\(1, 10, 3\)"):
-            run([st], 10 * st.dt, increments=np.zeros((1, 10, 3)))
+            run(*st, 10 * st[0].dt, increments=np.zeros((1, 10, 3)))
         with pytest.raises(ValidationError, match=r"\(2, 10, 8\)"):
-            run([st], 10 * st.dt, increments=np.zeros((2, 10, 8)))
+            run(*st, 10 * st[0].dt, increments=np.zeros((2, 10, 8)))
 
     def test_etas_are_the_steps_own(self):
         # every stored step is the Euler-Maruyama update with traj.etas()'s eta,
@@ -580,24 +578,30 @@ class TestRun:
         cfg = cli.parse_config(None, ["seed=12345", "ic.kind=random", "nu=0.5", "p=2.5",
                                       "noise.family=linear", "noise.amplitude=0.5", "noise.modes=8",
                                       "steps=100", "dt=0.0025", "T=0.25"])
-        basis = cfg.basis()
-        traj = run([cli.make_state(cfg, basis, 0, cli.forcing_coefficients(cfg, basis))], cfg.T)[0]
-        terms = assemble_drift_terms(basis, traj.coeffs[:-1], galerkin.forcing_at(traj.forcing, np.arange(100)),
-                                     traj.params, traj.noise)
+        system = cfg.system()
+        basis = system.basis
+        traj = run(system, *cli.path_starts(cfg, basis, [0]), cfg.T)[0]
+        terms = assemble_drift_terms(basis, traj.coeffs[:-1], galerkin.forcing_at(system.forcing, np.arange(100)),
+                                     system.params, system.noise)
         eta = traj.etas()
         assert traj.n_steps == 100 and np.all(eta != 0.0)
-        mass = basis.mass_multipliers(traj.params.kappa)
-        stepped = traj.coeffs[:-1] + (terms.b * traj.dt + terms.s * eta[:, None]) / mass
+        mass = basis.mass_multipliers(system.params.kappa)
+        stepped = traj.coeffs[:-1] + (terms.b * system.dt + terms.s * eta[:, None]) / mass
         assert [i for i in range(100) if not np.array_equal(stepped[i], traj.coeffs[i + 1])] == []
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3])
+    def test_a_system_needs_a_positive_step(self, small_basis, dt):
+        params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
+        with pytest.raises(ValidationError, match=f"^dt={dt} must be positive"):
+            System(small_basis, params, OFF, dt, np.zeros(small_basis.n), True)
 
     def test_forcing_balances_dissipation(self, small_basis):
         # forcing equal to the dissipative drift freezes the single-mode state
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
         c = shear_coeffs(small_basis)
         f = -drift(small_basis, c, params)
-        st = GalerkinState(
-            c=c, basis=small_basis, params=params, noise=OFF, dt=1e-3, forcing=f)
-        traj = run([st], 0.05)[0]
+        st = make_state(small_basis, c, params, forcing=f)
+        traj = run(*st, 0.05)[0]
         assert np.max(np.abs(traj.coeffs[-1] - c)) < 1e-10
 
 
@@ -615,14 +619,20 @@ class TestStack:
     """``run`` over a stack: every row is bit for bit its own run."""
 
     @staticmethod
-    def states(basis, k, family="linear", scales=None, dt=2.5e-3, steps=8):
+    def stack(basis, k, family="linear", scales=None, dt=2.5e-3, steps=8) -> tuple:
+        """(system, c0, lineages) of k paths of one forced, damped, noisy system."""
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
         forcing = 0.1 * np.random.default_rng(3).standard_normal((steps, basis.n))
         scales = scales or [1.0] * k
-        return [GalerkinState(c=scale * smooth_random_coeffs(basis, seed=j), basis=basis, params=params,
-                              noise=NoiseModel(family, 0.5, 6), dt=dt, forcing=forcing,
-                              master_seed=11, path=3 * j + 1)
-                for j, scale in enumerate(scales)]
+        system = System(basis, params, NoiseModel(family, 0.5, 6), dt, forcing, True)
+        c0 = np.stack([scale * smooth_random_coeffs(basis, seed=j) for j, scale in enumerate(scales)])
+        return system, c0, [(11, 3 * j + 1) for j in range(len(scales))]
+
+    @staticmethod
+    def row(stack, j) -> tuple:
+        """Row j of ``stack`` as a stack of one."""
+        system, c0, lineages = stack
+        return system, c0[j:j + 1], lineages[j:j + 1]
 
     @pytest.mark.parametrize("grid, n_modes", [(16, 16), (32, 32)])
     @pytest.mark.parametrize("family", ["linear", "saturating"])
@@ -630,72 +640,71 @@ class TestStack:
     def test_rows_equal_their_own_runs(self, grid, n_modes, family, k):
         # at grid 32 the kernel evaluates 8 states per call, so 9 rows cross
         # its chunk boundary
-        states = self.states(DivFreeBasis(n_modes, grid), k, family)
-        stack = run(states, 8 * 2.5e-3)
-        assert len(stack) == k and stack.n_steps == 8 * k
-        for st, traj in zip(states, stack):
-            assert_same_path(traj, run([st], 8 * 2.5e-3)[0])
+        stack = self.stack(DivFreeBasis(n_modes, grid), k, family)
+        paths = run(*stack, 8 * 2.5e-3)
+        assert len(paths) == k and paths.n_steps == 8 * k
+        for j, traj in enumerate(paths):
+            assert_same_path(traj, run(*self.row(stack, j), 8 * 2.5e-3)[0])
 
     def test_a_diverged_row_leaves_the_others_unchanged(self, small_basis):
-        states = self.states(small_basis, 3, scales=[1.0, 1e4, 1.0], dt=0.025, steps=20)
+        stack = self.stack(small_basis, 3, scales=[1.0, 1e4, 1.0], dt=0.025, steps=20)
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore")
-            stack = run(states, 0.5)
-            [alone] = run([states[1]], 0.5)
-        err = stack[1]
+            paths = run(*stack, 0.5)
+            [alone] = run(*self.row(stack, 1), 0.5)
+        err = paths[1]
         assert isinstance(err, DivergenceError) and isinstance(alone, DivergenceError)
         assert (err.step, err.path) == (alone.step, 4) and 0 < err.step < 20
         for j in (0, 2):
-            assert_same_path(stack[j], run([states[j]], 0.5)[0])
-            assert stack[j].n_steps == 20
+            assert_same_path(paths[j], run(*self.row(stack, j), 0.5)[0])
+            assert paths[j].n_steps == 20
 
     def test_a_tripped_row_stops_alone(self, small_basis):
         # a forced shear grows from rest along one orbit: the middle row starts
         # at the orbit's step 10 and reaches the threshold of step 18 after 8
         # steps; the rows at rest stop at step 15, below it
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
-        rest = GalerkinState(c=np.zeros(small_basis.n), basis=small_basis, params=params, noise=OFF,
-                             dt=1e-3, forcing=shear_coeffs(small_basis))
-        orbit = run([rest], 0.02)[0]
+        system, rest, _ = make_state(small_basis, np.zeros(small_basis.n), params,
+                                     forcing=shear_coeffs(small_basis))
+        orbit = run(system, rest, [(0, 0)], 0.02)[0]
         threshold = np.sqrt(small_basis.field_norms_sq(orbit.coeffs[18])[1])
-        states = [rest, GalerkinState(**{**vars(rest), "c": orbit.coeffs[10], "path": 1}),
-                  GalerkinState(**{**vars(rest), "path": 2})]
-        stack = run(states, 0.015, grad_threshold=threshold)
-        assert [traj.n_steps for traj in stack] == [15, 8, 15]
-        assert [traj.tripped_at for traj in stack] == [None, stack[1].times[-1], None]
-        for st, traj in zip(states, stack):
-            assert_same_path(traj, run([st], 0.015, grad_threshold=threshold)[0])
+        stack = (system, np.concatenate([rest, orbit.coeffs[10:11], rest]), [(0, 0), (0, 1), (0, 2)])
+        paths = run(*stack, 0.015, grad_threshold=threshold)
+        assert [traj.n_steps for traj in paths] == [15, 8, 15]
+        assert [traj.tripped_at for traj in paths] == [None, paths[1].times[-1], None]
+        for j, traj in enumerate(paths):
+            assert_same_path(traj, run(*self.row(stack, j), 0.015, grad_threshold=threshold)[0])
 
     def test_rows_share_no_writable_element(self, small_basis):
         # each row's record views its own prefix of the stack's arrays: writing
         # into one row leaves its siblings their own runs; the shared times
         # are read-only
-        states = self.states(small_basis, 3)
-        stack = run(states, 0.02)
-        for traj in stack:
+        stack = self.stack(small_basis, 3)
+        paths = run(*stack, 0.02)
+        for traj in paths:
             assert all(getattr(traj, name).flags.c_contiguous for name in RECORD)
             assert not traj.times.flags.writeable
         for name in RECORD[1:]:
-            getattr(stack[1], name)[...] = np.nan
+            getattr(paths[1], name)[...] = np.nan
         for j in (0, 2):
-            assert_same_path(stack[j], run([states[j]], 0.02)[0])
+            assert_same_path(paths[j], run(*self.row(stack, j), 0.02)[0])
 
     def test_cfl_warned_once_per_row_over_half(self, small_basis):
         params = RheologyParams(p=2.0, q=3.0, nu=0.0, kappa=0.5)
-        states = [make_state(small_basis, scale * shear_coeffs(small_basis), params, dt=0.05, path=j)
-                  for j, scale in enumerate([100.0, 0.01, 200.0])]
+        system, _, _ = make_state(small_basis, np.zeros(small_basis.n), params, dt=0.05)
+        c0 = np.stack([scale * shear_coeffs(small_basis) for scale in (100.0, 0.01, 200.0)])
         with pytest.warns(UserWarning) as caught:
-            run(states, 0.05)
+            run(system, c0, [(0, j) for j in range(3)], 0.05)
         assert [str(w.message) for w in caught] == [
             f"dt*max|u|*k_max = {cfl:.3g} > 0.5: explicit convection may be unstable"
-            for cfl in (0.05 * float(assemble_drift_terms(small_basis, st.c, st.forcing, params, OFF).max_speed)
-                        * small_basis.k_max for st in (states[0], states[2]))]
+            for cfl in (0.05 * float(assemble_drift_terms(small_basis, c, system.forcing, params, OFF).max_speed)
+                        * small_basis.k_max for c in (c0[0], c0[2]))]
 
     def test_twins_draw_their_lineage_once(self, small_basis, monkeypatch):
-        # a state and its twin share one (seed, path) lineage: the stack draws
+        # a path and its twin share one (seed, path) lineage: the stack draws
         # it once, and each row still holds its own copy of its run's draws
-        states = self.states(small_basis, 2)
-        states[1] = GalerkinState(**{**vars(states[1]), "path": states[0].path})
+        system, c0, lineages = self.stack(small_basis, 2)
+        stack = (system, c0, [lineages[0]] * 2)
         original, drawn = galerkin.sample_increment, []
 
         def counted(lineages, *args):
@@ -703,38 +712,40 @@ class TestStack:
             return original(lineages, *args)
 
         monkeypatch.setattr(galerkin, "sample_increment", counted)
-        stack = run(states, 0.02)
+        paths = run(*stack, 0.02)
         assert drawn == [1]
-        assert not np.shares_memory(stack[0].increments, stack[1].increments)
-        for st, traj in zip(states, stack):
-            assert_same_path(traj, run([st], 0.02)[0])
+        assert not np.shares_memory(paths[0].increments, paths[1].increments)
+        for j, traj in enumerate(paths):
+            assert_same_path(traj, run(*self.row(stack, j), 0.02)[0])
 
     def test_a_negative_seed_rejected(self, small_basis):
-        states = self.states(small_basis, 2)
-        states[1] = GalerkinState(**{**vars(states[1]), "master_seed": -1})
+        system, c0, lineages = self.stack(small_basis, 2)
         with pytest.raises(ValidationError, match="noise keys"):
-            run(states, 0.02)
+            run(system, c0, [lineages[0], (-1, lineages[1][1])], 0.02)
 
     def test_supplied_increments_reproduce_every_row(self, small_basis):
-        states = self.states(small_basis, 5)
-        stack = run(states, 0.02)
-        replay = run(states, 0.02, increments=np.stack([traj.increments for traj in stack]))
-        for traj, again in zip(stack, replay):
+        stack = self.stack(small_basis, 5)
+        paths = run(*stack, 0.02)
+        replay = run(*stack, 0.02, increments=np.stack([traj.increments for traj in paths]))
+        for traj, again in zip(paths, replay):
             assert_same_path(again, traj)
         with pytest.raises(ValidationError, match="shape"):
-            run(states, 0.02, increments=stack[0].increments)
+            run(*stack, 0.02, increments=paths[0].increments)
 
-    @pytest.mark.parametrize("field, value", [
-        ("dt", 1.25e-3),
-        ("params", RheologyParams(p=2.5, q=4.0, nu=0.25, kappa=0.5, alpha=0.1)),
-        ("basis", DivFreeBasis(16, 32)),
+    @pytest.mark.parametrize("case, match", [
+        ("narrow", r"shape \(3, 31\), need \(states >= 1, 32\)"),
+        ("empty", r"shape \(0, 32\), need \(states >= 1, 32\)"),
+        ("lineages", "2 noise lineages for a stack of 3 states"),
     ])
-    def test_rows_of_another_system_rejected(self, small_basis, field, value):
-        states = self.states(small_basis, 3)
-        c = states[2].c[:value.n] if field == "basis" else states[2].c
-        states[2] = GalerkinState(**{**vars(states[2]), field: value, "c": c})
-        with pytest.raises(ValidationError, match="path 7 does not share"):
-            run(states, 0.02)
+    def test_a_malformed_stack_rejected_before_the_first_step(self, small_basis, monkeypatch, case, match):
+        # c0 is (states >= 1, n), with one (seed, path) lineage per row
+        system, c0, lineages = self.stack(small_basis, 3)
+        c0, lineages = {"narrow": (c0[:, :-1], lineages), "empty": (c0[:0], []),
+                        "lineages": (c0, lineages[:2])}[case]
+        for name in ("assemble_drift_terms", "sample_increment"):
+            monkeypatch.setattr(galerkin, name, lambda *args, **kwargs: pytest.fail("the run started"))
+        with pytest.raises(ValidationError, match=match):
+            run(system, c0, lineages, 0.02)
 
 
 def test_every_public_name_resolves():
@@ -763,17 +774,28 @@ def test_every_public_definition_is_read_by_the_program():
 
 
 def test_every_keyword_option_is_set_by_the_program():
-    # a defaulted parameter of a src/ function, method or __init__ that no
-    # call in src/ or perfbench/ sets, by keyword or by position, is a
-    # constant dressed as an option.  Calls are matched by the callee's name
-    # (a perfbench script's call to its own function is not a call into
-    # src/), and a call that forwards **kwargs sets what its enclosing
-    # function is called with by keyword.
+    # a defaulted parameter of a src/ function, method or __init__, or a
+    # defaulted field of a src/ dataclass, that no call in src/ or perfbench/
+    # sets, by keyword or by position, is a constant dressed as an option.
+    # Calls are matched by the callee's name (a perfbench script's call to
+    # its own function is not a call into src/), and a call that forwards
+    # **kwargs sets what its enclosing function is called with by keyword.
+    # A dataclass takes its fields in order, a dataclass base's first.
+    # SimConfig's fields are config keys, which parse_config sets by key.
+    from nsvsim import cli
+
     root = pathlib.Path(__file__).resolve().parents[1]
     modules = sorted((root / "src" / "nsvsim").glob("*.py"))
     options = []   # (where, callee name, parameter, its position in a call or None)
+    declared = {}  # dataclass name -> (module, its bases, its own (field, defaulted) pairs)
     for path in modules:
         tree = ast.parse(path.read_text())
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            if any("dataclass" in (getattr(d, "id", None), getattr(getattr(d, "func", None), "id", None))
+                   for d in cls.decorator_list):
+                declared[cls.name] = (path.stem, [getattr(b, "id", None) for b in cls.bases],
+                                      [(a.target.id, a.value is not None) for a in cls.body
+                                       if isinstance(a, ast.AnnAssign)])
         owner = {id(fn): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                  for fn in cls.body if isinstance(fn, ast.FunctionDef)}
         for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
@@ -786,6 +808,15 @@ def test_every_keyword_option_is_set_by_the_program():
                         for i, arg in enumerate(positional) if i >= first]
             options += [(where, name, arg.arg, None)
                         for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None]
+
+    def fields_in_order(name):
+        _, bases, own = declared[name]
+        return [f for base in bases if base in declared for f in fields_in_order(base)] + own
+
+    keyed = {attr for attr, _ in cli._KEY_MAP.values()}
+    options += [(f"{stem}.{name}", name, field, i) for name, (stem, _, _) in declared.items()
+                for i, (field, defaulted) in enumerate(fields_in_order(name))
+                if defaulted and not (name == "SimConfig" and field in keyed)]
     keywords, positions, forwards = set(), {}, set()
     for path in [*modules, *(root / "perfbench").rglob("*.py")]:
         tree = ast.parse(path.read_text())
@@ -820,7 +851,7 @@ def test_every_pointwise_field_is_read_by_the_program():
 
 def test_trajectory_csv_layout(tmp_path, small_basis):
     params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
-    traj = run([make_state(small_basis, shear_coeffs(small_basis), params, dt=1e-2)], 0.05)[0]
+    traj = run(*make_state(small_basis, shear_coeffs(small_basis), params, dt=1e-2), 0.05)[0]
     path = tmp_path / "trajectory.csv"
     trajectory_csv(path, traj, analysis.ledger_from_trajectory(traj))
     lines = path.read_text().strip().splitlines()

@@ -6,7 +6,7 @@ import pytest
 
 from nsvsim import cli, fields, galerkin, pressure
 from nsvsim.errors import ValidationError
-from nsvsim.galerkin import GalerkinState, run
+from nsvsim.galerkin import System, run
 from nsvsim.noise import NoiseModel
 from nsvsim.rheology import RheologyParams
 
@@ -19,10 +19,8 @@ def noisy_trajectory(small_basis, alpha=0.1, family="saturating", seed=5, steps=
     c0 /= np.sqrt(small_basis.energy(c0, 0.5))
     params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=alpha)
     model = NoiseModel(family, 0.5, 6)
-    st = GalerkinState(
-        c=c0, basis=small_basis, params=params, noise=model, dt=2.5e-3,
-        forcing=np.zeros(small_basis.n), master_seed=seed, path=0)
-    return run([st], steps * st.dt)[0]
+    system = System(small_basis, params, model, 2.5e-3, np.zeros(small_basis.n), True)
+    return run(system, c0[None], [(seed, 0)], steps * system.dt)[0]
 
 
 class TestRecover:
@@ -53,10 +51,8 @@ class TestRecover:
 class TestDecompose:
     def test_zero_trajectory(self, small_basis):
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
-        st = GalerkinState(
-            c=np.zeros(small_basis.n), basis=small_basis, params=params,
-            noise=NoiseModel("off", 0.0, 0), dt=1e-2, forcing=np.zeros(small_basis.n))
-        parts = pressure.decompose_pressure(run([st], 0.05)[0])
+        system = System(small_basis, params, NoiseModel("off", 0.0, 0), 1e-2, np.zeros(small_basis.n), True)
+        parts = pressure.decompose_pressure(run(system, np.zeros((1, small_basis.n)), [(0, 0)], 0.05)[0])
         for arr in (parts.pi1, parts.pi2, parts.pi_phi, parts.harmonic_max, parts.pi_total):
             assert np.all(arr == 0.0)
         # initial slice of every part vanishes even on nonzero runs
@@ -64,8 +60,8 @@ class TestDecompose:
 
     def test_stress_off_leaves_convective_part(self, small_basis):
         traj = noisy_trajectory(small_basis, alpha=0.0, family="off")
-        traj = dataclasses.replace(
-            traj, params=RheologyParams(p=2.5, q=4.0, nu=0.0, kappa=0.5, alpha=0.0))
+        traj = dataclasses.replace(traj, system=dataclasses.replace(
+            traj.system, params=RheologyParams(p=2.5, q=4.0, nu=0.0, kappa=0.5, alpha=0.0)))
         parts = pressure.decompose_pressure(traj)
         assert np.all(parts.pi1 == 0.0)
         assert np.all(parts.pi_phi == 0.0)
@@ -127,10 +123,8 @@ class TestDecompose:
         rng = np.random.default_rng(7)
         c0 = rng.standard_normal(small_basis.n) * (1.0 + small_basis.k2) ** -1.0
         params = RheologyParams(p=2.5, q=4.0, nu=0.0, kappa=0.5, alpha=0.0)
-        st = GalerkinState(
-            c=c0, basis=small_basis, params=params, noise=NoiseModel("off", 0.0, 0),
-            dt=2.5e-3, forcing=np.zeros(small_basis.n), convection=False)
-        parts = pressure.decompose_pressure(run([st], 10 * st.dt)[0])
+        system = System(small_basis, params, NoiseModel("off", 0.0, 0), 2.5e-3, np.zeros(small_basis.n), False)
+        parts = pressure.decompose_pressure(run(system, c0[None], [(0, 0)], 10 * system.dt)[0])
         assert np.max(np.abs(c0)) > 0.0
         assert np.all(parts.pi2 == 0.0)
         assert np.all(parts.pi_total == 0.0)
@@ -211,11 +205,9 @@ def test_pressure_pass_keeps_only_what_later_readers_need():
     rng = np.random.default_rng(7)
     c0 = rng.standard_normal(basis.n) * (1.0 + basis.k2) ** -1.0
     c0 /= np.sqrt(basis.energy(c0, 0.5))
-    st = GalerkinState(
-        c=c0, basis=basis, params=RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1),
-        noise=NoiseModel("saturating", 0.5, 6), dt=2.5e-3, forcing=np.zeros(basis.n),
-        master_seed=5, path=0)
-    traj = run([st], steps * st.dt)[0]
+    system = System(basis, RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1),
+                    NoiseModel("saturating", 0.5, 6), 2.5e-3, np.zeros(basis.n), True)
+    traj = run(system, c0[None], [(5, 0)], steps * system.dt)[0]
     bound = 8 * 4 * (steps + 1) * n * n + 16 * 4 * (steps + 1) * (2 * k + 1) * (k + 1) + 8 * 64 * n * n
     tracemalloc.start()
     try:
