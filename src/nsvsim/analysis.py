@@ -199,10 +199,7 @@ def weak_form_residual(traj: Trajectory, test_coeffs: np.ndarray) -> float:
     d = np.asarray(test_coeffs, dtype=float)
     steps = traj.n_steps
     system = traj.system
-    terms = assemble_drift_terms(
-        system.basis, traj.coeffs[:-1], forcing_at(system.forcing, np.arange(steps)), system.params,
-        system.noise, convection=system.convection,
-    )
+    terms = assemble_drift_terms(system, traj.coeffs[:-1], np.arange(steps))
     acc = np.cumsum((terms.b * system.dt + terms.s * traj.etas()[:, None]) @ d.T, axis=0)   # (S, m)
     lhs = traj.coeffs @ (system.basis.mass_multipliers(system.params.kappa) * d).T    # (S+1, m)
     # running scale: the largest |lhs| and |acc| so far, and at least |lhs[0]|

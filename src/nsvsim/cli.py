@@ -93,6 +93,11 @@ class SimConfig:
         if not math.isfinite(self.noise_amplitude * self.noise_amplitude):
             raise ConfigurationError(f"noise.amplitude={self.noise_amplitude} must be at most "
                                      f"sqrt(float max): the decay constant c^2 overflows")
+        with np.errstate(over="ignore"):  # reported as the key's error, not as a warning
+            trace = self.noise_model().trace_const
+        if not math.isfinite(trace):
+            raise ConfigurationError(f"noise.amplitude={self.noise_amplitude} is too large: "
+                                     f"the trace constant sum_k (c/k^2)^2 overflows")
         # the grid and the span are checked here, before any table is built
         if self.grid_n < 4 or self.grid_n & (self.grid_n - 1):
             raise ConfigurationError(f"grid_n={self.grid_n} must be a power of two >= 4")
@@ -580,6 +585,7 @@ def _experiment_pressure(cfg: SimConfig, out_dir: str):
 
 
 def _experiment_propcheck(cfg: SimConfig, out_dir: str):
+    system = cfg.system()  # reads the forcing, so a bad forcing.path ends the run before any work
     criteria = []
     total_violations = 0
     for p in (1.2, 1.5, 2.0, 3.0, 4.0):
@@ -588,9 +594,8 @@ def _experiment_propcheck(cfg: SimConfig, out_dir: str):
         criteria.append(Criterion(
             f"shear-rate inequalities hold at p = {p}", violations == 0,
             f"violations = {violations}, worst margin = {worst:.3e}"))
-    model = cfg.noise_model()
-    if model.active:
-        rep = verify_noise_conditions(model, samples=10_000, seed=cfg.seed)
+    if system.noise.active:
+        rep = verify_noise_conditions(system.noise, samples=10_000, seed=cfg.seed)
         criteria.append(Criterion(
             "noise growth/Lipschitz/decay envelopes hold", rep.passed,
             f"K_emp = {rep.K_emp:.6g} <= {rep.K:.6g}, L_emp = {rep.L_emp:.6g} <= {rep.L:.6g}, "
@@ -606,14 +611,8 @@ def _experiment_propcheck(cfg: SimConfig, out_dir: str):
     criteria.append(Criterion(
         "symmetric-gradient identity on 100 random solenoidal fields",
         korn_worst < 1e-10, f"worst relative error = {korn_worst:.3e}"))
-    basis = cfg.basis()
-    mono = solvability.check_weak_monotonicity(
-        basis, cfg.rheology(), model, radius=5.0, samples=1000, seed=cfg.seed,
-        convection=cfg.convection)
-    coer = solvability.check_coercivity(
-        basis, cfg.rheology(), model, forcing_coefficients(cfg, basis)
-        if cfg.forcing_kind != "files" else np.zeros(basis.n), samples=1000, seed=cfg.seed,
-        convection=cfg.convection)
+    mono = solvability.check_weak_monotonicity(system, radius=5.0, samples=1000, seed=cfg.seed)
+    coer = solvability.check_coercivity(system, samples=1000, seed=cfg.seed)
     criteria.append(Criterion(
         "weak monotonicity margin nonnegative", mono.passed,
         f"worst margin = {mono.worst_margin:.3e}, fitted C = {mono.fitted_constant:.6g}"))

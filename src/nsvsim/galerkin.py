@@ -8,24 +8,26 @@ the first ``n`` modes; the grid is required to satisfy ``N > 3 K`` so that
 quadratic products are alias-free in the retained band, which is what makes
 the discrete energy identities of the audits exact.
 
-:func:`assemble_drift_terms` is the one drift kernel: it takes a state's
-coefficients, or a stack of them, which it evaluates in chunks of bounded
-grid size.  Its pointwise stage (:class:`PointwiseTerms`) forms u and its
-Jacobian on the grid by one inverse transform, D(u), each modulus once
-(|u|, |grad u|, |D(u)|) for every map and quadrature that scales by it,
-the stress A, the flux nu A - u x u, the damping term and the noise shape;
-one forward transform gives the drift source and the shape table, which
-the kernel and the pressure both read.  The stage writes its other grid
-fields into work arrays held per grid and source count and reused by
-every evaluation, the flux and vector terms straight into the rows that
-the forward transform reads; nothing the kernel returns views them.  The
-kernel projects the tables to the drift ``b`` and the noise projection
-``s`` and forms the state's :class:`StateRecord`, the one declaration of
+:func:`assemble_drift_terms` is the one drift kernel: it takes a
+:class:`System`, a state's coefficients or a stack of them, evaluated in
+chunks of bounded grid size, and the step whose forcing applies.  Its
+pointwise stage (:class:`PointwiseTerms`, also at a system and coefficients)
+forms u and its Jacobian on the grid by one inverse transform, D(u), |u|
+and |D(u)| once each for every map and quadrature that scales by them, the
+stress A, the flux nu A - u x u, the damping term and the noise shape; one
+forward transform gives the drift source and the shape table, which the
+kernel and the pressure both read.  The stage writes its other grid fields
+into work arrays held per grid and source count and reused by every
+evaluation, the flux and vector terms straight into the rows that the
+forward transform reads; nothing the kernel returns views them.  The kernel
+projects the tables to the drift ``b`` and the noise projection ``s`` and
+forms |grad u| and the state's :class:`StateRecord`, the one declaration of
 the columns that the stepper records.
 
 A :class:`System` is what every path of a stack solves: the basis, the
 rheology, the noise, the step, the forcing and the convection switch,
-declared once.  A path is its initial coefficients and its (seed, path)
+declared once; the kernel, the pressure sources and the solvability samplers
+take it whole.  A path is its initial coefficients and its (seed, path)
 noise lineage.  :func:`run` steps a stack of paths of one system, each on
 its own lineage, so that every row is bit for bit its own run; a single path
 is a stack of one.  It allocates the stack's record once (coefficients,
@@ -189,6 +191,22 @@ class DivFreeBasis:
         return l2 + kappa * g2
 
 
+@dataclass(frozen=True, eq=False)
+class System:
+    """The Galerkin system that every path of a stack solves."""
+
+    basis: DivFreeBasis
+    params: RheologyParams
+    noise: NoiseModel
+    dt: float
+    forcing: np.ndarray          # (n,) static or (steps, n) per-step coefficients
+    convection: bool
+
+    def __post_init__(self):
+        if self.dt <= 0:
+            raise ValidationError(f"dt={self.dt} must be positive")
+
+
 def forcing_at(forcing: np.ndarray, step):
     """Forcing coefficients at a step index, or at an array of them.  A static
     (n,) forcing applies at every step; a per-step (steps, n) one holds its
@@ -227,14 +245,15 @@ class PointwiseTerms:
     ``...``: the pointwise stage of the drift kernel, also read by the
     pressure sources.  Terms that are switched off are None.  The drift's nu
     and signs are applied here only: in the flux rows of ``sources`` and in
-    :meth:`drift_tables`, the one drift source.  The three moduli are formed
-    once each, here, and are fresh arrays; every other grid field views the
-    stage's work arrays, which the next evaluation on the same grid and
-    source count overwrites: read them before it, and evaluate from one
-    thread at a time."""
+    :meth:`drift_tables`, the one drift source.  The moduli |u| and |D(u)|
+    are formed once each, here, and are fresh arrays; the kernel forms
+    |grad u| from ``jac`` for its quadrature, and the pressure, which reads
+    no quadrature, never forms it.  Every other grid field views the stage's
+    work arrays, which the next evaluation on the same grid and source count
+    overwrites: read them before it, and evaluate from one thread at a time."""
 
     speed: np.ndarray               # (..., N, N) |u|: the damping, the noise shape, max |u|, ||u||_q^q
-    grad_modulus: np.ndarray        # (..., N, N) |grad u|, read by ||grad u||_p^p
+    jac: np.ndarray                 # (..., 4, N, N) the components of grad u, read by ||grad u||_p^p
     d_modulus: np.ndarray           # (..., N, N) |D(u)|, read by the stress and the dissipation
     stress: np.ndarray              # (..., 3, N, N) A = |D|^(p-2) D, without the factor nu
     sources: np.ndarray             # (..., 3|5|7, N, N) rows: flux nu A - u x u, damping, noise_shape
@@ -242,9 +261,10 @@ class PointwiseTerms:
     noise_shape: np.ndarray | None  # (..., 2, N, N) shape(u); None when the noise is off
 
     @classmethod
-    def at(cls, u: np.ndarray, grid_size: int, params: RheologyParams, noise: NoiseModel,
-           convection: bool) -> "PointwiseTerms":
-        """The grid fields of the velocity tables ``u`` (..., 2, 2K+1, K+1)."""
+    def at(cls, system: System, c: np.ndarray) -> "PointwiseTerms":
+        """The grid fields of ``system`` at the coefficients ``c`` (..., n)."""
+        params, noise, grid_size = system.params, system.noise, system.basis.grid_size
+        u = system.basis.scatter(c)
         lead = u.shape[:-3]
         rows, d, stress, sources = (a.reshape(lead + a.shape[1:]) for a in _work_arrays(
             math.prod(lead), grid_size, 3 + 2 * (params.alpha > 0) + 2 * noise.active))
@@ -262,13 +282,13 @@ class PointwiseTerms:
         d_modulus = fields.sym_modulus(d)
         stress = power_law_stress(d, d_modulus, params.p, out=stress)
         flux = np.multiply(params.nu, stress, out=sources[..., :3, :, :])
-        if convection:
+        if system.convection:
             u0, u1 = u_grid[..., 0, :, :], u_grid[..., 1, :, :]
             flux[..., 0, :, :] -= u0 * u0
             flux[..., 1, :, :] -= u0 * u1
             flux[..., 2, :, :] -= u1 * u1
-        return cls(speed=speed, grad_modulus=fields.modulus(jac.reshape(lead + (4,) + jac.shape[-2:])),
-                   d_modulus=d_modulus, stress=stress, sources=sources, damping=damping, noise_shape=noise_shape)
+        return cls(speed=speed, jac=jac.reshape(lead + (4,) + jac.shape[-2:]), d_modulus=d_modulus,
+                   stress=stress, sources=sources, damping=damping, noise_shape=noise_shape)
 
     def drift_tables(self, k_max: int) -> tuple:
         """Tables (drift, shape), each (..., 2, 2K+1, K+1) with K = ``k_max``,
@@ -317,35 +337,30 @@ def states_per_call(grid_size: int) -> int:
     return max(1, _STACK_POINTS // grid_size**2)
 
 
-def assemble_drift_terms(
-    basis: DivFreeBasis,
-    c: np.ndarray,
-    f_coeffs: np.ndarray,
-    params: RheologyParams,
-    noise: NoiseModel,
-    convection: bool = True,
-) -> DriftTerms:
-    """The drift kernel: Galerkin drift b_j = (f,psi_j) + (drift, psi_j) for the
-    drift source of :meth:`PointwiseTerms.drift_tables`, that is (f,psi_j)
-    + (u x u : grad psi_j) - nu (A(u) : D(psi_j)) - alpha (a(u), psi_j), the
-    noise projection s_j = (shape(u), psi_j), so that phi_k(u) projects to
-    scale_k * s, and the :class:`StateRecord` columns, all from one
-    pointwise stage.  ``c`` holds the coefficients of one state (n,) or of
-    a stack of states (..., n), and ``f_coeffs`` broadcasts against it; every
-    output has the stack's leading shape.  A stack is evaluated in chunks of
-    at most :func:`states_per_call` states, and each state's outputs are bit
-    for bit those of its own call."""
+def assemble_drift_terms(system: System, c: np.ndarray, step) -> DriftTerms:
+    """The drift kernel of ``system``: Galerkin drift b_j = (f,psi_j) + (drift,
+    psi_j) for the forcing f at ``step`` and the drift source of
+    :meth:`PointwiseTerms.drift_tables`, that is (f,psi_j) + (u x u : grad
+    psi_j) - nu (A(u) : D(psi_j)) - alpha (a(u), psi_j), the noise
+    projection s_j = (shape(u), psi_j), so that phi_k(u) projects to scale_k
+    * s, and the :class:`StateRecord` columns, all from one pointwise stage.
+    ``c`` holds the coefficients of one state (n,) or of a stack of states
+    (..., n), and ``step``, an int or an int array, broadcasts against its
+    leading shape; every output has the stack's leading shape.  A stack is
+    evaluated in chunks of at most :func:`states_per_call` states, and each
+    state's outputs are bit for bit those of its own call."""
+    basis = system.basis
     c = np.asarray(c, dtype=float)
-    f = np.asarray(f_coeffs, dtype=float)
+    f = forcing_at(system.forcing, step)
     lead = c.shape[:-1]
     states = math.prod(lead)
     per_call = states_per_call(basis.grid_size)
     if states <= per_call:
-        return _evaluate(basis, c, f, params, noise, convection)
+        return _evaluate(system, c, f)
     c = c.reshape(states, basis.n)
     f = np.broadcast_to(f, lead + (basis.n,)).reshape(states, basis.n)
     for i in range(0, states, per_call):
-        part = vars(_evaluate(basis, c[i:i + per_call], f[i:i + per_call], params, noise, convection))
+        part = vars(_evaluate(system, c[i:i + per_call], f[i:i + per_call]))
         if i == 0:  # preallocated in the first chunk's shapes: concatenated chunks raise peak memory
             out = {name: np.empty((states,) + value.shape[1:]) for name, value in part.items()}
         for name, value in part.items():
@@ -353,10 +368,10 @@ def assemble_drift_terms(
     return DriftTerms(**{name: value.reshape(lead + value.shape[1:]) for name, value in out.items()})
 
 
-def _evaluate(basis: DivFreeBasis, c: np.ndarray, f: np.ndarray, params: RheologyParams,
-              noise: NoiseModel, convection: bool) -> DriftTerms:
+def _evaluate(system: System, c: np.ndarray, f: np.ndarray) -> DriftTerms:
     """The kernel at a state or at one chunk of a stack, by one pointwise stage."""
-    pw = PointwiseTerms.at(basis.scatter(c), basis.grid_size, params, noise, convection)
+    basis, params = system.basis, system.params
+    pw = PointwiseTerms.at(system, c)
     drift, shape = pw.drift_tables(basis.k_max)
     pairings = basis.gather(np.stack([drift] if shape is None else [drift, shape], axis=-4))
     b = f + pairings[..., 0, :]
@@ -364,7 +379,7 @@ def _evaluate(basis: DivFreeBasis, c: np.ndarray, f: np.ndarray, params: Rheolog
     w = quad_weight(basis.grid_size)
     return DriftTerms(
         dissipation_p=(pw.d_modulus ** params.p).sum(axis=(-2, -1)) * w,
-        grad_p=(pw.grad_modulus ** params.p).sum(axis=(-2, -1)) * w,
+        grad_p=(fields.modulus(pw.jac) ** params.p).sum(axis=(-2, -1)) * w,
         damping_q=(pw.speed**params.q).sum(axis=(-2, -1)) * w,
         noise_mass_sq=(s * s / basis.mass_multipliers(params.kappa)).sum(axis=-1),
         c_dot_s=row_dot(c, s),
@@ -372,22 +387,6 @@ def _evaluate(basis: DivFreeBasis, c: np.ndarray, f: np.ndarray, params: Rheolog
         s=s,
         max_speed=pw.speed.max(axis=(-2, -1)),
     )
-
-
-@dataclass(frozen=True, eq=False)
-class System:
-    """The Galerkin system that every path of a stack solves."""
-
-    basis: DivFreeBasis
-    params: RheologyParams
-    noise: NoiseModel
-    dt: float
-    forcing: np.ndarray          # (n,) static or (steps, n) per-step coefficients
-    convection: bool
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValidationError(f"dt={self.dt} must be positive")
 
 
 @dataclass
@@ -506,9 +505,7 @@ def run(
     # state and gives that state's record column, the final state's included.
     for i in range(n_steps + 1):
         c = coeffs[rows, i]
-        terms = assemble_drift_terms(
-            basis, c, forcing_at(system.forcing, i), params, noise, convection=system.convection,
-        )
+        terms = assemble_drift_terms(system, c, i)
         if i == 0:  # checked at the initial states only
             for cfl in dt * terms.max_speed * basis.k_max:
                 if cfl > 0.5:

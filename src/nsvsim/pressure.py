@@ -81,14 +81,13 @@ def _slice_sources(traj: Trajectory, i: int, k_max: int):
     Returns (div(nu A), drift + f, shape(u) or None with the noise off), with
     the drift kernel's own tables (:meth:`PointwiseTerms.drift_tables`);
     ``pi1`` lifts the first, ``pi2`` the second minus the first.  They are
-    evaluated at ``traj.coeffs[i]`` under ``traj.system`` rather than read
-    from the kernel record, so the decomposition follows whatever system the
-    trajectory carries.
+    evaluated by the pointwise stage of ``traj.system`` at ``traj.coeffs[i]``
+    rather than read from the kernel record, so the decomposition follows
+    whatever system the trajectory carries.
     """
     system = traj.system
     basis = system.basis
-    pw = PointwiseTerms.at(basis.scatter(traj.coeffs[i]), basis.grid_size, system.params, system.noise,
-                           system.convection)
+    pw = PointwiseTerms.at(system, traj.coeffs[i])
     drift, shape = pw.drift_tables(k_max)
     stress = system.params.nu * fields.tensor_divergence(from_grid(pw.stress, k_max))
     fc = forcing_at(system.forcing, i)

@@ -7,10 +7,12 @@ margin flags a broken noise model or parameter set.  The envelopes are fully
 explicit so the margins are rigorous, and the fitted constants are reported
 alongside for sharpness.
 
-Both samplers draw every sample first, in the order a per-sample loop would,
-then pass all of them to the drift kernel in one call and reduce the margins
-as arrays; each sample's terms are bit for bit those of a single-state call.
-A check passes only if every margin is finite and none is negative.
+Both samplers take the :class:`galerkin.System` under test and evaluate its
+drift at step 0, so its forcing is that step's.  Each draws every sample
+first, in the order a per-sample loop would, then passes all of them to the
+drift kernel in one call and reduces the margins as arrays; each sample's
+terms are bit for bit those of a single-state call.  A check passes only if
+every margin is finite and none is negative.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .galerkin import _AMP, DivFreeBasis, assemble_drift_terms, row_dot
-from .noise import NoiseModel
-from .rheology import RheologyParams
+from .galerkin import _AMP, System, assemble_drift_terms, forcing_at, row_dot
 
 
 @dataclass(frozen=True)
@@ -49,15 +49,7 @@ def _report(margins: np.ndarray, fitted: np.ndarray) -> SolvabilityReport:
     )
 
 
-def check_weak_monotonicity(
-    basis: DivFreeBasis,
-    params: RheologyParams,
-    model: NoiseModel,
-    radius: float,
-    samples: int,
-    seed: int = 0,
-    convection: bool = True,
-) -> SolvabilityReport:
+def check_weak_monotonicity(system: System, radius: float, samples: int, seed: int) -> SolvabilityReport:
     """Sample pairs in the L2 ball of the span and test
     <b(u)-b(v), u-v> + ||G(u)-G(v)||_F^2 <= C(R, n) ||u-v||_2^2.
 
@@ -69,33 +61,26 @@ def check_weak_monotonicity(
         raise ValidationError("radius must be positive")
     if samples < 1:
         raise ValidationError("samples must be at least 1")
+    basis, trace = system.basis, system.noise.trace_const
     rng = np.random.default_rng(seed)
     k_eff = float(np.sqrt(np.max(basis.k2))) if np.any(basis.k2 > 0) else 0.0
-    convective = 2.0 * radius * np.sqrt(basis.n) * _AMP * k_eff if convection else 0.0
-    envelope = convective + model.trace_const
+    convective = 2.0 * radius * np.sqrt(basis.n) * _AMP * k_eff if system.convection else 0.0
+    envelope = convective + trace
 
     # (samples, 2, n): the pair (u, v) of each sample
     pairs = np.array([[_random_ball(rng, basis.n, radius) for _ in range(2)] for _ in range(samples)])
-    terms = assemble_drift_terms(basis, pairs, np.zeros(basis.n), params, model, convection)
+    terms = assemble_drift_terms(system, pairs, 0)
     dw = pairs[:, 0] - pairs[:, 1]
     norm_sq = np.sum(dw * dw, axis=-1)
     # ||G(u) - G(v)||_F^2 = S ||P shape(u) - P shape(v)||_2^2 for the separable family
     lhs = (row_dot(terms.b[:, 0] - terms.b[:, 1], dw)
-           + model.trace_const * np.sum((terms.s[:, 0] - terms.s[:, 1]) ** 2, axis=-1))
+           + trace * np.sum((terms.s[:, 0] - terms.s[:, 1]) ** 2, axis=-1))
     keep = norm_sq != 0.0
     lhs, norm_sq = lhs[keep], norm_sq[keep]
     return _report((envelope * norm_sq - lhs) / np.maximum(norm_sq, 1e-300), lhs / norm_sq)
 
 
-def check_coercivity(
-    basis: DivFreeBasis,
-    params: RheologyParams,
-    model: NoiseModel,
-    f_coeffs: np.ndarray,
-    samples: int,
-    seed: int = 0,
-    convection: bool = True,
-) -> SolvabilityReport:
+def check_coercivity(system: System, samples: int, seed: int) -> SolvabilityReport:
     """Sample states at mixed scales and test
     <b(u), u> + ||G(u)||_F^2 <= C (1 + ||f||_2)(1 + ||u||_2^2).
 
@@ -104,18 +89,18 @@ def check_coercivity(
     """
     if samples < 1:
         raise ValidationError("samples must be at least 1")
+    trace = system.noise.trace_const
     rng = np.random.default_rng(seed)
-    f_coeffs = np.asarray(f_coeffs, dtype=float)
-    f_norm = float(np.linalg.norm(f_coeffs))
-    envelope = 0.5 + model.trace_const
+    f_norm = float(np.linalg.norm(forcing_at(system.forcing, 0)))
+    envelope = 0.5 + trace
 
     states = []
     for _ in range(samples):
         scale = 10.0 ** rng.uniform(-2, 1.5)
-        states.append(rng.standard_normal(basis.n) * scale)
+        states.append(rng.standard_normal(system.basis.n) * scale)
     cu = np.array(states)
-    terms = assemble_drift_terms(basis, cu, f_coeffs, params, model, convection)
+    terms = assemble_drift_terms(system, cu, 0)
     # ||G(u)||_F^2 = S ||P shape(u)||_2^2 for the separable family
-    lhs = row_dot(terms.b, cu) + model.trace_const * np.sum(terms.s * terms.s, axis=-1)
+    lhs = row_dot(terms.b, cu) + trace * np.sum(terms.s * terms.s, axis=-1)
     rhs_norm = (1.0 + f_norm) * (1.0 + np.sum(cu * cu, axis=-1))
     return _report((envelope * rhs_norm - lhs) / rhs_norm, lhs / rhs_norm)

@@ -129,9 +129,9 @@ def test_criterion_03_fails_on_a_convection_that_does_not_conserve_energy(monkey
     # -int u_x^2 d_x u_y.
     original = galerkin.PointwiseTerms.at
 
-    def slipped_xy_flux(u, grid_size, params, noise, convection):
-        pw = original(u, grid_size, params, noise, convection)
-        u_grid = fields.to_grid(u, grid_size)
+    def slipped_xy_flux(system, c):
+        pw = original(system, c)
+        u_grid = fields.to_grid(system.basis.scatter(c), system.basis.grid_size)
         u0, u1 = u_grid[..., 0, :, :], u_grid[..., 1, :, :]
         pw.sources[..., 1, :, :] += u0 * u1 - u0 * u0
         return pw
@@ -172,8 +172,8 @@ def test_criterion_07_alpha_sweep(tmp_path):
 def test_criterion_07_fails_on_a_drift_without_damping(tmp_path, monkeypatch):
     # every alpha then runs the alpha = 0 reference path: each distance to it is 0
     kernel = galerkin.assemble_drift_terms
-    monkeypatch.setattr(galerkin, "assemble_drift_terms", lambda basis, c, f, params, *args, **kwargs:
-                        kernel(basis, c, f, dataclasses.replace(params, alpha=0.0), *args, **kwargs))
+    monkeypatch.setattr(galerkin, "assemble_drift_terms", lambda system, c, step: kernel(
+        dataclasses.replace(system, params=dataclasses.replace(system.params, alpha=0.0)), c, step))
     assert not criterion(run_criterion(7, tmp_path), "distance to alpha = 0 reference decreasing").passed
 
 

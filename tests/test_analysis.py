@@ -46,8 +46,7 @@ class TestEnergyAudit:
         mass = small_basis.mass_multipliers(params.kappa)
         eta = galerkin.row_dot(traj.increments, model.mode_scales())
         for i, c in enumerate(traj.coeffs):
-            t = assemble_drift_terms(
-                small_basis, c, traj.system.forcing, params, model)
+            t = assemble_drift_terms(traj.system, c, i)
             for field in dataclasses.fields(galerkin.StateRecord):
                 assert np.array_equal(getattr(traj, field.name)[i], getattr(t, field.name)), (field.name, i)
             if i == traj.n_steps:
@@ -163,8 +162,7 @@ class TestWeakForm:
             base = float(np.dot(mass * d, traj.coeffs[0]))
             acc, scale = 0.0, max(abs(base), 1e-300)
             for i in range(traj.n_steps):
-                t = assemble_drift_terms(small_basis, traj.coeffs[i], traj.system.forcing, traj.system.params,
-                                         traj.system.noise, traj.system.convection)
+                t = assemble_drift_terms(traj.system, traj.coeffs[i], i)
                 acc += float(np.dot(d, t.b * traj.system.dt + t.s * float(np.dot(scales, traj.increments[i]))))
                 lhs = float(np.dot(mass * d, traj.coeffs[i + 1]))
                 scale = max(scale, abs(lhs), abs(acc))

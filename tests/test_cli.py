@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nsvsim import cli, fields, galerkin
+from nsvsim import cli, fields, galerkin, solvability
 from nsvsim.errors import ConfigurationError, DivergenceError, ValidationError
 
 from conftest import zero_field
@@ -138,6 +138,8 @@ class TestParseConfig:
         # above sqrt(float max) the decay constant c^2 has no float value
         ("propcheck", ["noise.family=linear", "noise.amplitude=1.35e154"]),
         ("simulate", ["noise.family=linear", "noise.amplitude=1.35e154"]),
+        # below it, the trace constant sum_k (c/k^2)^2 of 8 modes overflows from about 1.2891e154
+        ("propcheck", ["noise.family=linear", "noise.amplitude=1.3e154"]),
     ], ids=lambda v: ",".join(v) if isinstance(v, list) else v)
     def test_config_error_names_its_key_before_any_work(self, experiment, overrides, tmp_path, capsys):
         key = overrides[-1].split("=")[0]
@@ -152,7 +154,7 @@ class TestParseConfig:
         ["experiment=pressure", "T=0", "steps=0"],
         ["experiment=uniqueness", "n_modes=3"],
         ["experiment=uniqueness", "pin_mean=true", "n_modes=1"],
-        ["noise.family=linear", "noise.amplitude=1.3e154"],
+        ["noise.family=linear", "noise.amplitude=1.28e154"],
         ["experiment=alpha-sweep", "q=4"],
     ], ids=",".join)
     def test_the_bounds_admit_their_edge(self, overrides):
@@ -353,6 +355,33 @@ class TestExperiments:
 
     FORCED = ["paths=3", "grid_n=16", "n_modes=8", "steps=4", "dt=0.005", "T=0.02", "ic.kind=random",
               "forcing.kind=files"]
+
+    def test_propcheck_checks_coercivity_against_the_configured_forcing(self, tmp_path, monkeypatch, capsys):
+        # propcheck builds its system like every experiment: with fewer
+        # snapshots than steps it stops before any work, naming forcing.path,
+        # and with enough, coercivity reads the first snapshot's forcing
+        forcing = write_forcing_snapshots(tmp_path, 3)
+        sweep = cli.monotonicity_sweep
+        monkeypatch.setattr(cli, "monotonicity_sweep", lambda *args, **kwargs: pytest.fail("the run started"))
+        overrides = [*self.FORCED, f"forcing.path={forcing}"]
+        rc = cli.main(["propcheck", *(a for ov in overrides for a in ("--override", ov)),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "forcing.path" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        monkeypatch.setattr(cli, "monotonicity_sweep", sweep)
+        coercivity, seen = solvability.check_coercivity, []
+
+        def recording(system, *args, **kwargs):
+            seen.append(system.forcing)
+            return coercivity(system, *args, **kwargs)
+
+        monkeypatch.setattr(solvability, "check_coercivity", recording)
+        write_forcing_snapshots(tmp_path, 4)
+        cfg = cli.parse_config(None, ["experiment=propcheck", *overrides])
+        cli.run_experiment(cfg, str(tmp_path / "out"))
+        [f] = seen
+        assert np.array_equal(f, cli.forcing_coefficients(cfg, cfg.basis())) and np.any(f[0] != 0.0)
 
     def test_moments_reads_the_forcing_once_per_leg(self, tmp_path, monkeypatch):
         # 4 snapshots for the base leg and 4 for the doubled basis, however many paths

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import math
 import pathlib
+import re
 import sys
 import tracemalloc
 import warnings
@@ -38,9 +39,14 @@ def smooth_random_coeffs(basis: DivFreeBasis, seed: int = 7, kappa: float = 0.5)
     return c / np.sqrt(basis.energy(c, kappa))
 
 
+def make_system(basis, params, noise=OFF, dt=1e-3, forcing=None, convection=True) -> System:
+    """A system of ``basis``, unforced unless ``forcing`` is given."""
+    return System(basis, params, noise, dt, np.zeros(basis.n) if forcing is None else forcing, convection)
+
+
 def drift(basis: DivFreeBasis, c: np.ndarray, params: RheologyParams) -> np.ndarray:
     """Kernel drift at coefficients c with zero forcing and the noise off."""
-    return assemble_drift_terms(basis, c, np.zeros(basis.n), params, OFF).b
+    return assemble_drift_terms(make_system(basis, params), c, 0).b
 
 
 def count_transforms(monkeypatch) -> list:
@@ -59,7 +65,7 @@ def count_transforms(monkeypatch) -> list:
 
 def make_state(basis, c, params, noise=OFF, dt=1e-3, seed=0, path=0, forcing=None, convection=True) -> tuple:
     """(system, c0, lineages) of one path starting from ``c``: run's arguments before T."""
-    system = System(basis, params, noise, dt, np.zeros(basis.n) if forcing is None else forcing, convection)
+    system = make_system(basis, params, noise, dt, forcing, convection)
     return system, np.asarray(c, float)[None], [(seed, path)]
 
 
@@ -153,8 +159,7 @@ class TestDrift:
     def test_zero_state(self, small_basis):
         params = RheologyParams(p=2.0, q=4.0, nu=1.0, kappa=0.5, alpha=0.1)
         model = NoiseModel("linear", 0.5, 4)
-        zero = np.zeros(small_basis.n)
-        terms = assemble_drift_terms(small_basis, zero, zero, params, model)
+        terms = assemble_drift_terms(make_system(small_basis, params, model), np.zeros(small_basis.n), 0)
         assert np.all(terms.b == 0.0) and np.all(terms.s == 0.0)
         assert terms.dissipation_p == terms.grad_p == terms.damping_q == 0.0
 
@@ -169,8 +174,7 @@ class TestDrift:
         # identity ||D u||_2^2 = ||grad u||_2^2 / 2 holds for solenoidal u
         params = RheologyParams(p=2.0, q=2.0, nu=0.5, kappa=0.5)
         c = smooth_random_coeffs(small_basis)
-        terms = assemble_drift_terms(
-            small_basis, c, np.zeros(small_basis.n), params, OFF)
+        terms = assemble_drift_terms(make_system(small_basis, params), c, 0)
         l2, g2 = small_basis.field_norms_sq(c)
         assert terms.damping_q == pytest.approx(l2, rel=1e-12)
         assert terms.grad_p == pytest.approx(g2, rel=1e-12)
@@ -243,16 +247,18 @@ class TestDrift:
         # scatter, the pointwise stage, its drift tables and gather over a
         # leading (M,) axis give each state's single-call result bit for bit
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=alpha)
-        model = NoiseModel(family, 0.5, 4)
+        system = make_system(small_basis, params, NoiseModel(family, 0.5, 4), convection=convection)
         c = np.stack([smooth_random_coeffs(small_basis, seed) for seed in range(4)])
         tables = small_basis.scatter(c)
-        pw = PointwiseTerms.at(tables, small_basis.grid_size, params, model, convection)
+        pw = PointwiseTerms.at(system, c)
         sources = pw.drift_tables(small_basis.k_max)
+        # copies: a single call writes into the work arrays that the stack's fields view
+        kept = {name: None if value is None else value.copy() for name, value in vars(pw).items()}
         for i in range(len(c)):
             assert np.array_equal(tables[i], small_basis.scatter(c[i]))
-            one = PointwiseTerms.at(tables[i], small_basis.grid_size, params, model, convection)
+            one = PointwiseTerms.at(system, c[i])
             for name in (field.name for field in dataclasses.fields(PointwiseTerms)):
-                stacked, single = getattr(pw, name), getattr(one, name)
+                stacked, single = kept[name], getattr(one, name)
                 assert (stacked is None) == (single is None)
                 assert single is None or np.array_equal(stacked[i], single)
             for stacked, single in zip(sources, one.drift_tables(small_basis.k_max)):
@@ -286,7 +292,8 @@ class TestDrift:
                     fields.from_grid(np.stack([u0 * u0, u0 * u1, u1 * u1], axis=-3), k))
             if alpha > 0:
                 expected -= fields.from_grid(stabilizer(u, fields.modulus(u), params), k)
-            drift, shape = PointwiseTerms.at(tables, n, params, model, convection).drift_tables(k)
+            system = make_system(small_basis, params, model, convection=convection)
+            drift, shape = PointwiseTerms.at(system, c).drift_tables(k)
             assert drift.shape == expected.shape
             assert np.max(np.abs(drift - expected)) <= 1e-13 * np.max(np.abs(expected))
             if family == "off":
@@ -309,8 +316,7 @@ class TestDrift:
         monkeypatch.setattr(galerkin, "from_grid", counted)
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=alpha)
         c = smooth_random_coeffs(small_basis)
-        assemble_drift_terms(small_basis, c, np.zeros(small_basis.n), params,
-                             NoiseModel(family, 0.5, 4), convection=True)
+        assemble_drift_terms(make_system(small_basis, params, NoiseModel(family, 0.5, 4)), c, 0)
         assert rows == [3 + 2 * (alpha > 0) + 2 * (family != "off")]
 
     def test_two_real_transforms_per_stored_state(self, small_basis, monkeypatch):
@@ -321,8 +327,7 @@ class TestDrift:
         c = smooth_random_coeffs(small_basis)
         run(*make_state(small_basis, c, params, noise=NoiseModel("linear", 0.5, 4)), 0.005)
         assert calls == ["to_grid", "from_grid"] * 6
-        terms = assemble_drift_terms(
-            small_basis, c, np.zeros(small_basis.n), params, OFF)
+        terms = assemble_drift_terms(make_system(small_basis, params), c, 0)
         speed = np.sqrt(np.sum(fields.to_grid(small_basis.scatter(c), small_basis.grid_size) ** 2, axis=0))
         assert terms.max_speed == np.max(speed)
 
@@ -332,9 +337,7 @@ class TestDrift:
         calls = count_transforms(monkeypatch)
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
         c = smooth_random_coeffs(small_basis)
-        terms = assemble_drift_terms(
-            small_basis, c, np.zeros(small_basis.n), params,
-            NoiseModel("saturating", 0.5, 4), convection=True)
+        terms = assemble_drift_terms(make_system(small_basis, params, NoiseModel("saturating", 0.5, 4)), c, 0)
         assert calls == ["to_grid", "from_grid"]
         assert np.any(terms.s != 0.0)  # the noise projection was formed
 
@@ -349,8 +352,8 @@ class TestDrift:
 
         monkeypatch.setattr(fields, "modulus", counted)
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
-        assemble_drift_terms(small_basis, smooth_random_coeffs(small_basis), np.zeros(small_basis.n), params,
-                             NoiseModel("saturating", 0.5, 4))
+        assemble_drift_terms(make_system(small_basis, params, NoiseModel("saturating", 0.5, 4)),
+                             smooth_random_coeffs(small_basis), 0)
         assert moduli == [2, 4]
 
     @pytest.mark.parametrize("p,q,alpha,family,convection", [
@@ -360,26 +363,28 @@ class TestDrift:
     ])
     def test_stacked_states_match_single_calls(self, small_basis, p, q, alpha, family, convection):
         # a stack gives each state's outputs bit for bit, in one chunk or in
-        # several (8 states per chunk at grid 32): 5 states under one forcing
-        # in one chunk, and a (3, 3) stack under per-state forcing in two
+        # several (8 states per chunk at grid 32): 5 states under one static
+        # forcing in one chunk, and a (3, 3) stack in two, each state at its
+        # own step of a per-step forcing
         params = RheologyParams(p=p, q=q, nu=0.5, kappa=0.5, alpha=alpha)
         noise = NoiseModel(family, 0.5 if family != "off" else 0.0, 4 if family != "off" else 0)
         n = small_basis.n
         f = smooth_random_coeffs(small_basis, seed=3)
         cs = np.stack([smooth_random_coeffs(small_basis, seed=s) for s in range(5)])
         grid_cs = np.stack([smooth_random_coeffs(small_basis, seed=s) for s in range(9)]).reshape(3, 3, n)
-        grid_f = np.stack([smooth_random_coeffs(small_basis, seed=s) for s in range(10, 19)]).reshape(3, 3, n)
-        for c, forcing in ((cs, f), (grid_cs, grid_f)):
-            stacked = assemble_drift_terms(small_basis, c, forcing, params, noise, convection)
-            single = [assemble_drift_terms(small_basis, ci, fi, params, noise, convection)
-                      for ci, fi in zip(c.reshape(-1, n), np.broadcast_to(forcing, c.shape).reshape(-1, n))]
+        per_step = np.stack([smooth_random_coeffs(small_basis, seed=s) for s in range(10, 19)])
+        for c, forcing, step in ((cs, f, 0), (grid_cs, per_step, np.arange(9).reshape(3, 3))):
+            system = make_system(small_basis, params, noise, forcing=forcing, convection=convection)
+            stacked = assemble_drift_terms(system, c, step)
+            single = [assemble_drift_terms(system, ci, si)
+                      for ci, si in zip(c.reshape(-1, n), np.broadcast_to(step, c.shape[:-1]).ravel())]
             for name in (field.name for field in dataclasses.fields(galerkin.DriftTerms)):
                 rows = [getattr(t, name) for t in single]
                 expected = np.reshape(rows, c.shape[:-1] + np.shape(rows[0]))
                 assert np.array_equal(getattr(stacked, name), expected), name
             if family == "off":
                 assert stacked.s.shape == c.shape and np.all(stacked.s == 0.0)
-        empty = assemble_drift_terms(small_basis, np.zeros((0, n)), f, params, noise, convection)
+        empty = assemble_drift_terms(system, np.zeros((0, n)), 0)
         assert empty.b.shape == empty.s.shape == (0, n)
         assert empty.max_speed.shape == (0,)
         for field in dataclasses.fields(galerkin.StateRecord):
@@ -396,18 +401,17 @@ class TestDrift:
         # 4-state chunk peaked at 28 N^2 per state on every call.
         monkeypatch.setattr(galerkin, "_WORK", {})
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
-        noise = NoiseModel("saturating", 0.5, 4)
+        system = make_system(small_basis, params, NoiseModel("saturating", 0.5, 4))
         n = small_basis.grid_size
         states = galerkin.states_per_call(n)
         c = np.stack([smooth_random_coeffs(small_basis, seed=s) for s in range(states)])
-        f = np.zeros(small_basis.n)
         peaks = []
         tracemalloc.start()
         try:
             for _ in range(2):
                 tracemalloc.reset_peak()
                 start = tracemalloc.get_traced_memory()[0]
-                assemble_drift_terms(small_basis, c, f, params, noise)
+                assemble_drift_terms(system, c, 0)
                 peaks.append((tracemalloc.get_traced_memory()[1] - start) / (8 * n * n * states))
         finally:
             tracemalloc.stop()
@@ -418,13 +422,12 @@ class TestDrift:
         # shape reuses the work arrays but leaves the first call's outputs as
         # they were, and no output views a work array
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
-        noise = NoiseModel("linear", 0.5, 4)
+        system = make_system(small_basis, params, NoiseModel("linear", 0.5, 4))
         states = galerkin.states_per_call(small_basis.grid_size)
         c = np.stack([smooth_random_coeffs(small_basis, seed=s) for s in range(2 * states)])
-        f = np.zeros(small_basis.n)
-        first = assemble_drift_terms(small_basis, c[:states], f, params, noise)
+        first = assemble_drift_terms(system, c[:states], 0)
         kept = {name: value.copy() for name, value in vars(first).items()}
-        second = assemble_drift_terms(small_basis, c[states:], f, params, noise)
+        second = assemble_drift_terms(system, c[states:], 0)
         work = [a for held in galerkin._WORK.values() for a in held]
         for name, value in vars(first).items():
             assert np.array_equal(value, kept[name]), name
@@ -581,8 +584,7 @@ class TestRun:
         system = cfg.system()
         basis = system.basis
         traj = run(system, *cli.path_starts(cfg, basis, [0]), cfg.T)[0]
-        terms = assemble_drift_terms(basis, traj.coeffs[:-1], galerkin.forcing_at(system.forcing, np.arange(100)),
-                                     system.params, system.noise)
+        terms = assemble_drift_terms(system, traj.coeffs[:-1], np.arange(100))
         eta = traj.etas()
         assert traj.n_steps == 100 and np.all(eta != 0.0)
         mass = basis.mass_multipliers(system.params.kappa)
@@ -697,7 +699,7 @@ class TestStack:
             run(system, c0, [(0, j) for j in range(3)], 0.05)
         assert [str(w.message) for w in caught] == [
             f"dt*max|u|*k_max = {cfl:.3g} > 0.5: explicit convection may be unstable"
-            for cfl in (0.05 * float(assemble_drift_terms(small_basis, c, system.forcing, params, OFF).max_speed)
+            for cfl in (0.05 * float(assemble_drift_terms(system, c, 0).max_speed)
                         * small_basis.k_max for c in (c0[0], c0[2]))]
 
     def test_twins_draw_their_lineage_once(self, small_basis, monkeypatch):
@@ -849,6 +851,34 @@ def test_every_pointwise_field_is_read_by_the_program():
     assert [f.name for f in dataclasses.fields(PointwiseTerms) if f.name not in read] == []
 
 
+def takes_the_system_in_parts(source: str) -> list:
+    """The functions and methods of ``source`` that take two or more parts of
+    a ``galerkin.System``: a parameter annotated as a DivFreeBasis, a
+    RheologyParams or a NoiseModel, or one named ``convection``."""
+    parts = {"DivFreeBasis", "RheologyParams", "NoiseModel"}
+    tree = ast.parse(source)
+    owner = {id(fn): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for fn in cls.body}
+    found = []
+    for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+        args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        taken = [a for a in args if a.arg == "convection"
+                 or a.annotation is not None and parts & set(re.findall(r"\w+", ast.unparse(a.annotation)))]
+        if len(taken) >= 2:
+            found.append(f"{owner[id(fn)]}.{fn.name}" if id(fn) in owner else fn.name)
+    return found
+
+
+def test_no_function_takes_the_system_in_parts():
+    # the kernel, its pointwise stage and the solvability samplers take the
+    # system whole: a src/ function that takes two or more of its parts makes
+    # every caller unpack a system that it already holds
+    assert takes_the_system_in_parts("def f(basis: DivFreeBasis, params: RheologyParams): pass") == ["f"]
+    assert takes_the_system_in_parts("class P:\n def at(cls, noise: 'NoiseModel', convection): pass") == ["P.at"]
+    root = pathlib.Path(__file__).resolve().parents[1]
+    assert [f"{path.stem}.{name}" for path in sorted((root / "src" / "nsvsim").glob("*.py"))
+            for name in takes_the_system_in_parts(path.read_text())] == []
+
+
 def test_trajectory_csv_layout(tmp_path, small_basis):
     params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
     traj = run(*make_state(small_basis, shear_coeffs(small_basis), params, dt=1e-2), 0.05)[0]
@@ -872,9 +902,9 @@ def test_one_kernel_evaluation_per_stored_state(experiment, tmp_path, monkeypatc
     original = galerkin.assemble_drift_terms
     calls = []
 
-    def counted(basis, c, *args, **kwargs):
-        calls.append(len(np.reshape(c, (-1, basis.n))))
-        return original(basis, c, *args, **kwargs)
+    def counted(system, c, *args, **kwargs):
+        calls.append(len(np.reshape(c, (-1, system.basis.n))))
+        return original(system, c, *args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("nsvsim") and getattr(mod, "assemble_drift_terms", None) is original:

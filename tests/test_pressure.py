@@ -161,6 +161,21 @@ def test_pressure_experiment_evaluates_each_state_once(tmp_path, monkeypatch):
     assert len(calls) == 2 * (steps + 1)
 
 
+def test_pressure_pass_forms_one_modulus_per_slice(small_basis, monkeypatch):
+    # the slice sources read |u| (the damping, the saturating shape) and no
+    # quadrature, so the pass never forms |grad u|
+    traj = noisy_trajectory(small_basis, steps=10)
+    original, moduli = fields.modulus, []
+
+    def counted(v):
+        moduli.append(v.shape[-3])
+        return original(v)
+
+    monkeypatch.setattr(fields, "modulus", counted)
+    pressure.decompose_pressure(traj)
+    assert moduli == [2] * (traj.n_steps + 1)
+
+
 def test_pressure_experiment_doubling_fails_on_a_rescaled_noise_slice(tmp_path, monkeypatch):
     # one recorded shape(u) slice off by 1 %: the rerun from the tables then
     # differs from pi_phi, and so does the doubled part from 2 pi_phi
