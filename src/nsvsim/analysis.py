@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DivergenceError, ValidationError
 from .fields import modulus, quad_weight, to_grid
 from .galerkin import DivFreeBasis, Trajectory, assemble_drift_terms, forcing_at
 from .noise import NoiseModel
@@ -139,36 +139,41 @@ def explicit_moment_bound(
     return float(bound), False
 
 
-def moment_estimate(
-    trajs,
-    M: int,
-    gamma: float,
-    model: NoiseModel,
-    energy0: float,
-    forcing_l2_sq_integral: float,
-    T: float,
-) -> MomentReport:
-    """Estimate the gamma/2-moments over M independent paths.  ``trajs`` yields
-    the trajectories of the paths that stayed finite, in path order; the
-    paths it lacks are counted as excluded."""
-    if M < 1:
-        raise ValidationError("need at least one path")
-    # per path: alpha, sup_t E, int ||grad u||_p^p dt and int ||u||_q^q dt
-    rows = [(traj.system.params.alpha, np.max(traj.energies()), np.sum(traj.grad_p[:-1] * traj.system.dt),
-             np.sum(traj.damping_q[:-1] * traj.system.dt)) for traj in trajs]
+def moment_estimate(results, gamma: float) -> MomentReport:
+    """Estimate the gamma/2-moments over a leg's paths.  ``results`` yields
+    each path's result in path order, a Trajectory or its DivergenceError:
+    the diverged paths are excluded, and when every path diverged the
+    lowest-index one's error is raised.  The bound is the mean of the
+    per-path explicit bounds, each read from its own trajectory: its E(0),
+    int ||f||_2^2 dt over its steps, its noise model and its horizon."""
+    rows, errors = [], []
+    for traj in results:
+        if isinstance(traj, DivergenceError):
+            errors.append(traj)
+            continue
+        system, dt = traj.system, traj.system.dt
+        energies = traj.energies()
+        # a static forcing row holds at every step
+        forcing = np.broadcast_to(forcing_at(system.forcing, np.arange(traj.n_steps)), traj.coeffs[:-1].shape)
+        f_int = float(np.sum(forcing**2)) * dt
+        bound, rigorous = explicit_moment_bound(gamma, energies[0], f_int, system.noise, traj.n_steps * dt)
+        # per path: alpha, its bound, sup_t E, int ||grad u||_p^p dt and int ||u||_q^q dt
+        rows.append((system.params.alpha, bound, np.max(energies), np.sum(traj.grad_p[:-1] * dt),
+                     np.sum(traj.damping_q[:-1] * dt)))
     if not rows:
-        raise ValidationError("no finite trajectory to estimate from")
-    if len(rows) > M:
-        raise ValidationError(f"{len(rows)} trajectories for {M} paths")
-    vals = np.ascontiguousarray(np.array(rows)[:, 1:].T) ** (gamma / 2.0)   # (3, paths)
+        if errors:
+            raise errors[0]
+        raise ValidationError("no path to estimate from")
+    table = np.array(rows)
+    vals = np.ascontiguousarray(table[:, 2:].T) ** (gamma / 2.0)   # (3, paths)
     mean = vals.mean(axis=1).tolist()
     se = (vals.std(axis=1, ddof=1) / np.sqrt(len(rows))).tolist() if len(rows) > 1 else [0.0] * 3
     alpha = rows[-1][0]
-    bound, rigorous = explicit_moment_bound(gamma, energy0, forcing_l2_sq_integral, model, T)
+    bound = float(np.mean(table[:, 1]))
     return MomentReport(
         gamma=gamma,
-        paths=M,
-        excluded_paths=M - len(rows),
+        paths=len(rows) + len(errors),
+        excluded_paths=len(errors),
         sup_energy=mean[0],
         sup_energy_se=se[0],
         grad_p_integral=mean[1],

@@ -425,25 +425,8 @@ def _experiment_moments(cfg: SimConfig, out_dir: str):
 
     def estimate(local_cfg: SimConfig) -> analysis.MomentReport:
         system = local_cfg.system()
-        f = system.forcing
         c0, lineages = path_starts(local_cfg, system.basis, range(local_cfg.paths))
-        e0 = system.basis.energy(c0[0], local_cfg.kappa)
-        f_int = float(np.sum(f**2)) * local_cfg.T if f.ndim == 1 else float(np.sum(f**2) * local_cfg.dt)
-
-        def finite_paths():
-            # the diverged paths are excluded; when every path diverged, the
-            # lowest-index one's error is raised
-            errors = []
-            for result in _path_results(system, c0, lineages, local_cfg.T):
-                if isinstance(result, DivergenceError):
-                    errors.append(result)
-                else:
-                    yield result
-            if len(errors) == local_cfg.paths:
-                raise errors[0]
-
-        return analysis.moment_estimate(finite_paths(), local_cfg.paths, local_cfg.gamma,
-                                        local_cfg.noise_model(), e0, f_int, local_cfg.T)
+        return analysis.moment_estimate(_path_results(system, c0, lineages, local_cfg.T), local_cfg.gamma)
 
     base = estimate(cfg)
     double_n = estimate(replace(cfg, n_modes=cfg.n_modes * 2))
@@ -571,7 +554,7 @@ def _experiment_pressure(cfg: SimConfig, out_dir: str):
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "pressure.csv")
-    pressure.pressure_csv(csv_path, parts, cfg.p, cfg.q)
+    pressure.pressure_csv(csv_path, traj, parts)
 
     criteria = [
         Criterion("vortex-array pressure matches closed form", tg_err < 1e-10, f"max error = {tg_err:.3e}"),

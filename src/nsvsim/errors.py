@@ -13,6 +13,10 @@ class DivergenceError(RuntimeError):
     """The time stepper produced a nonfinite value on a path."""
 
     def __init__(self, step: int, path: int):
+        # args holds (step, path), so pickle and copy rebuild the error
+        super().__init__(step, path)
         self.step = step
         self.path = path
-        super().__init__(f"nonfinite state detected at step {step} of path {path}")
+
+    def __str__(self) -> str:
+        return f"nonfinite state detected at step {self.step} of path {self.path}"

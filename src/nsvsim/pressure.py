@@ -61,7 +61,6 @@ class PressureParts:
     ``replace(traj, increments=...)``.
     """
 
-    times: np.ndarray
     pi1: np.ndarray        # (S+1, N, N) rate from the power-law stress
     pi2: np.ndarray        # (S+1, N, N) rate from convection, damping, forcing
     pi_phi: np.ndarray     # (S+1, N, N) stochastic part
@@ -153,7 +152,6 @@ def decompose_pressure(traj: Trajectory) -> PressureParts:
         drift_int = drift_int + (pi1[i] + pi2[i]) * traj.system.dt
 
     return PressureParts(
-        times=traj.times,
         pi1=pi1,
         pi2=pi2,
         pi_phi=pi_phi,
@@ -194,16 +192,17 @@ def momentum_gradient_residual(traj: Trajectory, parts: PressureParts) -> float:
     return worst
 
 
-def pressure_csv(path, parts: PressureParts, p: float, q: float) -> None:
-    """Per-slice CSV: t, ||pi||_2, ||pi1||_p', ||pi2||_q0, ||pi_phi||_2, residual."""
+def pressure_csv(path, traj: Trajectory, parts: PressureParts) -> None:
+    """Per-slice CSV: t, ||pi||_2, ||pi1||_p', ||pi2||_q0, ||pi_phi||_2, residual,
+    of ``parts``, the decomposition of ``traj``, whose times and p, q it reads."""
     n = parts.pi1.shape[1]
     w = quad_weight(n)
-    p_conj = p / (p - 1.0)
-    q_conj = q / (q - 1.0)
-    q0 = min(p_conj, q_conj)
+    params = traj.system.params
+    p_conj = params.p_conj
+    q0 = min(p_conj, params.q / (params.q - 1.0))
     with open(path, "w", newline="") as fh:
         fh.write("t,pi_l2,pi1_pprime,pi2_q0,pi_phi_l2,recombination_residual\n")
-        for i, t in enumerate(parts.times):
+        for i, t in enumerate(traj.times):
             row = (
                 t,
                 float(np.sqrt(np.sum(parts.pi_total[i] ** 2) * w)),

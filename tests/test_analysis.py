@@ -199,27 +199,49 @@ class TestMoments:
         params = RheologyParams(p=2.0, q=3.0, nu=0.5, kappa=0.5)
         model = NoiseModel("linear", 0.5, 4)
         run_path, e0 = self._runner(small_basis, params, model)
-        rep = analysis.moment_estimate(map(run_path, range(1)), 1, 2.0, model, e0, 0.0, 0.05)
+        rep = analysis.moment_estimate(map(run_path, range(1)), 2.0)
         traj = run_path(0)
         sup_e = float(np.max(traj.energies()))
         assert rep.sup_energy == pytest.approx(sup_e, rel=1e-12)
         assert rep.sup_energy_se == 0.0
+        assert rep.bound == analysis.explicit_moment_bound(2.0, e0, 0.0, model, 0.05)[0]
 
     def test_deterministic_monotone_energy(self, small_basis):
         # noise off, f = 0: sup_t E = E(0) exactly, all moments = E(0)^(gamma/2)
         params = RheologyParams(p=2.0, q=3.0, nu=0.5, kappa=0.5)
         run_path, e0 = self._runner(small_basis, params, OFF)
-        rep = analysis.moment_estimate(map(run_path, range(3)), 3, 4.0, OFF, e0, 0.0, 0.05)
+        rep = analysis.moment_estimate(map(run_path, range(3)), 4.0)
         assert rep.sup_energy == pytest.approx(e0 ** 2.0, rel=1e-10)
 
     def test_bound_is_honest_for_gamma_two(self, small_basis):
         params = RheologyParams(p=2.0, q=3.0, nu=0.5, kappa=0.5)
         model = NoiseModel("linear", 0.5, 4)
         run_path, e0 = self._runner(small_basis, params, model)
-        rep = analysis.moment_estimate(map(run_path, range(8)), 8, 2.0, model, e0, 0.0, 0.05)
+        rep = analysis.moment_estimate(map(run_path, range(8)), 2.0)
         assert rep.bound_rigorous
         assert rep.sup_energy <= rep.bound
         assert rep.passed
+
+    @pytest.mark.parametrize("gamma", [2.0, 4.0])
+    @pytest.mark.parametrize("per_step", [False, True])
+    def test_bound_is_the_mean_of_the_per_path_bounds(self, small_basis, gamma, per_step):
+        # paths of E(0) = 0.1 and 2, each bounded at its own E(0), and at
+        # int ||f||^2 dt over its 20 steps of a static or a per-step forcing
+        params = RheologyParams(p=2.0, q=3.0, nu=0.5, kappa=0.5)
+        model = NoiseModel("linear", 0.5, 4)
+        f = 0.1 * smooth_coeffs(small_basis, seed=3)
+        if per_step:
+            f = np.linspace(1.0, 3.0, 20)[:, None] * f
+        trajs = []
+        for energy in (0.1, 2.0):
+            system, c0, lineages = make_state(small_basis, smooth_coeffs(small_basis, energy=energy),
+                                              params, model, dt=2.5e-3)
+            trajs.append(run(dataclasses.replace(system, forcing=f), c0, lineages, 0.05)[0])
+        rep = analysis.moment_estimate(trajs, gamma)
+        f_int = float(np.sum(np.broadcast_to(f, (20, small_basis.n)) ** 2)) * 2.5e-3
+        bounds = [analysis.explicit_moment_bound(gamma, energy, f_int, model, 0.05)[0] for energy in (0.1, 2.0)]
+        assert rep.bound == pytest.approx(np.mean(bounds), rel=1e-12)
+        assert rep.bound_rigorous == (gamma == 2.0)
 
     def test_gamma_validation(self):
         with pytest.raises(ValidationError):
@@ -239,15 +261,20 @@ class TestMoments:
                     return run(*st, 100.0)[0]
             return run(*make_state(small_basis, smooth_coeffs(small_basis), params, model), 0.002)[0]
 
-        def finite_paths():
-            for path in range(3):
-                traj = run_path(path)
-                if not isinstance(traj, DivergenceError):
-                    yield traj
-
-        rep = analysis.moment_estimate(finite_paths(), 3, 2.0, model, 1.0, 0.0, 0.002)
+        assert isinstance(run_path(1), DivergenceError)
+        rep = analysis.moment_estimate(map(run_path, range(3)), 2.0)
         assert rep.excluded_paths == 1
         assert rep.paths == 3
+
+    def test_every_path_diverged_raises_the_lowest_index_error(self):
+        errors = [DivergenceError(9, 0), DivergenceError(2, 1)]
+        with pytest.raises(DivergenceError) as raised:
+            analysis.moment_estimate(iter(errors), 2.0)
+        assert raised.value is errors[0]
+
+    def test_no_results_rejected(self):
+        with pytest.raises(ValidationError):
+            analysis.moment_estimate([], 2.0)
 
 
 class TestAlphaSweep:

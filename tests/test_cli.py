@@ -601,6 +601,18 @@ class TestExperiments:
         assert crit["details"] == "base: 1 of 4, mode doubling: 1 of 4, alpha halving: 1 of 4"
         assert "[FAIL] no divergent path excluded" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("gamma", [2, 4])
+    def test_moments_bound_holds_with_unequal_initial_energies(self, tmp_path, gamma):
+        # unnormalised random starts: path 0 holds 0.28 of the mean E(0), so a
+        # bound read at path 0's E(0) alone falls below the estimate
+        cfg = cli.parse_config(None, [
+            "experiment=moments", "paths=16", "ic.kind=random", "ic.energy=0", "noise.family=linear",
+            "noise.amplitude=0.5", "steps=20", "dt=0.0025", "T=0.05", "grid_n=16", "n_modes=16",
+            "seed=11", f"gamma={gamma}"])
+        report = cli.run_experiment(cfg, str(tmp_path))
+        crit = next(c for c in report.criteria if c.name == "sup-energy moment within explicit bound")
+        assert crit.passed, crit.details
+
     def test_moments_mode_doubling_fails_on_a_scaled_doubled_basis(self, tmp_path, monkeypatch):
         # sqrt(2) times the initial field on the doubled basis only doubles
         # the sup energy there, far outside 2 SE of the base leg

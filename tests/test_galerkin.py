@@ -1,7 +1,9 @@
 import ast
+import copy
 import dataclasses
 import math
 import pathlib
+import pickle
 import re
 import sys
 import tracemalloc
@@ -483,6 +485,12 @@ class TestStep:
         assert err.step >= 0 and err.path == 3
         assert str(err) == f"nonfinite state detected at step {err.step} of path 3"
 
+    @pytest.mark.parametrize("rebuild", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy, copy.deepcopy])
+    def test_divergence_error_survives_pickle_and_copy(self, rebuild):
+        err = rebuild(DivergenceError(3, 7))
+        assert type(err) is DivergenceError and (err.step, err.path) == (3, 7)
+        assert str(err) == "nonfinite state detected at step 3 of path 7"
+
     def test_cfl_warning(self, small_basis):
         params = RheologyParams(p=2.0, q=3.0, nu=0.0, kappa=0.5)
         c = 100.0 * shear_coeffs(small_basis)
@@ -852,28 +860,40 @@ def test_every_pointwise_field_is_read_by_the_program():
 
 
 def takes_the_system_in_parts(source: str) -> list:
-    """The functions and methods of ``source`` that take two or more parts of
-    a ``galerkin.System``: a parameter annotated as a DivFreeBasis, a
-    RheologyParams or a NoiseModel, or one named ``convection``."""
+    """The functions and methods of ``source`` that take a ``galerkin.System``
+    in parts: two or more of its parts, that is parameters annotated as a
+    DivFreeBasis, a RheologyParams or a NoiseModel, or named ``convection``;
+    or trajectories, which carry their system, beside a part annotated so.  A
+    trajectory parameter is annotated as a Trajectory or named ``traj``,
+    ``trajs`` or ``results``."""
     parts = {"DivFreeBasis", "RheologyParams", "NoiseModel"}
     tree = ast.parse(source)
     owner = {id(fn): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for fn in cls.body}
+
+    def annotated(arg, names: set) -> bool:
+        return arg.annotation is not None and bool(names & set(re.findall(r"\w+", ast.unparse(arg.annotation))))
+
     found = []
     for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
         args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
-        taken = [a for a in args if a.arg == "convection"
-                 or a.annotation is not None and parts & set(re.findall(r"\w+", ast.unparse(a.annotation)))]
-        if len(taken) >= 2:
+        taken = [a for a in args if a.arg == "convection" or annotated(a, parts)]
+        typed = any(annotated(a, parts) for a in args)
+        carried = any(a.arg in {"traj", "trajs", "results"} or annotated(a, {"Trajectory"}) for a in args)
+        if len(taken) >= 2 or carried and typed:
             found.append(f"{owner[id(fn)]}.{fn.name}" if id(fn) in owner else fn.name)
     return found
 
 
 def test_no_function_takes_the_system_in_parts():
-    # the kernel, its pointwise stage and the solvability samplers take the
-    # system whole: a src/ function that takes two or more of its parts makes
-    # every caller unpack a system that it already holds
+    # the kernel, its pointwise stage, the solvability samplers and the
+    # moment estimate take the system whole, or the trajectories that carry
+    # it: a src/ function that takes it in parts makes every caller unpack a
+    # system that it already holds
     assert takes_the_system_in_parts("def f(basis: DivFreeBasis, params: RheologyParams): pass") == ["f"]
     assert takes_the_system_in_parts("class P:\n def at(cls, noise: 'NoiseModel', convection): pass") == ["P.at"]
+    assert takes_the_system_in_parts("def f(traj, model: NoiseModel): pass") == ["f"]
+    assert takes_the_system_in_parts("def f(a: 'Trajectory', basis: DivFreeBasis | None): pass") == ["f"]
+    assert takes_the_system_in_parts("def f(results, gamma: float): pass") == []
     root = pathlib.Path(__file__).resolve().parents[1]
     assert [f"{path.stem}.{name}" for path in sorted((root / "src" / "nsvsim").glob("*.py"))
             for name in takes_the_system_in_parts(path.read_text())] == []

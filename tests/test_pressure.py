@@ -72,8 +72,9 @@ class TestDecompose:
         assert parts.max_residual() < 1e-8
 
     def test_harmonic_part_vanishes(self, small_basis):
-        parts = pressure.decompose_pressure(noisy_trajectory(small_basis))
-        assert parts.harmonic_max.shape == (parts.times.size,)
+        traj = noisy_trajectory(small_basis)
+        parts = pressure.decompose_pressure(traj)
+        assert parts.harmonic_max.shape == (traj.times.size,)
         assert np.max(parts.harmonic_max) < 1e-12
 
     def test_slices_mean_zero(self, small_basis):
@@ -133,7 +134,7 @@ class TestDecompose:
         traj = noisy_trajectory(small_basis, steps=10)
         parts = pressure.decompose_pressure(traj)
         path = tmp_path / "pressure.csv"
-        pressure.pressure_csv(path, parts, p=2.5, q=4.0)
+        pressure.pressure_csv(path, traj, parts)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,pi_l2,pi1_pprime,pi2_q0,pi_phi_l2,recombination_residual"
         assert len(lines) == traj.n_steps + 2
