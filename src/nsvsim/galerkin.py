@@ -20,9 +20,13 @@ kernel and the pressure both read.  The stage writes its other grid fields
 into work arrays held per grid and source count and reused by every
 evaluation, the flux and vector terms straight into the rows that the
 forward transform reads; nothing the kernel returns views them.  The kernel
-projects the tables to the drift ``b`` and the noise projection ``s`` and
-forms |grad u| and the state's :class:`StateRecord`, the one declaration of
-the columns that the stepper records.
+projects the tables to the drift ``b`` and the noise projection ``s``, and
+that is all the solvability samplers and ``analysis.weak_form_residual``
+read.  Only the stepper's call, :func:`drift_and_record`, also forms
+|grad u|, the grid quadratures and the rest of the state's
+:class:`StateRecord`, the one declaration of the columns that :func:`run`
+records, and max |u|, from the same pointwise stage; both calls share one
+chunk loop.
 
 A :class:`System` is what every path of a stack solves: the basis, the
 rheology, the noise, the step, the forcing and the convection switch,
@@ -33,8 +37,8 @@ its own lineage, so that every row is bit for bit its own run; a single path
 is a stack of one.  It allocates the stack's record once (coefficients,
 increments, every :class:`StateRecord` column and the times), draws every
 increment of the stack in one call before the first step, once per distinct
-lineage, evaluates the kernel once per step on the running rows'
-coefficients and writes each step's column in place.  A row leaves the
+lineage, evaluates :func:`drift_and_record` once per step on the running
+rows' coefficients and writes each step's column in place.  A row leaves the
 stack on its own, with a :class:`Trajectory` of views of its own prefix of
 the record, which every audit reads: a row that diverges as its
 :class:`DivergenceError`, and a row stopped by the gradient threshold with
@@ -246,11 +250,12 @@ class PointwiseTerms:
     pressure sources.  Terms that are switched off are None.  The drift's nu
     and signs are applied here only: in the flux rows of ``sources`` and in
     :meth:`drift_tables`, the one drift source.  The moduli |u| and |D(u)|
-    are formed once each, here, and are fresh arrays; the kernel forms
-    |grad u| from ``jac`` for its quadrature, and the pressure, which reads
-    no quadrature, never forms it.  Every other grid field views the stage's
-    work arrays, which the next evaluation on the same grid and source count
-    overwrites: read them before it, and evaluate from one thread at a time."""
+    are formed once each, here, and are fresh arrays; the stepper's kernel
+    call forms |grad u| from ``jac`` for its quadrature, and the drift alone
+    and the pressure, which read no quadrature, never form it.  Every other
+    grid field views the stage's work arrays, which the next evaluation on
+    the same grid and source count overwrites: read them before it, and
+    evaluate from one thread at a time."""
 
     speed: np.ndarray               # (..., N, N) |u|: the damping, the noise shape, max |u|, ||u||_q^q
     jac: np.ndarray                 # (..., 4, N, N) the components of grad u, read by ||grad u||_p^p
@@ -303,10 +308,20 @@ class PointwiseTerms:
 
 
 @dataclass
+class DriftTerms:
+    """Output of the drift kernel at a state, or at each state of a stack of
+    states with leading shape ``...``: the step's terms."""
+
+    b: np.ndarray              # (..., n) drift coefficients
+    s: np.ndarray              # (..., n) noise projection (shape(u), psi_j); zero with the noise off
+
+
+@dataclass
 class StateRecord:
-    """The kernel's outputs that :func:`run` records at each stored state, of
-    the stack's leading shape ``...``: a column is one field here and its
-    expression in ``_evaluate``.  s is the noise projection, M = 1 + kappa |k|^2."""
+    """The columns that :func:`run` records at each stored state, of the
+    stack's leading shape ``...``: a column is one field here and its
+    expression in :func:`_state_record`.  s is the noise projection, M = 1 +
+    kappa |k|^2."""
 
     dissipation_p: np.ndarray  # (...) ||D(u)||_p^p by grid quadrature
     grad_p: np.ndarray         # (...) ||grad u||_p^p by grid quadrature
@@ -316,13 +331,11 @@ class StateRecord:
 
 
 @dataclass
-class DriftTerms(StateRecord):
-    """Output of the drift kernel at a state, or at each state of a stack of
-    states with leading shape ``...``: the record and the step's terms."""
+class RecordedDriftTerms(StateRecord, DriftTerms):
+    """Output of :func:`drift_and_record`: the drift terms, the state's
+    record and max |u|, of the stack's leading shape ``...``."""
 
-    b: np.ndarray              # (..., n) drift coefficients
-    s: np.ndarray              # (..., n) noise projection (shape(u), psi_j); zero with the noise off
-    max_speed: np.ndarray      # (...) max |u| over the grid
+    max_speed: np.ndarray      # (...) max |u| over the grid, read by the CFL warning
 
 
 # Grid points per kernel evaluation of a stack.  Larger chunks cut the
@@ -341,14 +354,32 @@ def assemble_drift_terms(system: System, c: np.ndarray, step) -> DriftTerms:
     """The drift kernel of ``system``: Galerkin drift b_j = (f,psi_j) + (drift,
     psi_j) for the forcing f at ``step`` and the drift source of
     :meth:`PointwiseTerms.drift_tables`, that is (f,psi_j) + (u x u : grad
-    psi_j) - nu (A(u) : D(psi_j)) - alpha (a(u), psi_j), the noise
+    psi_j) - nu (A(u) : D(psi_j)) - alpha (a(u), psi_j), and the noise
     projection s_j = (shape(u), psi_j), so that phi_k(u) projects to scale_k
-    * s, and the :class:`StateRecord` columns, all from one pointwise stage.
-    ``c`` holds the coefficients of one state (n,) or of a stack of states
-    (..., n), and ``step``, an int or an int array, broadcasts against its
-    leading shape; every output has the stack's leading shape.  A stack is
-    evaluated in chunks of at most :func:`states_per_call` states, and each
-    state's outputs are bit for bit those of its own call."""
+    * s, from one pointwise stage.  ``c`` holds the coefficients of one state
+    (n,) or of a stack of states (..., n), and ``step``, an int or an int
+    array, broadcasts against its leading shape; every output has the
+    stack's leading shape.  A stack is evaluated in chunks of at most
+    :func:`states_per_call` states, and each state's outputs are bit for bit
+    those of its own call.  It forms no record: the solvability samplers and
+    the weak-form residual read only b and s, and :func:`run` takes them
+    with the record from :func:`drift_and_record`."""
+    return _chunked(_drift, system, c, step)
+
+
+def drift_and_record(system: System, c: np.ndarray, step) -> RecordedDriftTerms:
+    """The stepper's kernel call: the drift terms of
+    :func:`assemble_drift_terms`, bit for bit, and each state's
+    :class:`StateRecord` and max |u|, from the same pointwise stage and the
+    same chunks."""
+    return _chunked(_drift_and_record, system, c, step)
+
+
+def _chunked(evaluate, system: System, c: np.ndarray, step):
+    """``evaluate`` (:func:`_drift` or :func:`_drift_and_record`) at the
+    coefficients ``c`` (..., n) and the forcing at ``step``, over chunks of
+    at most :func:`states_per_call` states, its outputs in the stack's
+    leading shape."""
     basis = system.basis
     c = np.asarray(c, dtype=float)
     f = forcing_at(system.forcing, step)
@@ -356,36 +387,52 @@ def assemble_drift_terms(system: System, c: np.ndarray, step) -> DriftTerms:
     states = math.prod(lead)
     per_call = states_per_call(basis.grid_size)
     if states <= per_call:
-        return _evaluate(system, c, f)
+        return evaluate(system, c, f)
     c = c.reshape(states, basis.n)
     f = np.broadcast_to(f, lead + (basis.n,)).reshape(states, basis.n)
     for i in range(0, states, per_call):
-        part = vars(_evaluate(system, c[i:i + per_call], f[i:i + per_call]))
+        part = evaluate(system, c[i:i + per_call], f[i:i + per_call])
         if i == 0:  # preallocated in the first chunk's shapes: concatenated chunks raise peak memory
-            out = {name: np.empty((states,) + value.shape[1:]) for name, value in part.items()}
-        for name, value in part.items():
+            out = {name: np.empty((states,) + value.shape[1:]) for name, value in vars(part).items()}
+        for name, value in vars(part).items():
             out[name][i:i + per_call] = value
-    return DriftTerms(**{name: value.reshape(lead + value.shape[1:]) for name, value in out.items()})
+    return type(part)(**{name: value.reshape(lead + value.shape[1:]) for name, value in out.items()})
 
 
-def _evaluate(system: System, c: np.ndarray, f: np.ndarray) -> DriftTerms:
-    """The kernel at a state or at one chunk of a stack, by one pointwise stage."""
-    basis, params = system.basis, system.params
+def _drift(system: System, c: np.ndarray, f: np.ndarray) -> DriftTerms:
+    """The drift terms at a state or at one chunk of a stack, by one pointwise stage."""
+    return _project(system, PointwiseTerms.at(system, c), f)
+
+
+def _drift_and_record(system: System, c: np.ndarray, f: np.ndarray) -> RecordedDriftTerms:
+    """The drift terms, the record and max |u| at a state or at one chunk of
+    a stack, by one pointwise stage."""
     pw = PointwiseTerms.at(system, c)
+    terms = _project(system, pw, f)
+    return RecordedDriftTerms(**vars(terms), **vars(_state_record(system, pw, c, terms.s)),
+                              max_speed=pw.speed.max(axis=(-2, -1)))
+
+
+def _project(system: System, pw: PointwiseTerms, f: np.ndarray) -> DriftTerms:
+    """b and s from the pointwise stage's tables, for the forcing ``f``."""
+    basis = system.basis
     drift, shape = pw.drift_tables(basis.k_max)
     pairings = basis.gather(np.stack([drift] if shape is None else [drift, shape], axis=-4))
     b = f + pairings[..., 0, :]
-    s = np.zeros_like(b) if shape is None else pairings[..., 1, :]
+    return DriftTerms(b=b, s=np.zeros_like(b) if shape is None else pairings[..., 1, :])
+
+
+def _state_record(system: System, pw: PointwiseTerms, c: np.ndarray, s: np.ndarray) -> StateRecord:
+    """The record of the states ``c``, from their pointwise stage ``pw`` and
+    their noise projection ``s``: the grid quadratures and the s reductions."""
+    basis, params = system.basis, system.params
     w = quad_weight(basis.grid_size)
-    return DriftTerms(
+    return StateRecord(
         dissipation_p=(pw.d_modulus ** params.p).sum(axis=(-2, -1)) * w,
         grad_p=(fields.modulus(pw.jac) ** params.p).sum(axis=(-2, -1)) * w,
         damping_q=(pw.speed**params.q).sum(axis=(-2, -1)) * w,
         noise_mass_sq=(s * s / basis.mass_multipliers(params.kappa)).sum(axis=-1),
         c_dot_s=row_dot(c, s),
-        b=b,
-        s=s,
-        max_speed=pw.speed.max(axis=(-2, -1)),
     )
 
 
@@ -454,10 +501,10 @@ def run(
     and draws its increments from the lineage ``lineages[r]``, a (seed, path)
     pair; every step of each distinct lineage is drawn in one call before the
     first step, so each row is bit for bit its own run, and a single path is
-    a stack of one.  Each step evaluates the drift kernel once on the stack,
-    once per stored state of every row.  A row leaves the stack on its own:
-    at a nonfinite state, as the DivergenceError of that step, or with
-    ``grad_threshold`` > 0 at its first state with ||grad u||_2 >=
+    a stack of one.  Each step evaluates :func:`drift_and_record` once on
+    the stack, once per stored state of every row.  A row leaves the stack
+    on its own: at a nonfinite state, as the DivergenceError of that step,
+    or with ``grad_threshold`` > 0 at its first state with ||grad u||_2 >=
     ``grad_threshold``, whose time it records as ``tripped_at``.  Each
     row's Trajectory views its own prefix of the stack's record, so the rows
     share no writable element; ``times`` is shared and read-only.  Pass
@@ -505,7 +552,7 @@ def run(
     # state and gives that state's record column, the final state's included.
     for i in range(n_steps + 1):
         c = coeffs[rows, i]
-        terms = assemble_drift_terms(system, c, i)
+        terms = drift_and_record(system, c, i)
         if i == 0:  # checked at the initial states only
             for cfl in dt * terms.max_speed * basis.k_max:
                 if cfl > 0.5:

@@ -11,8 +11,12 @@ Both samplers take the :class:`galerkin.System` under test and evaluate its
 drift at step 0, so its forcing is that step's.  Each draws every sample
 first, in the order a per-sample loop would, then passes all of them to the
 drift kernel in one call and reduces the margins as arrays; each sample's
-terms are bit for bit those of a single-state call.  A check passes only if
-every margin is finite and none is negative.
+terms are bit for bit those of a single-state call.  The kernel call forms
+b and s only, no record.  Each margin is the envelope less the sample's
+ratio lhs / norm, and each term of that ratio is a constant times a ratio of
+norms of order one, so the terms stay near the constants, which the config
+keeps finite, and the margins do not overflow at an admitted noise amplitude.
+A check passes only if every margin is finite and none is negative.
 """
 
 from __future__ import annotations
@@ -38,13 +42,14 @@ def _random_ball(rng: np.ndarray, n: int, radius: float) -> np.ndarray:
     return v
 
 
-def _report(margins: np.ndarray, fitted: np.ndarray) -> SolvabilityReport:
-    """Worst margin and tightest constant over the samples; a NaN or infinite
-    margin fails the check."""
+def _report(envelope: float, ratios: np.ndarray) -> SolvabilityReport:
+    """Worst margin envelope - lhs / norm and tightest constant over the
+    samples' ratios lhs / norm; a NaN or infinite margin fails the check."""
+    margins = envelope - ratios
     worst = float(np.min(margins, initial=np.inf))
     return SolvabilityReport(
         worst_margin=worst,
-        fitted_constant=float(np.max(fitted, initial=0.0)),
+        fitted_constant=float(np.max(ratios, initial=0.0)),
         passed=bool(np.all(np.isfinite(margins)) and worst >= -1e-8),
     )
 
@@ -72,12 +77,11 @@ def check_weak_monotonicity(system: System, radius: float, samples: int, seed: i
     terms = assemble_drift_terms(system, pairs, 0)
     dw = pairs[:, 0] - pairs[:, 1]
     norm_sq = np.sum(dw * dw, axis=-1)
-    # ||G(u) - G(v)||_F^2 = S ||P shape(u) - P shape(v)||_2^2 for the separable family
-    lhs = (row_dot(terms.b[:, 0] - terms.b[:, 1], dw)
-           + trace * np.sum((terms.s[:, 0] - terms.s[:, 1]) ** 2, axis=-1))
     keep = norm_sq != 0.0
-    lhs, norm_sq = lhs[keep], norm_sq[keep]
-    return _report((envelope * norm_sq - lhs) / np.maximum(norm_sq, 1e-300), lhs / norm_sq)
+    # ||G(u) - G(v)||_F^2 = S ||P shape(u) - P shape(v)||_2^2 for the separable family
+    ratios = (row_dot(terms.b[:, 0] - terms.b[:, 1], dw)[keep] / norm_sq[keep]
+              + trace * (np.sum((terms.s[:, 0] - terms.s[:, 1]) ** 2, axis=-1)[keep] / norm_sq[keep]))
+    return _report(envelope, ratios)
 
 
 def check_coercivity(system: System, samples: int, seed: int) -> SolvabilityReport:
@@ -92,7 +96,6 @@ def check_coercivity(system: System, samples: int, seed: int) -> SolvabilityRepo
     trace = system.noise.trace_const
     rng = np.random.default_rng(seed)
     f_norm = float(np.linalg.norm(forcing_at(system.forcing, 0)))
-    envelope = 0.5 + trace
 
     states = []
     for _ in range(samples):
@@ -100,7 +103,7 @@ def check_coercivity(system: System, samples: int, seed: int) -> SolvabilityRepo
         states.append(rng.standard_normal(system.basis.n) * scale)
     cu = np.array(states)
     terms = assemble_drift_terms(system, cu, 0)
-    # ||G(u)||_F^2 = S ||P shape(u)||_2^2 for the separable family
-    lhs = row_dot(terms.b, cu) + trace * np.sum(terms.s * terms.s, axis=-1)
     rhs_norm = (1.0 + f_norm) * (1.0 + np.sum(cu * cu, axis=-1))
-    return _report((envelope * rhs_norm - lhs) / rhs_norm, lhs / rhs_norm)
+    # ||G(u)||_F^2 = S ||P shape(u)||_2^2 for the separable family
+    ratios = row_dot(terms.b, cu) / rhs_norm + trace * (np.sum(terms.s * terms.s, axis=-1) / rhs_norm)
+    return _report(0.5 + trace, ratios)

@@ -171,8 +171,8 @@ def test_criterion_07_alpha_sweep(tmp_path):
 
 def test_criterion_07_fails_on_a_drift_without_damping(tmp_path, monkeypatch):
     # every alpha then runs the alpha = 0 reference path: each distance to it is 0
-    kernel = galerkin.assemble_drift_terms
-    monkeypatch.setattr(galerkin, "assemble_drift_terms", lambda system, c, step: kernel(
+    kernel = galerkin.drift_and_record
+    monkeypatch.setattr(galerkin, "drift_and_record", lambda system, c, step: kernel(
         dataclasses.replace(system, params=dataclasses.replace(system.params, alpha=0.0)), c, step))
     assert not criterion(run_criterion(7, tmp_path), "distance to alpha = 0 reference decreasing").passed
 

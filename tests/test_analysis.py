@@ -5,7 +5,7 @@ import pytest
 
 from nsvsim import analysis, cli, fields, galerkin
 from nsvsim.errors import DivergenceError, ValidationError
-from nsvsim.galerkin import DivFreeBasis, System, assemble_drift_terms, run
+from nsvsim.galerkin import DivFreeBasis, System, assemble_drift_terms, drift_and_record, run
 from nsvsim.noise import NoiseModel
 from nsvsim.rheology import RheologyParams
 
@@ -37,8 +37,8 @@ class TestEnergyAudit:
 
     def test_ledger_reads_the_kernel_record(self, small_basis):
         # every declared record column, and the ledger's state columns, equal
-        # bitwise the kernel recomputed at each stored state, the final one
-        # included; the martingale reads the stepper's row-wise eta
+        # bitwise the stepper's kernel call recomputed at each stored state,
+        # the final one included; the martingale reads the stepper's row-wise eta
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
         model = NoiseModel("linear", 0.5, 6)
         traj = run(*make_state(small_basis, smooth_coeffs(small_basis), params, model), 0.02)[0]
@@ -46,7 +46,7 @@ class TestEnergyAudit:
         mass = small_basis.mass_multipliers(params.kappa)
         eta = galerkin.row_dot(traj.increments, model.mode_scales())
         for i, c in enumerate(traj.coeffs):
-            t = assemble_drift_terms(traj.system, c, i)
+            t = drift_and_record(traj.system, c, i)
             for field in dataclasses.fields(galerkin.StateRecord):
                 assert np.array_equal(getattr(traj, field.name)[i], getattr(t, field.name)), (field.name, i)
             if i == traj.n_steps:

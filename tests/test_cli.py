@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import struct
 import weakref
@@ -148,6 +149,21 @@ class TestParseConfig:
         assert rc == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("amplitude", ["1.28e154", "1.289e154"])
+    def test_propcheck_stays_finite_at_an_admitted_amplitude(self, amplitude, tmp_path):
+        # just below the trace constant's overflow: the envelope check and both
+        # samplers scale ratios of order one by the constants, so every margin
+        # and constant is finite, and the decay envelope and coercivity hold
+        cfg = cli.parse_config(None, ["experiment=propcheck", "noise.family=linear",
+                                      f"noise.amplitude={amplitude}", "grid_n=16", "n_modes=16"])
+        report = cli.run_experiment(cfg, str(tmp_path))
+        for crit in report.criteria:
+            assert not re.search(r"\b(nan|inf)\b", crit.details), crit
+        assert all(math.isfinite(value) for value in report.metrics.values()), report.metrics
+        passed = {crit.name: crit.passed for crit in report.criteria}
+        assert passed["noise growth/Lipschitz/decay envelopes hold"]
+        assert passed["weak coercivity margin nonnegative"]
 
     @pytest.mark.parametrize("overrides", [
         ["experiment=simulate", "T=0", "steps=0"],

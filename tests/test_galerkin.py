@@ -19,6 +19,7 @@ from nsvsim.galerkin import (
     PointwiseTerms,
     System,
     assemble_drift_terms,
+    drift_and_record,
     run,
     trajectory_csv,
 )
@@ -161,7 +162,7 @@ class TestDrift:
     def test_zero_state(self, small_basis):
         params = RheologyParams(p=2.0, q=4.0, nu=1.0, kappa=0.5, alpha=0.1)
         model = NoiseModel("linear", 0.5, 4)
-        terms = assemble_drift_terms(make_system(small_basis, params, model), np.zeros(small_basis.n), 0)
+        terms = drift_and_record(make_system(small_basis, params, model), np.zeros(small_basis.n), 0)
         assert np.all(terms.b == 0.0) and np.all(terms.s == 0.0)
         assert terms.dissipation_p == terms.grad_p == terms.damping_q == 0.0
 
@@ -176,7 +177,7 @@ class TestDrift:
         # identity ||D u||_2^2 = ||grad u||_2^2 / 2 holds for solenoidal u
         params = RheologyParams(p=2.0, q=2.0, nu=0.5, kappa=0.5)
         c = smooth_random_coeffs(small_basis)
-        terms = assemble_drift_terms(make_system(small_basis, params), c, 0)
+        terms = drift_and_record(make_system(small_basis, params), c, 0)
         l2, g2 = small_basis.field_norms_sq(c)
         assert terms.damping_q == pytest.approx(l2, rel=1e-12)
         assert terms.grad_p == pytest.approx(g2, rel=1e-12)
@@ -329,7 +330,7 @@ class TestDrift:
         c = smooth_random_coeffs(small_basis)
         run(*make_state(small_basis, c, params, noise=NoiseModel("linear", 0.5, 4)), 0.005)
         assert calls == ["to_grid", "from_grid"] * 6
-        terms = assemble_drift_terms(make_system(small_basis, params), c, 0)
+        terms = drift_and_record(make_system(small_basis, params), c, 0)
         speed = np.sqrt(np.sum(fields.to_grid(small_basis.scatter(c), small_basis.grid_size) ** 2, axis=0))
         assert terms.max_speed == np.max(speed)
 
@@ -345,7 +346,8 @@ class TestDrift:
 
     def test_one_modulus_of_u_and_of_its_gradient_per_evaluation(self, small_basis, monkeypatch):
         # the damping, the saturating shape, max |u| and ||u||_q^q share one
-        # |u|, and ||grad u||_p^p reads one |grad u|
+        # |u|; only the stepper's call forms the one |grad u| that
+        # ||grad u||_p^p reads
         original, moduli = fields.modulus, []
 
         def counted(v):
@@ -354,9 +356,31 @@ class TestDrift:
 
         monkeypatch.setattr(fields, "modulus", counted)
         params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
-        assemble_drift_terms(make_system(small_basis, params, NoiseModel("saturating", 0.5, 4)),
-                             smooth_random_coeffs(small_basis), 0)
-        assert moduli == [2, 4]
+        system = make_system(small_basis, params, NoiseModel("saturating", 0.5, 4))
+        per_call = []
+        for call in (assemble_drift_terms, drift_and_record):
+            moduli.clear()
+            call(system, smooth_random_coeffs(small_basis), 0)
+            per_call.append(list(moduli))
+        assert per_call == [[2], [2, 4]]
+
+    def test_the_drift_alone_forms_no_record(self, small_basis, monkeypatch):
+        # the samplers and the weak-form residual read b and s only: they run
+        # with the record's one function broken, which the stepper calls
+        from nsvsim import solvability
+
+        def broken(*args):
+            raise AssertionError("the record was formed")
+
+        params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1)
+        system = make_system(small_basis, params, NoiseModel("linear", 0.5, 4))
+        traj = run(system, smooth_random_coeffs(small_basis)[None], [(11, 0)], 0.005)[0]
+        monkeypatch.setattr(galerkin, "_state_record", broken)
+        assert solvability.check_weak_monotonicity(system, 5.0, samples=10, seed=0).passed
+        assert solvability.check_coercivity(system, samples=10, seed=0).passed
+        assert analysis.weak_form_residual(traj, np.eye(small_basis.n)[:3]) < 1e-12
+        with pytest.raises(AssertionError, match="the record was formed"):
+            run(system, traj.coeffs[:1], [(11, 0)], 0.005)
 
     @pytest.mark.parametrize("p,q,alpha,family,convection", [
         (2.5, 4.0, 0.0, "linear", True),
@@ -377,20 +401,42 @@ class TestDrift:
         per_step = np.stack([smooth_random_coeffs(small_basis, seed=s) for s in range(10, 19)])
         for c, forcing, step in ((cs, f, 0), (grid_cs, per_step, np.arange(9).reshape(3, 3))):
             system = make_system(small_basis, params, noise, forcing=forcing, convection=convection)
-            stacked = assemble_drift_terms(system, c, step)
-            single = [assemble_drift_terms(system, ci, si)
-                      for ci, si in zip(c.reshape(-1, n), np.broadcast_to(step, c.shape[:-1]).ravel())]
-            for name in (field.name for field in dataclasses.fields(galerkin.DriftTerms)):
-                rows = [getattr(t, name) for t in single]
-                expected = np.reshape(rows, c.shape[:-1] + np.shape(rows[0]))
-                assert np.array_equal(getattr(stacked, name), expected), name
-            if family == "off":
-                assert stacked.s.shape == c.shape and np.all(stacked.s == 0.0)
-        empty = assemble_drift_terms(system, np.zeros((0, n)), 0)
-        assert empty.b.shape == empty.s.shape == (0, n)
+            for call, output in ((assemble_drift_terms, galerkin.DriftTerms),
+                                 (drift_and_record, galerkin.RecordedDriftTerms)):
+                stacked = call(system, c, step)
+                assert type(stacked) is output
+                single = [call(system, ci, si)
+                          for ci, si in zip(c.reshape(-1, n), np.broadcast_to(step, c.shape[:-1]).ravel())]
+                for name in (field.name for field in dataclasses.fields(output)):
+                    rows = [getattr(t, name) for t in single]
+                    expected = np.reshape(rows, c.shape[:-1] + np.shape(rows[0]))
+                    assert np.array_equal(getattr(stacked, name), expected), (call.__name__, name)
+                if family == "off":
+                    assert stacked.s.shape == c.shape and np.all(stacked.s == 0.0)
+        for call in (assemble_drift_terms, drift_and_record):
+            empty = call(system, np.zeros((0, n)), 0)
+            assert empty.b.shape == empty.s.shape == (0, n)
         assert empty.max_speed.shape == (0,)
         for field in dataclasses.fields(galerkin.StateRecord):
             assert getattr(empty, field.name).shape == (0,), field.name
+
+    @pytest.mark.parametrize("family", ["off", "linear", "saturating"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_the_drift_alone_is_the_steppers_drift(self, small_basis, family, alpha):
+        # b and s of the drift kernel are the stepper's bit for bit, on a
+        # stack of 19 states at their own steps of a per-step forcing: three
+        # chunks of 8 states at grid 32, the last one partial
+        params = RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=alpha)
+        noise = NoiseModel(family, 0.5 if family != "off" else 0.0, 4 if family != "off" else 0)
+        forcing = np.stack([smooth_random_coeffs(small_basis, seed=s) for s in range(100, 119)])
+        system = make_system(small_basis, params, noise, forcing=forcing)
+        c = np.stack([smooth_random_coeffs(small_basis, seed=s) for s in range(19)])
+        assert len(c) > 2 * galerkin.states_per_call(small_basis.grid_size)
+        drift_alone = assemble_drift_terms(system, c, np.arange(19))
+        stepper = drift_and_record(system, c, np.arange(19))
+        for name in (field.name for field in dataclasses.fields(galerkin.DriftTerms)):
+            assert np.array_equal(getattr(drift_alone, name), getattr(stepper, name)), name
+        assert np.any(drift_alone.s != 0.0) == (family != "off")
 
     def test_chunk_memory_is_the_held_work_arrays(self, small_basis, monkeypatch):
         # Traced peak of one grid-32 chunk, with damping and saturating noise
@@ -413,7 +459,7 @@ class TestDrift:
             for _ in range(2):
                 tracemalloc.reset_peak()
                 start = tracemalloc.get_traced_memory()[0]
-                assemble_drift_terms(system, c, 0)
+                drift_and_record(system, c, 0)
                 peaks.append((tracemalloc.get_traced_memory()[1] - start) / (8 * n * n * states))
         finally:
             tracemalloc.stop()
@@ -427,9 +473,9 @@ class TestDrift:
         system = make_system(small_basis, params, NoiseModel("linear", 0.5, 4))
         states = galerkin.states_per_call(small_basis.grid_size)
         c = np.stack([smooth_random_coeffs(small_basis, seed=s) for s in range(2 * states)])
-        first = assemble_drift_terms(system, c[:states], 0)
+        first = drift_and_record(system, c[:states], 0)
         kept = {name: value.copy() for name, value in vars(first).items()}
-        second = assemble_drift_terms(system, c[states:], 0)
+        second = drift_and_record(system, c[states:], 0)
         work = [a for held in galerkin._WORK.values() for a in held]
         for name, value in vars(first).items():
             assert np.array_equal(value, kept[name]), name
@@ -707,7 +753,7 @@ class TestStack:
             run(system, c0, [(0, j) for j in range(3)], 0.05)
         assert [str(w.message) for w in caught] == [
             f"dt*max|u|*k_max = {cfl:.3g} > 0.5: explicit convection may be unstable"
-            for cfl in (0.05 * float(assemble_drift_terms(system, c, 0).max_speed)
+            for cfl in (0.05 * float(drift_and_record(system, c, 0).max_speed)
                         * small_basis.k_max for c in (c0[0], c0[2]))]
 
     def test_twins_draw_their_lineage_once(self, small_basis, monkeypatch):
@@ -752,7 +798,7 @@ class TestStack:
         system, c0, lineages = self.stack(small_basis, 3)
         c0, lineages = {"narrow": (c0[:, :-1], lineages), "empty": (c0[:0], []),
                         "lineages": (c0, lineages[:2])}[case]
-        for name in ("assemble_drift_terms", "sample_increment"):
+        for name in ("drift_and_record", "sample_increment"):
             monkeypatch.setattr(galerkin, name, lambda *args, **kwargs: pytest.fail("the run started"))
         with pytest.raises(ValidationError, match=match):
             run(system, c0, lineages, 0.02)
@@ -915,20 +961,19 @@ def test_trajectory_csv_layout(tmp_path, small_basis):
 @pytest.mark.parametrize("experiment", ["simulate", "energy-audit"])
 def test_one_kernel_evaluation_per_stored_state(experiment, tmp_path, monkeypatch):
     # run, the ledger and the trajectory CSV share one drift evaluation per
-    # stored state: steps + 1 per path, the final state included, in one call
-    # per step on the stack of both paths
+    # stored state: steps + 1 per path, the final state included, in one
+    # recording call per step on the stack of both paths, and no other call
     from nsvsim import cli, galerkin
 
-    original = galerkin.assemble_drift_terms
     calls = []
+    for kernel in ("assemble_drift_terms", "drift_and_record"):
+        def counted(system, c, *args, _kernel=kernel, _original=getattr(galerkin, kernel), **kwargs):
+            calls.append((_kernel, len(np.reshape(c, (-1, system.basis.n)))))
+            return _original(system, c, *args, **kwargs)
 
-    def counted(system, c, *args, **kwargs):
-        calls.append(len(np.reshape(c, (-1, system.basis.n))))
-        return original(system, c, *args, **kwargs)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("nsvsim") and getattr(mod, "assemble_drift_terms", None) is original:
-            monkeypatch.setattr(mod, "assemble_drift_terms", counted)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("nsvsim") and getattr(mod, kernel, None) is getattr(galerkin, kernel):
+                monkeypatch.setattr(mod, kernel, counted)
     steps, paths = 12, 2
     cfg = cli.parse_config(None, [
         f"experiment={experiment}", f"paths={paths}", f"steps={steps}", "dt=0.0025",
@@ -936,4 +981,4 @@ def test_one_kernel_evaluation_per_stored_state(experiment, tmp_path, monkeypatc
         "noise.amplitude=0.5", "noise.modes=6",
     ])
     cli.run_experiment(cfg, str(tmp_path))
-    assert calls == [paths] * (steps + 1)
+    assert calls == [("drift_and_record", paths)] * (steps + 1)

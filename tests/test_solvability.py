@@ -131,9 +131,10 @@ def per_sample_monotonicity(system, radius, samples, seed):
             continue
         tu = assemble_drift_terms(system, cu, 0)
         tv = assemble_drift_terms(system, cv, 0)
-        lhs = float(np.dot(tu.b - tv.b, dw)) + model.trace_const * float(np.sum((tu.s - tv.s) ** 2))
-        worst = min(worst, (envelope * norm_sq - lhs) / max(norm_sq, 1e-300))
-        fitted = max(fitted, lhs / norm_sq)
+        ratio = (float(np.dot(tu.b - tv.b, dw)) / norm_sq
+                 + model.trace_const * (float(np.sum((tu.s - tv.s) ** 2)) / norm_sq))
+        worst = min(worst, envelope - ratio)
+        fitted = max(fitted, ratio)
     return worst, fitted
 
 
@@ -148,10 +149,11 @@ def per_sample_coercivity(system, samples, seed):
         scale = 10.0 ** rng.uniform(-2, 1.5)
         cu = rng.standard_normal(basis.n) * scale
         terms = assemble_drift_terms(system, cu, 0)
-        lhs = float(np.dot(terms.b, cu)) + model.trace_const * float(np.sum(terms.s * terms.s))
         rhs_norm = (1.0 + f_norm) * (1.0 + float(np.sum(cu * cu)))
-        worst = min(worst, (envelope * rhs_norm - lhs) / rhs_norm)
-        fitted = max(fitted, lhs / rhs_norm)
+        ratio = (float(np.dot(terms.b, cu)) / rhs_norm
+                 + model.trace_const * (float(np.sum(terms.s * terms.s)) / rhs_norm))
+        worst = min(worst, envelope - ratio)
+        fitted = max(fitted, ratio)
     return worst, fitted
 
 
