@@ -119,6 +119,9 @@ class SimConfig:
             raise ConfigurationError(
                 f"paths={self.paths} must be >= 2 for experiment=energy-audit with active noise: "
                 "one path has no standard error")
+        if self.experiment == "pressure" and self.paths > 1:
+            raise ConfigurationError(f"paths={self.paths} must be 1 for experiment=pressure: "
+                                     "it decomposes one path")
         if self.experiment == "moments" and self.paths < 2:
             raise ConfigurationError(
                 f"paths={self.paths} must be >= 2 for experiment=moments: "
@@ -543,23 +546,15 @@ def _experiment_pressure(cfg: SimConfig, out_dir: str):
     system = cfg.system()
     c0, lineages = path_starts(cfg, system.basis, [0])
     traj = _trajectory(run(system, c0, lineages, cfg.T)[0])
-    parts = pressure.decompose_pressure(traj)
-    recon = parts.max_residual()
-    mom = pressure.momentum_gradient_residual(traj, parts)
-    pi_h_max = float(np.max(parts.harmonic_max))
-    # the doubled part is compared as it is yielded, one slice at a time
-    doubled = pressure.stochastic_pressure(
-        replace(traj, increments=2.0 * traj.increments), parts.noise_shape)
-    doubling_exact = all(np.array_equal(d, 2.0 * p) for d, p in zip(doubled, parts.pi_phi))
-
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "pressure.csv")
-    pressure.pressure_csv(csv_path, traj, parts)
+    check = pressure.check_pressure(traj, csv_path)
+    recon, mom, pi_h_max = check.recombination_residual, check.momentum_residual, check.harmonic_max
 
     criteria = [
         Criterion("vortex-array pressure matches closed form", tg_err < 1e-10, f"max error = {tg_err:.3e}"),
         Criterion("recombination residual < 1e-8 per slice", recon < 1e-8, f"max = {recon:.3e}"),
-        Criterion("stochastic part doubles exactly with increments", doubling_exact, "bitwise"),
+        Criterion("stochastic part doubles exactly with increments", check.doubling_exact, "bitwise"),
         Criterion("momentum identity vs gradient modes < 1e-7", mom < 1e-7, f"max = {mom:.3e}"),
         Criterion("harmonic part vanishes on the torus", pi_h_max < 1e-10, f"max |pi_h| = {pi_h_max:.3e}"),
     ]

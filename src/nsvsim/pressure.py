@@ -6,20 +6,22 @@ On the torus every lift is one Fourier multiplier: the mean-zero solution of
 lifts, slice by slice, the drift kernel's drift source plus f, split into
 div(nu A) and the rest; the stochastic part lifts the accumulated noise; the
 harmonic part is identically zero once means are removed, which the
-decomposition asserts rather than assumes.  :func:`decompose_pressure`
-evaluates each slice's sources once and keeps the state-only tables on
-:class:`PressureParts`, which the momentum check and a rerun of the
-stochastic part under other increments read.  The pass keeps four
-(S+1, N, N) grid arrays and two (S+1) stacks of tables; the harmonic part is
-reduced to its per-slice max as it is formed.  The square-domain solver
-exercises the bounded-domain right inverse of the divergence that the torus
-cannot.
+decomposition asserts rather than assumes.  :func:`decompose_pressure` is one
+streamed pass: it evaluates each slice's sources once and yields the slice as
+a :class:`PressureSlice`, and :func:`check_pressure` reduces every slice as it
+comes (the momentum check, a rerun of the stochastic part under doubled
+increments, the per-slice CSV row).  Only the running sums, a few
+(2, 2K+1, K+1) tables and one (N, N) drift integral, live across slices, so
+the working set is O(N^2) whatever the number of steps.  The square-domain
+solver exercises the bounded-domain right inverse of the divergence that the
+torus cannot.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,31 +49,30 @@ def recover_pressure(H: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class PressureParts:
-    """Slice-by-slice decomposition of the recovered pressure, with the
+class PressureSlice:
+    """One time slice of the decomposition of the recovered pressure, with the
     state-only source tables it was built from.
 
     ``pi1``/``pi2`` are the stress and convective drift-pressure rates, their
-    time integral plus the stochastic part ``pi_phi`` recombines to the total;
-    the leftover harmonic part is identically zero on the torus, and only its
-    per-slice max ``harmonic_max`` is kept.  Every slice is mean-zero.
-    ``drift_div`` and ``noise_shape`` hold, per slice, the coefficient tables
+    time integral up to this slice plus the stochastic part ``pi_phi``
+    recombines to the total; the leftover harmonic part is identically zero
+    on the torus, and only its max ``harmonic_max`` is kept.  Every grid is
+    mean-zero.  ``drift_div`` and ``noise_shape`` are the coefficient tables
     of the drift flux divergence div(nu A - u x u) + f - alpha a(u) and of
-    shape(u); they do not involve the increments, so they stay valid under
-    ``replace(traj, increments=...)``.
+    shape(u) at this slice; they do not involve the increments.  Every array
+    is the slice's own: the pass has added the tables to its running sums
+    before it yields them, so a reader that changes them reaches no other
+    slice.
     """
 
-    pi1: np.ndarray        # (S+1, N, N) rate from the power-law stress
-    pi2: np.ndarray        # (S+1, N, N) rate from convection, damping, forcing
-    pi_phi: np.ndarray     # (S+1, N, N) stochastic part
-    pi_total: np.ndarray   # (S+1, N, N) independently accumulated pressure
-    recombination_residual: np.ndarray  # (S+1,) L2 defect per slice
-    harmonic_max: np.ndarray  # (S+1,) max |pi_h| of the harmonic remainder per slice
-    drift_div: np.ndarray    # (S+1, 2, 2K+1, K+1) drift flux divergence
-    noise_shape: np.ndarray  # (S+1, 2, 2K+1, K+1) shape(u); zero with the noise off
-
-    def max_residual(self) -> float:
-        return float(np.max(self.recombination_residual))
+    pi1: np.ndarray        # (N, N) rate from the power-law stress
+    pi2: np.ndarray        # (N, N) rate from convection, damping, forcing
+    pi_phi: np.ndarray     # (N, N) stochastic part
+    pi_total: np.ndarray   # (N, N) independently accumulated pressure
+    recombination_residual: float  # L2 defect of the recombination
+    harmonic_max: float    # max |pi_h| of the harmonic remainder
+    drift_div: np.ndarray    # (2, 2K+1, K+1) drift flux divergence
+    noise_shape: np.ndarray  # (2, 2K+1, K+1) shape(u); zero with the noise off
 
 
 def _slice_sources(traj: Trajectory, i: int, k_max: int):
@@ -96,21 +97,26 @@ def _slice_sources(traj: Trajectory, i: int, k_max: int):
     return stress, drift, shape
 
 
-def stochastic_pressure(traj: Trajectory, noise_shape: np.ndarray):
+def stochastic_pressure(traj: Trajectory, noise_shapes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
     """Yield the stochastic part pi_phi slice by slice, S+1 grids (N, N): the
-    lift of the noise accumulated from the recorded shape(u) tables and
-    ``traj.increments``.  Only the running sum and one slice are held."""
+    lift of the noise accumulated from the shape(u) tables ``noise_shapes``,
+    one per slice, and ``traj.increments``.  Table i is read before slice i
+    is yielded and enters from slice i + 1 on, so the tables may be formed
+    as the slices are; only the running sum and one slice are held."""
     n = traj.system.basis.grid_size
-    yield np.zeros((n, n))
-    acc = np.zeros_like(noise_shape[0])
-    for i, eta in enumerate(traj.etas()):
-        acc += eta * noise_shape[i]
-        yield _lift(acc, n)
+    phi = np.zeros((n, n))
+    acc = 0.0
+    for eta, shape in zip(traj.etas(), noise_shapes):
+        acc = acc + eta * shape
+        yield phi
+        phi = _lift(acc, n)
+    yield phi
 
 
-def decompose_pressure(traj: Trajectory) -> PressureParts:
+def decompose_pressure(traj: Trajectory) -> Iterator[PressureSlice]:
     """Split the trajectory's pressure into stress, convective, stochastic and
-    harmonic parts and verify the recombination slice by slice.
+    harmonic parts and verify the recombination, yielding one
+    :class:`PressureSlice` per stored state.
 
     Each slice's sources are evaluated once.  Two independent routes are then
     compared: the per-slice parts are lifted first and then time-integrated,
@@ -120,98 +126,102 @@ def decompose_pressure(traj: Trajectory) -> PressureParts:
     """
     n = traj.system.basis.grid_size
     k_max = n // 3
-    s_steps = traj.n_steps
-    shape = (s_steps + 1, n, n)
-    tables = (s_steps + 1, 2, 2 * k_max + 1, k_max + 1)
-    pi1 = np.zeros(shape)
-    pi2 = np.zeros(shape)
-    pi_total = np.zeros(shape)
-    drift_div = np.zeros(tables, dtype=complex)
-    noise_shape = np.zeros(tables, dtype=complex)
+    dt = traj.system.dt
     etas = traj.etas()
-
-    acc = np.zeros(tables[1:], dtype=complex)  # integrated drift and noise sources
-    for i in range(s_steps + 1):
-        stress, drift_div[i], noise = _slice_sources(traj, i, k_max)
-        pi1[i], pi2[i], pi_total[i] = _lift(np.stack([stress, drift_div[i] - stress, acc]), n)
-        if noise is not None:
-            noise_shape[i] = noise
-        if i < s_steps:
-            acc += drift_div[i] * traj.system.dt + etas[i] * noise_shape[i]
-
-    pi_phi = np.empty(shape)
-    residual = np.zeros(s_steps + 1)
-    harmonic_max = np.zeros(s_steps + 1)
     w = quad_weight(n)
+
+    noise = None  # the slice's shape table
+    # stochastic_pressure reads table i before it yields slice i, so it reads
+    # each table here as the loop forms it
+    phis = stochastic_pressure(traj, (noise for _ in itertools.count()))
+    acc = np.zeros((2, 2 * k_max + 1, k_max + 1), dtype=complex)  # integrated drift and noise sources
     drift_int = np.zeros((n, n))  # int (pi1 + pi2) ds
-    for i, phi in enumerate(stochastic_pressure(traj, noise_shape)):
-        pi_phi[i] = phi
-        pi_h = pi_total[i] - (phi + drift_int)
-        residual[i] = float(np.sqrt(np.sum(pi_h ** 2) * w))
-        harmonic_max[i] = np.max(np.abs(pi_h))
-        drift_int = drift_int + (pi1[i] + pi2[i]) * traj.system.dt
+    for i in range(traj.n_steps + 1):
+        stress, drift, noise = _slice_sources(traj, i, k_max)
+        if noise is None:
+            noise = np.zeros_like(drift)
+        phi = next(phis)
+        pi1, pi2, pi_total = _lift(np.stack([stress, drift - stress, acc]), n)
+        pi_h = pi_total - (phi + drift_int)
+        if i < traj.n_steps:
+            acc += drift * dt + etas[i] * noise
+        drift_int = drift_int + (pi1 + pi2) * dt
+        yield PressureSlice(
+            pi1=pi1,
+            pi2=pi2,
+            pi_phi=phi,
+            pi_total=pi_total,
+            recombination_residual=float(np.sqrt(np.sum(pi_h ** 2) * w)),
+            harmonic_max=float(np.max(np.abs(pi_h))),
+            drift_div=drift,
+            noise_shape=noise,
+        )
 
-    return PressureParts(
-        pi1=pi1,
-        pi2=pi2,
-        pi_phi=pi_phi,
-        pi_total=pi_total,
-        recombination_residual=residual,
-        harmonic_max=harmonic_max,
-        drift_div=drift_div,
-        noise_shape=noise_shape,
-    )
+
+@dataclass
+class PressureCheck:
+    """Maxima over the slices of :func:`check_pressure`'s pass."""
+
+    recombination_residual: float  # max L2 recombination defect
+    harmonic_max: float            # max |pi_h|
+    momentum_residual: float       # max relative defect of the momentum identity
+    doubling_exact: bool           # doubled increments doubled pi_phi bitwise at every slice
 
 
-def momentum_gradient_residual(traj: Trajectory, parts: PressureParts) -> float:
-    """Defect of the tested momentum identity against gradient test modes.
+def check_pressure(traj: Trajectory, csv_path) -> PressureCheck:
+    """Decompose the trajectory's pressure in one streamed pass, check every
+    slice as it is yielded and write its row of the per-slice CSV: t,
+    ||pi||_2, ||pi1||_p', ||pi2||_q0, ||pi_phi||_2, residual.
 
-    For every retained wavevector and every slice, compares the divergence of
-    the accumulated sources against the Laplacian of the recovered total
-    pressure (the mass and solenoidal terms drop out against gradient modes).
-    The sources are the per-slice tables recorded on ``parts``; their time
-    integral is accumulated here from ``traj.system.dt`` and ``traj.increments``,
-    independently of the bookkeeping inside :func:`decompose_pressure`, so a
-    corrupted ``pi_total`` slice shows.
+    The momentum identity is tested against gradient modes: for every
+    retained wavevector, the divergence of the accumulated sources against
+    the Laplacian of the recovered total pressure (the mass and solenoidal
+    terms drop out).  The sources' time integral is accumulated here from the
+    slices' tables, ``traj.system.dt`` and ``traj.increments``, independently
+    of the bookkeeping inside :func:`decompose_pressure`, so a corrupted
+    ``pi_total`` slice shows.  The stochastic part is rerun under doubled
+    increments from the slices' shape tables as they come and compared
+    bitwise with twice ``pi_phi``.
     """
-    k_max = parts.drift_div.shape[-1] - 1
+    system = traj.system
+    n = system.basis.grid_size
+    k_max = n // 3
     kx, ky = fields.wavenumbers(k_max)
     k2 = kx * kx + ky * ky
+    w = quad_weight(n)
+    p_conj = system.params.p_conj
+    q0 = min(p_conj, system.params.q / (system.params.q - 1.0))
     etas = traj.etas()
 
-    acc = np.zeros_like(parts.drift_div[0])
-    worst = 0.0
-    for i in range(traj.n_steps + 1):
-        # identity: |k|^2 pi_hat = -i k . F_hat for the accumulated sources F
-        pi_hat = from_grid(parts.pi_total[i], k_max)
-        defect = 1j * (kx * acc[0] + ky * acc[1]) + k2 * pi_hat
-        scale = max(float(np.max(np.abs(acc))), 1e-300)
-        worst = max(worst, float(np.max(np.abs(defect))) / scale)
-        if i < traj.n_steps:
-            acc += parts.drift_div[i] * traj.system.dt + etas[i] * parts.noise_shape[i]
-    return worst
-
-
-def pressure_csv(path, traj: Trajectory, parts: PressureParts) -> None:
-    """Per-slice CSV: t, ||pi||_2, ||pi1||_p', ||pi2||_q0, ||pi_phi||_2, residual,
-    of ``parts``, the decomposition of ``traj``, whose times and p, q it reads."""
-    n = parts.pi1.shape[1]
-    w = quad_weight(n)
-    params = traj.system.params
-    p_conj = params.p_conj
-    q0 = min(p_conj, params.q / (params.q - 1.0))
-    with open(path, "w", newline="") as fh:
+    s = None  # the slice being checked
+    # the doubled rerun reads each slice's shape table as the slice comes
+    doubled = stochastic_pressure(replace(traj, increments=2.0 * traj.increments),
+                                  (s.noise_shape for _ in itertools.count()))
+    acc = np.zeros((2, 2 * k_max + 1, k_max + 1), dtype=complex)
+    recon = harmonic = worst = 0.0
+    exact = True
+    with open(csv_path, "w", newline="") as fh:
         fh.write("t,pi_l2,pi1_pprime,pi2_q0,pi_phi_l2,recombination_residual\n")
-        for i, t in enumerate(traj.times):
+        for i, (t, s) in enumerate(zip(traj.times, decompose_pressure(traj))):
+            recon = np.maximum(recon, s.recombination_residual)  # a NaN slice stays NaN
+            harmonic = np.maximum(harmonic, s.harmonic_max)
+            # identity: |k|^2 pi_hat = -i k . F_hat for the accumulated sources F
+            defect = 1j * (kx * acc[0] + ky * acc[1]) + k2 * from_grid(s.pi_total, k_max)
+            scale = max(float(np.max(np.abs(acc))), 1e-300)
+            worst = max(worst, float(np.max(np.abs(defect))) / scale)
+            if i < traj.n_steps:
+                acc += s.drift_div * system.dt + etas[i] * s.noise_shape
+            exact = np.array_equal(next(doubled), 2.0 * s.pi_phi) and exact
             row = (
                 t,
-                float(np.sqrt(np.sum(parts.pi_total[i] ** 2) * w)),
-                float((np.sum(np.abs(parts.pi1[i]) ** p_conj) * w) ** (1.0 / p_conj)),
-                float((np.sum(np.abs(parts.pi2[i]) ** q0) * w) ** (1.0 / q0)),
-                float(np.sqrt(np.sum(parts.pi_phi[i] ** 2) * w)),
-                float(parts.recombination_residual[i]),
+                float(np.sqrt(np.sum(s.pi_total ** 2) * w)),
+                float((np.sum(np.abs(s.pi1) ** p_conj) * w) ** (1.0 / p_conj)),
+                float((np.sum(np.abs(s.pi2) ** q0) * w) ** (1.0 / q0)),
+                float(np.sqrt(np.sum(s.pi_phi ** 2) * w)),
+                s.recombination_residual,
             )
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    return PressureCheck(float(recon), float(harmonic), worst, bool(exact))
 
 
 # ---------------------------------------------------------------------------

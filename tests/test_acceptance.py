@@ -6,7 +6,8 @@ Criteria 01, 02, 04-09 and 11 are the CLI experiments users run: each test
 runs its experiment at the pinned seed and config in ``CRITERIA``, prints its
 line from the report's criteria and requires the whole report to pass.  A
 negative test breaks one piece of the library and requires the report
-criterion it names to FAIL.  Criteria 03, 10 and 12 have no experiment and
+criterion it names to FAIL.  Criterion 08 runs a second, saturating-noise leg,
+where the stochastic pressure is not roundoff.  Criteria 03, 10 and 12 have no experiment and
 are checked directly.
 
 Run as ``pytest tests/test_acceptance.py -s`` to see the lines as they pass.
@@ -38,6 +39,9 @@ CRITERIA = {
     9: ("bogovskii", ["seed=2026"]),
     11: ("uniqueness", [*_RANDOM, "paths=100", "nu=0.5", "p=2", *_LINEAR, "noise.modes=6", *_T25]),
 }
+# Criterion 08's second leg: under linear noise shape(u) = u is solenoidal,
+# so pi_phi is roundoff and the checks of the stochastic part hold vacuously
+SATURATING = ["noise.family=saturating"]
 
 
 def report(number: int, passed: bool, detail: str) -> None:
@@ -51,10 +55,11 @@ def state_from(overrides: list[str], path: int = 0) -> tuple:
     return (system, *cli.path_starts(cfg, system.basis, [path]))
 
 
-def run_criterion(number: int, out) -> cli.RunReport:
-    """Criterion ``number``'s experiment at its pinned config, written to ``out``."""
+def run_criterion(number: int, out, *leg: str) -> cli.RunReport:
+    """Criterion ``number``'s experiment at its pinned config, with the
+    overrides ``leg`` on top, written to ``out``."""
     experiment, overrides = CRITERIA[number]
-    return cli.run_experiment(cli.parse_config(None, [f"experiment={experiment}", *overrides]), str(out))
+    return cli.run_experiment(cli.parse_config(None, [f"experiment={experiment}", *overrides, *leg]), str(out))
 
 
 def verdict(number: int, rep: cli.RunReport, *prefixes: str) -> None:
@@ -181,12 +186,31 @@ def test_criterion_08_pressure(tmp_path):
     verdict(8, run_criterion(8, tmp_path))
 
 
-def test_criterion_08_fails_on_a_nonlinear_stochastic_pressure(tmp_path, monkeypatch):
+def test_criterion_08_pressure_under_saturating_noise(tmp_path):
+    rep = run_criterion(8, tmp_path, *SATURATING)
+    verdict(8, rep)
+    # the stochastic part is far above roundoff on this leg
+    lines = (tmp_path / "pressure.csv").read_text().splitlines()
+    col = lines[0].split(",").index("pi_phi_l2")
+    assert max(float(line.split(",")[col]) for line in lines[1:]) > 1e-6
+
+
+def nonlinear_stochastic_pressure(monkeypatch) -> None:
     # a term quadratic in the increments grows fourfold when they double
     stochastic_pressure = pressure.stochastic_pressure
     monkeypatch.setattr(pressure, "stochastic_pressure", lambda traj, shape: (
         s + np.sum(traj.increments**2) for s in stochastic_pressure(traj, shape)))
+
+
+def test_criterion_08_fails_on_a_nonlinear_stochastic_pressure(tmp_path, monkeypatch):
+    nonlinear_stochastic_pressure(monkeypatch)
     assert not criterion(run_criterion(8, tmp_path), "stochastic part doubles exactly with increments").passed
+
+
+def test_criterion_08_saturating_fails_on_a_nonlinear_stochastic_pressure(tmp_path, monkeypatch):
+    nonlinear_stochastic_pressure(monkeypatch)
+    rep = run_criterion(8, tmp_path, *SATURATING)
+    assert not criterion(rep, "stochastic part doubles exactly with increments").passed
 
 
 def test_criterion_08_fails_on_a_transform_without_the_ky_doubling(tmp_path, monkeypatch):

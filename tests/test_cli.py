@@ -136,6 +136,8 @@ class TestParseConfig:
         ("alpha-sweep", ["q=4", "T=0", "steps=0"]),
         ("uniqueness", ["paths=2", "n_modes=2"]),
         ("uniqueness", ["paths=2", "n_modes=1"]),
+        # pressure decomposes one path
+        ("pressure", ["paths=2"]),
         # above sqrt(float max) the decay constant c^2 has no float value
         ("propcheck", ["noise.family=linear", "noise.amplitude=1.35e154"]),
         ("simulate", ["noise.family=linear", "noise.amplitude=1.35e154"]),

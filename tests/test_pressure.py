@@ -48,76 +48,112 @@ class TestRecover:
         assert abs(pi.mean()) < 1e-14
 
 
+def slices_of(traj):
+    return list(pressure.decompose_pressure(traj))
+
+
+def perturbing(monkeypatch, perturb):
+    """Patch the decomposition so that ``perturb(traj, slice)`` alters the
+    middle slice before the pass's readers see it."""
+    decompose = pressure.decompose_pressure
+
+    def perturbed(traj):
+        for i, s in enumerate(decompose(traj)):
+            if i == traj.n_steps // 2:
+                perturb(traj, s)
+            yield s
+
+    monkeypatch.setattr(pressure, "decompose_pressure", perturbed)
+
+
 class TestDecompose:
     def test_zero_trajectory(self, small_basis):
         params = RheologyParams(p=2.0, q=3.0, nu=1.0, kappa=0.5)
         system = System(small_basis, params, NoiseModel("off", 0.0, 0), 1e-2, np.zeros(small_basis.n), True)
-        parts = pressure.decompose_pressure(run(system, np.zeros((1, small_basis.n)), [(0, 0)], 0.05)[0])
-        for arr in (parts.pi1, parts.pi2, parts.pi_phi, parts.harmonic_max, parts.pi_total):
-            assert np.all(arr == 0.0)
-        # initial slice of every part vanishes even on nonzero runs
-        assert np.all(parts.pi_phi[0] == 0.0)
+        slices = slices_of(run(system, np.zeros((1, small_basis.n)), [(0, 0)], 0.05)[0])
+        for s in slices:
+            for arr in (s.pi1, s.pi2, s.pi_phi, s.harmonic_max, s.pi_total):
+                assert np.all(arr == 0.0)
+
+    def test_initial_stochastic_slice_vanishes(self, small_basis):
+        assert np.all(next(pressure.decompose_pressure(noisy_trajectory(small_basis))).pi_phi == 0.0)
 
     def test_stress_off_leaves_convective_part(self, small_basis):
         traj = noisy_trajectory(small_basis, alpha=0.0, family="off")
         traj = dataclasses.replace(traj, system=dataclasses.replace(
             traj.system, params=RheologyParams(p=2.5, q=4.0, nu=0.0, kappa=0.5, alpha=0.0)))
-        parts = pressure.decompose_pressure(traj)
-        assert np.all(parts.pi1 == 0.0)
-        assert np.all(parts.pi_phi == 0.0)
-        assert np.max(np.abs(parts.pi2)) > 0.0
+        slices = slices_of(traj)
+        assert all(np.all(s.pi1 == 0.0) and np.all(s.pi_phi == 0.0) for s in slices)
+        assert max(np.max(np.abs(s.pi2)) for s in slices) > 0.0
 
     def test_recombination_residual(self, small_basis):
-        parts = pressure.decompose_pressure(noisy_trajectory(small_basis))
-        assert parts.max_residual() < 1e-8
+        assert max(s.recombination_residual for s in slices_of(noisy_trajectory(small_basis))) < 1e-8
 
     def test_harmonic_part_vanishes(self, small_basis):
         traj = noisy_trajectory(small_basis)
-        parts = pressure.decompose_pressure(traj)
-        assert parts.harmonic_max.shape == (traj.times.size,)
-        assert np.max(parts.harmonic_max) < 1e-12
+        slices = slices_of(traj)
+        assert len(slices) == traj.times.size
+        assert max(s.harmonic_max for s in slices) < 1e-12
 
     def test_slices_mean_zero(self, small_basis):
-        parts = pressure.decompose_pressure(noisy_trajectory(small_basis))
-        for arr in (parts.pi1, parts.pi2, parts.pi_phi, parts.pi_total):
-            assert np.max(np.abs(arr.mean(axis=(1, 2)))) < 1e-15
+        for s in slices_of(noisy_trajectory(small_basis)):
+            for arr in (s.pi1, s.pi2, s.pi_phi, s.pi_total):
+                assert abs(arr.mean()) < 1e-15
 
     def test_stochastic_part_linear_in_increments(self, small_basis):
         traj = noisy_trajectory(small_basis)
-        parts = pressure.decompose_pressure(traj)
-        doubled = pressure.decompose_pressure(
-            dataclasses.replace(traj, increments=2.0 * traj.increments))
-        assert np.array_equal(doubled.pi_phi, 2.0 * parts.pi_phi)
+        doubled = pressure.decompose_pressure(dataclasses.replace(traj, increments=2.0 * traj.increments))
+        pairs = list(zip(pressure.decompose_pressure(traj), doubled, strict=True))
+        assert all(np.array_equal(d.pi_phi, 2.0 * s.pi_phi) for s, d in pairs)
 
-    def test_momentum_identity_gradient_modes(self, small_basis):
-        traj = noisy_trajectory(small_basis)
-        parts = pressure.decompose_pressure(traj)
-        assert pressure.momentum_gradient_residual(traj, parts) < 1e-7
+    def test_momentum_identity_gradient_modes(self, small_basis, tmp_path):
+        check = pressure.check_pressure(noisy_trajectory(small_basis), tmp_path / "pressure.csv")
+        assert check.momentum_residual < 1e-7
+        assert check.doubling_exact
 
-    def test_momentum_identity_catches_perturbed_slice(self, small_basis):
-        traj = noisy_trajectory(small_basis)
-        parts = pressure.decompose_pressure(traj)
+    def test_momentum_identity_catches_perturbed_slice(self, small_basis, tmp_path, monkeypatch):
         xx, yy = torus_grid(small_basis.grid_size)
-        parts.pi_total[traj.n_steps // 2] += 1e-3 * np.cos(xx + 2 * yy)
-        assert pressure.momentum_gradient_residual(traj, parts) > 1e-7
+
+        def perturb(traj, s):
+            s.pi_total += 1e-3 * np.cos(xx + 2 * yy)
+
+        perturbing(monkeypatch, perturb)
+        check = pressure.check_pressure(noisy_trajectory(small_basis), tmp_path / "pressure.csv")
+        assert check.momentum_residual > 1e-7
 
     @pytest.mark.parametrize("ky", [0, 3])
-    def test_momentum_identity_catches_perturbed_half_table(self, small_basis, ky):
-        # the kept tables are the ky >= 0 halves: an entry of the ky = 0
-        # column, or of ky > 0, at kx = 1 must each show in the defect
-        traj = noisy_trajectory(small_basis)
-        parts = pressure.decompose_pressure(traj)
-        k = parts.drift_div.shape[-1] - 1
-        assert parts.drift_div.shape[1:] == (2, 2 * k + 1, k + 1)
-        i = traj.n_steps // 2
-        parts.drift_div[i, 0, k + 1, ky] += 1e-3 * np.max(np.abs(parts.drift_div[i]))
-        assert pressure.momentum_gradient_residual(traj, parts) > 1e-7
+    def test_momentum_identity_catches_perturbed_half_table(self, small_basis, tmp_path, monkeypatch, ky):
+        # the tables are the ky >= 0 halves: an entry of the ky = 0 column,
+        # or of ky > 0, at kx = 1 must each show in the defect
+        def perturb(traj, s):
+            k = s.drift_div.shape[-1] - 1
+            assert s.drift_div.shape == (2, 2 * k + 1, k + 1)
+            s.drift_div[0, k + 1, ky] += 1e-3 * np.max(np.abs(s.drift_div))
+
+        perturbing(monkeypatch, perturb)
+        check = pressure.check_pressure(noisy_trajectory(small_basis), tmp_path / "pressure.csv")
+        assert check.momentum_residual > 1e-7
 
     def test_stochastic_part_reruns_from_recorded_tables(self, small_basis):
         traj = noisy_trajectory(small_basis)
-        parts = pressure.decompose_pressure(traj)
-        rerun = np.stack(list(pressure.stochastic_pressure(traj, parts.noise_shape)))
-        assert np.array_equal(rerun, parts.pi_phi)
+        slices = slices_of(traj)
+        rerun = pressure.stochastic_pressure(traj, (s.noise_shape for s in slices))
+        assert all(np.array_equal(phi, s.pi_phi) for phi, s in zip(rerun, slices, strict=True))
+
+    def test_a_reader_that_changes_a_slice_reaches_no_other(self, small_basis):
+        # every yielded array is the slice's own: zeroing each one as it comes
+        # leaves every slice as the untouched pass forms it
+        traj = noisy_trajectory(small_basis, steps=10)
+        seen = []
+        for s in pressure.decompose_pressure(traj):
+            arrays = (s.pi1, s.pi2, s.pi_phi, s.pi_total, s.drift_div, s.noise_shape)
+            seen.append(([a.copy() for a in arrays], s.recombination_residual, s.harmonic_max))
+            for a in arrays:
+                a[...] = 0.0
+        for (arrays, residual, harmonic), s in zip(seen, slices_of(traj), strict=True):
+            clean = (s.pi1, s.pi2, s.pi_phi, s.pi_total, s.drift_div, s.noise_shape)
+            assert all(np.array_equal(a, b) for a, b in zip(arrays, clean))
+            assert (residual, harmonic) == (s.recombination_residual, s.harmonic_max)
 
     def test_convection_off_leaves_no_drift_pressure(self, small_basis):
         # nu = alpha = 0, noise off, f = 0: with convection off nothing drives pi2
@@ -125,24 +161,24 @@ class TestDecompose:
         c0 = rng.standard_normal(small_basis.n) * (1.0 + small_basis.k2) ** -1.0
         params = RheologyParams(p=2.5, q=4.0, nu=0.0, kappa=0.5, alpha=0.0)
         system = System(small_basis, params, NoiseModel("off", 0.0, 0), 2.5e-3, np.zeros(small_basis.n), False)
-        parts = pressure.decompose_pressure(run(system, c0[None], [(0, 0)], 10 * system.dt)[0])
+        slices = slices_of(run(system, c0[None], [(0, 0)], 10 * system.dt)[0])
         assert np.max(np.abs(c0)) > 0.0
-        assert np.all(parts.pi2 == 0.0)
-        assert np.all(parts.pi_total == 0.0)
+        assert all(np.all(s.pi2 == 0.0) and np.all(s.pi_total == 0.0) for s in slices)
 
     def test_pressure_csv(self, tmp_path, small_basis):
         traj = noisy_trajectory(small_basis, steps=10)
-        parts = pressure.decompose_pressure(traj)
         path = tmp_path / "pressure.csv"
-        pressure.pressure_csv(path, traj, parts)
+        pressure.check_pressure(traj, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,pi_l2,pi1_pprime,pi2_q0,pi_phi_l2,recombination_residual"
         assert len(lines) == traj.n_steps + 2
+        residuals = [float(line.split(",")[-1]) for line in lines[1:]]
+        assert residuals == [s.recombination_residual for s in slices_of(traj)]
 
 
 def test_pressure_experiment_evaluates_each_state_once(tmp_path, monkeypatch):
     # S + 1 pointwise stages in run and S + 1 in the decomposition; the
-    # momentum check and the doubling criterion read the recorded tables
+    # momentum check and the doubling criterion read the slices' tables
     original = galerkin.PointwiseTerms.at.__func__
     calls = []
 
@@ -173,23 +209,20 @@ def test_pressure_pass_forms_one_modulus_per_slice(small_basis, monkeypatch):
         return original(v)
 
     monkeypatch.setattr(fields, "modulus", counted)
-    pressure.decompose_pressure(traj)
+    slices_of(traj)
     assert moduli == [2] * (traj.n_steps + 1)
 
 
 def test_pressure_experiment_doubling_fails_on_a_rescaled_noise_slice(tmp_path, monkeypatch):
-    # one recorded shape(u) slice off by 1 %: the rerun from the tables then
-    # differs from pi_phi, and so does the doubled part from 2 pi_phi
-    decompose = pressure.decompose_pressure
+    # one yielded shape(u) slice off by 1 %: the rerun from the slices' tables
+    # then differs from pi_phi, and so does the doubled part from 2 pi_phi
     seen = []
 
-    def rescaled(traj):
-        parts = decompose(traj)
-        parts.noise_shape[traj.n_steps // 2] *= 1.01
-        seen.append((traj, parts))
-        return parts
+    def rescale(traj, s):
+        s.noise_shape *= 1.01
+        seen.append(traj)
 
-    monkeypatch.setattr(pressure, "decompose_pressure", rescaled)
+    perturbing(monkeypatch, rescale)
     steps = 12
     cfg = cli.parse_config(None, [
         "experiment=pressure", "grid_n=16", "n_modes=16", f"steps={steps}", "dt=0.0025",
@@ -197,25 +230,24 @@ def test_pressure_experiment_doubling_fails_on_a_rescaled_noise_slice(tmp_path, 
         "noise.family=saturating", "noise.amplitude=0.5", "noise.modes=6",
     ])
     report = cli.run_experiment(cfg, str(tmp_path))
-    traj, parts = seen[0]
-    rerun = np.stack(list(pressure.stochastic_pressure(traj, parts.noise_shape)))
-    assert not np.array_equal(rerun, parts.pi_phi)
+    slices = list(pressure.decompose_pressure(seen[0]))
+    rerun = pressure.stochastic_pressure(seen[0], (s.noise_shape for s in slices))
+    assert not all(np.array_equal(phi, s.pi_phi) for phi, s in zip(rerun, slices, strict=True))
     doubling = next(c for c in report.criteria if c.name == "stochastic part doubles exactly with increments")
     assert not doubling.passed
 
 
-def test_pressure_pass_keeps_only_what_later_readers_need():
-    # Traced peak of decompose_pressure, the momentum check and the
-    # slice-by-slice doubling check on an S-step run at N = 64 (K = N // 3).
-    # Retained: pi1, pi2, pi_phi and pi_total, 4 (S+1) N^2 doubles, and the
-    # drift_div and noise_shape half tables, 2 (S+1) * 2 (2K+1)(K+1) complex
-    # (16 bytes each).  Everything else is per slice: one slice's pointwise
-    # stage (velocity, Jacobian, strain, stress, flux, noise shape), its
-    # coefficient tables and lifts, about 50 N^2 doubles at most; 64 N^2
-    # doubles (2 MiB) bound it.  The bound is 10.0 MB and the pass peaks at
-    # 8.5 MB; keeping the harmonic part, the full tables and a whole doubled
-    # stochastic array as well peaked at 13.3 MB.
-    n, steps = 64, 40
+def test_pressure_pass_working_set_does_not_grow_with_steps(tmp_path):
+    # Traced peak of the whole streamed pass (decomposition, momentum check,
+    # doubling check and CSV) at N = 64 (K = N // 3), for S = 40 and
+    # S = 160 steps.  Across slices the pass holds only its running sums:
+    # four (2, 2K+1, K+1) complex tables (the total's, the momentum check's
+    # and the two stochastic parts') and the (N, N) drift integral.  One
+    # slice's pointwise stage (velocity, Jacobian, strain, stress, flux,
+    # noise shape), its coefficient tables and lifts stay under 64 N^2
+    # doubles (2 MiB).  The pass peaks at about 1.5 MB for either S; the
+    # (S+1) arrays it replaced peaked at 8.5 MB for S = 40, which grew with S.
+    n = 64
     k = n // 3
     basis = galerkin.DivFreeBasis(64, n)
     rng = np.random.default_rng(7)
@@ -223,19 +255,17 @@ def test_pressure_pass_keeps_only_what_later_readers_need():
     c0 /= np.sqrt(basis.energy(c0, 0.5))
     system = System(basis, RheologyParams(p=2.5, q=4.0, nu=0.5, kappa=0.5, alpha=0.1),
                     NoiseModel("saturating", 0.5, 6), 2.5e-3, np.zeros(basis.n), True)
-    traj = run(system, c0[None], [(5, 0)], steps * system.dt)[0]
-    bound = 8 * 4 * (steps + 1) * n * n + 16 * 4 * (steps + 1) * (2 * k + 1) * (k + 1) + 8 * 64 * n * n
-    tracemalloc.start()
-    try:
-        parts = pressure.decompose_pressure(traj)
-        assert pressure.momentum_gradient_residual(traj, parts) < 1e-7
-        doubled = pressure.stochastic_pressure(
-            dataclasses.replace(traj, increments=2.0 * traj.increments), parts.noise_shape)
-        assert all(np.array_equal(d, 2.0 * p) for d, p in zip(doubled, parts.pi_phi))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound
+    bound = 8 * 64 * n * n + 16 * 4 * 2 * (2 * k + 1) * (k + 1) + 8 * n * n
+    for steps in (40, 160):
+        traj = run(system, c0[None], [(5, 0)], steps * system.dt)[0]
+        tracemalloc.start()
+        try:
+            check = pressure.check_pressure(traj, tmp_path / f"pressure_{steps}.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert check.momentum_residual < 1e-7 and check.doubling_exact
+        assert peak < bound, (steps, peak)
 
 
 def _bump(points):
