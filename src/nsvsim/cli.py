@@ -585,7 +585,7 @@ def _experiment_propcheck(cfg: SimConfig, out_dir: str):
         d = fields.sym_gradient(fields.gradient(v))
         lhs = float(np.sum(fields.sym_modulus(d) ** 2) * fields.quad_weight(cfg.grid_n))
         rhs = 0.5 * fields.grad_l2_norm(v) ** 2
-        korn_worst = max(korn_worst, abs(lhs - rhs) / max(rhs, 1e-300))
+        korn_worst = np.maximum(korn_worst, abs(lhs - rhs) / max(rhs, 1e-300))  # a NaN error stays NaN
     criteria.append(Criterion(
         "symmetric-gradient identity on 100 random solenoidal fields",
         korn_worst < 1e-10, f"worst relative error = {korn_worst:.3e}"))
@@ -599,7 +599,7 @@ def _experiment_propcheck(cfg: SimConfig, out_dir: str):
         f"worst margin = {coer.worst_margin:.3e}, fitted C = {coer.fitted_constant:.6g}"))
     metrics = {
         "monotonicity_violations": total_violations,
-        "korn_worst": korn_worst,
+        "korn_worst": float(korn_worst),
         "monotonicity_fitted": mono.fitted_constant,
         "coercivity_fitted": coer.fitted_constant,
     }

@@ -72,10 +72,17 @@ _AMP = 1.0 / (np.pi * np.sqrt(2.0))  # L2-normalization of cos/sin basis fields,
 _MEAN_AMP = 1.0 / (2.0 * np.pi)
 
 
+def band_limit(grid_size: int) -> int:
+    """K of the alias-free band |k_x|, |k_y| <= K on an N grid, by the
+    2/3 rule: K = (N - 1) // 3, so no mode |k| <= 2K of a quadratic product
+    aliases into the band."""
+    return (grid_size - 1) // 3
+
+
 def basis_capacity(grid_size: int, include_mean: bool = True) -> int:
-    """Number of basis fields in the alias-free band |k_x|, |k_y| <= (N - 1) // 3:
-    a cosine and a sine per half-space wavevector, and the two means if kept."""
-    k = (grid_size - 1) // 3
+    """Number of basis fields in the alias-free band (:func:`band_limit`): a
+    cosine and a sine per half-space wavevector, and the two means if kept."""
+    k = band_limit(grid_size)
     return 4 * k * (k + 1) + 2 * include_mean
 
 
@@ -90,7 +97,7 @@ class DivFreeBasis:
     """
 
     def __init__(self, n_modes: int, grid_size: int, include_mean: bool = True):
-        k_limit = (grid_size - 1) // 3
+        k_limit = band_limit(grid_size)
         if k_limit < 1:
             raise ConfigurationError(f"grid_size={grid_size} leaves no alias-free band")
         capacity = basis_capacity(grid_size, include_mean)
@@ -117,7 +124,6 @@ class DivFreeBasis:
 
         self.n = n_modes
         self.grid_size = grid_size
-        self.include_mean = include_mean
         self.kx = np.array([e[0] for e in entries], dtype=int)
         self.ky = np.array([e[1] for e in entries], dtype=int)
         self.phase = np.array([min(e[2], _MEAN) for e in entries], dtype=int)

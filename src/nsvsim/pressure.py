@@ -9,10 +9,10 @@ harmonic part is identically zero once means are removed, which the
 decomposition asserts rather than assumes.  :func:`decompose_pressure` is one
 streamed pass: it evaluates each slice's sources once and yields the slice as
 a :class:`PressureSlice`, and :func:`check_pressure` reduces every slice as it
-comes (the momentum check, a rerun of the stochastic part under doubled
-increments, the per-slice CSV row).  Only the running sums, a few
-(2, 2K+1, K+1) tables and one (N, N) drift integral, live across slices, so
-the working set is O(N^2) whatever the number of steps.  The square-domain
+comes (the momentum check and the doubling check, each from its own integral
+of the slices' tables, and the per-slice CSV row).  Only the running sums, a
+few (2, 2K+1, K+1) tables and one (N, N) drift integral, live across slices,
+so the working set is O(N^2) whatever the number of steps.  The square-domain
 solver exercises the bounded-domain right inverse of the divergence that the
 torus cannot.
 """
@@ -20,7 +20,7 @@ torus cannot.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,7 +28,7 @@ import numpy as np
 from . import fields
 from .errors import ValidationError
 from .fields import from_grid, quad_weight, to_grid
-from .galerkin import PointwiseTerms, Trajectory, forcing_at
+from .galerkin import PointwiseTerms, Trajectory, band_limit, forcing_at
 
 
 def _lift(v: np.ndarray, grid_size: int) -> np.ndarray:
@@ -97,22 +97,6 @@ def _slice_sources(traj: Trajectory, i: int, k_max: int):
     return stress, drift, shape
 
 
-def stochastic_pressure(traj: Trajectory, noise_shapes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """Yield the stochastic part pi_phi slice by slice, S+1 grids (N, N): the
-    lift of the noise accumulated from the shape(u) tables ``noise_shapes``,
-    one per slice, and ``traj.increments``.  Table i is read before slice i
-    is yielded and enters from slice i + 1 on, so the tables may be formed
-    as the slices are; only the running sum and one slice are held."""
-    n = traj.system.basis.grid_size
-    phi = np.zeros((n, n))
-    acc = 0.0
-    for eta, shape in zip(traj.etas(), noise_shapes):
-        acc = acc + eta * shape
-        yield phi
-        phi = _lift(acc, n)
-    yield phi
-
-
 def decompose_pressure(traj: Trajectory) -> Iterator[PressureSlice]:
     """Split the trajectory's pressure into stress, convective, stochastic and
     harmonic parts and verify the recombination, yielding one
@@ -122,29 +106,28 @@ def decompose_pressure(traj: Trajectory) -> Iterator[PressureSlice]:
     compared: the per-slice parts are lifted first and then time-integrated,
     while the total pressure integrates the raw sources first and lifts once
     per slice.  Their agreement (linearity of the lift) is the recombination
-    residual.
+    residual.  The stochastic part lifts the noise integrated up to the
+    slice, sum_{j<i} eta_j shape(u_j), in the same call as the other parts.
     """
     n = traj.system.basis.grid_size
-    k_max = n // 3
+    k_max = band_limit(n)
     dt = traj.system.dt
     etas = traj.etas()
     w = quad_weight(n)
 
-    noise = None  # the slice's shape table
-    # stochastic_pressure reads table i before it yields slice i, so it reads
-    # each table here as the loop forms it
-    phis = stochastic_pressure(traj, (noise for _ in itertools.count()))
-    acc = np.zeros((2, 2 * k_max + 1, k_max + 1), dtype=complex)  # integrated drift and noise sources
+    # integrated drift and noise sources, and integrated noise alone
+    acc = np.zeros((2, 2, 2 * k_max + 1, k_max + 1), dtype=complex)
     drift_int = np.zeros((n, n))  # int (pi1 + pi2) ds
     for i in range(traj.n_steps + 1):
         stress, drift, noise = _slice_sources(traj, i, k_max)
         if noise is None:
             noise = np.zeros_like(drift)
-        phi = next(phis)
-        pi1, pi2, pi_total = _lift(np.stack([stress, drift - stress, acc]), n)
+        pi1, pi2, pi_total, phi = _lift(np.stack([stress, drift - stress, *acc]), n)
         pi_h = pi_total - (phi + drift_int)
         if i < traj.n_steps:
-            acc += drift * dt + etas[i] * noise
+            kick = etas[i] * noise
+            acc[0] += drift * dt + kick
+            acc[1] += kick
         drift_int = drift_int + (pi1 + pi2) * dt
         yield PressureSlice(
             pi1=pi1,
@@ -179,25 +162,24 @@ def check_pressure(traj: Trajectory, csv_path) -> PressureCheck:
     terms drop out).  The sources' time integral is accumulated here from the
     slices' tables, ``traj.system.dt`` and ``traj.increments``, independently
     of the bookkeeping inside :func:`decompose_pressure`, so a corrupted
-    ``pi_total`` slice shows.  The stochastic part is rerun under doubled
-    increments from the slices' shape tables as they come and compared
-    bitwise with twice ``pi_phi``.
+    ``pi_total`` slice shows.  Beside it the slices' shape tables are
+    integrated under doubled increments, and the lift of that integral is
+    compared bitwise with twice ``pi_phi``: a stochastic part that is not
+    linear in the increments fails.
     """
     system = traj.system
     n = system.basis.grid_size
-    k_max = n // 3
+    k_max = band_limit(n)
     kx, ky = fields.wavenumbers(k_max)
     k2 = kx * kx + ky * ky
     w = quad_weight(n)
     p_conj = system.params.p_conj
     q0 = min(p_conj, system.params.q / (system.params.q - 1.0))
     etas = traj.etas()
+    doubled_etas = replace(traj, increments=2.0 * traj.increments).etas()
 
-    s = None  # the slice being checked
-    # the doubled rerun reads each slice's shape table as the slice comes
-    doubled = stochastic_pressure(replace(traj, increments=2.0 * traj.increments),
-                                  (s.noise_shape for _ in itertools.count()))
     acc = np.zeros((2, 2 * k_max + 1, k_max + 1), dtype=complex)
+    doubled = np.zeros_like(acc)  # the noise integrated under doubled increments
     recon = harmonic = worst = 0.0
     exact = True
     with open(csv_path, "w", newline="") as fh:
@@ -208,10 +190,11 @@ def check_pressure(traj: Trajectory, csv_path) -> PressureCheck:
             # identity: |k|^2 pi_hat = -i k . F_hat for the accumulated sources F
             defect = 1j * (kx * acc[0] + ky * acc[1]) + k2 * from_grid(s.pi_total, k_max)
             scale = max(float(np.max(np.abs(acc))), 1e-300)
-            worst = max(worst, float(np.max(np.abs(defect))) / scale)
+            worst = np.maximum(worst, float(np.max(np.abs(defect))) / scale)
+            exact = np.array_equal(_lift(doubled, n), 2.0 * s.pi_phi) and exact
             if i < traj.n_steps:
                 acc += s.drift_div * system.dt + etas[i] * s.noise_shape
-            exact = np.array_equal(next(doubled), 2.0 * s.pi_phi) and exact
+                doubled += doubled_etas[i] * s.noise_shape
             row = (
                 t,
                 float(np.sqrt(np.sum(s.pi_total ** 2) * w)),
@@ -221,7 +204,7 @@ def check_pressure(traj: Trajectory, csv_path) -> PressureCheck:
                 s.recombination_residual,
             )
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    return PressureCheck(float(recon), float(harmonic), worst, bool(exact))
+    return PressureCheck(float(recon), float(harmonic), float(worst), bool(exact))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nsvsim import fields
+from nsvsim import fields, pressure
 from nsvsim.galerkin import DivFreeBasis
 
 
@@ -53,6 +53,21 @@ def random_divfree(k_max: int, grid_size: int, seed: int = 0) -> fields.Spectral
 def l2_norm(f: fields.SpectralField) -> float:
     """||u||_2 by Parseval on the coefficient table."""
     return float(np.sqrt(fields.AREA * np.sum(np.abs(full_table(f.coeffs)) ** 2)))
+
+
+def perturbing(monkeypatch, perturb, every: bool = False) -> None:
+    """Patch the pressure decomposition so that ``perturb(traj, slice)``
+    alters the middle slice, or with ``every`` each slice, before the pass's
+    readers see it."""
+    decompose = pressure.decompose_pressure
+
+    def perturbed(traj):
+        for i, s in enumerate(decompose(traj)):
+            if every or i == traj.n_steps // 2:
+                perturb(traj, s)
+            yield s
+
+    monkeypatch.setattr(pressure, "decompose_pressure", perturbed)
 
 
 def torus_grid(n: int):

@@ -21,6 +21,8 @@ import pytest
 from nsvsim import analysis, cli, fields, galerkin, pressure, rheology
 from nsvsim.galerkin import run
 
+from conftest import perturbing
+
 pytestmark = pytest.mark.acceptance
 
 _RANDOM = ["seed=12345", "ic.kind=random"]
@@ -98,12 +100,16 @@ def test_criterion_01_fails_on_a_sign_flipped_stress(tmp_path, monkeypatch):
         test_criterion_01_monotonicity_sweeps(rep)
 
 
-def test_criterion_02_fails_on_a_doubled_symmetric_gradient(tmp_path, monkeypatch):
+@pytest.mark.parametrize("broken, error", [
+    (lambda d: 2.0 * d, "3.000e"),  # |2 D|^2 = 4 |D|^2
+    (lambda d: np.full_like(d, np.nan), "nan"),  # a NaN error must not drop out of the max
+], ids=["doubled", "nan"])
+def test_criterion_02_fails_on_a_broken_symmetric_gradient(tmp_path, monkeypatch, broken, error):
     sym_gradient = fields.sym_gradient
-    monkeypatch.setattr(fields, "sym_gradient", lambda jac, out=None: 2.0 * sym_gradient(jac))
+    monkeypatch.setattr(fields, "sym_gradient", lambda jac, out=None: broken(sym_gradient(jac)))
     rep = run_criterion(1, tmp_path)
     assert not criterion(rep, "symmetric-gradient identity on 100 random solenoidal fields").passed
-    with pytest.raises(AssertionError, match="symmetric-gradient identity .*: worst relative error = 3.000e"):
+    with pytest.raises(AssertionError, match=f"symmetric-gradient identity .*: worst relative error = {error}"):
         test_criterion_02_korn_identity(rep)
 
 
@@ -196,10 +202,12 @@ def test_criterion_08_pressure_under_saturating_noise(tmp_path):
 
 
 def nonlinear_stochastic_pressure(monkeypatch) -> None:
-    # a term quadratic in the increments grows fourfold when they double
-    stochastic_pressure = pressure.stochastic_pressure
-    monkeypatch.setattr(pressure, "stochastic_pressure", lambda traj, shape: (
-        s + np.sum(traj.increments**2) for s in stochastic_pressure(traj, shape)))
+    # a term quadratic in the increments grows fourfold when they double, so
+    # twice pi_phi is no longer the lift of the noise under doubled increments
+    def quadratic(traj, s):
+        s.pi_phi += np.sum(traj.increments**2)
+
+    perturbing(monkeypatch, quadratic, every=True)
 
 
 def test_criterion_08_fails_on_a_nonlinear_stochastic_pressure(tmp_path, monkeypatch):

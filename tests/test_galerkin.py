@@ -829,6 +829,23 @@ def test_every_public_definition_is_read_by_the_program():
     assert unread == ["analysis.weak_form_residual"]
 
 
+def test_every_public_attribute_is_read_by_the_program():
+    # a public attribute that a src/ class assigns on self and that no code
+    # in src/ or perfbench/ reads, only tests, is state kept for nothing
+    root = pathlib.Path(__file__).resolve().parents[1]
+    modules = sorted((root / "src" / "nsvsim").glob("*.py"))
+    read = {node.attr for path in [*modules, *(root / "perfbench").rglob("*.py")]
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = sorted({f"{path.stem}.{cls.name}.{node.attr}" for path in modules
+                     for cls in ast.walk(ast.parse(path.read_text())) if isinstance(cls, ast.ClassDef)
+                     for node in ast.walk(cls)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                     and getattr(node.value, "id", None) == "self"
+                     and not node.attr.startswith("_") and node.attr not in read})
+    assert unread == []
+
+
 def test_every_keyword_option_is_set_by_the_program():
     # a defaulted parameter of a src/ function, method or __init__, or a
     # defaulted field of a src/ dataclass, that no call in src/ or perfbench/

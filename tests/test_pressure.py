@@ -10,7 +10,7 @@ from nsvsim.galerkin import System, run
 from nsvsim.noise import NoiseModel
 from nsvsim.rheology import RheologyParams
 
-from conftest import torus_grid
+from conftest import perturbing, torus_grid
 
 
 def noisy_trajectory(small_basis, alpha=0.1, family="saturating", seed=5, steps=40):
@@ -50,20 +50,6 @@ class TestRecover:
 
 def slices_of(traj):
     return list(pressure.decompose_pressure(traj))
-
-
-def perturbing(monkeypatch, perturb):
-    """Patch the decomposition so that ``perturb(traj, slice)`` alters the
-    middle slice before the pass's readers see it."""
-    decompose = pressure.decompose_pressure
-
-    def perturbed(traj):
-        for i, s in enumerate(decompose(traj)):
-            if i == traj.n_steps // 2:
-                perturb(traj, s)
-            yield s
-
-    monkeypatch.setattr(pressure, "decompose_pressure", perturbed)
 
 
 class TestDecompose:
@@ -135,10 +121,16 @@ class TestDecompose:
         assert check.momentum_residual > 1e-7
 
     def test_stochastic_part_reruns_from_recorded_tables(self, small_basis):
+        # slice i's pi_phi lifts sum_{j<i} eta_j shape(u_j), integrated here
+        # from the earlier slices' own tables
         traj = noisy_trajectory(small_basis)
+        etas = traj.etas()
         slices = slices_of(traj)
-        rerun = pressure.stochastic_pressure(traj, (s.noise_shape for s in slices))
-        assert all(np.array_equal(phi, s.pi_phi) for phi, s in zip(rerun, slices, strict=True))
+        noise = np.zeros_like(slices[0].noise_shape)
+        for i, s in enumerate(slices):
+            assert np.array_equal(s.pi_phi, pressure._lift(noise, small_basis.grid_size))
+            if i < traj.n_steps:
+                noise = noise + etas[i] * s.noise_shape
 
     def test_a_reader_that_changes_a_slice_reaches_no_other(self, small_basis):
         # every yielded array is the slice's own: zeroing each one as it comes
@@ -213,42 +205,54 @@ def test_pressure_pass_forms_one_modulus_per_slice(small_basis, monkeypatch):
     assert moduli == [2] * (traj.n_steps + 1)
 
 
-def test_pressure_experiment_doubling_fails_on_a_rescaled_noise_slice(tmp_path, monkeypatch):
-    # one yielded shape(u) slice off by 1 %: the rerun from the slices' tables
-    # then differs from pi_phi, and so does the doubled part from 2 pi_phi
-    seen = []
-
-    def rescale(traj, s):
-        s.noise_shape *= 1.01
-        seen.append(traj)
-
-    perturbing(monkeypatch, rescale)
+def saturating_pressure_report(tmp_path) -> cli.RunReport:
     steps = 12
     cfg = cli.parse_config(None, [
         "experiment=pressure", "grid_n=16", "n_modes=16", f"steps={steps}", "dt=0.0025",
         f"T={steps * 0.0025!r}", "p=2.5", "q=4", "alpha=0.1", "ic.kind=random",
         "noise.family=saturating", "noise.amplitude=0.5", "noise.modes=6",
     ])
-    report = cli.run_experiment(cfg, str(tmp_path))
-    slices = list(pressure.decompose_pressure(seen[0]))
-    rerun = pressure.stochastic_pressure(seen[0], (s.noise_shape for s in slices))
-    assert not all(np.array_equal(phi, s.pi_phi) for phi, s in zip(rerun, slices, strict=True))
+    return cli.run_experiment(cfg, str(tmp_path))
+
+
+def test_pressure_experiment_doubling_fails_on_a_rescaled_noise_slice(tmp_path, monkeypatch):
+    # one yielded shape(u) slice off by 1 %: the noise that the check
+    # integrates under doubled increments then differs from the noise that
+    # pi_phi lifts, and the doubled part from 2 pi_phi
+    def rescale(traj, s):
+        s.noise_shape *= 1.01
+
+    perturbing(monkeypatch, rescale)
+    report = saturating_pressure_report(tmp_path)
     doubling = next(c for c in report.criteria if c.name == "stochastic part doubles exactly with increments")
     assert not doubling.passed
 
 
+def test_pressure_experiment_momentum_fails_on_a_nan_slice(tmp_path, monkeypatch):
+    # one NaN entry of one pi_total slice makes that slice's momentum defect
+    # NaN, and the worst defect over the slices must stay NaN
+    def poison(traj, s):
+        s.pi_total[3, 5] = np.nan
+
+    perturbing(monkeypatch, poison)
+    report = saturating_pressure_report(tmp_path)
+    momentum = next(c for c in report.criteria if c.name == "momentum identity vs gradient modes < 1e-7")
+    assert not momentum.passed and not report.passed
+
+
 def test_pressure_pass_working_set_does_not_grow_with_steps(tmp_path):
     # Traced peak of the whole streamed pass (decomposition, momentum check,
-    # doubling check and CSV) at N = 64 (K = N // 3), for S = 40 and
+    # doubling check and CSV) at N = 64 (K = (N - 1) // 3), for S = 40 and
     # S = 160 steps.  Across slices the pass holds only its running sums:
-    # four (2, 2K+1, K+1) complex tables (the total's, the momentum check's
-    # and the two stochastic parts') and the (N, N) drift integral.  One
+    # four (2, 2K+1, K+1) complex tables (the decomposition's integrated
+    # sources and integrated noise, the momentum check's sources and the
+    # doubling check's noise) and the (N, N) drift integral.  One
     # slice's pointwise stage (velocity, Jacobian, strain, stress, flux,
     # noise shape), its coefficient tables and lifts stay under 64 N^2
     # doubles (2 MiB).  The pass peaks at about 1.5 MB for either S; the
     # (S+1) arrays it replaced peaked at 8.5 MB for S = 40, which grew with S.
     n = 64
-    k = n // 3
+    k = galerkin.band_limit(n)
     basis = galerkin.DivFreeBasis(64, n)
     rng = np.random.default_rng(7)
     c0 = rng.standard_normal(basis.n) * (1.0 + basis.k2) ** -1.0
