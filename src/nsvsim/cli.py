@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, analysis, fields, pressure, solvability
 from .errors import ConfigurationError, DivergenceError, ValidationError
-from .galerkin import DivFreeBasis, System, basis_capacity, run, states_per_call, trajectory_csv
+from .galerkin import DivFreeBasis, System, band_limit, basis_capacity, run, states_per_call, trajectory_csv
 from .noise import FAMILIES as NOISE_FAMILIES, NoiseModel, keyed_normals, verify_noise_conditions
 from .rheology import RheologyParams, monotonicity_sweep
 
@@ -581,7 +581,7 @@ def _experiment_propcheck(cfg: SimConfig, out_dir: str):
     korn_worst = 0.0
     for s in range(100):
         rng = np.random.default_rng([cfg.seed, s])
-        v = fields.leray_project(rng.standard_normal((2, cfg.grid_n, cfg.grid_n)), (cfg.grid_n - 2) // 3)
+        v = fields.leray_project(rng.standard_normal((2, cfg.grid_n, cfg.grid_n)), band_limit(cfg.grid_n))
         d = fields.sym_gradient(fields.gradient(v))
         lhs = float(np.sum(fields.sym_modulus(d) ** 2) * fields.quad_weight(cfg.grid_n))
         rhs = 0.5 * fields.grad_l2_norm(v) ** 2

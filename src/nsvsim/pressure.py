@@ -14,7 +14,10 @@ of the slices' tables, and the per-slice CSV row).  Only the running sums, a
 few (2, 2K+1, K+1) tables and one (N, N) drift integral, live across slices,
 so the working set is O(N^2) whatever the number of steps.  The square-domain
 solver exercises the bounded-domain right inverse of the divergence that the
-torus cannot.
+torus cannot.  Its C-infinity bump, exp(-1/(1 - |x-c|^2/r^2)) on the ball of
+radius r, has the closed-form unit-integral constant 1 / (pi r^2 (e^-1 - E_1(1))),
+by int_0^1 exp(-1/(1 - s^2)) s ds = (e^-1 - E_1(1)) / 2 with E_1 the
+exponential integral, so importing the module computes no quadrature.
 """
 
 from __future__ import annotations
@@ -214,16 +217,13 @@ BUMP_CENTER = np.array([0.5, 0.5])
 BUMP_RADIUS = 0.25
 
 
-def _bump_normalization() -> float:
-    """Unit-integral constant of the radial C-infinity bump, by 400-node polar quadrature."""
-    s, w = np.polynomial.legendre.leggauss(400)
-    r = 0.5 * (s + 1.0)
-    wr = 0.5 * w
-    vals = np.exp(-1.0 / (1.0 - r**2)) * r
-    return float(1.0 / (2.0 * np.pi * BUMP_RADIUS**2 * np.sum(vals * wr)))
-
-
-_BUMP_CONST = _bump_normalization()
+# Unit-integral constant of the radial C-infinity bump exp(-1/(1 - |x-c|^2/r^2)).
+# In polar coordinates its integral is 2 pi r^2 int_0^1 exp(-1/(1 - s^2)) s ds,
+# and with u = 1/(1 - s^2) that is pi r^2 int_1^inf e^-u u^-2 du
+# = pi r^2 E_2(1) = pi r^2 (e^-1 - E_1(1)), E_1 the exponential integral
+# (Abramowitz & Stegun 5.1.1, 5.1.14).
+_E1_AT_1 = 0.21938393439552027368  # E_1(1), A&S Table 5.1
+_BUMP_CONST = 1.0 / (np.pi * BUMP_RADIUS**2 * (np.exp(-1.0) - _E1_AT_1))
 
 
 @dataclass
@@ -257,6 +257,7 @@ def midpoints(n: int) -> np.ndarray:
 
 
 RAY_NODES = 12  # Gauss-Legendre nodes on each ray segment
+_RAY_RULE = np.polynomial.legendre.leggauss(RAY_NODES)
 
 
 def _grid_image(i: np.ndarray, j: np.ndarray, n: int, sym) -> np.ndarray:
@@ -334,7 +335,6 @@ def bogovskii_solve_batch(xis: np.ndarray, resolution: int) -> np.ndarray:
     m = midpoints(n)
     pts = np.stack([m[gi], m[gj]], axis=1)             # (n^2, 2)
     src_w = 1.0 / n_pts
-    gauss_s, gauss_w = np.polynomial.legendre.leggauss(RAY_NODES)
     r_sq = BUMP_RADIUS**2
 
     d0 = pts[:, 0] - BUMP_CENTER[0]
@@ -390,7 +390,7 @@ def bogovskii_solve_batch(xis: np.ndarray, resolution: int) -> np.ndarray:
             half = 0.5 * (s_hi - s_lo)
             mid = s_lo + half
             acc = np.zeros(flat.size)
-            for node, wt in zip(gauss_s, gauss_w):
+            for node, wt in zip(*_RAY_RULE):
                 s = mid + half * node
                 z0 = y0 + s * ev0 - BUMP_CENTER[0]
                 z1 = y1 + s * ev1 - BUMP_CENTER[1]

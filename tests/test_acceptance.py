@@ -113,6 +113,21 @@ def test_criterion_02_fails_on_a_broken_symmetric_gradient(tmp_path, monkeypatch
         test_criterion_02_korn_identity(rep)
 
 
+def test_criterion_02_projects_onto_the_galerkin_band(tmp_path, monkeypatch):
+    # the Korn check draws its fields in the basis band K = band_limit(N),
+    # 21 at criterion 01's N = 64
+    bands = []
+    leray_project = fields.leray_project
+
+    def recorded(v, k_max):
+        bands.append(k_max)
+        return leray_project(v, k_max)
+
+    monkeypatch.setattr(fields, "leray_project", recorded)
+    run_criterion(1, tmp_path)
+    assert bands == [galerkin.band_limit(64)] * 100 and galerkin.band_limit(64) == 21
+
+
 def euler_voigt_conservation() -> tuple:
     """Criterion 03: the inviscid energy drift of a non-steady field halves
     with dt, first-order convergence to exact conservation; returns (halving

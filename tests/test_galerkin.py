@@ -829,6 +829,21 @@ def test_every_public_definition_is_read_by_the_program():
     assert unread == ["analysis.weak_form_residual"]
 
 
+def test_the_band_rule_is_written_once():
+    # the 2/3-rule band is one decision: src/ divides by 3 only in band_limit
+    root = pathlib.Path(__file__).resolve().parents[1]
+    where = []
+    for path in sorted((root / "src" / "nsvsim").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> innermost enclosing function (ast.walk visits outer ones first)
+        for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            owner.update((id(node), fn.name) for node in ast.walk(fn))
+        where += [f"{path.stem}.{owner.get(id(node), '<module>')}" for node in ast.walk(tree)
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+                  and isinstance(node.right, ast.Constant) and node.right.value == 3]
+    assert where == ["galerkin.band_limit"]
+
+
 def test_every_public_attribute_is_read_by_the_program():
     # a public attribute that a src/ class assigns on self and that no code
     # in src/ or perfbench/ reads, only tests, is state kept for nothing

@@ -1,4 +1,11 @@
 import dataclasses
+import json
+import math
+import os
+import pathlib
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -383,6 +390,23 @@ class TestBogovskii:
         total = np.sum(_bump(np.stack([xx, yy], axis=-1))) / (n * n)
         assert total == pytest.approx(1.0, abs=2e-4)
 
+    def test_bump_constant_matches_the_polar_quadrature(self):
+        # the closed form against 400-node Gauss-Legendre on the polar
+        # integral 2 pi r^2 int_0^1 exp(-1/(1 - s^2)) s ds, whose own error is
+        # about 3e-14
+        x, w = np.polynomial.legendre.leggauss(400)
+        s = 0.5 * (x + 1.0)
+        integral = np.sum(0.5 * w * np.exp(-1.0 / (1.0 - s**2)) * s)
+        quadrature = 1.0 / (2.0 * np.pi * pressure.BUMP_RADIUS**2 * integral)
+        assert abs(quadrature - pressure._BUMP_CONST) <= 1e-13 * pressure._BUMP_CONST
+
+    def test_exponential_integral_at_one(self):
+        # E_1(1) = -gamma - sum_{k>=1} (-1)^k / (k k!)  (Abramowitz & Stegun
+        # 5.1.11 at z = 1), with gamma the Euler-Mascheroni constant
+        euler_gamma = 0.57721566490153286061
+        series = -euler_gamma - math.fsum((-1) ** k / (k * math.factorial(k)) for k in range(1, 30))
+        assert abs(series - pressure._E1_AT_1) <= 1e-15
+
     def test_divergence_residual_decreases(self):
         resolutions = (16, 32, 64)
         resids = []
@@ -460,3 +484,46 @@ class TestBogovskii:
             np.max(np.abs(w[:, :, 0])), np.max(np.abs(w[:, :, -1])))
         interior = np.max(np.abs(w))
         assert edge < 1e-3 * interior
+
+
+def _fresh_interpreter(code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports nsvsim from
+    this checkout's sources."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_importing_the_cli_solves_no_large_eigenproblem():
+    # import-time set-up is the ray rule's RAY_NODES-point eigen-solve: the
+    # bump constant is closed-form, not a 400-node quadrature
+    sizes = json.loads(_fresh_interpreter(
+        "import json\n"
+        "import numpy.linalg as la\n"
+        "sizes, eigvalsh = [], la.eigvalsh\n"
+        "def recorded(a, *args, **kwargs):\n"
+        "    sizes.append(a.shape[-1])\n"
+        "    return eigvalsh(a, *args, **kwargs)\n"
+        "la.eigvalsh = recorded\n"
+        "import nsvsim.cli\n"
+        "print(json.dumps(sizes))\n"))
+    assert all(size <= pressure.RAY_NODES for size in sizes), sizes
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="probes glibc's dynamic mmap threshold")
+def test_importing_nsvsim_keeps_mid_sized_temporaries_on_the_heap():
+    # after the package import an 800 KB temporary is served from the heap,
+    # so a second one faults in no page; under glibc's default 128 KB
+    # threshold each would be a fresh mmap
+    faults = int(_fresh_interpreter(
+        "import resource\n"
+        "import numpy as np\n"
+        "import nsvsim\n"
+        "np.ones(100_000)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "np.ones(100_000)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"))
+    assert faults == 0
