@@ -257,7 +257,8 @@ def midpoints(n: int) -> np.ndarray:
 
 
 RAY_NODES = 12  # Gauss-Legendre nodes on each ray segment
-_RAY_RULE = np.polynomial.legendre.leggauss(RAY_NODES)
+# (t, w, 1 - t) per node of the rule on [-1, 1]
+_RAY_RULE = tuple((t, w, 1.0 - t) for t, w in zip(*np.polynomial.legendre.leggauss(RAY_NODES)))
 
 
 def _grid_image(i: np.ndarray, j: np.ndarray, n: int, sym) -> np.ndarray:
@@ -305,6 +306,20 @@ def bogovskii_solve_batch(xis: np.ndarray, resolution: int) -> np.ndarray:
     selections differ in floating point is within roundoff of tangency or
     of x on the sphere, so its nodes lie where the bump is exactly 0.0 and
     it adds nothing either way.
+
+    On a selected pair the roots s1 < s_hi are at hand, so the nodes need
+    no coordinates: 1 - |y + s e - c|^2 / r^2 = |e|^2 (s - s1)(s_hi - s) / r^2.
+    At the node s = s_lo + h (1 + t), with h = (s_hi - s_lo) / 2 and t a
+    Gauss node on [-1, 1], the factors are s_hi - s = h (1 - t) and
+    s - s1 = a + h t with a = (s_lo - s1) + h, so the bump there is
+    exp(P / ((a + h t)(1 - t))) with the per-pair constant
+    P = -r^2 / (|e|^2 h): about 9 array operations per node.  No clamp is
+    needed: 1 - t > 0 at every node and a + h t = (s_lo - s1) + h (1 + t) > 0,
+    since s_lo >= s1 and the guard keeps only pairs with h > 0, so the
+    exponent is finite and negative (or -inf, where exp gives 0.0).  The
+    sum of w s E accumulates s itself, not s - s1 plus s1 times the sum of
+    w E, so no term of size |s1| (up to about n/2 for neighbouring pairs)
+    cancels.
 
     The bump is radial about BUMP_CENTER, the centre of the unit square, so
     for each of the square's 8 symmetries R (swap x and y, reflect x -> 1 - x,
@@ -380,26 +395,31 @@ def bogovskii_solve_batch(xis: np.ndarray, resolution: int) -> np.ndarray:
             sq = np.sqrt(np.maximum(disc, 0.0))
             inv2a = 0.5 / ea
             s_hi = (sq - bv) * inv2a
-            s_lo = np.maximum((-sq - bv) * inv2a, 1.0)
+            s1 = (-sq - bv) * inv2a
+            s_lo = np.maximum(s1, 1.0)
             ok = s_hi > s_lo
             if not ok.all():
-                flat, src, ev0, ev1, s_hi, s_lo = (
-                    a[ok] for a in (flat, src, ev0, ev1, s_hi, s_lo))
-            y0 = pts[src, 0]
-            y1 = pts[src, 1]
+                flat, ev0, ev1, ea, s1, s_lo, s_hi = (
+                    a[ok] for a in (flat, ev0, ev1, ea, s1, s_lo, s_hi))
             half = 0.5 * (s_hi - s_lo)
             mid = s_lo + half
+            off = s_lo - s1
+            off += half                                # s - s1 = off + half t
+            ea *= half
+            p = np.divide(-r_sq, ea, out=ea)           # bump exponent numerator
             acc = np.zeros(flat.size)
-            for node, wt in zip(*_RAY_RULE):
-                s = mid + half * node
-                z0 = y0 + s * ev0 - BUMP_CENTER[0]
-                z1 = y1 + s * ev1 - BUMP_CENTER[1]
-                r2 = (z0 * z0 + z1 * z1) / r_sq
-                np.minimum(r2, 1.0 - 1e-14, out=r2)
-                r2 -= 1.0
-                np.reciprocal(r2, out=r2)
-                np.exp(r2, out=r2)
-                acc += (wt * s) * r2
+            ht = np.empty(flat.size)
+            q = np.empty(flat.size)
+            for node, wt, one_minus in _RAY_RULE:
+                np.multiply(half, node, out=ht)
+                np.add(off, ht, out=q)
+                q *= one_minus                         # (s - s1)(s_hi - s) / half
+                np.divide(p, q, out=q)
+                np.exp(q, out=q)
+                ht += mid                              # s
+                ht *= q
+                ht *= wt
+                acc += ht
             g = _BUMP_CONST * acc * half
             flat += t0 * n_pts
             k[0].ravel()[flat] = ev0 * g

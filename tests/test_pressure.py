@@ -290,10 +290,13 @@ def _bump(points):
 
 
 def _direct_bogovskii(xis, n):
-    """Unsymmetrised evaluation of the Bogovskii integral: the ray integral is
-    evaluated for every (target, source) pair, with the kernel's 12-node rule
-    and formulas, after compacting first to rays aimed at the ball (b < 0) or
-    starting inside it (cc < 0) and then to nonempty segments."""
+    """Unsymmetrised evaluation of the Bogovskii integral, an independent
+    route to the kernel's result: the ray integral is evaluated for every
+    (target, source) pair, after compacting first to rays aimed at the ball
+    (b < 0) or starting inside it (cc < 0) and then to nonempty segments.
+    It shares only the 12-node Gauss rule with the kernel: each node's bump
+    value comes from the coordinates of z = y + s e - c, clamped below the
+    sphere, where the kernel uses the factored chord form with no clamp."""
     xis = np.asarray(xis, dtype=float).reshape(-1, n * n)
     m = pressure.midpoints(n)
     xx, yy = np.meshgrid(m, m, indexing="ij")
@@ -421,11 +424,13 @@ class TestBogovskii:
         assert np.all(resids[1:] < resids[:-1])
         assert max(ratios) < 10.0
 
-    @pytest.mark.parametrize("n", [12, 13, 16])
+    @pytest.mark.parametrize("n", [12, 13, 16, 32, 33])
     def test_matches_direct_evaluation(self, n):
+        # odd n has midline targets, written once per symmetry that fixes them
         xis = np.array([self._random_xi(n, s) for s in range(3)])
         ref = _direct_bogovskii(xis, n)
         w = pressure.bogovskii_solve_batch(xis, n)
+        assert np.isfinite(w).all()
         np.testing.assert_allclose(w, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
 
     def test_tiling_does_not_change_the_result(self, monkeypatch):
@@ -443,9 +448,12 @@ class TestBogovskii:
     def test_working_set_bounded_by_tile_and_block(self):
         # Peak traced memory of a 4-source solve at n = 64.  The block holds
         # e g for both components: 2 * _BLOCK_PAIRS doubles (16 MiB).  The
-        # ray pass keeps at most about 32 arrays of one tile's pairs alive
-        # (the dense tests, then the compacted roots and nodes): 32 *
-        # _TILE_PAIRS doubles (8 MiB).  The permuted sources, their gathered
+        # ray pass keeps about 27 arrays of one tile's pairs alive: the
+        # dense tests' 5 and a mask, then about 20 compacted ones (indices,
+        # roots, the chord constants and the two node buffers), 7 of which
+        # are briefly copied by the s_hi > s_lo filter; the node loop
+        # allocates none.  The bound allows 32 * _TILE_PAIRS doubles
+        # (8 MiB).  The permuted sources, their gathered
         # copies and the output are 8L + 8L + 2L rows of n^2 doubles, and
         # the points and index arrays 8 more rows.  Twice the sum, about
         # 53 MiB, leaves room for NumPy's temporaries; one 4M-pair chunk
